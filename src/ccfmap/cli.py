@@ -19,6 +19,7 @@ from .errors import DataError
 from .forest import TrainConfig, predict_class_batch, predict_raster, train_forest
 from .metrics import evaluate
 from .pipeline import (
+    UNLABELED,
     SampleSet,
     SplitSpec,
     assemble_region_dataset,
@@ -186,7 +187,7 @@ def cmd_predict(args) -> int:
         band_names=("informal_probability",),
     )
     write_raster(prob_raster, args.out_prob)
-    labeled = int((mask != 255).sum())
+    labeled = int((mask != UNLABELED).sum())
     print(
         f"mask written: {args.out_mask} ({labeled}/{mask.size} pixels labeled); "
         f"probability raster: {args.out_prob}"

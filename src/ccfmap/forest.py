@@ -9,10 +9,14 @@ all randomness comes from the per-node draws of an independent per-tree
 RNG stream, which makes training deterministic for a given seed no
 matter how many workers run.
 
+Each tree is grown straight into a FlatTree: parallel per-node arrays in
+preorder, the one tree representation training, prediction and the
+model format share.
+
 Numeric conventions that matter for reproducibility:
-  * projections are computed as (x * direction).sum(axis=1), the same
-    reduction prediction uses, so a training-time partition and a
-    prediction-time routing agree bit for bit;
+  * _project is the single projection routine: training partitions and
+    prediction routes with the same reduction, so the two agree bit for
+    bit;
   * thresholds are midpoints of consecutive distinct projected values,
     searched on the uncentered projection;
   * Gini terms accumulate class by class, left to right.
@@ -29,7 +33,7 @@ import numpy as np
 
 from .cca import ColumnStats, cca, standardize
 from .errors import DataError
-from .pipeline import SampleSet
+from .pipeline import UNLABELED, SampleSet, valid_pixels
 
 MODEL_FORMAT_VERSION = "ccf-1"
 
@@ -88,18 +92,43 @@ class TrainConfig:
 
 
 @dataclass
-class Leaf:
-    class_counts: np.ndarray  # (k,) int64 training tallies, never all zero
-    class_probs: np.ndarray  # (k,) float64, counts normalized
+class FlatTree:
+    """One tree as parallel node arrays, preorder; node 0 is the root.
 
+    A split row routes a row left iff its projection onto the row's
+    direction is <= the threshold.
+    """
 
-@dataclass
-class Internal:
-    feature_indices: np.ndarray  # (fs,) int64, ascending
-    projection: np.ndarray  # (fs,) float64 hyperplane direction
-    threshold: float  # route left iff projection <= threshold
-    left: "Internal | Leaf"
-    right: "Internal | Leaf"
+    kind: np.ndarray  # (m,) uint8: 1 split, 0 leaf
+    features: np.ndarray  # (m, fs) int64 ascending, -1 on leaf rows
+    projections: np.ndarray  # (m, fs) float64 direction, 0 on leaf rows
+    thresholds: np.ndarray  # (m,) float64
+    left: np.ndarray  # (m,) int64 child ids, -1 on leaves
+    right: np.ndarray
+    counts: np.ndarray  # (m, k) int64 leaf tallies, 0 on split rows
+    probs: np.ndarray  # (m, k) float64
+
+    @classmethod
+    def from_rows(cls, features, projections, thresholds, left, right, counts):
+        """Build a tree from per-node rows. kind and probs follow from
+        them: a row with a left child is a split, and a leaf's probs are
+        its counts normalized (split rows have zero counts, so zero probs)."""
+        left = np.asarray(left, dtype=np.int64)
+        counts = np.asarray(counts, dtype=np.int64)
+        return cls(
+            kind=(left >= 0).astype(np.uint8),
+            features=np.asarray(features, dtype=np.int64),
+            projections=np.asarray(projections, dtype=np.float64),
+            thresholds=np.asarray(thresholds, dtype=np.float64),
+            left=left,
+            right=np.asarray(right, dtype=np.int64),
+            counts=counts,
+            probs=counts / np.maximum(counts.sum(axis=1, keepdims=True), 1),
+        )
+
+    @property
+    def n_nodes(self) -> int:
+        return self.kind.shape[0]
 
 
 def _one_hot(labels: np.ndarray, k: int) -> np.ndarray:
@@ -160,12 +189,11 @@ def best_split(projections, labels, n_classes: int):
     return best
 
 
-def _project_columns(x_sub: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Project rows onto each direction with the same reduction prediction
-    uses, keeping training and inference bit-identical."""
-    return np.stack(
-        [(x_sub * a[:, j]).sum(axis=1) for j in range(a.shape[1])], axis=1
-    )
+def _project(x_sub: np.ndarray, direction: np.ndarray) -> np.ndarray:
+    """Project rows onto one direction. Training and prediction both call
+    this, so a training-time partition and a prediction-time routing agree
+    bit for bit."""
+    return (x_sub * direction).sum(axis=1)
 
 
 def _try_split(x, y, k, config, rng):
@@ -180,127 +208,66 @@ def _try_split(x, y, k, config, rng):
     x_sub = x[:, feats]
     boot = rng.integers(0, n, size=n)
 
-    choice = None
-    res = cca(x_sub[boot], _one_hot(y[boot], k), config.gamma)
-    if res.n_components:
-        z = _project_columns(x_sub, res.a)
+    # a degenerate bootstrap (single class or constant draw) gets a retry
+    # with the CCA on the full node, so separable nodes still split
+    for rows in (boot, slice(None)):
+        res = cca(x_sub[rows], _one_hot(y[rows], k), config.gamma)
+        if not res.n_components:
+            continue
+        z = np.stack([_project(x_sub, a) for a in res.a.T], axis=1)
         choice = best_split(z, y, k)
-    if choice is None:
-        # bootstrap came out degenerate (single class or constant draw):
-        # retry the CCA on the full node so separable nodes still split
-        res = cca(x_sub, _one_hot(y, k), config.gamma)
-        if res.n_components:
-            z = _project_columns(x_sub, res.a)
-            choice = best_split(z, y, k)
-    if choice is None:
-        return None
-    j, threshold, _ = choice
-    go_left = z[:, j] <= threshold
-    return feats, res.a[:, j].copy(), threshold, go_left
+        if choice is not None:
+            j, threshold, _ = choice
+            return feats, res.a[:, j].copy(), threshold, z[:, j] <= threshold
+    return None
 
 
-def _grow(x, y, k, depth, config, rng):
-    """Iterative preorder tree growth; equivalent to the recursive
-    procedure (node, then left subtree, then right) including rng order,
-    but immune to Python recursion limits on deep trees."""
-    root = None
-    stack = [(x, y, depth, None, False)]
+def _grow(x, y, k, config, rng) -> FlatTree:
+    """Iterative preorder tree growth straight into FlatTree rows.
+
+    Equivalent to the recursive procedure (node, then left subtree, then
+    right) including rng order, but immune to Python recursion limits on
+    deep trees. A split's left child is always the next row; its right
+    child's id is filled in when that child is popped. A node becomes a
+    leaf when it is pure, smaller than 2*min_node_size, at max_depth, or
+    admits no valid split; each child of a split gets at least one row.
+    """
+    fs = config.feature_subsample
+    leaf_features = np.full(fs, -1, dtype=np.int64)
+    leaf_projection = np.zeros(fs)
+    no_counts = np.zeros(k, dtype=np.int64)
+    features, projections, thresholds, left, right, counts = [], [], [], [], [], []
+    stack = [(x, y, 0, -1)]  # rows, labels, depth, parent awaiting this right child
     while stack:
-        xn, yn, level, parent, is_left = stack.pop()
-        counts = np.bincount(yn, minlength=k).astype(np.int64)
-        node = None
-        stop = (
-            int((counts > 0).sum()) <= 1
+        xn, yn, level, parent = stack.pop()
+        i = len(thresholds)
+        if parent >= 0:
+            right[parent] = i
+        tally = np.bincount(yn, minlength=k).astype(np.int64)
+        attempt = None
+        if not (
+            int((tally > 0).sum()) <= 1
             or yn.size < 2 * config.min_node_size
             or (config.max_depth is not None and level >= config.max_depth)
-        )
-        if not stop:
+        ):
             attempt = _try_split(xn, yn, k, config, rng)
-            if attempt is not None:
-                feats, direction, threshold, go_left = attempt
-                node = Internal(
-                    feature_indices=feats.astype(np.int64),
-                    projection=direction,
-                    threshold=float(threshold),
-                    left=None,
-                    right=None,
-                )
-                stack.append((xn[~go_left], yn[~go_left], level + 1, node, False))
-                stack.append((xn[go_left], yn[go_left], level + 1, node, True))
-        if node is None:
-            node = Leaf(class_counts=counts, class_probs=counts / counts.sum())
-        if parent is None:
-            root = node
-        elif is_left:
-            parent.left = node
+        if attempt is None:
+            features.append(leaf_features)
+            projections.append(leaf_projection)
+            thresholds.append(0.0)
+            left.append(-1)
+            counts.append(tally)
         else:
-            parent.right = node
-    return root
-
-
-def grow_node(samples: SampleSet, depth: int, config: TrainConfig, rng) -> Internal | Leaf:
-    """Grow the subtree for one node's samples.
-
-    Returns a Leaf when the node is pure, smaller than 2*min_node_size,
-    at max_depth, or admits no valid split; otherwise an Internal node
-    whose children each received at least one training sample.
-    """
-    cfg = config.resolved(samples.n_bands)
-    return _grow(samples.features, samples.labels, samples.n_classes, depth, cfg, rng)
-
-
-@dataclass
-class FlatTree:
-    """One tree as parallel node arrays, preorder; node 0 is the root."""
-
-    kind: np.ndarray  # (m,) uint8: 1 split, 0 leaf
-    features: np.ndarray  # (m, fs) int64, -1 on leaf rows
-    projections: np.ndarray  # (m, fs) float64, 0 on leaf rows
-    thresholds: np.ndarray  # (m,) float64
-    left: np.ndarray  # (m,) int64 child ids, -1 on leaves
-    right: np.ndarray
-    counts: np.ndarray  # (m, k) int64 leaf tallies, 0 on split rows
-    probs: np.ndarray  # (m, k) float64
-
-    @property
-    def n_nodes(self) -> int:
-        return self.kind.shape[0]
-
-
-def flatten_tree(root, n_classes: int, feature_subsample: int) -> FlatTree:
-    order = []
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        order.append(node)
-        if isinstance(node, Internal):
-            stack.append(node.right)
-            stack.append(node.left)
-    index = {id(node): i for i, node in enumerate(order)}
-
-    m = len(order)
-    tree = FlatTree(
-        kind=np.zeros(m, dtype=np.uint8),
-        features=np.full((m, feature_subsample), -1, dtype=np.int64),
-        projections=np.zeros((m, feature_subsample)),
-        thresholds=np.zeros(m),
-        left=np.full(m, -1, dtype=np.int64),
-        right=np.full(m, -1, dtype=np.int64),
-        counts=np.zeros((m, n_classes), dtype=np.int64),
-        probs=np.zeros((m, n_classes)),
-    )
-    for i, node in enumerate(order):
-        if isinstance(node, Internal):
-            tree.kind[i] = 1
-            tree.features[i] = node.feature_indices
-            tree.projections[i] = node.projection
-            tree.thresholds[i] = node.threshold
-            tree.left[i] = index[id(node.left)]
-            tree.right[i] = index[id(node.right)]
-        else:
-            tree.counts[i] = node.class_counts
-            tree.probs[i] = node.class_probs
-    return tree
+            feats, direction, threshold, go_left = attempt
+            features.append(feats)
+            projections.append(direction)
+            thresholds.append(threshold)
+            left.append(i + 1)
+            counts.append(no_counts)
+            stack.append((xn[~go_left], yn[~go_left], level + 1, i))
+            stack.append((xn[go_left], yn[go_left], level + 1, -1))
+        right.append(-1)
+    return FlatTree.from_rows(features, projections, thresholds, left, right, counts)
 
 
 @dataclass
@@ -330,18 +297,20 @@ def _tree_rng(seed: int, tree_index: int) -> np.random.Generator:
 def _build_tree(payload):
     features, labels, k, config, tree_index = payload
     rng = _tree_rng(config.seed, tree_index)
-    root = _grow(features, labels, k, 0, config, rng)
-    return flatten_tree(root, k, config.feature_subsample)
+    return _grow(features, labels, k, config, rng)
 
 
 def _worker_count(n_trees: int) -> int:
-    cap = os.cpu_count() or 1
+    """Training workers: CCF_THREADS when set, else every core."""
     env = os.environ.get("CCF_THREADS", "").strip()
-    if env:
-        try:
-            cap = max(1, int(env))
-        except ValueError:
-            pass  # unparseable cap: fall back to hardware parallelism
+    if not env:
+        return min(n_trees, os.cpu_count() or 1)
+    try:
+        cap = int(env)
+    except ValueError:
+        cap = 0  # reported below, with the non-positive values
+    if cap < 1:
+        raise DataError(f"CCF_THREADS must be a positive integer, got {env!r}")
     return min(n_trees, cap)
 
 
@@ -405,8 +374,7 @@ def _apply_tree(tree: FlatTree, feats: np.ndarray) -> np.ndarray:
         if tree.kind[nid] == 0:
             out[idx] = tree.probs[nid]
             continue
-        sub = feats[idx][:, tree.features[nid]]
-        z = (sub * tree.projections[nid]).sum(axis=1)
+        z = _project(feats[idx][:, tree.features[nid]], tree.projections[nid])
         go_left = z <= tree.thresholds[nid]
         left_idx = idx[go_left]
         right_idx = idx[~go_left]
@@ -432,29 +400,15 @@ def predict_proba_batch(model: CcfModel, spectra) -> np.ndarray:
     return out
 
 
-def predict_proba(model: CcfModel, spectrum) -> np.ndarray:
-    """Class distribution for one B-dim spectrum; sums to 1."""
-    v = np.asarray(spectrum, dtype=np.float64)
-    if v.shape != (model.n_bands,):
-        raise DataError(
-            f"spectrum must have {model.n_bands} band(s), got shape {v.shape}"
-        )
-    return predict_proba_batch(model, v[None, :])[0]
-
-
 def predict_class_batch(model: CcfModel, spectra) -> np.ndarray:
     probs = predict_proba_batch(model, spectra)
     return np.argmax(probs, axis=1)  # ties resolve to the lowest index
 
 
-def predict_class(model: CcfModel, spectrum) -> int:
-    return int(np.argmax(predict_proba(model, spectrum)))
-
-
 def predict_raster(model: CcfModel, raster):
     """Per-pixel prediction over a full raster.
 
-    Returns (mask, informal_prob): an H x W uint8 label mask, 255 where
+    Returns (mask, informal_prob): an H x W uint8 label mask, UNLABELED where
     any band equals the raster's nodata value, and an H x W float32 map
     of the class-1 probability (-1 on nodata pixels).
     """
@@ -467,14 +421,9 @@ def predict_raster(model: CcfModel, raster):
             f"band mismatch: raster has {b} band(s), model expects {model.n_bands}"
         )
     flat = values.reshape(-1, b)
-    nodata = getattr(raster, "nodata", None)
-    if nodata is None:
-        valid = np.ones(h * w, dtype=bool)
-    else:
-        nd = np.asarray(nodata, dtype=values.dtype)
-        valid = ~(flat == nd).any(axis=1)
+    valid = valid_pixels(flat, getattr(raster, "nodata", None))
 
-    mask = np.full(h * w, 255, dtype=np.uint8)
+    mask = np.full(h * w, UNLABELED, dtype=np.uint8)
     prob = np.full(h * w, -1.0, dtype=np.float32)
     idx = np.flatnonzero(valid)
     for start in range(0, idx.size, _PREDICT_CHUNK):

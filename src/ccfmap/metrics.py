@@ -13,8 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-
-UNLABELED = 255
+from .pipeline import UNLABELED
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,8 @@ import numpy as np
 from .cca import ColumnStats, as_matrix, column_stats
 from .errors import DataError
 
-UNLABELED = 255
+UNLABELED = 255  # mask value of a pixel with no label
+MASK_VALUES = (0, 1, UNLABELED)
 
 DEFAULT_CLASS_NAMES = ("environment", "informal")
 
@@ -99,6 +100,13 @@ def _raster_values(raster):
     return raster.values, getattr(raster, "nodata", None)
 
 
+def valid_pixels(values: np.ndarray, nodata) -> np.ndarray:
+    """True where no band (last axis) equals nodata; all True without one."""
+    if nodata is None:
+        return np.ones(values.shape[:-1], dtype=bool)
+    return ~(values == np.asarray(nodata, dtype=values.dtype)).any(axis=-1)
+
+
 def extract_samples(raster, mask) -> SampleSet:
     """One sample per labeled, valid pixel, in row-major pixel order.
 
@@ -114,15 +122,12 @@ def extract_samples(raster, mask) -> SampleSet:
         raise DataError(
             f"mask shape {mask.shape} does not match raster {values.shape[:2]}"
         )
-    illegal = ~np.isin(mask, (0, 1, UNLABELED))
+    illegal = ~np.isin(mask, MASK_VALUES)
     if illegal.any():
         bad = mask[illegal].ravel()[0]
         raise DataError(f"mask contains illegal value {bad}")
 
-    valid = mask != UNLABELED
-    if nodata is not None:
-        nd = np.asarray(nodata, dtype=values.dtype)
-        valid &= ~(values == nd).any(axis=2)
+    valid = (mask != UNLABELED) & valid_pixels(values, nodata)
     if not valid.any():
         raise DataError("zero labeled pixels")
     return SampleSet(
@@ -209,46 +214,3 @@ def assemble_region_dataset(pairs) -> SampleSet:
         labels=np.concatenate([p.labels for p in parts]),
         class_names=parts[0].class_names,
     )
-
-
-def write_sample_csv(s: SampleSet, path) -> None:
-    """Dump samples as text: header band_1..band_B,label then one row per
-    sample with full round-trip float precision."""
-    cols = [f"band_{i + 1}" for i in range(s.n_bands)]
-    lines = [",".join(cols + ["label"])]
-    for row, label in zip(s.features, s.labels):
-        lines.append(",".join(repr(float(v)) for v in row) + f",{int(label)}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def read_sample_csv(path) -> SampleSet:
-    """Inverse of write_sample_csv; validates the header and every row."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln]
-    if not lines:
-        raise DataError(f"{path}: empty sample file")
-    header = lines[0].split(",")
-    if header[-1] != "label" or len(header) < 2:
-        raise DataError(f"{path}: malformed header {lines[0]!r}")
-    n_bands = len(header) - 1
-    expect = [f"band_{i + 1}" for i in range(n_bands)]
-    if header[:-1] != expect:
-        raise DataError(f"{path}: malformed header {lines[0]!r}")
-    feats = np.empty((len(lines) - 1, n_bands), dtype=np.float64)
-    labels = np.empty(len(lines) - 1, dtype=np.int64)
-    for i, ln in enumerate(lines[1:]):
-        cells = ln.split(",")
-        if len(cells) != n_bands + 1:
-            raise DataError(f"{path}: line {i + 2} has {len(cells)} field(s), expected {n_bands + 1}")
-        try:
-            feats[i] = [float(v) for v in cells[:-1]]
-            labels[i] = int(cells[-1])
-        except ValueError as exc:
-            raise DataError(f"{path}: line {i + 2}: {exc}") from exc
-    k = int(labels.max()) + 1 if labels.size else 2
-    if k <= 2:
-        names = DEFAULT_CLASS_NAMES
-    else:
-        names = tuple(f"class_{i}" for i in range(k))
-    return SampleSet(features=feats, labels=labels, class_names=names)

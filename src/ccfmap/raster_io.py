@@ -21,13 +21,11 @@ from .cca import ColumnStats
 from .errors import DataError
 from .forest import MODEL_FORMAT_VERSION, CcfModel, FlatTree, TrainConfig
 from .metrics import EvalReport
+from .pipeline import MASK_VALUES, UNLABELED
 
 RASTER_DTYPE = "f32le"
 MASK_DTYPE = "u8"
 LAYOUT = "band-sequential"
-
-UNLABELED = 255
-_MASK_VALUES = (0, 1, 255)
 
 PRESETS = ("blobs", "oblique", "ring")
 
@@ -209,7 +207,7 @@ def write_mask(mask, path) -> tuple[str, str]:
         raise DataError(f"mask must be 2-D, got ndim={m.ndim}")
     if min(m.shape) < 1:
         raise DataError(f"empty raster: mask shape {m.shape}")
-    bad = ~np.isin(m, _MASK_VALUES)
+    bad = ~np.isin(m, MASK_VALUES)
     if bad.any():
         i = int(np.flatnonzero(bad.ravel())[0])
         raise DataError(
@@ -255,7 +253,7 @@ def read_mask(header_path, payload_path=None) -> np.ndarray:
             f"got {len(payload)} ({payload_path})"
         )
     m = np.frombuffer(payload, dtype=np.uint8)
-    bad = ~np.isin(m, _MASK_VALUES)
+    bad = ~np.isin(m, MASK_VALUES)
     if bad.any():
         i = int(np.flatnonzero(bad)[0])
         raise DataError(
@@ -423,16 +421,7 @@ def _parse_tree(doc, tree_index: int, k: int, n_bands: int, fs: int, path) -> Fl
     nodes = doc.get("nodes")
     _expect(isinstance(nodes, list) and len(nodes) >= 1, f"{where}: empty node list")
     m = len(nodes)
-    tree = FlatTree(
-        kind=np.zeros(m, dtype=np.uint8),
-        features=np.full((m, fs), -1, dtype=np.int64),
-        projections=np.zeros((m, fs)),
-        thresholds=np.zeros(m),
-        left=np.full(m, -1, dtype=np.int64),
-        right=np.full(m, -1, dtype=np.int64),
-        counts=np.zeros((m, k), dtype=np.int64),
-        probs=np.zeros((m, k)),
-    )
+    features, projections, thresholds, lefts, rights, counts = [], [], [], [], [], []
     for i, nd in enumerate(nodes):
         at = f"{where} node {i}"
         _expect(isinstance(nd, dict), f"{at} must be an object")
@@ -457,21 +446,25 @@ def _parse_tree(doc, tree_index: int, k: int, n_bands: int, fs: int, path) -> Fl
                     and 0 <= child < m,
                     f"{at}: {name} child index out of range [0, {m})",
                 )
-            tree.kind[i] = 1
-            tree.features[i] = feats
-            tree.projections[i] = proj
-            tree.thresholds[i] = float(thr)
-            tree.left[i] = left
-            tree.right[i] = right
+            features.append(feats)
+            projections.append(proj)
+            thresholds.append(float(thr))
+            lefts.append(left)
+            rights.append(right)
+            counts.append([0] * k)
         elif kind == "leaf":
-            counts = _int_list(nd.get("class_counts"), k, "class_counts", at)
-            _expect(all(c >= 0 for c in counts), f"{at}: negative class count")
-            total = sum(counts)
-            _expect(total > 0, f"{at}: leaf class_counts all zero")
-            tree.counts[i] = counts
-            tree.probs[i] = tree.counts[i] / total
+            tally = _int_list(nd.get("class_counts"), k, "class_counts", at)
+            _expect(all(c >= 0 for c in tally), f"{at}: negative class count")
+            _expect(sum(tally) > 0, f"{at}: leaf class_counts all zero")
+            features.append([-1] * fs)
+            projections.append([0.0] * fs)
+            thresholds.append(0.0)
+            lefts.append(-1)
+            rights.append(-1)
+            counts.append(tally)
         else:
             raise DataError(f"{at}: unknown node kind {kind!r}")
+    tree = FlatTree.from_rows(features, projections, thresholds, lefts, rights, counts)
 
     # structural pass: every node reachable from the root exactly once
     seen = np.zeros(m, dtype=bool)

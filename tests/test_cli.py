@@ -165,6 +165,22 @@ class TestTrain:
         assert main(args) == 0
         assert "model written" in capsys.readouterr().out
 
+    def test_bad_thread_count(self, scene_dir, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("CCF_THREADS", "abc")
+        rc = main(
+            [
+                "train",
+                "--raster", str(scene_dir / "raster.json"),
+                "--mask", str(scene_dir / "mask.json"),
+                "--out", str(tmp_path / "m.ccf.json"),
+            ]
+        )
+        assert rc == 2
+        assert "ccfmap: error: CCF_THREADS must be a positive integer, got 'abc'" in (
+            capsys.readouterr().err
+        )
+        assert not (tmp_path / "m.ccf.json").exists()
+
     def test_all_unlabeled_mask(self, scene_dir, tmp_path, capsys):
         blank = np.full((48, 48), 255, dtype=np.uint8)
         write_mask(blank, tmp_path / "blank")

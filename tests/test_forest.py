@@ -1,28 +1,32 @@
 """Tests for oblique-tree growth, the split search, and forest prediction."""
 
+import dataclasses
+import os
+import re
+
 import numpy as np
 import pytest
 
+from ccfmap import forest
 from ccfmap.cca import ColumnStats
 from ccfmap.errors import DataError
 from ccfmap.forest import (
     CcfModel,
     FlatTree,
-    Internal,
-    Leaf,
     TrainConfig,
+    _grow,
+    _project,
+    _worker_count,
     best_split,
     default_feature_subsample,
-    flatten_tree,
-    grow_node,
-    predict_class,
     predict_class_batch,
-    predict_proba,
     predict_proba_batch,
     predict_raster,
     train_forest,
 )
 from ccfmap.pipeline import SampleSet
+
+TREE_FIELDS = [f.name for f in dataclasses.fields(FlatTree)]
 
 
 def _blobs(n_per_class, n_bands, separation, rng):
@@ -91,21 +95,10 @@ def _leaf_model(count_rows, n_bands=3):
     """Hand-built forest of single-leaf trees, one per counts row."""
     k = len(count_rows[0])
     fs = default_feature_subsample(n_bands)
-    trees = []
-    for counts in count_rows:
-        c = np.asarray(counts, dtype=np.int64)
-        trees.append(
-            FlatTree(
-                kind=np.zeros(1, np.uint8),
-                features=np.full((1, fs), -1, np.int64),
-                projections=np.zeros((1, fs)),
-                thresholds=np.zeros(1),
-                left=np.full(1, -1, np.int64),
-                right=np.full(1, -1, np.int64),
-                counts=c[None, :],
-                probs=(c / c.sum())[None, :],
-            )
-        )
+    trees = [
+        FlatTree.from_rows([[-1] * fs], [[0.0] * fs], [0.0], [-1], [-1], [counts])
+        for counts in count_rows
+    ]
     return CcfModel(
         trees=trees,
         scaler=ColumnStats(np.zeros(n_bands), np.ones(n_bands)),
@@ -113,6 +106,44 @@ def _leaf_model(count_rows, n_bands=3):
         class_names=tuple(f"c{i}" for i in range(k)),
         config=TrainConfig().resolved(n_bands),
     )
+
+
+def _grow_tree(samples, config, seed):
+    """Grow one tree as train_forest does, from an explicit rng."""
+    cfg = config.resolved(samples.n_bands)
+    return _grow(
+        samples.features, samples.labels, samples.n_classes, cfg,
+        np.random.default_rng(seed),
+    )
+
+
+def _assert_same_trees(a, b):
+    """Every FlatTree field equal, dtype included, tree by tree."""
+    assert len(a.trees) == len(b.trees)
+    for ta, tb in zip(a.trees, b.trees):
+        for name in TREE_FIELDS:
+            x, y = getattr(ta, name), getattr(tb, name)
+            assert x.dtype == y.dtype, name
+            np.testing.assert_array_equal(x, y, err_msg=name)
+
+
+def _route(tree, x):
+    """Route rows down one tree with the shared projection. Returns each
+    row's leaf id and how many times a row met a threshold exactly."""
+    leaf = np.full(x.shape[0], -1)
+    on_threshold = 0
+    stack = [(0, np.arange(x.shape[0]))]
+    while stack:
+        nid, idx = stack.pop()
+        if tree.kind[nid] == 0:
+            leaf[idx] = nid
+            continue
+        z = _project(x[idx][:, tree.features[nid]], tree.projections[nid])
+        on_threshold += int((z == tree.thresholds[nid]).sum())
+        go_left = z <= tree.thresholds[nid]
+        stack.append((tree.left[nid], idx[go_left]))
+        stack.append((tree.right[nid], idx[~go_left]))
+    return leaf, on_threshold
 
 
 class TestFeatureSubsample:
@@ -212,59 +243,84 @@ class TestBestSplit:
 class TestGrowNode:
     def test_pure_node_is_leaf(self):
         s = SampleSet(np.random.default_rng(0).normal(size=(5, 2)), np.ones(5, dtype=int))
-        node = grow_node(s, 0, TrainConfig(), np.random.default_rng(0))
-        assert isinstance(node, Leaf)
-        np.testing.assert_array_equal(node.class_counts, [0, 5])
-        np.testing.assert_array_equal(node.class_probs, [0.0, 1.0])
+        tree = _grow_tree(s, TrainConfig(), 0)
+        assert tree.n_nodes == 1 and tree.kind[0] == 0
+        np.testing.assert_array_equal(tree.counts[0], [0, 5])
+        np.testing.assert_array_equal(tree.probs[0], [0.0, 1.0])
 
     def test_unsplittable_mixed_node(self):
         s = SampleSet(np.ones((4, 2)), np.array([0, 0, 1, 1]))
-        node = grow_node(s, 0, TrainConfig(), np.random.default_rng(1))
-        assert isinstance(node, Leaf)
-        np.testing.assert_array_equal(node.class_probs, [0.5, 0.5])
+        tree = _grow_tree(s, TrainConfig(), 1)
+        assert tree.n_nodes == 1 and tree.kind[0] == 0
+        np.testing.assert_array_equal(tree.probs[0], [0.5, 0.5])
 
     def test_four_point_line(self):
         s = SampleSet(np.array([[0.0], [1.0], [2.0], [3.0]]), np.array([0, 0, 1, 1]))
-        node = grow_node(s, 0, TrainConfig(), np.random.default_rng(0))
-        assert isinstance(node, Internal)
-        np.testing.assert_array_equal(node.feature_indices, [0])
-        assert isinstance(node.left, Leaf) and isinstance(node.right, Leaf)
+        tree = _grow_tree(s, TrainConfig(), 0)
+        np.testing.assert_array_equal(tree.kind, [1, 0, 0])
+        np.testing.assert_array_equal(tree.left, [1, -1, -1])
+        np.testing.assert_array_equal(tree.right, [2, -1, -1])
+        np.testing.assert_array_equal(tree.features[0], [0])
         # one pure pair on each side, whichever sign the direction took
-        sides = sorted(
-            [list(node.left.class_counts), list(node.right.class_counts)]
-        )
-        assert sides == [[0, 2], [2, 0]]
-        boundary = node.threshold / node.projection[0]
+        assert sorted([list(tree.counts[1]), list(tree.counts[2])]) == [[0, 2], [2, 0]]
+        boundary = tree.thresholds[0] / tree.projections[0, 0]
         assert 1.0 < boundary < 2.0
 
     def test_max_depth_zero(self):
         s = SampleSet(np.arange(8.0).reshape(4, 2), np.array([0, 1, 0, 1]))
-        node = grow_node(s, 0, TrainConfig(max_depth=0), np.random.default_rng(0))
-        assert isinstance(node, Leaf)
+        tree = _grow_tree(s, TrainConfig(max_depth=0), 0)
+        np.testing.assert_array_equal(tree.kind, [0])
 
     def test_min_node_size_stops_growth(self):
         s = SampleSet(np.array([[0.0], [1.0], [2.0]]), np.array([0, 1, 0]))
-        node = grow_node(s, 0, TrainConfig(min_node_size=2), np.random.default_rng(0))
-        assert isinstance(node, Leaf)  # 3 < 2 * min_node_size
+        tree = _grow_tree(s, TrainConfig(min_node_size=2), 0)
+        np.testing.assert_array_equal(tree.kind, [0])  # 3 < 2 * min_node_size
 
 
 class TestFlattenTree:
+    """Growth writes the tree flat, in preorder, with FlatTree's dtypes."""
+
     def test_preorder_layout(self):
-        left = Leaf(np.array([2, 0]), np.array([1.0, 0.0]))
-        right = Leaf(np.array([0, 3]), np.array([0.0, 1.0]))
-        root = Internal(np.array([0]), np.array([1.0]), 0.5, left, right)
-        tree = flatten_tree(root, n_classes=2, feature_subsample=1)
-        assert tree.n_nodes == 3
-        np.testing.assert_array_equal(tree.kind, [1, 0, 0])
-        np.testing.assert_array_equal(tree.left, [1, -1, -1])
-        np.testing.assert_array_equal(tree.right, [2, -1, -1])
-        np.testing.assert_array_equal(tree.counts[1], [2, 0])
-        np.testing.assert_array_equal(tree.counts[2], [0, 3])
+        s = _blobs(80, 6, 2.0, np.random.default_rng(17))
+        tree = _grow_tree(s, TrainConfig(), 3)
+        m, fs = tree.n_nodes, default_feature_subsample(6)
+        assert m > 7
+        dtypes = {"kind": np.uint8, "features": np.int64, "projections": np.float64,
+                  "thresholds": np.float64, "left": np.int64, "right": np.int64,
+                  "counts": np.int64, "probs": np.float64}
+        shapes = {"features": (m, fs), "projections": (m, fs),
+                  "counts": (m, 2), "probs": (m, 2)}
+        for name in TREE_FIELDS:
+            arr = getattr(tree, name)
+            assert arr.dtype == dtypes[name], name
+            assert arr.shape == shapes.get(name, (m,)), name
+        # subtree sizes, children before parents in reverse preorder
+        size = np.ones(m, dtype=np.int64)
+        for i in range(m - 1, -1, -1):
+            if tree.kind[i] == 1:
+                size[i] += size[tree.left[i]] + size[tree.right[i]]
+        assert size[0] == m
+        split = tree.kind == 1
+        ids = np.flatnonzero(split)
+        np.testing.assert_array_equal(tree.left[split], ids + 1)
+        np.testing.assert_array_equal(tree.right[split], ids + 1 + size[ids + 1])
+        assert (tree.features[split] >= 0).all()
+        assert (tree.counts[split] == 0).all() and (tree.probs[split] == 0).all()
+        leaf = ~split
+        assert (tree.left[leaf] == -1).all() and (tree.right[leaf] == -1).all()
+        assert (tree.features[leaf] == -1).all()
+        assert (tree.projections[leaf] == 0).all() and (tree.thresholds[leaf] == 0).all()
+        leaf_counts = tree.counts[leaf]
+        np.testing.assert_array_equal(
+            tree.probs[leaf], leaf_counts / leaf_counts.sum(axis=1, keepdims=True)
+        )
+        np.testing.assert_array_equal(tree.counts.sum(axis=0), s.class_counts())
 
     def test_single_leaf(self):
-        tree = flatten_tree(Leaf(np.array([1, 1]), np.array([0.5, 0.5])), 2, 3)
+        tree = FlatTree.from_rows([[-1, -1, -1]], [[0.0] * 3], [0.0], [-1], [-1], [[1, 1]])
         assert tree.n_nodes == 1
         assert tree.kind[0] == 0
+        np.testing.assert_array_equal(tree.probs, [[0.5, 0.5]])
 
 
 class TestTrainForest:
@@ -317,11 +373,7 @@ class TestTrainForest:
         s = _blobs(60, 8, 3.0, np.random.default_rng(5))
         a = train_forest(s, TrainConfig(n_trees=5, seed=42))
         b = train_forest(s, TrainConfig(n_trees=5, seed=42))
-        for ta, tb in zip(a.trees, b.trees):
-            np.testing.assert_array_equal(ta.kind, tb.kind)
-            np.testing.assert_array_equal(ta.projections, tb.projections)
-            np.testing.assert_array_equal(ta.thresholds, tb.thresholds)
-            np.testing.assert_array_equal(ta.counts, tb.counts)
+        _assert_same_trees(a, b)
 
     def test_seed_changes_forest(self):
         s = _blobs(60, 8, 3.0, np.random.default_rng(6))
@@ -339,23 +391,61 @@ class TestTrainForest:
         serial = train_forest(s, TrainConfig(n_trees=4, seed=9))
         monkeypatch.setenv("CCF_THREADS", "2")
         parallel = train_forest(s, TrainConfig(n_trees=4, seed=9))
-        for ta, tb in zip(serial.trees, parallel.trees):
-            np.testing.assert_array_equal(ta.kind, tb.kind)
-            np.testing.assert_array_equal(ta.projections, tb.projections)
-            np.testing.assert_array_equal(ta.thresholds, tb.thresholds)
+        _assert_same_trees(serial, parallel)
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-2"])
+    def test_bad_thread_count_rejected(self, monkeypatch, value):
+        s = _blobs(20, 4, 6.0, np.random.default_rng(2))
+        monkeypatch.setenv("CCF_THREADS", value)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool started")
+
+        monkeypatch.setattr(forest, "ProcessPoolExecutor", no_pool)
+        with pytest.raises(DataError, match="CCF_THREADS.*" + re.escape(repr(value))):
+            train_forest(s, TrainConfig(n_trees=2))
+
+    @pytest.mark.parametrize("value", [None, "", "  "])
+    def test_unset_thread_count_means_all_cores(self, monkeypatch, value):
+        if value is None:
+            monkeypatch.delenv("CCF_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("CCF_THREADS", value)
+        assert _worker_count(10_000) == (os.cpu_count() or 1)
+        assert _worker_count(1) == 1
+
+    def test_training_rows_reroute_to_their_leaves(self):
+        # a unit grid on a 2**48 offset: many rows share a projection, and
+        # distinct projections lie a few ulps apart, so split midpoints
+        # round onto a row's value and rows sit exactly on thresholds
+        rng = np.random.default_rng(18)
+        grid = rng.integers(0, 4, size=(400, 5))
+        y = (grid[:, 0] + grid[:, 1] + rng.integers(0, 3, size=400) > 4).astype(np.int64)
+        s = SampleSet(2.0**48 + grid, y)
+        model = train_forest(s, TrainConfig(n_trees=6, seed=4))
+        ties = 0
+        for tree in model.trees:
+            leaf, on_threshold = _route(tree, s.features)
+            ties += on_threshold
+            assert (leaf >= 0).all() and (tree.kind[leaf] == 0).all()
+            tally = np.zeros_like(tree.counts)
+            np.add.at(tally, (leaf, s.labels), 1)
+            np.testing.assert_array_equal(tally, tree.counts)
+        assert ties > 0
 
 
 class TestPrediction:
     def test_single_leaf_passthrough(self):
         model = _leaf_model([[1, 3]])
-        np.testing.assert_array_equal(predict_proba(model, [0.0, 0.0, 0.0]), [0.25, 0.75])
-        assert predict_class(model, [9.0, 9.0, 9.0]) == 1
+        probs = predict_proba_batch(model, [[0.0, 0.0, 0.0]])[0]
+        np.testing.assert_array_equal(probs, [0.25, 0.75])
+        assert predict_class_batch(model, [[9.0, 9.0, 9.0]])[0] == 1
 
     def test_two_tree_average_and_tie(self):
         model = _leaf_model([[5, 0], [0, 5]])
-        probs = predict_proba(model, [1.0, 2.0, 3.0])
+        probs = predict_proba_batch(model, [[1.0, 2.0, 3.0]])[0]
         np.testing.assert_array_equal(probs, [0.5, 0.5])
-        assert predict_class(model, [1.0, 2.0, 3.0]) == 0  # tie -> lowest index
+        assert predict_class_batch(model, [[1.0, 2.0, 3.0]])[0] == 0  # tie -> lowest index
 
     def test_probs_sum_to_one(self):
         s = _blobs(80, 6, 2.0, np.random.default_rng(8))
@@ -370,13 +460,13 @@ class TestPrediction:
         queries = np.random.default_rng(11).normal(size=(25, 6))
         batch = predict_proba_batch(model, queries)
         for i in range(len(queries)):
-            single = predict_proba(model, queries[i])
+            single = predict_proba_batch(model, queries[i][None, :])[0]
             np.testing.assert_array_equal(batch[i], single)
 
     def test_wrong_band_count(self):
         model = _leaf_model([[1, 1]], n_bands=3)
         with pytest.raises(DataError, match="3"):
-            predict_proba(model, [1.0, 2.0])
+            predict_proba_batch(model, np.array([1.0, 2.0])[None, :])
         with pytest.raises(DataError, match="3"):
             predict_proba_batch(model, np.ones((4, 2)))
 
@@ -398,7 +488,7 @@ class TestPredictRaster:
         model = self._model()
         values = np.random.default_rng(13).normal(size=(1, 1, 4)).astype(np.float32)
         mask, prob = predict_raster(model, _ArrayRaster(values))
-        direct = predict_proba(model, values[0, 0].astype(np.float64))
+        direct = predict_proba_batch(model, values[0, 0].astype(np.float64)[None, :])[0]
         assert mask.shape == (1, 1) and prob.shape == (1, 1)
         assert mask[0, 0] == np.argmax(direct)
         assert prob[0, 0] == np.float32(direct[1])
@@ -423,7 +513,8 @@ class TestPredictRaster:
                     assert mask[i, j] == 255
                     assert prob[i, j] == -1.0
                 else:
-                    p = predict_proba(model, values[i, j].astype(np.float64))
+                    row = values[i, j].astype(np.float64)[None, :]
+                    p = predict_proba_batch(model, row)[0]
                     assert mask[i, j] == np.argmax(p)
                     assert prob[i, j] == np.float32(p[1])
 

@@ -1,4 +1,4 @@
-"""Tests for sample extraction, balancing, splitting, and the CSV dump."""
+"""Tests for sample extraction, balancing, splitting, and scaling."""
 
 from collections import Counter
 
@@ -13,9 +13,7 @@ from ccfmap.pipeline import (
     balance_classes,
     extract_samples,
     fit_scaler,
-    read_sample_csv,
     stratified_split,
-    write_sample_csv,
 )
 from ccfmap.cca import standardize
 
@@ -271,39 +269,3 @@ class TestAssembleRegionDataset:
     def test_empty_list(self):
         with pytest.raises(DataError, match="no raster/mask pairs"):
             assemble_region_dataset([])
-
-
-class TestSampleCsv:
-    def test_round_trip_exact(self, tmp_path):
-        rng = np.random.default_rng(3)
-        s = SampleSet(rng.normal(size=(25, 4)) * 1e3, rng.integers(0, 2, 25))
-        path = tmp_path / "dump.csv"
-        write_sample_csv(s, path)
-        back = read_sample_csv(path)
-        np.testing.assert_array_equal(back.features, s.features)
-        np.testing.assert_array_equal(back.labels, s.labels)
-
-    def test_header_format(self, tmp_path):
-        s = SampleSet(np.ones((1, 3)), np.array([1]))
-        path = tmp_path / "dump.csv"
-        write_sample_csv(s, path)
-        first = path.read_text().splitlines()[0]
-        assert first == "band_1,band_2,band_3,label"
-
-    def test_malformed_header(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("b1,b2,label\n1.0,2.0,0\n")
-        with pytest.raises(DataError, match="malformed header"):
-            read_sample_csv(path)
-
-    def test_bad_line_reported(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("band_1,label\n1.0,0\nnope,1\n")
-        with pytest.raises(DataError, match="line 3"):
-            read_sample_csv(path)
-
-    def test_empty_file(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        path.write_text("")
-        with pytest.raises(DataError, match="empty"):
-            read_sample_csv(path)
