@@ -13,10 +13,22 @@ Each tree is grown straight into a FlatTree: parallel per-node arrays in
 preorder, the one tree representation training, prediction and the
 model format share.
 
+Prediction standardizes a batch once and copies it column-major (bands x
+rows, one contiguous row per band). _route walks each tree depth-first
+with arrays of row indices; a split gathers only its own feature columns
+for the rows that reach it, so a row costs feature_subsample reads per
+level it descends, not one read per band.
+
 Numeric conventions that matter for reproducibility:
   * _project is the single projection routine: training partitions and
-    prediction routes with the same reduction, so the two agree bit for
-    bit;
+    prediction routes with the same arithmetic, so the two agree bit for
+    bit. It adds the terms one feature at a time, left to right. Up to 7
+    features per node this equals numpy's row sum (x * a).sum(axis=1),
+    which earlier models were grown with, except that a sum of negative
+    zeros stays -0.0 (it compares equal to numpy's 0.0). From 8 features
+    on, numpy sums a row in 8 interleaved partial sums, so a model grown
+    with feature_subsample >= 8 (more than 64 bands by default) can
+    differ in the last bits from one grown by that older code;
   * thresholds are midpoints of consecutive distinct projected values,
     searched on the uncentered projection;
   * Gini terms accumulate class by class, left to right.
@@ -189,11 +201,18 @@ def best_split(projections, labels, n_classes: int):
     return best
 
 
-def _project(x_sub: np.ndarray, direction: np.ndarray) -> np.ndarray:
-    """Project rows onto one direction. Training and prediction both call
-    this, so a training-time partition and a prediction-time routing agree
-    bit for bit."""
-    return (x_sub * direction).sum(axis=1)
+def _project(columns, direction) -> np.ndarray:
+    """Project rows onto one direction, given their feature columns.
+
+    columns[j] holds every row's value of the direction's j-th feature.
+    The terms accumulate one column at a time, in feature order. Training
+    and prediction both call this, so a training-time partition and a
+    prediction-time routing agree bit for bit.
+    """
+    z = columns[0] * direction[0]
+    for j in range(1, len(direction)):
+        z += columns[j] * direction[j]
+    return z
 
 
 def _try_split(x, y, k, config, rng):
@@ -214,7 +233,7 @@ def _try_split(x, y, k, config, rng):
         res = cca(x_sub[rows], _one_hot(y[rows], k), config.gamma)
         if not res.n_components:
             continue
-        z = np.stack([_project(x_sub, a) for a in res.a.T], axis=1)
+        z = np.stack([_project(x_sub.T, a) for a in res.a.T], axis=1)
         choice = best_split(z, y, k)
         if choice is not None:
             j, threshold, _ = choice
@@ -364,25 +383,42 @@ def train_forest(samples: SampleSet, config: TrainConfig | None = None,
     )
 
 
-def _apply_tree(tree: FlatTree, feats: np.ndarray) -> np.ndarray:
-    """Route standardized rows down one flat tree; returns leaf probs."""
-    n = feats.shape[0]
-    out = np.empty((n, tree.probs.shape[1]))
+def _route(tree: FlatTree, cols: np.ndarray) -> np.ndarray:
+    """Leaf id of every row routed down one tree.
+
+    cols is bands x rows: cols[b, i] is band b of row i. Each split
+    gathers only its own feature columns for the rows that reach it.
+    """
+    kind = tree.kind.tolist()
+    features = tree.features.tolist()
+    projections = tree.projections.tolist()
+    thresholds = tree.thresholds.tolist()
+    left = tree.left.tolist()
+    right = tree.right.tolist()
+    n = cols.shape[1]
+    leaf = np.empty(n, dtype=np.int64)
     stack = [(0, np.arange(n))]
     while stack:
         nid, idx = stack.pop()
-        if tree.kind[nid] == 0:
-            out[idx] = tree.probs[nid]
+        if not kind[nid]:
+            leaf[idx] = nid
             continue
-        z = _project(feats[idx][:, tree.features[nid]], tree.projections[nid])
-        go_left = z <= tree.thresholds[nid]
-        left_idx = idx[go_left]
-        right_idx = idx[~go_left]
+        # idx is ascending and duplicate-free, so a node every row reaches
+        # can read the columns in place
+        if idx.size == n:
+            columns = [cols[f] for f in features[nid]]
+        else:
+            columns = [np.take(cols[f], idx) for f in features[nid]]
+        z = _project(columns, projections[nid])
+        go_left = z <= thresholds[nid]
+        # compress measured several times faster than idx[go_left] here
+        left_idx = idx.compress(go_left)
+        right_idx = idx.compress(~go_left)
         if right_idx.size:
-            stack.append((int(tree.right[nid]), right_idx))
+            stack.append((right[nid], right_idx))
         if left_idx.size:
-            stack.append((int(tree.left[nid]), left_idx))
-    return out
+            stack.append((left[nid], left_idx))
+    return leaf
 
 
 def predict_proba_batch(model: CcfModel, spectra) -> np.ndarray:
@@ -392,10 +428,10 @@ def predict_proba_batch(model: CcfModel, spectra) -> np.ndarray:
         raise DataError(
             f"spectra must be (n, {model.n_bands}), got {m.shape}"
         )
-    z = standardize(m, model.scaler)
+    cols = np.ascontiguousarray(standardize(m, model.scaler).T)
     out = np.zeros((m.shape[0], model.n_classes))
     for tree in model.trees:
-        out += _apply_tree(tree, z)
+        out += tree.probs[_route(tree, cols)]
     out /= len(model.trees)
     return out
 

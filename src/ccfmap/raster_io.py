@@ -267,9 +267,11 @@ def read_mask(header_path, payload_path=None) -> np.ndarray:
 
 def save_model(model: CcfModel, path) -> str:
     """Serialize a trained model to one JSON document (full float
-    precision; floats round-trip exactly)."""
+    precision; floats round-trip exactly). The document goes to a
+    temporary file next to path, which then replaces path, so a failed
+    save leaves any earlier model whole."""
     cfg = model.config
-    doc = {
+    head = _dumps({
         "format_version": model.format_version,
         "n_bands": model.n_bands,
         "class_names": list(model.class_names),
@@ -285,36 +287,52 @@ def save_model(model: CcfModel, path) -> str:
             "gamma": cfg.gamma,
             "seed": cfg.seed,
         },
-        "trees": [_tree_doc(t) for t in model.trees],
-    }
+    })
     p = os.fspath(path)
-    with open(p, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, separators=(",", ":"), allow_nan=False)
-        fh.write("\n")
+    tmp = f"{p}.{os.getpid()}.tmp"  # same directory, so os.replace is atomic
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            # "trees" is the last key; encoding one tree at a time keeps a
+            # single tree's text in memory, not the whole document's
+            fh.write(head[:-1] + ',"trees":[')
+            for i, tree in enumerate(model.trees):
+                fh.write(("," if i else "") + _dumps(_tree_doc(tree)))
+            fh.write("]}\n")
+        os.replace(tmp, p)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
     return p
 
 
+def _dumps(doc) -> str:
+    return json.dumps(doc, separators=(",", ":"), allow_nan=False)
+
+
 def _tree_doc(tree: FlatTree) -> dict:
+    kind = tree.kind.tolist()
+    features = tree.features.tolist()
+    projections = tree.projections.tolist()
+    thresholds = tree.thresholds.tolist()
+    left = tree.left.tolist()
+    right = tree.right.tolist()
+    counts = tree.counts.tolist()
     nodes = []
     for i in range(tree.n_nodes):
-        if tree.kind[i] == 1:
+        if kind[i] == 1:
             nodes.append(
                 {
                     "kind": "split",
-                    "feature_indices": [int(f) for f in tree.features[i]],
-                    "projection": [float(v) for v in tree.projections[i]],
-                    "threshold": float(tree.thresholds[i]),
-                    "left": int(tree.left[i]),
-                    "right": int(tree.right[i]),
+                    "feature_indices": features[i],
+                    "projection": projections[i],
+                    "threshold": thresholds[i],
+                    "left": left[i],
+                    "right": right[i],
                 }
             )
         else:
-            nodes.append(
-                {
-                    "kind": "leaf",
-                    "class_counts": [int(c) for c in tree.counts[i]],
-                }
-            )
+            nodes.append({"kind": "leaf", "class_counts": counts[i]})
     return {"nodes": nodes}
 
 

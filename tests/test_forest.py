@@ -3,12 +3,16 @@
 import dataclasses
 import os
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ccfmap import forest
-from ccfmap.cca import ColumnStats
+from ccfmap.cca import CONSTANT_COLUMN_TOL, ColumnStats, standardize
 from ccfmap.errors import DataError
 from ccfmap.forest import (
     CcfModel,
@@ -128,22 +132,62 @@ def _assert_same_trees(a, b):
 
 
 def _route(tree, x):
-    """Route rows down one tree with the shared projection. Returns each
+    """Route rows down one tree with the forest's router. Returns each
     row's leaf id and how many times a row met a threshold exactly."""
-    leaf = np.full(x.shape[0], -1)
+    leaf = forest._route(tree, np.ascontiguousarray(x.T))
+    # preorder: node i's subtree holds the ids [i, end[i])
+    end = np.arange(1, tree.n_nodes + 1)
+    for i in range(tree.n_nodes - 1, -1, -1):
+        if tree.kind[i]:
+            end[i] = end[tree.right[i]]
     on_threshold = 0
-    stack = [(0, np.arange(x.shape[0]))]
-    while stack:
-        nid, idx = stack.pop()
-        if tree.kind[nid] == 0:
-            leaf[idx] = nid
-            continue
-        z = _project(x[idx][:, tree.features[nid]], tree.projections[nid])
+    for nid in np.flatnonzero(tree.kind):
+        rows = (leaf >= nid) & (leaf < end[nid])
+        z = _project(x[rows][:, tree.features[nid]].T, tree.projections[nid])
         on_threshold += int((z == tree.thresholds[nid]).sum())
-        go_left = z <= tree.thresholds[nid]
-        stack.append((tree.left[nid], idx[go_left]))
-        stack.append((tree.right[nid], idx[~go_left]))
+        went_left = leaf[rows] < tree.right[nid]
+        np.testing.assert_array_equal(went_left, z <= tree.thresholds[nid])
     return leaf, on_threshold
+
+
+def _scalar_proba(model, row):
+    """Reference walk of one row in Python floats: standardize, project
+    term by term left to right, then average the leaves tree by tree."""
+    x = [
+        (v - mu) / (sd if sd > CONSTANT_COLUMN_TOL else 1.0)
+        for v, mu, sd in zip(row.tolist(), model.scaler.mean.tolist(),
+                             model.scaler.stddev.tolist())
+    ]
+    total = np.zeros(model.n_classes)
+    for tree in model.trees:
+        nid = 0
+        while tree.kind[nid]:
+            feats = tree.features[nid].tolist()
+            direction = tree.projections[nid].tolist()
+            z = x[feats[0]] * direction[0]
+            for f, a in zip(feats[1:], direction[1:]):
+                z += x[f] * a
+            nid = tree.left[nid] if z <= tree.thresholds[nid] else tree.right[nid]
+        total += tree.probs[nid]
+    total /= len(model.trees)
+    return total
+
+
+@st.composite
+def _grid_problem(draw):
+    """Rows on a coarse integer grid (many repeated rows and projections),
+    labels from k in {2, 3} classes with every class present."""
+    k = draw(st.sampled_from([2, 3]))
+    n_bands = draw(st.integers(2, 6))
+    n_rows = draw(st.integers(8, 48))
+    grid = draw(hnp.arrays(np.int64, (n_rows, n_bands), elements=st.integers(0, 3)))
+    labels = draw(hnp.arrays(np.int64, n_rows, elements=st.integers(0, k - 1)))
+    labels[:k] = np.arange(k)
+    queries = draw(hnp.arrays(np.int64, (draw(st.integers(1, 6)), n_bands),
+                              elements=st.integers(-1, 4)))
+    n_trees = draw(st.integers(1, 3))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return grid.astype(np.float64), labels, k, queries.astype(np.float64), n_trees, seed
 
 
 class TestFeatureSubsample:
@@ -238,6 +282,29 @@ class TestBestSplit:
                 assert got is None
             else:
                 assert got == want  # bit-exact tuple match
+
+
+class TestProject:
+    @pytest.mark.parametrize("fs", range(1, 8))
+    def test_equals_numpy_row_sum_below_eight_terms(self, fs):
+        # models grown before the column-wise projection used this row sum
+        rng = np.random.default_rng(fs)
+        x = rng.normal(size=(500, fs)) * 10.0 ** rng.integers(-6, 7, size=(500, fs))
+        a = rng.normal(size=fs)
+        assert _project(x.T, a).tobytes() == (x * a).sum(axis=1).tobytes()
+
+    @pytest.mark.parametrize("fs", [8, 13])
+    def test_adds_terms_left_to_right(self, fs):
+        rng = np.random.default_rng(100 + fs)
+        x = rng.normal(size=(50, fs)) * 10.0 ** rng.integers(-6, 7, size=(50, fs))
+        a = rng.normal(size=fs).tolist()
+        expected = []
+        for row in x.tolist():
+            z = row[0] * a[0]
+            for v, c in zip(row[1:], a[1:]):
+                z += v * c
+            expected.append(z)
+        assert _project(x.T, a).tobytes() == np.array(expected).tobytes()
 
 
 class TestGrowNode:
@@ -462,6 +529,23 @@ class TestPrediction:
         for i in range(len(queries)):
             single = predict_proba_batch(model, queries[i][None, :])[0]
             np.testing.assert_array_equal(batch[i], single)
+
+    @given(_grid_problem())
+    def test_batch_matches_scalar_walk(self, problem):
+        grid, labels, k, queries, n_trees, seed = problem
+        scaler = ColumnStats(grid.mean(axis=0), grid.std(axis=0))
+        samples = SampleSet(standardize(grid, scaler), labels,
+                            tuple(f"c{i}" for i in range(k)))
+        with mock.patch.dict(os.environ, {"CCF_THREADS": "1"}):
+            model = train_forest(samples, TrainConfig(n_trees=n_trees, seed=seed),
+                                 scaler=scaler)
+        rows = np.vstack([grid, queries])
+        batch = predict_proba_batch(model, rows)
+        for row, got in zip(rows, batch):
+            expected = _scalar_proba(model, row)
+            assert got.tobytes() == expected.tobytes()
+            single = predict_proba_batch(model, row[None, :])[0]
+            assert single.tobytes() == expected.tobytes()
 
     def test_wrong_band_count(self):
         model = _leaf_model([[1, 1]], n_bands=3)

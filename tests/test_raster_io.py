@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import struct
 
 import numpy as np
@@ -260,6 +261,30 @@ class TestModelSerialization:
         p1 = save_model(model, tmp_path / "a.ccf.json")
         p2 = save_model(load_model(p1), tmp_path / "b.ccf.json")
         assert open(p1, "rb").read() == open(p2, "rb").read()
+
+    def test_failed_serialization_keeps_old_model(self, tmp_path):
+        path = save_model(_tiny_model(), tmp_path / "m.ccf.json")
+        before = open(path, "rb").read()
+        bad = _tiny_model(seed=1)
+        bad.trees[-1].thresholds[0] = np.nan  # fails after earlier trees are written
+        assert bad.trees[-1].kind[0] == 1
+        with pytest.raises(ValueError):
+            save_model(bad, path)
+        assert open(path, "rb").read() == before
+        assert os.listdir(tmp_path) == ["m.ccf.json"]
+
+    def test_failed_replace_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        path = save_model(_tiny_model(), tmp_path / "m.ccf.json")
+        before = open(path, "rb").read()
+
+        def fail(src, dst):
+            raise OSError("replace failed")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="replace failed"):
+            save_model(_tiny_model(seed=1), path)
+        assert open(path, "rb").read() == before
+        assert os.listdir(tmp_path) == ["m.ccf.json"]
 
     def _doc(self, tmp_path):
         path = save_model(_tiny_model(), tmp_path / "m.ccf.json")
