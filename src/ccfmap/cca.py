@@ -94,19 +94,6 @@ def _centered(m: np.ndarray) -> np.ndarray:
     return c
 
 
-def cross_covariance(x, y) -> np.ndarray:
-    """Sample cross-covariance of paired rows: centered x^T y / (n - 1)."""
-    x = as_matrix(x, "x")
-    y = as_matrix(y, "y")
-    if x.shape[0] != y.shape[0]:
-        raise DataError(
-            f"x and y must pair rows, got {x.shape[0]} vs {y.shape[0]}"
-        )
-    if x.shape[0] < 2:
-        raise DataError("cross-covariance needs at least 2 rows")
-    return _centered(x).T @ _centered(y) / (x.shape[0] - 1)
-
-
 @dataclass(frozen=True)
 class CcaResult:
     """Canonical directions for one x/y pairing.

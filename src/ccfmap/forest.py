@@ -283,8 +283,11 @@ def _grow(x, y, k, config, rng) -> FlatTree:
             thresholds.append(threshold)
             left.append(i + 1)
             counts.append(no_counts)
-            stack.append((xn[~go_left], yn[~go_left], level + 1, i))
-            stack.append((xn[go_left], yn[go_left], level + 1, -1))
+            # compress measured about twice as fast as xn[go_left] here
+            for side, awaiting in ((~go_left, i), (go_left, -1)):
+                stack.append(
+                    (xn.compress(side, axis=0), yn.compress(side), level + 1, awaiting)
+                )
         right.append(-1)
     return FlatTree.from_rows(features, projections, thresholds, left, right, counts)
 

@@ -88,13 +88,11 @@ def pixel_accuracy(c: ConfusionMatrix) -> float:
     return float(np.trace(c.counts)) / total
 
 
-def mean_iou(c: ConfusionMatrix, zero_union_as_zero: bool = False):
+def mean_iou(c: ConfusionMatrix):
     """Per-class IoU = TP/(TP+FP+FN) and their unweighted mean.
 
-    A class absent from both prediction and truth has zero union; by
-    default it is undefined (None) and excluded from the mean. With
-    zero_union_as_zero=True the alternative convention scores it 0.0 and
-    keeps it in the mean.
+    A class absent from both prediction and truth has zero union; it is
+    undefined (None) and excluded from the mean.
     """
     if c.total == 0:
         raise DataError("undefined metric: no evaluated pixels")
@@ -105,7 +103,7 @@ def mean_iou(c: ConfusionMatrix, zero_union_as_zero: bool = False):
         fn = int(c.counts[i, :].sum() + c.abstain[i]) - tp
         union = tp + fp + fn
         if union == 0:
-            ious.append(0.0 if zero_union_as_zero else None)
+            ious.append(None)
         else:
             ious.append(tp / union)
     defined = [v for v in ious if v is not None]
@@ -124,12 +122,11 @@ class EvalReport:
     skipped_pixels: int
 
 
-def evaluate(pred, truth, n_classes: int = 2,
-             zero_union_as_zero: bool = False) -> EvalReport:
+def evaluate(pred, truth, n_classes: int = 2) -> EvalReport:
     """confusion + both headline metrics in one report."""
     c = confusion(pred, truth, n_classes)
     acc = pixel_accuracy(c)
-    ious, miou = mean_iou(c, zero_union_as_zero=zero_union_as_zero)
+    ious, miou = mean_iou(c)
     return EvalReport(
         confusion=c,
         pixel_accuracy=acc,

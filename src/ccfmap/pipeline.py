@@ -100,6 +100,16 @@ def _raster_values(raster):
     return raster.values, getattr(raster, "nodata", None)
 
 
+def check_mask(mask: np.ndarray) -> None:
+    """Raise DataError unless every value of mask is in MASK_VALUES."""
+    bad = ~np.isin(mask, MASK_VALUES)
+    if bad.any():
+        i = int(np.flatnonzero(bad)[0])
+        raise DataError(
+            f"mask contains illegal value {mask.flat[i]} at pixel index {i}"
+        )
+
+
 def valid_pixels(values: np.ndarray, nodata) -> np.ndarray:
     """True where no band (last axis) equals nodata; all True without one."""
     if nodata is None:
@@ -122,11 +132,7 @@ def extract_samples(raster, mask) -> SampleSet:
         raise DataError(
             f"mask shape {mask.shape} does not match raster {values.shape[:2]}"
         )
-    illegal = ~np.isin(mask, MASK_VALUES)
-    if illegal.any():
-        bad = mask[illegal].ravel()[0]
-        raise DataError(f"mask contains illegal value {bad}")
-
+    check_mask(mask)
     valid = (mask != UNLABELED) & valid_pixels(values, nodata)
     if not valid.any():
         raise DataError("zero labeled pixels")

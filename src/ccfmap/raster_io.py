@@ -1,11 +1,16 @@
 """File formats plus the synthetic scene generator used by tests.
 
-Rasters are stored as a JSON sidecar header (<name>.json) next to a raw
-payload (<name>.bin): little-endian float32 band-sequential planes for
-spectra, a single u8 plane for label masks. Models and evaluation
-reports are single JSON documents. Writers emit deterministic bytes so
-repeated runs can be compared with cmp, and every reader rejects
-malformed input with a specific error instead of crashing or guessing.
+Rasters and masks are sidecar pairs: a raw payload (<name>.bin) of
+little-endian band-sequential planes (float32 for spectra, one u8 plane
+for label masks) and a JSON header (<name>.json) that describes it.
+_write_sidecar and _read_sidecar are the one writer and the one reader
+of that convention. Models and evaluation reports are single JSON
+documents. Every file goes through _write_atomic (temp file in the same
+directory, then os.replace; a sidecar's payload before its header), so a
+failed or interrupted write leaves any earlier file whole. Writers emit
+deterministic bytes so repeated runs can be compared with cmp, and every
+reader rejects malformed input with a DataError instead of crashing or
+guessing.
 """
 
 from __future__ import annotations
@@ -21,11 +26,12 @@ from .cca import ColumnStats
 from .errors import DataError
 from .forest import MODEL_FORMAT_VERSION, CcfModel, FlatTree, TrainConfig
 from .metrics import EvalReport
-from .pipeline import MASK_VALUES, UNLABELED
+from .pipeline import UNLABELED, check_mask
 
 RASTER_DTYPE = "f32le"
 MASK_DTYPE = "u8"
 LAYOUT = "band-sequential"
+_NUMPY_DTYPES = {RASTER_DTYPE: "<f4", MASK_DTYPE: "u1"}
 
 PRESETS = ("blobs", "oblique", "ring")
 
@@ -87,10 +93,27 @@ def _sidecar_paths(path) -> tuple[str, str]:
     return base + ".json", base + ".bin"
 
 
-def _write_json(doc: dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, allow_nan=False)
-        fh.write("\n")
+def _write_atomic(path, chunks) -> str:
+    """Write the byte chunks to <path>.<pid>.tmp in path's directory, then
+    rename that over path; returns path. A failure at any point removes
+    the temp file, so path holds either its earlier bytes or all new ones."""
+    p = os.fspath(path)
+    tmp = f"{p}.{os.getpid()}.tmp"  # same directory, so os.replace is atomic
+    try:
+        with open(tmp, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, p)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+    return p
+
+
+def _write_json(doc: dict, path) -> str:
+    text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    return _write_atomic(path, [text.encode()])
 
 
 def _load_json(path) -> dict:
@@ -99,75 +122,110 @@ def _load_json(path) -> dict:
             doc = json.load(fh)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON, not UTF-8, too deep
         raise DataError(f"malformed header {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise DataError(f"malformed header {path}: expected a JSON object")
     return doc
 
 
-def _header_dims(doc: dict, path, *, bands_fixed=None) -> tuple[int, int, int]:
-    out = []
+def _is_finite_number(v) -> bool:
+    """A JSON number (not a bool) that converts to a finite float."""
+    if not isinstance(v, (int, float)) or isinstance(v, bool):
+        return False
+    try:
+        return math.isfinite(float(v))
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def _write_sidecar(path, dtype: str, planes: np.ndarray, extra=None) -> tuple[str, str]:
+    """Write a bands x height x width array as <base>.bin, then the
+    <base>.json header that describes it; returns the two paths. The
+    payload goes first, so a new header never appears before its
+    payload is complete."""
+    header_path, payload_path = _sidecar_paths(path)
+    bands, height, width = planes.shape
+    payload = np.ascontiguousarray(planes, dtype=_NUMPY_DTYPES[dtype])
+    _write_atomic(payload_path, [payload])
+    header = {
+        "width": width,
+        "height": height,
+        "bands": bands,
+        "dtype": dtype,
+        "layout": LAYOUT,
+        **(extra or {}),
+    }
+    _write_json(header, header_path)
+    return header_path, payload_path
+
+
+def _read_sidecar(path, payload_path, dtype: str, bands_fixed=None):
+    """Load and check a sidecar header, then read its payload.
+
+    Returns (header, planes): planes is a read-only bands x height x width
+    array of dtype. Checks width/height/bands (bands may be omitted when
+    bands_fixed is given, and must then equal it), dtype, layout and the
+    payload length; value checks are the caller's.
+    """
+    header_path, default_payload = _sidecar_paths(path)
+    if payload_path is None:
+        payload_path = default_payload
+    doc = _load_json(header_path)
+    if bands_fixed is not None:
+        doc.setdefault("bands", bands_fixed)
+    dims = []
     for key in ("width", "height", "bands"):
-        if key == "bands" and bands_fixed is not None and key not in doc:
-            out.append(bands_fixed)
-            continue
         v = doc.get(key)
         if not isinstance(v, int) or isinstance(v, bool):
-            raise DataError(f"malformed header {path}: {key} must be an integer")
+            raise DataError(f"malformed header {header_path}: {key} must be an integer")
         if v < 1:
-            raise DataError(f"empty raster: {path} has {key}={v}")
-        out.append(v)
-    w, h, b = out
-    return w, h, b
+            raise DataError(f"empty raster: {header_path} has {key}={v}")
+        dims.append(v)
+    w, h, b = dims
+    if bands_fixed is not None and b != bands_fixed:
+        raise DataError(f"{header_path}: masks are single-band, got bands={b}")
+    for key, want in (("dtype", dtype), ("layout", LAYOUT)):
+        if doc.get(key) != want:
+            raise DataError(
+                f"{header_path}: unsupported {key} {doc.get(key)!r}, expected {want!r}"
+            )
+    try:
+        with open(payload_path, "rb") as fh:
+            payload = fh.read()
+    except OSError as exc:
+        raise DataError(f"cannot read {payload_path}: {exc}") from exc
+    item = np.dtype(_NUMPY_DTYPES[dtype])
+    expected = w * h * b * item.itemsize
+    if len(payload) != expected:
+        raise DataError(
+            f"payload length mismatch: expected {expected} bytes, "
+            f"got {len(payload)} ({payload_path})"
+        )
+    return doc, np.frombuffer(payload, dtype=item).reshape(b, h, w)
 
 
 def write_raster(raster: MultispectralRaster, path) -> tuple[str, str]:
     """Write <base>.json + <base>.bin; returns the two paths."""
-    header_path, payload_path = _sidecar_paths(path)
-    header = {
-        "width": raster.width,
-        "height": raster.height,
-        "bands": raster.bands,
-        "dtype": RASTER_DTYPE,
-        "layout": LAYOUT,
-    }
+    extra = {}
     if raster.nodata is not None:
-        header["nodata"] = raster.nodata
+        extra["nodata"] = raster.nodata
     if raster.band_names is not None:
-        header["band_names"] = list(raster.band_names)
-    _write_json(header, header_path)
-    payload = raster.values.transpose(2, 0, 1).astype("<f4").tobytes()
-    with open(payload_path, "wb") as fh:
-        fh.write(payload)
-    return header_path, payload_path
+        extra["band_names"] = list(raster.band_names)
+    return _write_sidecar(path, RASTER_DTYPE, raster.values.transpose(2, 0, 1), extra)
 
 
 def read_raster(header_path, payload_path=None) -> MultispectralRaster:
     """Read a raster written by write_raster, validating everything."""
-    header_path, default_payload = _sidecar_paths(header_path)
-    if payload_path is None:
-        payload_path = default_payload
-    doc = _load_json(header_path)
-    w, h, b = _header_dims(doc, header_path)
-    dtype = doc.get("dtype")
-    if dtype != RASTER_DTYPE:
-        raise DataError(
-            f"{header_path}: unsupported dtype {dtype!r}, expected {RASTER_DTYPE!r}"
-        )
-    layout = doc.get("layout")
-    if layout != LAYOUT:
-        raise DataError(
-            f"{header_path}: unsupported layout {layout!r}, expected {LAYOUT!r}"
-        )
+    doc, planes = _read_sidecar(header_path, payload_path, RASTER_DTYPE)
     nodata = doc.get("nodata")
     if nodata is not None:
-        if not isinstance(nodata, (int, float)) or isinstance(nodata, bool) \
-                or not math.isfinite(float(nodata)):
+        if not _is_finite_number(nodata):
             raise DataError(f"{header_path}: nodata must be a finite number")
         nodata = float(nodata)
     band_names = doc.get("band_names")
     if band_names is not None:
+        b = planes.shape[0]
         if (
             not isinstance(band_names, list)
             or len(band_names) != b
@@ -177,27 +235,15 @@ def read_raster(header_path, payload_path=None) -> MultispectralRaster:
                 f"{header_path}: band_names must list {b} strings"
             )
         band_names = tuple(band_names)
-
-    try:
-        with open(payload_path, "rb") as fh:
-            payload = fh.read()
-    except OSError as exc:
-        raise DataError(f"cannot read {payload_path}: {exc}") from exc
-    expected = w * h * b * 4
-    if len(payload) != expected:
-        raise DataError(
-            f"payload length mismatch: expected {expected} bytes, "
-            f"got {len(payload)} ({payload_path})"
-        )
-    raw = np.frombuffer(payload, dtype="<f4")
-    finite = np.isfinite(raw)
+    finite = np.isfinite(planes)
     if not finite.all():
         i = int(np.flatnonzero(~finite)[0])
         raise DataError(
-            f"{payload_path}: non-finite value at byte offset {i * 4}"
+            f"{header_path}: non-finite payload value at byte offset {i * 4}"
         )
-    values = raw.reshape(b, h, w).transpose(1, 2, 0)
-    return MultispectralRaster(values=values, nodata=nodata, band_names=band_names)
+    return MultispectralRaster(
+        values=planes.transpose(1, 2, 0), nodata=nodata, band_names=band_names
+    )
 
 
 def write_mask(mask, path) -> tuple[str, str]:
@@ -207,59 +253,15 @@ def write_mask(mask, path) -> tuple[str, str]:
         raise DataError(f"mask must be 2-D, got ndim={m.ndim}")
     if min(m.shape) < 1:
         raise DataError(f"empty raster: mask shape {m.shape}")
-    bad = ~np.isin(m, MASK_VALUES)
-    if bad.any():
-        i = int(np.flatnonzero(bad.ravel())[0])
-        raise DataError(
-            f"mask contains illegal value {m.ravel()[i]} at pixel index {i}"
-        )
-    header_path, payload_path = _sidecar_paths(path)
-    header = {
-        "width": m.shape[1],
-        "height": m.shape[0],
-        "bands": 1,
-        "dtype": MASK_DTYPE,
-        "layout": LAYOUT,
-    }
-    _write_json(header, header_path)
-    with open(payload_path, "wb") as fh:
-        fh.write(m.astype(np.uint8).tobytes())
-    return header_path, payload_path
+    check_mask(m)
+    return _write_sidecar(path, MASK_DTYPE, m[None])
 
 
 def read_mask(header_path, payload_path=None) -> np.ndarray:
     """Read a u8 label mask, enforcing the {0, 1, 255} value domain."""
-    header_path, default_payload = _sidecar_paths(header_path)
-    if payload_path is None:
-        payload_path = default_payload
-    doc = _load_json(header_path)
-    w, h, b = _header_dims(doc, header_path, bands_fixed=1)
-    if b != 1:
-        raise DataError(f"{header_path}: masks are single-band, got bands={b}")
-    dtype = doc.get("dtype")
-    if dtype != MASK_DTYPE:
-        raise DataError(
-            f"{header_path}: unsupported dtype {dtype!r}, expected {MASK_DTYPE!r}"
-        )
-    try:
-        with open(payload_path, "rb") as fh:
-            payload = fh.read()
-    except OSError as exc:
-        raise DataError(f"cannot read {payload_path}: {exc}") from exc
-    expected = w * h
-    if len(payload) != expected:
-        raise DataError(
-            f"payload length mismatch: expected {expected} bytes, "
-            f"got {len(payload)} ({payload_path})"
-        )
-    m = np.frombuffer(payload, dtype=np.uint8)
-    bad = ~np.isin(m, MASK_VALUES)
-    if bad.any():
-        i = int(np.flatnonzero(bad)[0])
-        raise DataError(
-            f"mask contains illegal value {m[i]} at pixel index {i}"
-        )
-    return m.reshape(h, w).copy()
+    _, planes = _read_sidecar(header_path, payload_path, MASK_DTYPE, bands_fixed=1)
+    check_mask(planes)
+    return planes[0].copy()
 
 
 # --- model serialization -------------------------------------------------
@@ -267,9 +269,8 @@ def read_mask(header_path, payload_path=None) -> np.ndarray:
 
 def save_model(model: CcfModel, path) -> str:
     """Serialize a trained model to one JSON document (full float
-    precision; floats round-trip exactly). The document goes to a
-    temporary file next to path, which then replaces path, so a failed
-    save leaves any earlier model whole."""
+    precision; floats round-trip exactly), written atomically; returns
+    the path."""
     cfg = model.config
     head = _dumps({
         "format_version": model.format_version,
@@ -288,22 +289,16 @@ def save_model(model: CcfModel, path) -> str:
             "seed": cfg.seed,
         },
     })
-    p = os.fspath(path)
-    tmp = f"{p}.{os.getpid()}.tmp"  # same directory, so os.replace is atomic
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            # "trees" is the last key; encoding one tree at a time keeps a
-            # single tree's text in memory, not the whole document's
-            fh.write(head[:-1] + ',"trees":[')
-            for i, tree in enumerate(model.trees):
-                fh.write(("," if i else "") + _dumps(_tree_doc(tree)))
-            fh.write("]}\n")
-        os.replace(tmp, p)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-    return p
+
+    def chunks():
+        # "trees" is the last key; encoding one tree at a time keeps a
+        # single tree's text in memory, not the whole document's
+        yield (head[:-1] + ',"trees":[').encode()
+        for i, tree in enumerate(model.trees):
+            yield (("," if i else "") + _dumps(_tree_doc(tree))).encode()
+        yield b"]}\n"
+
+    return _write_atomic(path, chunks())
 
 
 def _dumps(doc) -> str:
@@ -353,12 +348,10 @@ def _int_list(values, length, name, path):
 def _float_list(values, length, name, path):
     _expect(
         isinstance(values, list) and len(values) == length
-        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values),
-        f"{path}: {name} must be a list of {length} number(s)",
+        and all(_is_finite_number(v) for v in values),
+        f"{path}: {name} must be a list of {length} finite number(s)",
     )
-    out = [float(v) for v in values]
-    _expect(all(math.isfinite(v) for v in out), f"{path}: {name} must be finite")
-    return out
+    return [float(v) for v in values]
 
 
 def load_model(path) -> CcfModel:
@@ -452,11 +445,7 @@ def _parse_tree(doc, tree_index: int, k: int, n_bands: int, fs: int, path) -> Fl
             )
             proj = _float_list(nd.get("projection"), fs, "projection", at)
             thr = nd.get("threshold")
-            _expect(
-                isinstance(thr, (int, float)) and not isinstance(thr, bool)
-                and math.isfinite(float(thr)),
-                f"{at}: threshold must be a finite number",
-            )
+            _expect(_is_finite_number(thr), f"{at}: threshold must be a finite number")
             left, right = nd.get("left"), nd.get("right")
             for name, child in (("left", left), ("right", right)):
                 _expect(
@@ -525,9 +514,7 @@ def write_report(report: EvalReport, path, region: str | None = None,
         "evaluated_pixels": report.evaluated_pixels,
         "skipped_pixels": report.skipped_pixels,
     }
-    p = os.fspath(path)
-    _write_json(doc, p)
-    return p
+    return _write_json(doc, path)
 
 
 def read_report(path) -> dict:

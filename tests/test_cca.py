@@ -12,8 +12,8 @@ from ccfmap.cca import (
     CcaResult,
     ColumnStats,
     cca,
+    _centered,
     column_stats,
-    cross_covariance,
     project,
     standardize,
 )
@@ -66,42 +66,15 @@ class TestStandardize:
             standardize(np.ones((4, 2)), stats)
 
 
-class TestCrossCovariance:
-    def test_doubling_relation(self):
-        # cov(x, 2x) must equal exactly twice var(x)
-        x = np.array([[1.0], [2.0], [4.0]])
-        c = cross_covariance(x, 2.0 * x)
-        np.testing.assert_allclose(c, [[14.0 / 3.0]], rtol=1e-14)
-        np.testing.assert_allclose(
-            c, 2.0 * cross_covariance(x, x), rtol=1e-14
-        )
-
-    def test_shape(self):
-        rng = np.random.default_rng(3)
-        c = cross_covariance(rng.normal(size=(50, 4)), rng.normal(size=(50, 2)))
-        assert c.shape == (4, 2)
-
-    def test_matches_numpy_cov(self):
-        rng = np.random.default_rng(4)
-        x = rng.normal(size=(80, 3))
-        y = rng.normal(size=(80, 2))
-        full = np.cov(np.hstack([x, y]).T)
-        np.testing.assert_allclose(cross_covariance(x, y), full[:3, 3:], rtol=1e-12)
-
+class TestCentered:
     def test_constant_column_is_exact_zero(self):
         # 3.7 repeated: the column mean rounds off the value itself, but
-        # the covariance against a constant must still be exactly zero
+        # centering must still give exact zeros, so a constant column
+        # has exactly zero covariance with anything
         x = np.full((7, 1), 3.7)
         y = np.arange(7.0).reshape(-1, 1)
-        np.testing.assert_array_equal(cross_covariance(x, y), [[0.0]])
-
-    def test_row_mismatch(self):
-        with pytest.raises(DataError, match="pair rows"):
-            cross_covariance(np.ones((3, 2)), np.ones((4, 2)))
-
-    def test_needs_two_rows(self):
-        with pytest.raises(DataError, match="at least 2"):
-            cross_covariance(np.ones((1, 2)), np.ones((1, 2)))
+        np.testing.assert_array_equal(_centered(x), np.zeros((7, 1)))
+        np.testing.assert_array_equal(_centered(x).T @ _centered(y), [[0.0]])
 
 
 def _one_hot(labels, k):

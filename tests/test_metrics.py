@@ -196,15 +196,6 @@ class TestIou:
         assert per_class == (1.0, 1.0, None)
         assert mean == 1.0
 
-    def test_zero_union_as_zero_flag(self):
-        counts = np.zeros((3, 3), dtype=np.int64)
-        counts[0, 0] = 4
-        counts[1, 1] = 2
-        cm = _cm(counts)
-        per_class, mean = mean_iou(cm, zero_union_as_zero=True)
-        assert per_class == (1.0, 1.0, 0.0)
-        assert mean == pytest.approx(2.0 / 3.0, abs=1e-15)
-
     def test_abstain_lands_in_union(self):
         cm = _cm([[2, 0], [0, 2]], abstain=[2, 0])
         per_class, _ = mean_iou(cm)

@@ -88,7 +88,7 @@ class TestExtractSamples:
     def test_illegal_mask_value(self):
         mask = np.zeros((2, 2), np.uint8)
         mask[0, 1] = 7
-        with pytest.raises(DataError, match="illegal value 7"):
+        with pytest.raises(DataError, match="illegal value 7 at pixel index 1"):
             extract_samples(np.ones((2, 2, 1), np.float32), mask)
 
     def test_nodata_pixels_skipped(self):

@@ -4,15 +4,20 @@ import json
 import math
 import os
 import struct
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.stats import norm
 
 from ccfmap.errors import DataError
 from ccfmap.forest import TrainConfig, predict_class_batch, predict_proba_batch, train_forest
 from ccfmap.metrics import evaluate
 from ccfmap.pipeline import (
+    MASK_VALUES,
     SplitSpec,
     balance_classes,
     extract_samples,
@@ -174,6 +179,12 @@ class TestRasterCorruption:
         with pytest.raises(DataError, match="empty raster"):
             read_raster(header)
 
+    @pytest.mark.parametrize("reader", [read_raster, read_mask, load_model])
+    def test_deeply_nested_header(self, tmp_path, reader):
+        (tmp_path / "h.json").write_text("[" * 100000)
+        with pytest.raises(DataError, match="malformed header"):
+            reader(tmp_path / "h.json")
+
     def test_missing_payload(self, tmp_path):
         header, payload = self._write(tmp_path)
         import os
@@ -236,6 +247,14 @@ class TestMaskIo:
         with pytest.raises(DataError, match="empty raster"):
             write_mask(np.zeros((0, 3), np.uint8), tmp_path / "m")
 
+    def test_wrong_layout_rejected(self, tmp_path):
+        header, _ = write_mask(np.zeros((2, 2), np.uint8), tmp_path / "m")
+        doc = json.load(open(header))
+        doc["layout"] = "pixel-interleaved"
+        json.dump(doc, open(header, "w"))
+        with pytest.raises(DataError, match="unsupported layout"):
+            read_mask(header)
+
     def test_length_mismatch(self, tmp_path):
         mask = np.zeros((3, 3), np.uint8)
         header, payload = write_mask(mask, tmp_path / "m")
@@ -270,19 +289,6 @@ class TestModelSerialization:
         assert bad.trees[-1].kind[0] == 1
         with pytest.raises(ValueError):
             save_model(bad, path)
-        assert open(path, "rb").read() == before
-        assert os.listdir(tmp_path) == ["m.ccf.json"]
-
-    def test_failed_replace_leaves_no_temp_file(self, tmp_path, monkeypatch):
-        path = save_model(_tiny_model(), tmp_path / "m.ccf.json")
-        before = open(path, "rb").read()
-
-        def fail(src, dst):
-            raise OSError("replace failed")
-
-        monkeypatch.setattr(os, "replace", fail)
-        with pytest.raises(OSError, match="replace failed"):
-            save_model(_tiny_model(seed=1), path)
         assert open(path, "rb").read() == before
         assert os.listdir(tmp_path) == ["m.ccf.json"]
 
@@ -368,11 +374,201 @@ class TestModelSerialization:
         with pytest.raises(DataError, match="finite"):
             load_model(path)
 
+    def test_out_of_float_range_threshold_rejected(self, tmp_path):
+        _, doc = self._doc(tmp_path)
+        for tree in doc["trees"]:
+            if tree["nodes"][0]["kind"] == "split":
+                tree["nodes"][0]["threshold"] = 10**400  # valid JSON, no float holds it
+                break
+        self._reject(tmp_path, doc, "finite")
+
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "junk.ccf.json"
         path.write_text("[1, 2")
         with pytest.raises(DataError, match="malformed"):
             load_model(path)
+
+
+# Each writer with content that depends on seed; returns the path(s) written.
+_WRITERS = {
+    "write_raster": lambda path, seed: write_raster(
+        _random_raster(np.random.default_rng(seed)), path
+    ),
+    "write_mask": lambda path, seed: write_mask(np.full((3, 4), seed, np.uint8), path),
+    "write_report": lambda path, seed: write_report(
+        evaluate(np.array([[0, seed]]), np.array([[0, 1]])), path
+    ),
+    "save_model": lambda path, seed: save_model(_tiny_model(seed=seed), path),
+}
+
+
+def _written(out):
+    return out if isinstance(out, tuple) else (out,)
+
+
+class TestAtomicWrites:
+    @pytest.mark.parametrize("writer", sorted(_WRITERS))
+    def test_failed_replace_leaves_no_temp_file(self, tmp_path, monkeypatch, writer):
+        write = _WRITERS[writer]
+        paths = _written(write(tmp_path / "f.json", 0))
+        before = {p: open(p, "rb").read() for p in paths}
+
+        def fail(src, dst):
+            raise OSError("replace failed")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="replace failed"):
+            write(tmp_path / "f.json", 1)
+        assert {p: open(p, "rb").read() for p in paths} == before
+        assert sorted(os.listdir(tmp_path)) == sorted(os.path.basename(p) for p in paths)
+
+    @pytest.mark.parametrize("writer", ["write_raster", "write_mask"])
+    def test_payload_lands_before_header(self, tmp_path, monkeypatch, writer):
+        replaced = []
+        real_replace = os.replace
+
+        def record(src, dst):
+            replaced.append(os.path.basename(dst))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", record)
+        _WRITERS[writer](tmp_path / "f", 1)
+        assert replaced == ["f.bin", "f.json"]
+
+
+# --- reader properties on mutated files -------------------------------------
+
+_ODD_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-5, 50),
+    st.sampled_from([2**63, 10**400]),  # beyond int64, beyond float
+    st.floats(),
+    st.text(max_size=4),
+    st.sampled_from(["f32le", "u8", "band-sequential"]),
+    st.lists(st.one_of(st.text(max_size=3), st.integers(0, 3)), max_size=4),
+)
+_HEADER_KEYS = ["width", "height", "bands", "dtype", "layout", "nodata", "band_names"]
+
+_MUTATION = st.one_of(
+    st.tuples(st.just("truncate"), st.integers(1, 64)),
+    st.tuples(st.just("extend"), st.binary(min_size=1, max_size=8)),
+    st.tuples(st.just("flip"), st.integers(0, 2**16), st.integers(1, 255)),
+    st.tuples(st.just("set"), st.sampled_from(_HEADER_KEYS), _ODD_VALUES),
+    st.tuples(st.just("drop"), st.sampled_from(_HEADER_KEYS)),
+    st.tuples(st.just("header_flip"), st.integers(0, 2**16), st.integers(1, 255)),
+)
+
+
+def _mutate(header, payload, mutations):
+    # header fields first: a later byte flip may leave the header unparseable
+    for kind, *args in sorted(mutations, key=lambda m: m[0] not in ("set", "drop")):
+        if kind in ("set", "drop"):
+            doc = json.load(open(header))
+            if kind == "set":
+                doc[args[0]] = args[1]
+            else:
+                doc.pop(args[0], None)
+            json.dump(doc, open(header, "w"))
+            continue
+        target = header if kind == "header_flip" else payload
+        data = bytearray(open(target, "rb").read())
+        if kind == "truncate":
+            del data[-min(args[0], len(data)):]
+        elif kind == "extend":
+            data += args[0]
+        elif data:
+            data[args[0] % len(data)] ^= args[1]
+        open(target, "wb").write(bytes(data))
+
+
+_small_rasters = st.builds(
+    MultispectralRaster,
+    values=hnp.arrays(
+        np.float32,
+        st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 3)),
+        elements=st.floats(width=32, allow_nan=False, allow_infinity=False),
+    ),
+    nodata=st.one_of(st.none(), st.floats(allow_nan=False, allow_infinity=False)),
+)
+_small_masks = hnp.arrays(
+    np.uint8,
+    st.tuples(st.integers(1, 5), st.integers(1, 5)),
+    elements=st.sampled_from(MASK_VALUES),
+)
+
+
+class TestReaderProperties:
+    @given(_small_rasters, st.booleans())
+    def test_raster_round_trip_is_bit_exact(self, raster, named):
+        if named:
+            raster = MultispectralRaster(
+                raster.values, raster.nodata, tuple(f"b{i}" for i in range(raster.bands))
+            )
+        with tempfile.TemporaryDirectory() as d:
+            back = read_raster(write_raster(raster, os.path.join(d, "r"))[0])
+        assert back.values.tobytes() == raster.values.tobytes()
+        assert back.values.shape == raster.values.shape
+        assert back.nodata == raster.nodata
+        assert back.band_names == raster.band_names
+
+    @given(_small_masks)
+    def test_mask_round_trip_is_exact(self, mask):
+        with tempfile.TemporaryDirectory() as d:
+            back = read_mask(write_mask(mask, os.path.join(d, "m"))[0])
+        assert back.dtype == np.uint8
+        np.testing.assert_array_equal(back, mask)
+
+    @given(_small_rasters, st.lists(_MUTATION, min_size=1, max_size=3))
+    def test_mutated_raster_is_rejected_or_valid(self, raster, mutations):
+        with tempfile.TemporaryDirectory() as d:
+            header, payload = write_raster(raster, os.path.join(d, "r"))
+            _mutate(header, payload, mutations)
+            _read_raster_or_reject(header, payload)
+
+    @given(_small_masks, st.lists(_MUTATION, min_size=1, max_size=3))
+    def test_mutated_mask_is_rejected_or_valid(self, mask, mutations):
+        with tempfile.TemporaryDirectory() as d:
+            header, payload = write_mask(mask, os.path.join(d, "m"))
+            _mutate(header, payload, mutations)
+            _read_mask_or_reject(header, payload)
+
+    @pytest.mark.parametrize("key", _HEADER_KEYS)
+    @given(value=_ODD_VALUES)
+    def test_odd_header_value_is_rejected_or_valid(self, key, value):
+        raster = MultispectralRaster(np.arange(6, dtype=np.float32).reshape(2, 3, 1))
+        with tempfile.TemporaryDirectory() as d:
+            paths = write_raster(raster, os.path.join(d, "r"))
+            _mutate(*paths, [("set", key, value)])
+            _read_raster_or_reject(*paths)
+            paths = write_mask(np.zeros((2, 3), np.uint8), os.path.join(d, "m"))
+            _mutate(*paths, [("set", key, value)])
+            _read_mask_or_reject(*paths)
+
+
+def _read_raster_or_reject(header, payload):
+    """read_raster raises DataError or returns a raster that matches its payload."""
+    try:
+        back = read_raster(header)
+    except DataError:
+        return
+    assert isinstance(back, MultispectralRaster)
+    assert back.values.dtype == np.float32 and back.values.ndim == 3
+    assert back.values.size * 4 == os.path.getsize(payload)
+    assert np.isfinite(back.values).all()
+    assert back.nodata is None or math.isfinite(back.nodata)
+    assert back.band_names is None or len(back.band_names) == back.bands
+
+
+def _read_mask_or_reject(header, payload):
+    """read_mask raises DataError or returns a mask that matches its payload."""
+    try:
+        back = read_mask(header)
+    except DataError:
+        return
+    assert back.dtype == np.uint8 and back.ndim == 2
+    assert back.size == os.path.getsize(payload)
+    assert np.isin(back, MASK_VALUES).all()
 
 
 class TestReportIo:
