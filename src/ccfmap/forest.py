@@ -17,7 +17,13 @@ Prediction standardizes a batch once and copies it column-major (bands x
 rows, one contiguous row per band). _route walks each tree depth-first
 with arrays of row indices; a split gathers only its own feature columns
 for the rows that reach it, so a row costs feature_subsample reads per
-level it descends, not one read per band.
+level it descends, not one read per band. predict_raster cuts a raster's
+valid pixels into pieces of consecutive rows and, above _FANOUT_FLOOR
+valid pixels, routes the pieces on up to CCF_THREADS worker processes.
+Each worker receives the model and the pixels once, when it starts; a
+task is a piece's start offset. A row's prediction does not depend on
+the rows routed with it, so the outputs are the same bytes for any
+worker count.
 
 Numeric conventions that matter for reproducibility:
   * _project is the single projection routine: training partitions and
@@ -36,6 +42,7 @@ Numeric conventions that matter for reproducibility:
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -49,7 +56,8 @@ from .pipeline import UNLABELED, SampleSet, valid_pixels
 
 MODEL_FORMAT_VERSION = "ccf-1"
 
-_PREDICT_CHUNK = 1 << 18
+_PREDICT_CHUNK = 1 << 18  # most rows one predict_proba_batch call routes
+_FANOUT_FLOOR = 1 << 15  # fewer valid pixels than this predict in-process
 
 
 def default_feature_subsample(n_bands: int) -> int:
@@ -81,7 +89,11 @@ class TrainConfig:
             not isinstance(self.max_depth, (int, np.integer)) or self.max_depth < 0
         ):
             raise DataError(f"max_depth must be None or >= 0, got {self.max_depth!r}")
-        if not np.isfinite(self.gamma) or self.gamma < 0:
+        try:
+            gamma_ok = math.isfinite(self.gamma) and self.gamma >= 0
+        except (TypeError, OverflowError):  # not a number, or an int beyond float
+            gamma_ok = False
+        if not gamma_ok:
             raise DataError(f"gamma must be finite and >= 0, got {self.gamma!r}")
         if not isinstance(self.seed, (int, np.integer)) or not (0 <= self.seed < 2**64):
             raise DataError(f"seed must be a 64-bit non-negative integer, got {self.seed!r}")
@@ -322,18 +334,19 @@ def _build_tree(payload):
     return _grow(features, labels, k, config, rng)
 
 
-def _worker_count(n_trees: int) -> int:
-    """Training workers: CCF_THREADS when set, else every core."""
+def _worker_count(n_tasks: int) -> int:
+    """Worker processes for n_tasks: CCF_THREADS when set, else every
+    core, never more than n_tasks."""
     env = os.environ.get("CCF_THREADS", "").strip()
     if not env:
-        return min(n_trees, os.cpu_count() or 1)
+        return min(n_tasks, os.cpu_count() or 1)
     try:
         cap = int(env)
     except ValueError:
         cap = 0  # reported below, with the non-positive values
     if cap < 1:
         raise DataError(f"CCF_THREADS must be a positive integer, got {env!r}")
-    return min(n_trees, cap)
+    return min(n_tasks, cap)
 
 
 def train_forest(samples: SampleSet, config: TrainConfig | None = None,
@@ -444,12 +457,38 @@ def predict_class_batch(model: CcfModel, spectra) -> np.ndarray:
     return np.argmax(probs, axis=1)  # ties resolve to the lowest index
 
 
+_held_pieces = None  # a prediction worker's inputs, set once by _hold_pieces
+
+
+def _hold_pieces(*inputs):
+    """Pool initializer: keep predict_raster's inputs for every task."""
+    global _held_pieces
+    _held_pieces = inputs
+
+
+def _predict_piece(inputs, start):
+    """Classes and class-1 probabilities of one piece of valid pixels.
+
+    inputs is (model, flat, idx, size): the piece is the pixels
+    idx[start:start + size] of the pixels x bands array flat.
+    """
+    model, flat, idx, size = inputs
+    p = predict_proba_batch(model, flat[idx[start : start + size]].astype(np.float64))
+    return np.argmax(p, axis=1).astype(np.uint8), p[:, 1].astype(np.float32)
+
+
+def _predict_held_piece(start):
+    return _predict_piece(_held_pieces, start)
+
+
 def predict_raster(model: CcfModel, raster):
     """Per-pixel prediction over a full raster.
 
     Returns (mask, informal_prob): an H x W uint8 label mask, UNLABELED where
     any band equals the raster's nodata value, and an H x W float32 map
-    of the class-1 probability (-1 on nodata pixels).
+    of the class-1 probability (-1 on nodata pixels). Rasters with at
+    least _FANOUT_FLOOR valid pixels are split over _worker_count worker
+    processes; the result is the same for any number of workers.
     """
     values = np.asarray(raster.values)
     if values.ndim != 3:
@@ -465,9 +504,22 @@ def predict_raster(model: CcfModel, raster):
     mask = np.full(h * w, UNLABELED, dtype=np.uint8)
     prob = np.full(h * w, -1.0, dtype=np.float32)
     idx = np.flatnonzero(valid)
-    for start in range(0, idx.size, _PREDICT_CHUNK):
-        chunk = idx[start : start + _PREDICT_CHUNK]
-        p = predict_proba_batch(model, flat[chunk].astype(np.float64))
-        mask[chunk] = np.argmax(p, axis=1).astype(np.uint8)
-        prob[chunk] = p[:, 1].astype(np.float32)
+    workers = _worker_count(idx.size)  # checks CCF_THREADS even when serial
+    pooled = workers > 1 and idx.size >= _FANOUT_FLOOR
+    size = min(_PREDICT_CHUNK, math.ceil(idx.size / workers)) if pooled else _PREDICT_CHUNK
+    starts = range(0, idx.size, size)
+    inputs = (model, flat, idx, size)
+    if not pooled:
+        pieces = map(functools.partial(_predict_piece, inputs), starts)
+    else:
+        # under fork the workers inherit the inputs; nothing is pickled
+        # but the start offsets and the results
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=_hold_pieces, initargs=inputs
+        ) as pool:
+            pieces = list(pool.map(_predict_held_piece, starts))
+    for start, (classes, p1) in zip(starts, pieces):
+        rows = idx[start : start + size]
+        mask[rows] = classes
+        prob[rows] = p1
     return mask.reshape(h, w), prob.reshape(h, w)

@@ -462,7 +462,10 @@ def _parse_tree(doc, tree_index: int, k: int, n_bands: int, fs: int, path) -> Fl
         elif kind == "leaf":
             tally = _int_list(nd.get("class_counts"), k, "class_counts", at)
             _expect(all(c >= 0 for c in tally), f"{at}: negative class count")
-            _expect(sum(tally) > 0, f"{at}: leaf class_counts all zero")
+            total = sum(tally)
+            _expect(total > 0, f"{at}: leaf class_counts all zero")
+            # the tree stores counts and their sum as int64
+            _expect(total < 2**63, f"{at}: leaf class_counts sum beyond int64")
             features.append([-1] * fs)
             projections.append([0.0] * fs)
             thresholds.append(0.0)

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from ccfmap import forest
 from ccfmap.cli import main
 from ccfmap.raster_io import (
     MultispectralRaster,
@@ -272,6 +273,44 @@ class TestPredict:
         )
         assert rc == 2
         assert "cannot read" in capsys.readouterr().err
+
+
+def _error_lines(err):
+    return [line for line in err.splitlines() if line.startswith("ccfmap: error:")]
+
+
+class TestBadThreadCount:
+    @pytest.mark.parametrize("command", ["predict", "cross"])
+    def test_rejected_like_train(self, command, scene_dir, model_dir, tmp_path,
+                                 capsys, monkeypatch):
+        monkeypatch.setenv("CCF_THREADS", "abc")
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool started")
+
+        monkeypatch.setattr(forest, "ProcessPoolExecutor", no_pool)
+        raster = str(scene_dir / "raster.json")
+        assert main(["train", "--raster", raster, "--mask", str(scene_dir / "mask.json"),
+                     "--out", str(tmp_path / "m.ccf.json")]) == 2
+        train_error = _error_lines(capsys.readouterr().err)
+        assert train_error == [
+            "ccfmap: error: CCF_THREADS must be a positive integer, got 'abc'"
+        ]
+
+        model = str(model_dir / "model.ccf.json")
+        if command == "predict":
+            argv = ["predict", "--model", model, "--raster", raster,
+                    "--out-mask", str(tmp_path / "pred"),
+                    "--out-prob", str(tmp_path / "prob")]
+        else:
+            argv = ["cross", "--model", model, "--raster", raster,
+                    "--mask", str(scene_dir / "mask.json"),
+                    "--out", str(tmp_path / "cross.report.json")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert _error_lines(captured.err) == train_error
+        assert not any(tmp_path.iterdir())  # no output written
 
 
 class TestEvaluateAndCross:

@@ -95,6 +95,59 @@ def _scalar_best_split(z, y, k):
     return best
 
 
+def _enumerated_best_split(z, y, k):
+    """Score every midpoint of every column by plain counting, in Python
+    floats, and keep the least (gini, component, threshold)."""
+    n = len(y)
+    labels = [int(v) for v in y]
+    total = [labels.count(c) for c in range(k)]
+    candidates = []
+    for j in range(z.shape[1]):
+        col = [float(v) for v in z[:, j]]
+        values = sorted(set(col))
+        for lo, hi in zip(values, values[1:]):
+            t = 0.5 * (lo + hi)
+            if not (t < hi):
+                t = lo
+            left = [0] * k
+            for v, c in zip(col, labels):
+                if v <= lo:
+                    left[c] += 1
+            nl = float(sum(left))
+            nr = float(n) - nl
+            gl = 0.0
+            gr = 0.0
+            for c in range(k):
+                p = left[c] / nl
+                gl += p * p
+                q = (total[c] - left[c]) / nr
+                gr += q * q
+            g = (nl * (1.0 - gl) + nr * (1.0 - gr)) / float(n)
+            candidates.append((g, j, t))
+    if not candidates:
+        return None
+    g, j, t = min(candidates)
+    return j, t, g
+
+
+@st.composite
+def _split_problem(draw):
+    """Projections with many repeated values (small integers), values one
+    ulp apart around 2**52, where half the midpoints round up onto the
+    higher value, and arbitrary finite floats; labels from k classes."""
+    n = draw(st.integers(1, 40))
+    r = draw(st.integers(1, 4))
+    k = draw(st.integers(2, 4))
+    value = st.one_of(
+        st.integers(-3, 3).map(float),
+        st.integers(-3, 3).map(lambda v: 2.0**52 + v),
+        st.floats(allow_nan=False, allow_infinity=False),
+    )
+    z = draw(hnp.arrays(np.float64, (n, r), elements=value))
+    y = draw(hnp.arrays(np.int64, n, elements=st.integers(0, k - 1)))
+    return z, y, k
+
+
 def _leaf_model(count_rows, n_bands=3):
     """Hand-built forest of single-leaf trees, one per counts row."""
     k = len(count_rows[0])
@@ -282,6 +335,18 @@ class TestBestSplit:
                 assert got is None
             else:
                 assert got == want  # bit-exact tuple match
+
+    @given(_split_problem())
+    def test_equals_enumeration_of_every_midpoint(self, problem):
+        z, y, k = problem
+        got = best_split(z, y, k)
+        want = _enumerated_best_split(z, y, k)
+        if want is None:
+            assert got is None
+            return
+        assert got[0] == want[0]
+        assert got[1].hex() == want[1].hex()
+        assert got[2].hex() == want[2].hex()
 
 
 class TestProject:
@@ -601,6 +666,75 @@ class TestPredictRaster:
                     p = predict_proba_batch(model, row)[0]
                     assert mask[i, j] == np.argmax(p)
                     assert prob[i, j] == np.float32(p[1])
+
+    def _gappy_raster(self):
+        """13 x 11 pixels; every fifth pixel from the fourth on has one
+        band at nodata, which leaves 115 valid pixels."""
+        values = np.random.default_rng(17).normal(size=(13, 11, 4)).astype(np.float32)
+        flat = values.reshape(-1, 4)
+        for p in range(3, flat.shape[0], 5):
+            flat[p, p % 4] = -7.0
+        return _ArrayRaster(values, nodata=-7.0)
+
+    @pytest.mark.parametrize("threads", ["1", "2", "3", None])
+    def test_outputs_identical_across_worker_counts(self, monkeypatch, threads):
+        model = self._model()
+        raster = self._gappy_raster()
+        want_mask, want_prob = predict_raster(model, raster)  # serial, one piece
+
+        monkeypatch.setattr(forest, "_FANOUT_FLOOR", 16)
+        monkeypatch.setattr(forest, "_PREDICT_CHUNK", 39)
+        if threads is None:
+            monkeypatch.delenv("CCF_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("CCF_THREADS", threads)
+        pools = []
+        real_pool = forest.ProcessPoolExecutor
+
+        def counting_pool(*args, **kwargs):
+            pools.append(kwargs["max_workers"])
+            return real_pool(*args, **kwargs)
+
+        monkeypatch.setattr(forest, "ProcessPoolExecutor", counting_pool)
+        mask, prob = predict_raster(model, raster)
+
+        workers = forest._worker_count(10**6)
+        assert pools == ([] if workers == 1 else [workers])
+        # pieces of 39, 39 and 37 valid pixels, with a nodata pixel
+        # between the first two
+        idx = np.flatnonzero(want_mask.ravel() != 255)
+        assert idx.size == 115
+        assert idx[39] - idx[38] == 2
+        assert mask.tobytes() == want_mask.tobytes()
+        assert prob.tobytes() == want_prob.tobytes()
+
+    @pytest.mark.parametrize("threads", ["2", None])
+    def test_small_raster_builds_no_pool(self, monkeypatch, threads):
+        model = self._model()
+        raster = self._gappy_raster()
+        if threads is None:
+            monkeypatch.delenv("CCF_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("CCF_THREADS", threads)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool started")
+
+        monkeypatch.setattr(forest, "ProcessPoolExecutor", no_pool)
+        mask, _ = predict_raster(model, raster)
+        assert (mask != 255).sum() == 115 < forest._FANOUT_FLOOR
+
+    def test_worker_error_propagates(self, monkeypatch):
+        monkeypatch.setattr(forest, "_FANOUT_FLOOR", 16)
+        monkeypatch.setattr(forest, "_PREDICT_CHUNK", 39)
+        monkeypatch.setenv("CCF_THREADS", "2")
+
+        def failing_batch(model, spectra):
+            raise DataError("piece failed")
+
+        monkeypatch.setattr(forest, "predict_proba_batch", failing_batch)
+        with pytest.raises(DataError, match="piece failed"):
+            predict_raster(self._model(), self._gappy_raster())
 
     def test_band_mismatch(self):
         model = self._model()

@@ -1,5 +1,7 @@
 """Tests for raster/mask/model/report files and the synthetic scene generator."""
 
+import copy
+import functools
 import json
 import math
 import os
@@ -8,13 +10,19 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.stats import norm
 
 from ccfmap.errors import DataError
-from ccfmap.forest import TrainConfig, predict_class_batch, predict_proba_batch, train_forest
+from ccfmap.forest import (
+    TrainConfig,
+    predict_class_batch,
+    predict_proba_batch,
+    predict_raster,
+    train_forest,
+)
 from ccfmap.metrics import evaluate
 from ccfmap.pipeline import (
     MASK_VALUES,
@@ -382,6 +390,19 @@ class TestModelSerialization:
                 break
         self._reject(tmp_path, doc, "finite")
 
+    @pytest.mark.parametrize("counts", [[2**63, 1], [2**62, 2**62]])
+    def test_class_counts_beyond_int64_rejected(self, tmp_path, counts):
+        _, doc = self._doc(tmp_path)
+        leaf = next(nd for t in doc["trees"] for nd in t["nodes"] if nd["kind"] == "leaf")
+        leaf["class_counts"] = counts
+        self._reject(tmp_path, doc, "int64")
+
+    @pytest.mark.parametrize("gamma", [None, "1e-8", 10**400, -1.0])
+    def test_bad_gamma_rejected(self, tmp_path, gamma):
+        _, doc = self._doc(tmp_path)
+        doc["config"]["gamma"] = gamma
+        self._reject(tmp_path, doc, "gamma must be finite")
+
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "junk.ccf.json"
         path.write_text("[1, 2")
@@ -569,6 +590,109 @@ def _read_mask_or_reject(header, payload):
     assert back.dtype == np.uint8 and back.ndim == 2
     assert back.size == os.path.getsize(payload)
     assert np.isin(back, MASK_VALUES).all()
+
+
+@functools.cache
+def _model_text():
+    """A small saved model as ccf-1 text: two trees over three bands."""
+    with tempfile.TemporaryDirectory() as d:
+        path = save_model(_tiny_model(seed=5, n_bands=3, n_trees=2), os.path.join(d, "m"))
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+
+
+# a model's numbers and indices, beyond what the odd header values hold
+_MODEL_VALUES = st.one_of(_ODD_VALUES, st.sampled_from([-1, 0, 1, 2, 2**62, 2**63 - 1]))
+
+_MODEL_EDIT = st.one_of(
+    st.tuples(st.just("set"), st.integers(0, 2**16), _MODEL_VALUES),
+    st.tuples(st.just("drop"), st.integers(0, 2**16)),
+    st.tuples(st.just("duplicate"), st.integers(0, 2**16)),
+)
+_BYTE_EDIT = st.one_of(
+    st.none(),
+    st.tuples(st.just("truncate"), st.integers(1, 64)),
+    st.tuples(st.just("flip"), st.integers(0, 2**16), st.integers(1, 255)),
+)
+
+
+def _positions(node):
+    """Every (container, key) pair in a JSON document, in document order."""
+    keys = list(node) if isinstance(node, dict) else range(len(node))
+    for key in keys:
+        yield node, key
+        if isinstance(node[key], (dict, list)):
+            yield from _positions(node[key])
+
+
+def _mutate_model(text, edits, byte_edit=None):
+    """Apply document edits to a model's text, then at most one byte edit."""
+    doc = json.loads(text)
+    for kind, where, *value in edits:
+        positions = list(_positions(doc))
+        if not positions:
+            continue
+        parent, key = positions[where % len(positions)]
+        if kind == "set":
+            parent[key] = value[0]
+        elif kind == "drop":
+            del parent[key]
+        elif isinstance(parent, list):
+            parent.insert(key, copy.deepcopy(parent[key]))
+    data = bytearray(json.dumps(doc).encode())
+    if byte_edit is not None and byte_edit[0] == "truncate":
+        del data[-min(byte_edit[1], len(data)):]
+    elif byte_edit is not None:
+        data[byte_edit[1] % len(data)] ^= byte_edit[2]
+    return bytes(data)
+
+
+def _load_or_reject_then_predict(data):
+    """load_model raises DataError on the bytes, or returns a model that
+    predict_raster runs on, with outputs in their domains."""
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "m.ccf.json")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        try:
+            model = load_model(path)
+        except DataError:
+            return
+    rng = np.random.default_rng(0)
+    values = (rng.normal(size=(4, 5, model.n_bands)) * 3).astype(np.float32)
+    values[1, 2, 0] = -9.0
+    with np.errstate(all="ignore"):  # an extreme scaler overflows to inf
+        mask, prob = predict_raster(model, MultispectralRaster(values, nodata=-9.0))
+    valid = mask != 255
+    assert valid.sum() == values.shape[0] * values.shape[1] - 1
+    assert (mask[valid] < model.n_classes).all()
+    assert prob.dtype == np.float32
+    assert ((prob[valid] >= 0) & (prob[valid] <= 1)).all()
+    assert (prob[~valid] == -1).all()
+
+
+class TestModelProperties:
+    @settings(max_examples=400)
+    @given(st.lists(_MODEL_EDIT, max_size=3), _BYTE_EDIT)
+    def test_mutated_model_is_rejected_or_predicts(self, edits, byte_edit):
+        _load_or_reject_then_predict(_mutate_model(_model_text(), edits, byte_edit))
+
+    def test_every_single_value_edit_is_rejected_or_predicts(self):
+        # exhaustive over positions: each edit alone, each odd number
+        n_positions = len(list(_positions(json.loads(_model_text()))))
+        for where in range(n_positions):
+            for value in (None, True, -1, 0, 2, 2**62, 2**63, 10**400, 1e308, "x", []):
+                _load_or_reject_then_predict(
+                    _mutate_model(_model_text(), [("set", where, value)])
+                )
+
+    def test_unmutated_model_loads(self):
+        # the properties above would hold vacuously if it were rejected
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "m.ccf.json")
+            with open(path, "wb") as fh:
+                fh.write(_mutate_model(_model_text(), []))
+            assert load_model(path).n_bands == 3
 
 
 class TestReportIo:
