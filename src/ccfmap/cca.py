@@ -76,8 +76,14 @@ def standardize(m, stats: ColumnStats) -> np.ndarray:
         raise DataError(
             f"stats cover {mean.shape[0]} column(s) but matrix has {m.shape[1]}"
         )
-    safe = np.where(stddev > CONSTANT_COLUMN_TOL, stddev, 1.0)
-    return (m - mean) / safe
+    out = m - mean
+    out /= scale_divisor(stddev)
+    return out
+
+
+def scale_divisor(stddev: np.ndarray) -> np.ndarray:
+    """standardize's divisor per column: stddev, or 1 for a constant one."""
+    return np.where(stddev > CONSTANT_COLUMN_TOL, stddev, 1.0)
 
 
 def _centered(m: np.ndarray) -> np.ndarray:

@@ -142,21 +142,22 @@ def cmd_train(args) -> int:
     if args.seed < 0:
         return _usage_error(f"--seed must be >= 0, got {args.seed}")
 
-    pairs = [(read_raster(r), read_mask(m)) for r, m in zip(args.raster, args.mask)]
-    samples = assemble_region_dataset(pairs)
-    balance_rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=args.seed, spawn_key=(1,))
-    )
-    balanced = balance_classes(samples, balance_rng)
+    # nested, and train rebound, so no earlier set outlives its step
     train, test = stratified_split(
-        balanced, SplitSpec(train_fraction=args.split, seed=args.seed)
+        balance_classes(
+            assemble_region_dataset(  # reads one pair at a time
+                (read_raster(r), read_mask(m)) for r, m in zip(args.raster, args.mask)
+            ),
+            np.random.default_rng(np.random.SeedSequence(entropy=args.seed, spawn_key=(1,))),
+        ),
+        SplitSpec(train_fraction=args.split, seed=args.seed),
     )
     scaler = fit_scaler(train)
-    train_std = SampleSet(
-        standardize(train.features, scaler), train.labels, train.class_names
+    train = SampleSet(
+        standardize(train.features, scaler), train.labels, train.class_names, adopt=True
     )
     model = train_forest(
-        train_std, TrainConfig(n_trees=args.trees, seed=args.seed), scaler=scaler
+        train, TrainConfig(n_trees=args.trees, seed=args.seed), scaler=scaler
     )
     save_model(model, args.out)
     print(

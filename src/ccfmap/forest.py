@@ -13,17 +13,20 @@ Each tree is grown straight into a FlatTree: parallel per-node arrays in
 preorder, the one tree representation training, prediction and the
 model format share.
 
-Prediction standardizes a batch once and copies it column-major (bands x
-rows, one contiguous row per band). _route walks each tree depth-first
-with arrays of row indices; a split gathers only its own feature columns
-for the rows that reach it, so a row costs feature_subsample reads per
-level it descends, not one read per band. predict_raster cuts a raster's
-valid pixels into pieces of consecutive rows and, above _FANOUT_FLOOR
-valid pixels, routes the pieces on up to CCF_THREADS worker processes.
-Each worker receives the model and the pixels once, when it starts; a
-task is a piece's start offset. A row's prediction does not depend on
-the rows routed with it, so the outputs are the same bytes for any
-worker count.
+Prediction standardizes a batch straight into one column-major block
+(bands x rows, one contiguous row per band). _route walks each tree
+depth-first with arrays of row indices; a split gathers only its own
+feature columns for the rows that reach it, so a row costs
+feature_subsample reads per level it descends, not one read per band.
+
+_fan_out runs both training and prediction on up to CCF_THREADS worker
+processes. Each worker receives the shared inputs once, when it starts
+(the training set, or the model and the raster's pixels), and a task is
+a small number: a tree index, or the start offset of a piece of
+consecutive valid pixels. predict_raster fans out only above
+_FANOUT_FLOOR valid pixels. A row's prediction does not depend on the
+rows routed with it, so the outputs are the same bytes for any worker
+count.
 
 Numeric conventions that matter for reproducibility:
   * _project is the single projection routine: training partitions and
@@ -50,7 +53,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cca import ColumnStats, cca, standardize
+# standardize is not called here, but perfbench/tracer.py wraps the name
+from .cca import ColumnStats, as_matrix, cca, scale_divisor, standardize  # noqa: F401
 from .errors import DataError
 from .pipeline import UNLABELED, SampleSet, valid_pixels
 
@@ -67,6 +71,10 @@ def default_feature_subsample(n_bands: int) -> int:
     return min(n_bands, int(math.ceil(math.log2(n_bands))) + 1)
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Forest hyperparameters; n_trees is the only knob that usually
@@ -80,27 +88,28 @@ class TrainConfig:
     seed: int = 0
 
     def resolved(self, n_bands: int) -> "TrainConfig":
-        """Validate and fill the feature_subsample default for n_bands."""
-        if not isinstance(self.n_trees, (int, np.integer)) or self.n_trees < 1:
+        """Validate (a bool is no number here) and fill the
+        feature_subsample default for n_bands."""
+        if not _is_int(self.n_trees) or self.n_trees < 1:
             raise DataError(f"n_trees must be >= 1, got {self.n_trees!r}")
-        if not isinstance(self.min_node_size, (int, np.integer)) or self.min_node_size < 1:
+        if not _is_int(self.min_node_size) or self.min_node_size < 1:
             raise DataError(f"min_node_size must be >= 1, got {self.min_node_size!r}")
         if self.max_depth is not None and (
-            not isinstance(self.max_depth, (int, np.integer)) or self.max_depth < 0
+            not _is_int(self.max_depth) or self.max_depth < 0
         ):
             raise DataError(f"max_depth must be None or >= 0, got {self.max_depth!r}")
         try:
             gamma_ok = math.isfinite(self.gamma) and self.gamma >= 0
         except (TypeError, OverflowError):  # not a number, or an int beyond float
             gamma_ok = False
-        if not gamma_ok:
+        if isinstance(self.gamma, bool) or not gamma_ok:
             raise DataError(f"gamma must be finite and >= 0, got {self.gamma!r}")
-        if not isinstance(self.seed, (int, np.integer)) or not (0 <= self.seed < 2**64):
+        if not _is_int(self.seed) or not (0 <= self.seed < 2**64):
             raise DataError(f"seed must be a 64-bit non-negative integer, got {self.seed!r}")
         fs = self.feature_subsample
         if fs is None:
             fs = default_feature_subsample(n_bands)
-        elif not isinstance(fs, (int, np.integer)) or not (1 <= fs <= n_bands):
+        elif not _is_int(fs) or not (1 <= fs <= n_bands):
             raise DataError(
                 f"feature_subsample must be in [1, {n_bands}], got {fs!r}"
             )
@@ -328,10 +337,8 @@ def _tree_rng(seed: int, tree_index: int) -> np.random.Generator:
     )
 
 
-def _build_tree(payload):
-    features, labels, k, config, tree_index = payload
-    rng = _tree_rng(config.seed, tree_index)
-    return _grow(features, labels, k, config, rng)
+def _build_tree(features, labels, k, config, tree_index):
+    return _grow(features, labels, k, config, _tree_rng(config.seed, tree_index))
 
 
 def _worker_count(n_tasks: int) -> int:
@@ -347,6 +354,32 @@ def _worker_count(n_tasks: int) -> int:
     if cap < 1:
         raise DataError(f"CCF_THREADS must be a positive integer, got {env!r}")
     return min(n_tasks, cap)
+
+
+_held_task = None  # a pool worker's fn with its inputs, set by the initializer
+
+
+def _hold_task(fn, *inputs):
+    global _held_task
+    _held_task = functools.partial(fn, *inputs)
+
+
+def _run_held_task(task):
+    return _held_task(task)
+
+
+def _fan_out(fn, inputs, tasks, workers: int):
+    """fn(*inputs, task) for every task, in task order: lazily in this
+    process when workers <= 1, else on a pool whose workers receive fn
+    and inputs once, when they start. Under fork they inherit them, so
+    only tasks and results are pickled. A worker's error shuts the pool
+    down and is raised here."""
+    if workers <= 1:
+        return map(functools.partial(fn, *inputs), tasks)
+    with ProcessPoolExecutor(
+        max_workers=workers, initializer=_hold_task, initargs=(fn, *inputs)
+    ) as pool:
+        return list(pool.map(_run_held_task, tasks))
 
 
 def train_forest(samples: SampleSet, config: TrainConfig | None = None,
@@ -378,19 +411,12 @@ def train_forest(samples: SampleSet, config: TrainConfig | None = None,
             )
         scaler = ColumnStats(mean=mean, stddev=stddev)
 
-    payloads = [
-        (samples.features, samples.labels, samples.n_classes, cfg, t)
-        for t in range(cfg.n_trees)
-    ]
-    workers = _worker_count(cfg.n_trees)
-    if workers <= 1:
-        trees = [_build_tree(p) for p in payloads]
-    else:
-        # per-tree RNG streams make the result independent of scheduling
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            trees = list(pool.map(_build_tree, payloads))
+    # a task is a tree index; per-tree RNG streams make the result
+    # independent of scheduling
+    inputs = (samples.features, samples.labels, samples.n_classes, cfg)
+    trees = _fan_out(_build_tree, inputs, range(cfg.n_trees), _worker_count(cfg.n_trees))
     return CcfModel(
-        trees=trees,
+        trees=list(trees),
         scaler=scaler,
         n_bands=samples.n_bands,
         class_names=samples.class_names,
@@ -438,14 +464,25 @@ def _route(tree: FlatTree, cols: np.ndarray) -> np.ndarray:
 
 
 def predict_proba_batch(model: CcfModel, spectra) -> np.ndarray:
-    """Ensemble class distribution for each row of raw spectra."""
-    m = np.asarray(spectra, dtype=np.float64)
-    if m.ndim != 2 or m.shape[1] != model.n_bands:
+    """Ensemble class distribution for each row of raw spectra. float32
+    rows are read as they are, without a float64 copy of the rows."""
+    rows = np.asarray(spectra)
+    if rows.dtype != np.float32:
+        rows = np.asarray(rows, dtype=np.float64)
+    if rows.ndim != 2 or rows.shape[1] != model.n_bands:
         raise DataError(
-            f"spectra must be (n, {model.n_bands}), got {m.shape}"
+            f"spectra must be (n, {model.n_bands}), got {rows.shape}"
         )
-    cols = np.ascontiguousarray(standardize(m, model.scaler).T)
-    out = np.zeros((m.shape[0], model.n_classes))
+    # the standardized bands x rows block in one allocation, bit-identical to standardize
+    mean, stddev = (np.asarray(v, dtype=np.float64)[:, None] for v in model.scaler)
+    cols = np.subtract(rows.T, mean, dtype=np.float64, order="C")
+    cols /= scale_divisor(stddev)
+    as_matrix(cols.T, "spectra")  # at least one row, all finite
+    # rows that are the caller's temporary (a piece in _predict_piece) are
+    # freed here, before routing, which then reuses their memory instead of
+    # faulting in fresh pages
+    del spectra, rows
+    out = np.zeros((cols.shape[1], model.n_classes))
     for tree in model.trees:
         out += tree.probs[_route(tree, cols)]
     out /= len(model.trees)
@@ -457,28 +494,11 @@ def predict_class_batch(model: CcfModel, spectra) -> np.ndarray:
     return np.argmax(probs, axis=1)  # ties resolve to the lowest index
 
 
-_held_pieces = None  # a prediction worker's inputs, set once by _hold_pieces
-
-
-def _hold_pieces(*inputs):
-    """Pool initializer: keep predict_raster's inputs for every task."""
-    global _held_pieces
-    _held_pieces = inputs
-
-
-def _predict_piece(inputs, start):
-    """Classes and class-1 probabilities of one piece of valid pixels.
-
-    inputs is (model, flat, idx, size): the piece is the pixels
-    idx[start:start + size] of the pixels x bands array flat.
-    """
-    model, flat, idx, size = inputs
-    p = predict_proba_batch(model, flat[idx[start : start + size]].astype(np.float64))
+def _predict_piece(model, flat, idx, size, start):
+    """Classes and class-1 probabilities of one piece of valid pixels:
+    the pixels idx[start:start + size] of the pixels x bands array flat."""
+    p = predict_proba_batch(model, flat[idx[start : start + size]])
     return np.argmax(p, axis=1).astype(np.uint8), p[:, 1].astype(np.float32)
-
-
-def _predict_held_piece(start):
-    return _predict_piece(_held_pieces, start)
 
 
 def predict_raster(model: CcfModel, raster):
@@ -508,16 +528,9 @@ def predict_raster(model: CcfModel, raster):
     pooled = workers > 1 and idx.size >= _FANOUT_FLOOR
     size = min(_PREDICT_CHUNK, math.ceil(idx.size / workers)) if pooled else _PREDICT_CHUNK
     starts = range(0, idx.size, size)
-    inputs = (model, flat, idx, size)
-    if not pooled:
-        pieces = map(functools.partial(_predict_piece, inputs), starts)
-    else:
-        # under fork the workers inherit the inputs; nothing is pickled
-        # but the start offsets and the results
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_hold_pieces, initargs=inputs
-        ) as pool:
-            pieces = list(pool.map(_predict_held_piece, starts))
+    pieces = _fan_out(
+        _predict_piece, (model, flat, idx, size), starts, workers if pooled else 1
+    )
     for start, (classes, p1) in zip(starts, pieces):
         rows = idx[start : start + size]
         mask[rows] = classes

@@ -8,7 +8,7 @@ inputs reproduce identical SampleSets byte for byte.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -17,6 +17,7 @@ from .errors import DataError
 
 UNLABELED = 255  # mask value of a pixel with no label
 MASK_VALUES = (0, 1, UNLABELED)
+_VALID_BLOCK = 1 << 14  # pixels valid_pixels compares at a time
 
 DEFAULT_CLASS_NAMES = ("environment", "informal")
 
@@ -27,13 +28,19 @@ class SampleSet:
 
     features : (n, B) float64, one row per labeled pixel
     labels   : (n,) integer class indices < len(class_names)
+
+    The set copies a caller's arrays. The steps here pass arrays they
+    just built (float64 features, int64 labels) with adopt=True, and the
+    set takes those over instead, so each step's table exists once.
     """
 
     features: np.ndarray
     labels: np.ndarray
     class_names: tuple[str, ...] = DEFAULT_CLASS_NAMES
 
-    def __post_init__(self):
+    adopt: InitVar[bool] = False
+
+    def __post_init__(self, adopt):
         feats = as_matrix(self.features, "features")
         labels = np.asarray(self.labels)
         if labels.ndim != 1 or labels.shape[0] != feats.shape[0]:
@@ -43,16 +50,16 @@ class SampleSet:
             )
         if not np.issubdtype(labels.dtype, np.integer):
             raise DataError(f"labels must be integers, got dtype {labels.dtype}")
-        labels = labels.astype(np.int64)
+        labels = labels.astype(np.int64, copy=False)
         k = len(self.class_names)
         if k < 2:
             raise DataError("need at least 2 class names")
         if labels.size and (labels.min() < 0 or labels.max() >= k):
             bad = labels[(labels < 0) | (labels >= k)][0]
             raise DataError(f"label {bad} outside [0, {k})")
-        feats = feats.copy()
+        if not adopt:  # the caller keeps its arrays; the set holds copies
+            feats, labels = feats.copy(), labels.copy()
         feats.setflags(write=False)
-        labels = labels.copy()
         labels.setflags(write=False)
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "labels", labels)
@@ -74,7 +81,7 @@ class SampleSet:
 
     def take(self, indices) -> "SampleSet":
         idx = np.asarray(indices, dtype=np.int64)
-        return SampleSet(self.features[idx], self.labels[idx], self.class_names)
+        return SampleSet(self.features[idx], self.labels[idx], self.class_names, adopt=True)
 
 
 @dataclass(frozen=True)
@@ -111,10 +118,16 @@ def check_mask(mask: np.ndarray) -> None:
 
 
 def valid_pixels(values: np.ndarray, nodata) -> np.ndarray:
-    """True where no band (last axis) equals nodata; all True without one."""
-    if nodata is None:
-        return np.ones(values.shape[:-1], dtype=bool)
-    return ~(values == np.asarray(nodata, dtype=values.dtype)).any(axis=-1)
+    """True where no band (last axis) equals nodata; all True without one.
+    Blocks of pixels are compared band by band: no temporary is large."""
+    valid = np.ones(values.shape[:-1], dtype=bool)
+    if nodata is not None:
+        nd = np.asarray(nodata, dtype=values.dtype)
+        pixels, flags = values.reshape(valid.size, values.shape[-1]), valid.reshape(-1)
+        for start in range(0, valid.size, _VALID_BLOCK):
+            for column in pixels[start : start + _VALID_BLOCK].T:
+                flags[start : start + _VALID_BLOCK] &= column != nd
+    return valid
 
 
 def extract_samples(raster, mask) -> SampleSet:
@@ -137,8 +150,7 @@ def extract_samples(raster, mask) -> SampleSet:
     if not valid.any():
         raise DataError("zero labeled pixels")
     return SampleSet(
-        features=values[valid].astype(np.float64),
-        labels=mask[valid].astype(np.int64),
+        values[valid].astype(np.float64), mask[valid].astype(np.int64), adopt=True
     )
 
 
@@ -197,26 +209,23 @@ def fit_scaler(train: SampleSet) -> ColumnStats:
 
 
 def assemble_region_dataset(pairs) -> SampleSet:
-    """Concatenate extract_samples over (raster, mask) pairs in order."""
-    pairs = list(pairs)
-    if not pairs:
-        raise DataError("no raster/mask pairs given")
+    """Concatenate extract_samples over (raster, mask) pairs in order. A
+    pair is dropped once extracted, so a generator holds one at a time."""
     parts = []
-    bands = None
-    for i, (raster, mask) in enumerate(pairs):
-        part = extract_samples(raster, mask)
-        if bands is None:
-            bands = part.n_bands
-        elif part.n_bands != bands:
+    for i, part in enumerate(map(lambda pair: extract_samples(*pair), pairs)):
+        if parts and part.n_bands != parts[0].n_bands:
             raise DataError(
-                f"band mismatch: pair 0 has {bands} band(s), "
+                f"band mismatch: pair 0 has {parts[0].n_bands} band(s), "
                 f"pair {i} has {part.n_bands}"
             )
         parts.append(part)
+    if not parts:
+        raise DataError("no raster/mask pairs given")
     if len(parts) == 1:
         return parts[0]
     return SampleSet(
-        features=np.concatenate([p.features for p in parts], axis=0),
-        labels=np.concatenate([p.labels for p in parts]),
-        class_names=parts[0].class_names,
+        np.concatenate([p.features for p in parts], axis=0),
+        np.concatenate([p.labels for p in parts]),
+        parts[0].class_names,
+        adopt=True,
     )

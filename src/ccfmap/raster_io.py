@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -32,6 +32,7 @@ RASTER_DTYPE = "f32le"
 MASK_DTYPE = "u8"
 LAYOUT = "band-sequential"
 _NUMPY_DTYPES = {RASTER_DTYPE: "<f4", MASK_DTYPE: "u1"}
+_READ_BLOCK = 1 << 16  # most payload bytes _fill_planes reads at a time
 
 PRESETS = ("blobs", "oblique", "ring")
 
@@ -44,15 +45,18 @@ class MultispectralRaster:
     nodata: float | None = None
     band_names: tuple[str, ...] | None = None
 
-    def __post_init__(self):
+    adopt: InitVar[bool] = False  # values is new, C-ordered float32, checked finite
+
+    def __post_init__(self, adopt):
         v = np.asarray(self.values, dtype=np.float32)
         if v.ndim != 3:
             raise DataError(f"raster values must be H x W x B, got ndim={v.ndim}")
         if min(v.shape) < 1:
             raise DataError(f"empty raster: shape {v.shape}")
-        if not np.isfinite(v).all():
-            raise DataError("raster values must be finite")
-        v = v.copy()
+        if not adopt:  # the caller keeps its array; the raster holds a copy
+            if not np.isfinite(v).all():
+                raise DataError("raster values must be finite")
+            v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
         if self.nodata is not None:
@@ -163,10 +167,11 @@ def _write_sidecar(path, dtype: str, planes: np.ndarray, extra=None) -> tuple[st
 def _read_sidecar(path, payload_path, dtype: str, bands_fixed=None):
     """Load and check a sidecar header, then read its payload.
 
-    Returns (header, planes): planes is a read-only bands x height x width
-    array of dtype. Checks width/height/bands (bands may be omitted when
-    bands_fixed is given, and must then equal it), dtype, layout and the
-    payload length; value checks are the caller's.
+    Returns (header, values): values is a new height x width x bands
+    array of dtype, the layout MultispectralRaster holds. Checks
+    width/height/bands (bands may be omitted when bands_fixed is given,
+    and must then equal it), dtype, layout, the payload length and that
+    every value is finite; other value checks are the caller's.
     """
     header_path, default_payload = _sidecar_paths(path)
     if payload_path is None:
@@ -190,19 +195,44 @@ def _read_sidecar(path, payload_path, dtype: str, bands_fixed=None):
             raise DataError(
                 f"{header_path}: unsupported {key} {doc.get(key)!r}, expected {want!r}"
             )
-    try:
-        with open(payload_path, "rb") as fh:
-            payload = fh.read()
-    except OSError as exc:
-        raise DataError(f"cannot read {payload_path}: {exc}") from exc
     item = np.dtype(_NUMPY_DTYPES[dtype])
     expected = w * h * b * item.itemsize
-    if len(payload) != expected:
+    try:
+        with open(payload_path, "rb") as fh:
+            got = os.fstat(fh.fileno()).st_size
+            if got == expected:  # before allocating: the header is not trusted
+                values = np.empty((h, w, b), dtype=item)
+                got = _fill_planes(values, fh, header_path)
+    except OSError as exc:
+        raise DataError(f"cannot read {payload_path}: {exc}") from exc
+    if got != expected:
         raise DataError(
             f"payload length mismatch: expected {expected} bytes, "
-            f"got {len(payload)} ({payload_path})"
+            f"got {got} ({payload_path})"
         )
-    return doc, np.frombuffer(payload, dtype=item).reshape(b, h, w)
+    return doc, values
+
+
+def _fill_planes(values: np.ndarray, fh, header_path) -> int:
+    """Read a band-sequential payload from fh into the height x width x
+    bands array values, _READ_BLOCK bytes at a time, checking that every
+    value is finite; returns the number of bytes read."""
+    rows = max(1, _READ_BLOCK // (values.shape[1] * values.itemsize))
+    # a short read (the file shrank since it was opened) leaves zeros or
+    # earlier, finite values in buf; the byte count reports the shortfall
+    buf = np.zeros((rows, values.shape[1]), dtype=values.dtype)
+    done = 0
+    for plane in values.transpose(2, 0, 1):
+        for top in range(0, plane.shape[0], rows):
+            block = buf[: plane.shape[0] - top]
+            n = fh.readinto(block)
+            finite = np.isfinite(block)
+            if not finite.all():
+                i = done + int(np.argmin(finite)) * values.itemsize
+                raise DataError(f"{header_path}: non-finite payload value at byte offset {i}")
+            plane[top : top + rows] = block
+            done += n
+    return done
 
 
 def write_raster(raster: MultispectralRaster, path) -> tuple[str, str]:
@@ -217,7 +247,7 @@ def write_raster(raster: MultispectralRaster, path) -> tuple[str, str]:
 
 def read_raster(header_path, payload_path=None) -> MultispectralRaster:
     """Read a raster written by write_raster, validating everything."""
-    doc, planes = _read_sidecar(header_path, payload_path, RASTER_DTYPE)
+    doc, values = _read_sidecar(header_path, payload_path, RASTER_DTYPE)
     nodata = doc.get("nodata")
     if nodata is not None:
         if not _is_finite_number(nodata):
@@ -225,7 +255,7 @@ def read_raster(header_path, payload_path=None) -> MultispectralRaster:
         nodata = float(nodata)
     band_names = doc.get("band_names")
     if band_names is not None:
-        b = planes.shape[0]
+        b = values.shape[2]
         if (
             not isinstance(band_names, list)
             or len(band_names) != b
@@ -235,15 +265,7 @@ def read_raster(header_path, payload_path=None) -> MultispectralRaster:
                 f"{header_path}: band_names must list {b} strings"
             )
         band_names = tuple(band_names)
-    finite = np.isfinite(planes)
-    if not finite.all():
-        i = int(np.flatnonzero(~finite)[0])
-        raise DataError(
-            f"{header_path}: non-finite payload value at byte offset {i * 4}"
-        )
-    return MultispectralRaster(
-        values=planes.transpose(1, 2, 0), nodata=nodata, band_names=band_names
-    )
+    return MultispectralRaster(values, nodata, band_names, adopt=True)
 
 
 def write_mask(mask, path) -> tuple[str, str]:
@@ -259,9 +281,9 @@ def write_mask(mask, path) -> tuple[str, str]:
 
 def read_mask(header_path, payload_path=None) -> np.ndarray:
     """Read a u8 label mask, enforcing the {0, 1, 255} value domain."""
-    _, planes = _read_sidecar(header_path, payload_path, MASK_DTYPE, bands_fixed=1)
-    check_mask(planes)
-    return planes[0].copy()
+    _, values = _read_sidecar(header_path, payload_path, MASK_DTYPE, bands_fixed=1)
+    check_mask(values)
+    return values[..., 0]
 
 
 # --- model serialization -------------------------------------------------

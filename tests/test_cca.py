@@ -7,6 +7,8 @@ the implementation under test.
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from ccfmap.cca import (
     CcaResult,
@@ -266,6 +268,73 @@ class TestProject:
         res = project(np.ones((2, 2)), np.ones((2, 1)), np.zeros(2))
         assert isinstance(res, np.ndarray)
         assert res.shape == (2, 1)
+
+
+@st.composite
+def _cca_problem(draw):
+    """Paired x and y from a drawn seed. x has 1-4 free columns on
+    varied scales plus up to two columns that add no rank (a constant or
+    a multiple of a free column); y is one-hot labels, independent noise,
+    or a noisy linear function of x."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_free = draw(st.integers(1, 4))
+    n = draw(st.integers(n_free + 6, 60))
+    x = rng.normal(size=(n, n_free)) * rng.uniform(0.1, 10.0, n_free) + rng.normal(0, 5, n_free)
+    for extra in draw(st.lists(st.sampled_from(["constant", "multiple"]), max_size=2)):
+        col = (np.full(n, rng.normal()) if extra == "constant"
+               else rng.integers(-3, 4) * x[:, rng.integers(n_free)])
+        x = np.insert(x, rng.integers(x.shape[1] + 1), col, axis=1)
+    y_kind = draw(st.sampled_from(["one_hot", "noise", "linear"]))
+    if y_kind == "one_hot":
+        k = draw(st.integers(2, 3))
+        labels = rng.permutation(np.arange(n) % k)
+        y = _one_hot(labels, k)
+    elif y_kind == "noise":
+        y = rng.normal(size=(n, draw(st.integers(1, 3))))
+    else:
+        y = x @ rng.normal(size=(x.shape[1], 2)) + 0.3 * rng.normal(size=(n, 2))
+    return x, y
+
+
+def _rank(m):
+    c = m - m.mean(axis=0)
+    return int(np.linalg.matrix_rank(c)) if c.any() else 0
+
+
+class TestCcaInvariants:
+    @given(_cca_problem())
+    def test_correlations_bounded_sorted_and_within_rank(self, problem):
+        x, y = problem
+        res = cca(x, y)
+        assert ((res.rho >= 0.0) & (res.rho <= 1.0)).all()
+        assert (res.rho[:-1] >= res.rho[1:] - 1e-12).all()
+        assert res.n_components <= min(_rank(x), _rank(y))
+
+    @given(_cca_problem())
+    def test_sign_rule(self, problem):
+        x, y = problem
+        res = cca(x, y)
+        xc, yc = x - x.mean(axis=0), y - y.mean(axis=0)
+        for j in range(res.n_components):
+            a, b = res.a[:, j], res.b[:, j]
+            first = a[np.flatnonzero(a)[0]]
+            assert first > 0
+            # b turns with a, so each projected pair keeps its correlation
+            zx, zy = xc @ a, yc @ b
+            assert zx @ zy >= -1e-9 * np.linalg.norm(zx) * np.linalg.norm(zy)
+
+    @given(_cca_problem(), st.integers(0, 2**32 - 1))
+    def test_correlations_invariant_under_affine_maps(self, problem, seed):
+        x, y = problem
+        rng = np.random.default_rng(seed)
+        d = x.shape[1]
+        a = rng.normal(size=(d, d)) + 2.0 * np.eye(d)
+        assume(np.linalg.cond(a) < 100.0)
+        # gamma=0: the ridge scales with trace(Cxx), which the map changes
+        base = cca(x, y, gamma=0.0)
+        moved = cca(x @ a + rng.normal(0, 10, d), y, gamma=0.0)
+        assert moved.n_components == base.n_components
+        np.testing.assert_allclose(moved.rho, base.rho, atol=1e-6)
 
 
 def test_result_component_count_property():

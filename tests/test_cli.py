@@ -1,11 +1,12 @@
 """End-to-end tests for the ccfmap command line."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from ccfmap import forest
+from ccfmap import cli, forest
 from ccfmap.cli import main
 from ccfmap.raster_io import (
     MultispectralRaster,
@@ -181,6 +182,36 @@ class TestTrain:
             capsys.readouterr().err
         )
         assert not (tmp_path / "m.ccf.json").exists()
+
+    def test_training_set_held_once_when_workers_start(self, tmp_path, monkeypatch):
+        argv = ["train", "--out", str(tmp_path / "m.ccf.json")]
+        for seed in (1, 2):
+            out = tmp_path / f"tile{seed}"
+            assert main(["synth", "--preset", "oblique", "--width", "160",
+                         "--height", "160", "--seed", str(seed), "--out", str(out)]) == 0
+            argv += ["--raster", str(out / "raster.json"), "--mask", str(out / "mask.json")]
+
+        class Called(Exception):
+            pass
+
+        seen = {}
+
+        def held_at_call(samples, config=None, scaler=None):
+            seen["held"] = tracemalloc.get_traced_memory()[0]
+            seen["matrix"] = samples.features.nbytes
+            raise Called
+
+        monkeypatch.setattr(cli, "train_forest", held_at_call)
+        tracemalloc.start()
+        try:
+            with pytest.raises(Called):
+                main(argv)
+        finally:
+            tracemalloc.stop()
+        # the standardized train set plus the test set and the labels; the
+        # rasters, the pooled and balanced sets and the raw train set are gone
+        assert seen["matrix"] > 1_000_000
+        assert seen["held"] <= 1.5 * seen["matrix"]
 
     def test_all_unlabeled_mask(self, scene_dir, tmp_path, capsys):
         blank = np.full((48, 48), 255, dtype=np.uint8)

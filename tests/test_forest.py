@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+import pickle
 import re
 from unittest import mock
 
@@ -282,6 +283,16 @@ class TestTrainConfig:
         with pytest.raises(DataError):
             TrainConfig(**kwargs).resolved(10)
 
+    @pytest.mark.parametrize("value", [True, False])
+    @pytest.mark.parametrize(
+        "field",
+        ["n_trees", "min_node_size", "max_depth", "feature_subsample", "seed", "gamma"],
+    )
+    def test_rejects_bool(self, field, value):
+        # bool is an int subclass: True would pass as 1 and False as 0
+        with pytest.raises(DataError, match=field):
+            TrainConfig(**{field: value}).resolved(10)
+
 
 class TestBestSplit:
     def test_clean_boundary(self):
@@ -521,9 +532,36 @@ class TestTrainForest:
         s = _blobs(50, 6, 3.0, np.random.default_rng(7))
         monkeypatch.setenv("CCF_THREADS", "1")
         serial = train_forest(s, TrainConfig(n_trees=4, seed=9))
+        for threads in ("2", "3", None):
+            if threads is None:
+                monkeypatch.delenv("CCF_THREADS")
+            else:
+                monkeypatch.setenv("CCF_THREADS", threads)
+            _assert_same_trees(serial, train_forest(s, TrainConfig(n_trees=4, seed=9)))
+
+    def test_pool_receives_samples_once(self, monkeypatch):
+        s = _blobs(300, 6, 3.0, np.random.default_rng(19))
         monkeypatch.setenv("CCF_THREADS", "2")
-        parallel = train_forest(s, TrainConfig(n_trees=4, seed=9))
-        _assert_same_trees(serial, parallel)
+        pools, task_bytes = [], []
+
+        class RecordingPool(forest.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs)
+                super().__init__(*args, **kwargs)
+
+            def submit(self, fn, /, *args, **kwargs):
+                task_bytes.append(len(pickle.dumps((fn, args, kwargs))))
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(forest, "ProcessPoolExecutor", RecordingPool)
+        model = train_forest(s, TrainConfig(n_trees=5, seed=3))
+        assert len(model.trees) == 5
+        [kwargs] = pools
+        initargs = kwargs.get("initargs", ())
+        assert [a is s.features for a in initargs].count(True) == 1
+        assert [a is s.labels for a in initargs].count(True) == 1
+        # the 300 x 6 features alone pickle to over 14 KB
+        assert task_bytes and max(task_bytes) < 1024
 
     @pytest.mark.parametrize("value", ["abc", "0", "-2"])
     def test_bad_thread_count_rejected(self, monkeypatch, value):
@@ -611,6 +649,38 @@ class TestPrediction:
             assert got.tobytes() == expected.tobytes()
             single = predict_proba_batch(model, row[None, :])[0]
             assert single.tobytes() == expected.tobytes()
+
+    def test_float32_rows_equal_their_float64_values(self, monkeypatch):
+        rng = np.random.default_rng(20)
+        s = _blobs(80, 5, 2.0, rng)
+        scaler = ColumnStats(rng.normal(size=5), np.array([0.5, 0.0, 2.0, 1e-13, 3.0]))
+        model = train_forest(s, TrainConfig(n_trees=4, seed=5), scaler=scaler)
+        rows = (3.0 * rng.normal(size=(200, 5))).astype(np.float32)
+        blocks = []
+        real_route = forest._route
+
+        def capture_route(tree, cols):
+            blocks.append(cols)
+            return real_route(tree, cols)
+
+        monkeypatch.setattr(forest, "_route", capture_route)
+        got = predict_proba_batch(model, rows)
+        # the routed block holds exactly what standardize gives the
+        # float64 rows, laid out bands x rows
+        want_block = standardize(rows.astype(np.float64), scaler).T
+        assert blocks[0].flags.c_contiguous
+        assert blocks[0].tobytes() == np.ascontiguousarray(want_block).tobytes()
+        want = predict_proba_batch(model, rows.astype(np.float64))
+        assert got.tobytes() == want.tobytes()
+        for row, p in zip(rows[:20].astype(np.float64), got):
+            assert p.tobytes() == _scalar_proba(model, row).tobytes()
+
+    def test_non_finite_rows_rejected(self):
+        model = _leaf_model([[1, 1]], n_bands=3)
+        rows = np.ones((4, 3), dtype=np.float32)
+        rows[2, 1] = np.nan
+        with pytest.raises(DataError, match="row 2, column 1"):
+            predict_proba_batch(model, rows)
 
     def test_wrong_band_count(self):
         model = _leaf_model([[1, 1]], n_bands=3)

@@ -1,10 +1,12 @@
 """Tests for sample extraction, balancing, splitting, and scaling."""
 
+import weakref
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from ccfmap import pipeline
 from ccfmap.errors import DataError
 from ccfmap.pipeline import (
     SampleSet,
@@ -14,6 +16,7 @@ from ccfmap.pipeline import (
     extract_samples,
     fit_scaler,
     stratified_split,
+    valid_pixels,
 )
 from ccfmap.cca import standardize
 
@@ -57,6 +60,29 @@ class TestSampleSet:
         s = SampleSet(np.ones((2, 2)), np.array([0, 1]))
         with pytest.raises(ValueError):
             s.features[0, 0] = 9.0
+
+    def test_callers_arrays_are_copied(self):
+        feats = np.arange(6.0).reshape(3, 2)
+        labels = np.array([0, 1, 0], dtype=np.int64)  # already the stored dtype
+        s = SampleSet(feats, labels)
+        feats[0, 0] = 99.0
+        labels[0] = 1
+        np.testing.assert_array_equal(s.features[0], [0.0, 1.0])
+        assert s.labels[0] == 0
+
+    def test_built_sets_are_read_only(self):
+        raster = np.arange(2 * 3 * 2, dtype=np.float32).reshape(2, 3, 2)
+        mask = np.array([[0, 1, 255], [1, 0, 1]], dtype=np.uint8)
+        built = [
+            extract_samples(raster, mask),
+            assemble_region_dataset([(raster, mask), (raster, mask)]),
+        ]
+        built.append(built[1].take([4, 0, 2]))
+        for s in built:
+            for a in (s.features, s.labels):
+                assert not a.flags.writeable
+                with pytest.raises(ValueError):
+                    a[0] = 0
 
     def test_take_preserves_names(self):
         s = SampleSet(np.arange(8.0).reshape(4, 2), np.array([0, 1, 0, 1]), ("a", "b"))
@@ -269,3 +295,42 @@ class TestAssembleRegionDataset:
     def test_empty_list(self):
         with pytest.raises(DataError, match="no raster/mask pairs"):
             assemble_region_dataset([])
+
+    def test_pairs_are_read_one_at_a_time(self):
+        class Tile:
+            def __init__(self, seed):
+                rng = np.random.default_rng(seed)
+                self.values = rng.normal(size=(4, 4, 2)).astype(np.float32)
+                self.nodata = None
+
+        held = []
+
+        def read_tile(seed):
+            tile = Tile(seed)
+            held.append(weakref.ref(tile))
+            return tile
+
+        def pairs():
+            for seed in range(3):
+                # every earlier tile was dropped once its samples were taken
+                assert all(ref() is None for ref in held)
+                yield read_tile(seed), np.zeros((4, 4), np.uint8) + (seed % 2)
+
+        s = assemble_region_dataset(pairs())
+        assert len(s) == 48
+        np.testing.assert_array_equal(s.labels, np.repeat([0, 1, 0], 16))
+
+
+class TestValidPixels:
+    @pytest.mark.parametrize("block", [1, 7, 1 << 14])
+    def test_matches_any_band_rule(self, monkeypatch, block):
+        monkeypatch.setattr(pipeline, "_VALID_BLOCK", block)
+        rng = np.random.default_rng(43)
+        values = rng.integers(0, 4, size=(9, 5, 3)).astype(np.float32)
+        expected = ~(values == 2.0).any(axis=-1)
+        assert 0 < expected.sum() < expected.size
+        np.testing.assert_array_equal(valid_pixels(values, 2.0), expected)
+        np.testing.assert_array_equal(
+            valid_pixels(values.reshape(-1, 3), 2.0), expected.ravel()
+        )
+        assert valid_pixels(values, None).all()

@@ -7,6 +7,7 @@ import math
 import os
 import struct
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.stats import norm
 
+from ccfmap import raster_io
 from ccfmap.errors import DataError
 from ccfmap.forest import (
     TrainConfig,
@@ -121,6 +123,29 @@ class TestRasterRoundTrip:
         b = read_raster(tmp_path / "y")
         np.testing.assert_array_equal(a.values, b.values)
 
+    @pytest.mark.parametrize("block", [4, 56, 1 << 16])
+    def test_read_in_blocks_is_bit_exact(self, tmp_path, monkeypatch, block):
+        # a row of 7 pixels is 28 bytes: one row a block (4 is less than a
+        # row), two rows a block with a shorter last one, all 5 rows at once
+        monkeypatch.setattr(raster_io, "_READ_BLOCK", block)
+        r = _random_raster(np.random.default_rng(8), nodata=-1.0)
+        write_raster(r, tmp_path / "s")
+        back = read_raster(tmp_path / "s.json")
+        assert back.values.tobytes() == r.values.tobytes()
+        assert back.values.flags.c_contiguous and not back.values.flags.writeable
+
+    def test_read_peak_memory_near_payload(self, tmp_path):
+        values = np.random.default_rng(9).normal(size=(384, 384, 8)).astype(np.float32)
+        write_raster(MultispectralRaster(values=values), tmp_path / "big")
+        del values
+        tracemalloc.start()
+        try:
+            back = read_raster(tmp_path / "big.json")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * back.values.nbytes
+
     def test_payload_is_band_sequential(self, tmp_path):
         r = _random_raster(np.random.default_rng(4), h=2, w=3, b=2)
         _, payload = write_raster(r, tmp_path / "z")
@@ -177,6 +202,30 @@ class TestRasterCorruption:
         data[8:12] = struct.pack("<f", math.inf)
         open(payload, "wb").write(bytes(data))
         with pytest.raises(DataError, match="byte offset 8"):
+            read_raster(header)
+
+    @pytest.mark.parametrize("offset", [0, 52, 136, 416])
+    def test_non_finite_offset_across_blocks(self, tmp_path, monkeypatch, offset):
+        monkeypatch.setattr(raster_io, "_READ_BLOCK", 36)  # one 7-pixel row a block
+        header, payload = self._write(tmp_path)
+        data = bytearray(open(payload, "rb").read())
+        data[offset : offset + 4] = struct.pack("<f", math.nan)
+        open(payload, "wb").write(bytes(data))
+        with pytest.raises(DataError, match=f"byte offset {offset}$"):
+            read_raster(header)
+
+    def test_payload_shrinking_while_read(self, tmp_path, monkeypatch):
+        header, payload = self._write(tmp_path)
+        full = os.path.getsize(payload)
+        data = open(payload, "rb").read()
+        open(payload, "wb").write(data[:-4])
+        real_fstat = os.fstat
+
+        def stale_fstat(fd):  # the size the file had when it was opened
+            return os.stat_result((*real_fstat(fd)[:6], full, *real_fstat(fd)[7:]))
+
+        monkeypatch.setattr(raster_io.os, "fstat", stale_fstat)
+        with pytest.raises(DataError, match=f"expected {full} bytes, got {full - 4}"):
             read_raster(header)
 
     def test_zero_width_header(self, tmp_path):
@@ -396,6 +445,15 @@ class TestModelSerialization:
         leaf = next(nd for t in doc["trees"] for nd in t["nodes"] if nd["kind"] == "leaf")
         leaf["class_counts"] = counts
         self._reject(tmp_path, doc, "int64")
+
+    @pytest.mark.parametrize(
+        "field",
+        ["n_trees", "min_node_size", "max_depth", "feature_subsample", "seed", "gamma"],
+    )
+    def test_bool_config_rejected(self, tmp_path, field):
+        _, doc = self._doc(tmp_path)
+        doc["config"][field] = True
+        self._reject(tmp_path, doc, f"bad config: {field}")
 
     @pytest.mark.parametrize("gamma", [None, "1e-8", 10**400, -1.0])
     def test_bad_gamma_rejected(self, tmp_path, gamma):
