@@ -5,7 +5,8 @@ The CCA implementation whitens both sides with a ridge-stabilized inverse
 square root and reads the canonical directions off an SVD of the whitened
 cross-covariance, which is numerically safer than solving the generalized
 eigenproblem directly and handles rank-deficient inputs (constant columns,
-one-hot labels) without special cases.
+one-hot labels) without special cases. Tree growth takes the two-class
+case in closed form, for many row segments at once (binary_directions).
 """
 
 from __future__ import annotations
@@ -209,6 +210,71 @@ def cca(x, y, gamma: float = 1e-8) -> CcaResult:
             b[:, j] = -b[:, j]
 
     return CcaResult(a=a, b=b, rho=rho, x_mean=x_mean, y_mean=y_mean)
+
+
+def segment_ids(starts: np.ndarray, n_rows: int) -> np.ndarray:
+    """Segment index of each of n_rows rows, for non-empty segments that
+    begin at the ascending offsets starts (the first one 0)."""
+    return np.repeat(np.arange(starts.size), np.diff(starts, append=n_rows))
+
+
+def segment_moments(cols, y, starts, weights=None):
+    """cca's covariances against two classes, for each segment of rows.
+
+    cols[j] holds feature j of every row, y each row's class (0 or 1),
+    and the segments begin at starts. Row i counts weights[i] times (a
+    non-negative integer, default 1); each segment needs a total weight
+    of at least 2. Returns Cxx (m, f, f) and c = cov(x, y) (m, f), n-1
+    convention, with exact zeros for a column constant over a segment's
+    weighted rows, as _centered gives.
+    """
+    f, r = cols.shape
+    seg = segment_ids(starts, r)
+    if weights is None:
+        w, first = np.ones(r), starts
+    else:
+        w = np.asarray(weights, dtype=np.float64)
+        drawn = np.flatnonzero(w)
+        first = drawn[np.searchsorted(drawn, starts)]
+    total = np.add.reduceat(w, starts)
+    yc = y - (np.add.reduceat(w * y, starts) / total)[seg]
+    xc = np.empty_like(cols)
+    for j in range(f):
+        # less a weighted row's own value, a constant column is exact zeros
+        np.subtract(cols[j], cols[j][first][seg], out=xc[j])
+        xc[j] -= (np.add.reduceat(w * xc[j], starts) / total)[seg]
+    cxx = np.empty((starts.size, f, f))
+    c = np.empty((starts.size, f))
+    for j in range(f):
+        wx = w * xc[j]
+        c[:, j] = np.add.reduceat(wx * yc, starts)
+        for k in range(j, f):
+            cxx[:, j, k] = cxx[:, k, j] = np.add.reduceat(wx * xc[k], starts)
+    scale = 1.0 / (total - 1.0)
+    return cxx * scale[:, None, None], c * scale[:, None]
+
+
+def binary_directions(cxx, c, gamma: float = 1e-8) -> np.ndarray:
+    """cca's first x direction against two classes, for stacked moments.
+
+    One-hot labels of two classes give Cyy rank 1, so the whitened
+    cross-covariance has rank 1 and its left singular vector is
+    Wx c / |Wx c|: the direction is a = Wx^2 c / |Wx c|, with Wx cca's
+    ridged inverse square root of Cxx on its numeric range. Returns
+    (m, f) directions under cca's sign rule, and a zero row where cca has
+    no direction: Cxx of rank 0, one class only, or Wx c = 0.
+    """
+    w, v = np.linalg.eigh(cxx)
+    keep = w > np.maximum(w[:, -1:], 0.0) * _RANK_RTOL
+    shift = gamma * np.trace(cxx, axis1=1, axis2=2) / cxx.shape[1]
+    inv = np.divide(1.0, w + shift[:, None], out=np.zeros_like(w), where=keep)
+    p = (c[:, None, :] @ v)[:, 0]  # V^T c
+    norm2 = (p * p * inv).sum(axis=1)  # |Wx c|^2
+    a = (v @ (p * inv)[:, :, None])[:, :, 0]
+    a *= np.divide(1.0, np.sqrt(norm2), out=np.zeros_like(norm2), where=norm2 > 0)[:, None]
+    lead = a[np.arange(a.shape[0]), np.argmax(a != 0, axis=1)]
+    a[lead < 0] *= -1.0
+    return a
 
 
 def project(m, components: np.ndarray, mean: np.ndarray) -> np.ndarray:

@@ -1,17 +1,24 @@
 """Canonical correlation forest training and prediction.
 
 Trees use oblique hyperplane splits: each node draws a small feature
-subset, runs CCA between a with-replacement resample of the node (the
-projection bootstrap) and the one-hot labels, then scans every candidate
-threshold on the full node's projections for the weighted-Gini minimum.
-There is no bagging of the data itself; every tree sees every sample and
-all randomness comes from the per-node draws of an independent per-tree
-RNG stream, which makes training deterministic for a given seed no
-matter how many workers run.
+subset, takes the CCA direction between a with-replacement resample of
+the node (the projection bootstrap) and its labels, then scans every
+candidate threshold on the full node's projections for the weighted-Gini
+minimum; a bootstrap with no direction or no split is retried on the
+full node. Training takes two classes, so the CCA has one direction, in
+closed form (cca.binary_directions).
 
-Each tree is grown straight into a FlatTree: parallel per-node arrays in
-preorder, the one tree representation training, prediction and the
-model format share.
+Trees grow level by level. The open nodes of a level hold their rows as
+contiguous segments of one index array, and each step (the draws, the
+weighted moments with one stacked eigh, the split search, the
+partition) runs on all of them in a few numpy calls. There is no bagging
+of the data itself; every tree sees every sample, and all randomness
+comes from one RNG stream per tree and level, SeedSequence(seed,
+spawn_key=(0, tree, level)), drawn in node order. So training is
+deterministic for a given seed no matter how many workers run (its
+models differ from those of the earlier node-by-node grower). Each tree
+is laid out as a FlatTree: parallel per-node arrays in preorder, the one
+tree representation training, prediction and the model format share.
 
 Prediction standardizes a batch straight into one column-major block
 (bands x rows, one contiguous row per band). _route walks each tree
@@ -53,8 +60,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-# standardize is not called here, but perfbench/tracer.py wraps the name
+# cca and standardize are not called here, but perfbench/tracer.py wraps both
 from .cca import ColumnStats, as_matrix, cca, scale_divisor, standardize  # noqa: F401
+from .cca import binary_directions, segment_ids, segment_moments
 from .errors import DataError
 from .pipeline import UNLABELED, SampleSet, valid_pixels
 
@@ -236,80 +244,162 @@ def _project(columns, direction) -> np.ndarray:
     return z
 
 
-def _try_split(x, y, k, config, rng):
-    """One split attempt; None means the node collapses to a leaf.
+def _segment_splits(z, y, starts):
+    """best_split(z[s][:, None], y[s], 2) for every segment s of rows at
+    once, with best_split's Gini arithmetic bit for bit.
 
-    The rng is consumed identically (one feature draw, one bootstrap
-    draw) whether or not the attempt succeeds, so downstream nodes are
-    unaffected by local degeneracies.
+    y holds 0/1 labels and the segments begin at starts. Returns, per
+    segment, the threshold, the Gini, the left child's rows (0 where
+    best_split gives None) and the left child's class-1 rows.
     """
-    n, d = x.shape
-    feats = np.sort(rng.choice(d, size=config.feature_subsample, replace=False))
-    x_sub = x[:, feats]
-    boot = rng.integers(0, n, size=n)
+    r, m = z.size, starts.size
+    sizes = np.diff(starts, append=r)
+    seg = segment_ids(starts, r)
+    # by (segment, z); ties in z may fall in any order, as candidate
+    # splits lie only between distinct values
+    order = np.argsort(z)
+    order = order[np.argsort(seg[order], kind="stable")]
+    zs = z[order]
+    ones = np.concatenate(([0], np.cumsum(y[order])))  # class-1 rows before each position
+    del order
+    threshold, best = np.zeros(m), np.zeros(m)
+    n_left, ones_left = np.zeros((2, m), dtype=np.int64)
+    # a candidate keeps the sorted rows up to position i on the left
+    cand = np.flatnonzero((zs[:-1] < zs[1:]) & (seg[:-1] == seg[1:]))
+    if cand.size == 0:
+        return threshold, best, n_left, ones_left
+    cs = seg[cand]
+    n = sizes[cs].astype(np.float64)
+    nl = (cand + 1 - starts[cs]).astype(np.float64)
+    l1 = (ones[cand + 1] - ones[starts[cs]]).astype(np.float64)
+    r1 = (ones[starts + sizes] - ones[starts])[cs] - l1  # class-1 rows on the right
+    # best_split's float operations, in its order; the counts are whole
+    # numbers, so they may be formed in any order
+    p0, p1 = (nl - l1) / nl, l1 / nl
+    gini = nl * (1.0 - (p0 * p0 + p1 * p1))
+    nr = n - nl
+    p0, p1 = (nr - r1) / nr, r1 / nr
+    gini += nr * (1.0 - (p0 * p0 + p1 * p1))
+    gini /= n
+    # each segment's least Gini, at its lowest threshold
+    head = np.flatnonzero(np.concatenate(([True], cs[1:] != cs[:-1])))
+    low = np.minimum.reduceat(gini, head)
+    hit = np.flatnonzero(gini == np.repeat(low, np.diff(head, append=cand.size)))
+    first = hit[np.searchsorted(hit, head)]
+    i = cand[first]
+    s = seg[i]
+    best[s] = gini[first]
+    lo, hi = zs[i], zs[i + 1]
+    t = 0.5 * (lo + hi)
+    threshold[s] = np.where(t < hi, t, lo)  # a midpoint rounded up falls back to lo
+    n_left[s] = i + 1 - starts[s]
+    ones_left[s] = ones[i + 1] - ones[starts[s]]
+    return threshold, best, n_left, ones_left
 
-    # a degenerate bootstrap (single class or constant draw) gets a retry
-    # with the CCA on the full node, so separable nodes still split
-    for rows in (boot, slice(None)):
-        res = cca(x_sub[rows], _one_hot(y[rows], k), config.gamma)
-        if not res.n_components:
-            continue
-        z = np.stack([_project(x_sub.T, a) for a in res.a.T], axis=1)
-        choice = best_split(z, y, k)
-        if choice is not None:
-            j, threshold, _ = choice
-            return feats, res.a[:, j].copy(), threshold, z[:, j] <= threshold
-    return None
+
+def _split_nodes(x, y, rows, feats, starts, rng, gamma):
+    """One split attempt for each node: its rows are the segment of rows
+    from its start, its features a row of feats. The direction comes
+    from a projection bootstrap drawn from rng (as multinomial row
+    weights), or from every row when rng is None, and the threshold from
+    every row's projection. Returns the directions, thresholds, left
+    sizes (0: no split), left class-1 counts and the projections."""
+    seg = segment_ids(starts, rows.size)
+    boot = None
+    if rng is not None:
+        high = np.diff(starts, append=rows.size)[seg]
+        boot = np.bincount(starts[seg] + rng.integers(0, high), minlength=rows.size)
+    cols = np.empty((feats.shape[1], rows.size))
+    for j in range(feats.shape[1]):
+        cols[j] = x[rows, feats[seg, j]]
+    yr = y[rows]
+    a = binary_directions(*segment_moments(cols, yr, starts, boot), gamma)
+    del boot
+    z = _project(cols, a.T[:, seg])
+    del cols
+    t, _, n_left, ones_left = _segment_splits(z, yr, starts)
+    return a, t, n_left, ones_left, z
 
 
-def _grow(x, y, k, config, rng) -> FlatTree:
-    """Iterative preorder tree growth straight into FlatTree rows.
+def _build_tree(x, y, config, tree_index) -> FlatTree:
+    """Grow tree tree_index level by level, straight into FlatTree rows.
 
-    Equivalent to the recursive procedure (node, then left subtree, then
-    right) including rng order, but immune to Python recursion limits on
-    deep trees. A split's left child is always the next row; its right
-    child's id is filled in when that child is popped. A node becomes a
-    leaf when it is pure, smaller than 2*min_node_size, at max_depth, or
-    admits no valid split; each child of a split gets at least one row.
+    A level's nodes are the children of the last level's splits, in
+    parent order, left before right. The rows of the nodes that try a
+    split lie as contiguous segments of one index array, each in
+    ascending row order, and every step below runs on all of them at
+    once. A node becomes a leaf when it is pure, smaller than
+    2*min_node_size, at max_depth, or admits no split; each child of a
+    split gets at least one row.
     """
     fs = config.feature_subsample
-    leaf_features = np.full(fs, -1, dtype=np.int64)
-    leaf_projection = np.zeros(fs)
-    no_counts = np.zeros(k, dtype=np.int64)
-    features, projections, thresholds, left, right, counts = [], [], [], [], [], []
-    stack = [(x, y, 0, -1)]  # rows, labels, depth, parent awaiting this right child
-    while stack:
-        xn, yn, level, parent = stack.pop()
-        i = len(thresholds)
-        if parent >= 0:
-            right[parent] = i
-        tally = np.bincount(yn, minlength=k).astype(np.int64)
-        attempt = None
-        if not (
-            int((tally > 0).sum()) <= 1
-            or yn.size < 2 * config.min_node_size
-            or (config.max_depth is not None and level >= config.max_depth)
-        ):
-            attempt = _try_split(xn, yn, k, config, rng)
-        if attempt is None:
-            features.append(leaf_features)
-            projections.append(leaf_projection)
-            thresholds.append(0.0)
-            left.append(-1)
-            counts.append(tally)
-        else:
-            feats, direction, threshold, go_left = attempt
-            features.append(feats)
-            projections.append(direction)
-            thresholds.append(threshold)
-            left.append(i + 1)
-            counts.append(no_counts)
-            # compress measured about twice as fast as xn[go_left] here
-            for side, awaiting in ((~go_left, i), (go_left, -1)):
-                stack.append(
-                    (xn.compress(side, axis=0), yn.compress(side), level + 1, awaiting)
-                )
-        right.append(-1)
+    rows = np.arange(x.shape[0])
+    sizes = np.array([x.shape[0]])
+    ones = np.array([np.count_nonzero(y)])
+    levels = []
+    while True:
+        depth = len(levels)
+        tries = (ones > 0) & (ones < sizes) & (sizes >= 2 * config.min_node_size)
+        tries &= config.max_depth is None or depth < config.max_depth
+        split = np.zeros(sizes.size, dtype=bool)
+        tally = np.column_stack([sizes - ones, ones])
+        if not tries.any():
+            levels.append((split, None, None, None, tally))
+            return _preorder(levels, fs)
+        rows = rows[np.repeat(tries, sizes)]
+        n_node, n_ones = sizes[tries], ones[tries]
+        starts = np.cumsum(n_node) - n_node
+        seed = np.random.SeedSequence(config.seed, spawn_key=(0, tree_index, depth))
+        rng = np.random.default_rng(seed)
+        feats = np.argsort(rng.random((starts.size, x.shape[1])), axis=1)[:, :fs]
+        feats.sort(axis=1)
+        a, t, nl, n1, z = _split_nodes(x, y, rows, feats, starts, rng, config.gamma)
+        seg = segment_ids(starts, rows.size)
+        # no direction or no split from the bootstrap: retry on the whole node
+        retry = nl == 0
+        if retry.any():
+            sub = retry[seg]
+            n_sub = n_node[retry]
+            a[retry], t[retry], nl[retry], n1[retry], z[sub] = _split_nodes(
+                x, y, rows[sub], feats[retry], np.cumsum(n_sub) - n_sub, None, config.gamma
+            )
+        ok = nl > 0
+        split[tries] = ok
+        levels.append((split, feats[ok], a[ok], t[ok], tally))
+        # the next level's rows: the splits' rows, stably by (node, side)
+        keep = ok[seg]
+        side = (2 * seg + (z > t[seg]))[keep]
+        rows = rows[keep][np.argsort(side, kind="stable")]
+        sizes = np.column_stack([nl, n_node - nl])[ok].ravel()
+        ones = np.column_stack([n1, n_ones - n1])[ok].ravel()
+
+
+def _preorder(levels, fs) -> FlatTree:
+    """Lay a tree's levels out in preorder. levels[i] holds level i's
+    split mask and leaf tallies over its nodes, and the features,
+    directions and thresholds of its splits; level i + 1 holds the
+    children of level i's splits, in order, left before right."""
+    subtree = [np.zeros(0, dtype=np.int64)]  # subtree node counts, from the bottom
+    for split, *_ in reversed(levels):
+        size = np.ones(split.size, dtype=np.int64)
+        size[split] += subtree[-1][0::2] + subtree[-1][1::2]
+        subtree.append(size)
+    subtree.reverse()
+    m = int(subtree[0][0])
+    features = np.full((m, fs), -1, dtype=np.int64)
+    projections, thresholds = np.zeros((m, fs)), np.zeros(m)
+    left, right = np.full((2, m), -1, dtype=np.int64)
+    counts = np.zeros((m, 2), dtype=np.int64)
+    ids = np.zeros(1, dtype=np.int64)
+    for level, (split, feats, a, t, tally) in enumerate(levels):
+        counts[ids[~split]] = tally[~split]
+        at = ids[split]
+        if not at.size:
+            break
+        features[at], projections[at], thresholds[at] = feats, a, t
+        left[at] = at + 1
+        right[at] = at + 1 + subtree[level + 1][0::2]
+        ids = np.column_stack([left[at], right[at]]).ravel()
     return FlatTree.from_rows(features, projections, thresholds, left, right, counts)
 
 
@@ -329,16 +419,6 @@ class CcfModel:
     @property
     def n_classes(self) -> int:
         return len(self.class_names)
-
-
-def _tree_rng(seed: int, tree_index: int) -> np.random.Generator:
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=(0, tree_index))
-    )
-
-
-def _build_tree(features, labels, k, config, tree_index):
-    return _grow(features, labels, k, config, _tree_rng(config.seed, tree_index))
 
 
 def _worker_count(n_tasks: int) -> int:
@@ -391,6 +471,8 @@ def train_forest(samples: SampleSet, config: TrainConfig | None = None,
     prediction time (an identity scaler is recorded when omitted).
     """
     cfg = (config if config is not None else TrainConfig()).resolved(samples.n_bands)
+    if samples.n_classes != 2:
+        raise DataError(f"training needs exactly 2 classes, got {samples.n_classes}")
     counts = samples.class_counts()
     if int((counts > 0).sum()) < 2:
         raise DataError("degenerate labels: need at least 2 classes present")
@@ -411,9 +493,9 @@ def train_forest(samples: SampleSet, config: TrainConfig | None = None,
             )
         scaler = ColumnStats(mean=mean, stddev=stddev)
 
-    # a task is a tree index; per-tree RNG streams make the result
+    # a task is a tree index; per-level RNG streams make the result
     # independent of scheduling
-    inputs = (samples.features, samples.labels, samples.n_classes, cfg)
+    inputs = (samples.features, samples.labels, cfg)
     trees = _fan_out(_build_tree, inputs, range(cfg.n_trees), _worker_count(cfg.n_trees))
     return CcfModel(
         trees=list(trees),

@@ -9,14 +9,17 @@ import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ccfmap.cca import (
     CcaResult,
     ColumnStats,
+    binary_directions,
     cca,
     _centered,
     column_stats,
     project,
+    segment_moments,
     standardize,
 )
 from ccfmap.errors import DataError
@@ -335,6 +338,88 @@ class TestCcaInvariants:
         moved = cca(x @ a + rng.normal(0, 10, d), y, gamma=0.0)
         assert moved.n_components == base.n_components
         np.testing.assert_allclose(moved.rho, base.rho, atol=1e-6)
+
+
+@st.composite
+def _segment_draws(draw):
+    """1-3 segments of rows sharing f columns, each with 0/1 labels and a
+    bootstrap draw of as many row picks as it has rows. Values are small
+    integers (repeats, constant and collinear columns) or floats."""
+    f = draw(st.integers(1, 4))
+    value = st.one_of(
+        st.integers(-3, 3).map(float),
+        st.floats(-10.0, 10.0, allow_subnormal=False),
+    )
+    segments = []
+    for _ in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(2, 12))
+        x = draw(hnp.arrays(np.float64, (n, f), elements=value))
+        y = draw(hnp.arrays(np.int64, n, elements=st.integers(0, 1)))
+        picks = draw(hnp.arrays(np.int64, n, elements=st.integers(0, n - 1)))
+        segments.append((x, y, picks))
+    return segments
+
+
+def _stack(segments):
+    """Columns, labels, segment starts and bincount weights of segments."""
+    cols = np.hstack([x.T for x, _, _ in segments])
+    y = np.concatenate([y for _, y, _ in segments])
+    sizes = [len(y) for _, y, _ in segments]
+    starts = np.cumsum([0] + sizes[:-1])
+    weights = np.concatenate([np.bincount(p, minlength=len(p)) for _, _, p in segments])
+    return np.ascontiguousarray(cols), y, starts, weights
+
+
+class TestBinaryDirections:
+    """The batched closed form used by tree growth against cca itself."""
+
+    @given(_segment_draws())
+    def test_moments_equal_those_of_repeated_rows(self, segments):
+        cxx, c = segment_moments(*_stack(segments))
+        for i, (x, y, picks) in enumerate(segments):
+            xr, yr = x[picks], y[picks].astype(np.float64)
+            xc = _centered(xr)
+            want_cxx = xc.T @ xc / (len(yr) - 1)
+            want_c = xc.T @ (yr - yr.mean()) / (len(yr) - 1)
+            scale = max(np.abs(want_cxx).max(), 1e-300)
+            np.testing.assert_allclose(cxx[i], want_cxx, rtol=1e-12, atol=1e-12 * scale)
+            np.testing.assert_allclose(c[i], want_c, rtol=1e-12, atol=1e-12 * np.sqrt(scale))
+            constant = np.ptp(xr, axis=0) == 0
+            assert (cxx[i][constant] == 0).all() and (cxx[i][:, constant] == 0).all()
+            assert (c[i][constant] == 0).all()
+
+    @given(_segment_draws())
+    def test_parallel_to_cca_first_direction(self, segments):
+        a = binary_directions(*segment_moments(*_stack(segments)))
+        for i, (x, y, picks) in enumerate(segments):
+            res = cca(x[picks], _one_hot(y[picks], 2))
+            if not a[i].any():
+                # no direction: cca has none, or one of no correlation
+                assert res.n_components == 0 or res.rho[0] < 1e-6
+                continue
+            assert res.n_components == 1
+            if res.rho[0] < 1e-6:
+                continue  # uncorrelated: the direction is round-off in both
+            want = res.a[:, 0]
+            cos = a[i] @ want / (np.linalg.norm(a[i]) * np.linalg.norm(want))
+            assert cos >= 1.0 - 1e-9
+            np.testing.assert_allclose(np.linalg.norm(a[i]), np.linalg.norm(want), rtol=1e-6)
+            assert a[i][np.flatnonzero(a[i])[0]] > 0
+
+    def test_no_direction_on_one_class_or_constant_draws(self):
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(12, 3))
+        x[4:8] = [1.0, 2.0, 3.0]  # rows 4-7 hold the same values
+        y = np.array([0, 1] * 6)
+        cols = np.ascontiguousarray(x.T)
+        starts = np.array([0])
+        one_class = np.zeros(12, np.int64)
+        one_class[[0, 2, 4]] = [5, 4, 3]  # draws class-0 rows only
+        constant = np.zeros(12, np.int64)
+        constant[[4, 5, 6, 7]] = 3  # both classes, all columns constant
+        for weights in (one_class, constant):
+            assert not binary_directions(*segment_moments(cols, y, starts, weights)).any()
+        assert binary_directions(*segment_moments(cols, y, starts)).all()
 
 
 def test_result_component_count_property():

@@ -4,6 +4,7 @@ import dataclasses
 import os
 import pickle
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -19,7 +20,7 @@ from ccfmap.forest import (
     CcfModel,
     FlatTree,
     TrainConfig,
-    _grow,
+    _build_tree,
     _project,
     _worker_count,
     best_split,
@@ -167,12 +168,9 @@ def _leaf_model(count_rows, n_bands=3):
 
 
 def _grow_tree(samples, config, seed):
-    """Grow one tree as train_forest does, from an explicit rng."""
-    cfg = config.resolved(samples.n_bands)
-    return _grow(
-        samples.features, samples.labels, samples.n_classes, cfg,
-        np.random.default_rng(seed),
-    )
+    """Grow tree 0 of a forest seeded with seed, as train_forest does."""
+    cfg = dataclasses.replace(config, seed=seed).resolved(samples.n_bands)
+    return _build_tree(samples.features, samples.labels, cfg, 0)
 
 
 def _assert_same_trees(a, b):
@@ -230,8 +228,8 @@ def _scalar_proba(model, row):
 @st.composite
 def _grid_problem(draw):
     """Rows on a coarse integer grid (many repeated rows and projections),
-    labels from k in {2, 3} classes with every class present."""
-    k = draw(st.sampled_from([2, 3]))
+    labels from the two classes training takes, both present."""
+    k = 2
     n_bands = draw(st.integers(2, 6))
     n_rows = draw(st.integers(8, 48))
     grid = draw(hnp.arrays(np.int64, (n_rows, n_bands), elements=st.integers(0, 3)))
@@ -360,6 +358,49 @@ class TestBestSplit:
         assert got[2].hex() == want[2].hex()
 
 
+@st.composite
+def _segment_layout(draw):
+    """Projections in 1-8 consecutive segments with 0/1 labels. Segments
+    hold one row, one repeated value, or draws of small integers, values
+    one ulp apart around 2**52 and arbitrary finite floats."""
+    value = st.one_of(
+        st.integers(-3, 3).map(float),
+        st.integers(-3, 3).map(lambda v: 2.0**52 + v),
+        st.floats(allow_nan=False, allow_infinity=False),
+    )
+    parts = []
+    for _ in range(draw(st.integers(1, 8))):
+        n = draw(st.integers(1, 12))
+        if draw(st.booleans()):
+            parts.append(np.full(n, draw(value)))
+        else:
+            parts.append(draw(hnp.arrays(np.float64, n, elements=value)))
+    z = np.concatenate(parts)
+    y = draw(hnp.arrays(np.int64, z.size, elements=st.integers(0, 1)))
+    starts = np.cumsum([0] + [p.size for p in parts[:-1]])
+    return z, y, starts
+
+
+class TestSegmentSplits:
+    """The level-wise split search against best_split, node by node."""
+
+    @given(_segment_layout())
+    def test_each_segment_equals_best_split(self, layout):
+        z, y, starts = layout
+        threshold, gini, n_left, ones_left = forest._segment_splits(z, y, starts)
+        for s, (a, b) in enumerate(zip(starts, np.append(starts[1:], z.size))):
+            want = best_split(z[a:b, None], y[a:b], 2)
+            if want is None:
+                assert n_left[s] == 0
+                continue
+            assert want[0] == 0
+            assert threshold[s].hex() == want[1].hex()
+            assert gini[s].hex() == want[2].hex()
+            go_left = z[a:b] <= threshold[s]
+            assert n_left[s] == go_left.sum()
+            assert ones_left[s] == y[a:b][go_left].sum()
+
+
 class TestProject:
     @pytest.mark.parametrize("fs", range(1, 8))
     def test_equals_numpy_row_sum_below_eight_terms(self, fs):
@@ -472,6 +513,12 @@ class TestTrainForest:
         with pytest.raises(DataError, match="degenerate labels"):
             train_forest(s)
 
+    def test_more_than_two_classes_rejected(self):
+        rng = np.random.default_rng(0)
+        s = SampleSet(rng.normal(size=(12, 3)), np.arange(12) % 3, ("a", "b", "c"))
+        with pytest.raises(DataError, match="exactly 2 classes, got 3"):
+            train_forest(s)
+
     def test_too_few_samples(self):
         s = SampleSet(np.random.default_rng(0).normal(size=(3, 3)), np.array([0, 1, 0]))
         with pytest.raises(DataError, match="at least 4"):
@@ -529,9 +576,11 @@ class TestTrainForest:
         assert not same
 
     def test_worker_count_does_not_change_model(self, monkeypatch):
-        s = _blobs(50, 6, 3.0, np.random.default_rng(7))
+        # overlapping blobs: deep trees of more than 500 nodes each
+        s = _blobs(1500, 6, 1.0, np.random.default_rng(7))
         monkeypatch.setenv("CCF_THREADS", "1")
         serial = train_forest(s, TrainConfig(n_trees=4, seed=9))
+        assert min(t.n_nodes for t in serial.trees) > 500
         for threads in ("2", "3", None):
             if threads is None:
                 monkeypatch.delenv("CCF_THREADS")
@@ -602,6 +651,51 @@ class TestTrainForest:
             np.add.at(tally, (leaf, s.labels), 1)
             np.testing.assert_array_equal(tally, tree.counts)
         assert ties > 0
+
+
+def _subtree_counts(tree, nid):
+    """Class tallies of the leaves under node nid."""
+    if not tree.kind[nid]:
+        return tree.counts[nid]
+    return _subtree_counts(tree, tree.left[nid]) + _subtree_counts(tree, tree.right[nid])
+
+
+class TestLevelGrowth:
+    """Each level of a tree draws from its own stream, keyed on (tree,
+    level), and growth holds its rows as index segments."""
+
+    @pytest.mark.parametrize("cap", [1, 2, 5])
+    def test_max_depth_cuts_the_unlimited_tree(self, cap):
+        s = _blobs(300, 6, 1.0, np.random.default_rng(22))
+        full = train_forest(s, TrainConfig(n_trees=3, seed=5))
+        cut = train_forest(s, TrainConfig(n_trees=3, seed=5, max_depth=cap))
+        for tf, tc in zip(full.trees, cut.trees):
+            assert tc.n_nodes < tf.n_nodes
+            stack = [(0, 0, 0)]
+            while stack:
+                f, c, depth = stack.pop()
+                if depth == cap or not tf.kind[f]:
+                    # a leaf holds what the unlimited tree spreads below it
+                    assert tc.kind[c] == 0
+                    np.testing.assert_array_equal(tc.counts[c], _subtree_counts(tf, f))
+                    continue
+                assert tc.kind[c] == 1
+                for name in ("features", "projections", "thresholds"):
+                    assert getattr(tc, name)[c].tobytes() == getattr(tf, name)[f].tobytes()
+                stack.append((tf.left[f], tc.left[c], depth + 1))
+                stack.append((tf.right[f], tc.right[c], depth + 1))
+
+    def test_growth_peaks_under_three_times_the_features(self):
+        s = _blobs(20_000, 10, 3.0, np.random.default_rng(23))
+        cfg = TrainConfig().resolved(10)
+        tracemalloc.start()
+        try:
+            tree = _build_tree(s.features, s.labels, cfg, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert tree.n_nodes > 1000
+        assert peak <= 3 * s.features.nbytes
 
 
 class TestPrediction:
