@@ -68,7 +68,9 @@ def standardize(m, stats: ColumnStats) -> np.ndarray:
     """Center by stats.mean and scale by stats.stddev, column-wise.
 
     Columns with stddev <= CONSTANT_COLUMN_TOL are only centered; dividing
-    by a near-zero spread would blow up round-off noise.
+    by a near-zero spread would blow up round-off noise. The result is
+    column-major, each column one contiguous run: the layout in which
+    tree growth gathers a node's feature columns.
     """
     m = as_matrix(m, "matrix")
     mean = np.asarray(stats.mean, dtype=np.float64)
@@ -77,7 +79,7 @@ def standardize(m, stats: ColumnStats) -> np.ndarray:
         raise DataError(
             f"stats cover {mean.shape[0]} column(s) but matrix has {m.shape[1]}"
         )
-    out = m - mean
+    out = np.subtract(m, mean, order="F")
     out /= scale_divisor(stddev)
     return out
 
@@ -212,12 +214,6 @@ def cca(x, y, gamma: float = 1e-8) -> CcaResult:
     return CcaResult(a=a, b=b, rho=rho, x_mean=x_mean, y_mean=y_mean)
 
 
-def segment_ids(starts: np.ndarray, n_rows: int) -> np.ndarray:
-    """Segment index of each of n_rows rows, for non-empty segments that
-    begin at the ascending offsets starts (the first one 0)."""
-    return np.repeat(np.arange(starts.size), np.diff(starts, append=n_rows))
-
-
 def segment_moments(cols, y, starts, weights=None):
     """cca's covariances against two classes, for each segment of rows.
 
@@ -229,7 +225,7 @@ def segment_moments(cols, y, starts, weights=None):
     weighted rows, as _centered gives.
     """
     f, r = cols.shape
-    seg = segment_ids(starts, r)
+    sizes = np.diff(starts, append=r)
     if weights is None:
         w, first = np.ones(r), starts
     else:
@@ -237,19 +233,23 @@ def segment_moments(cols, y, starts, weights=None):
         drawn = np.flatnonzero(w)
         first = drawn[np.searchsorted(drawn, starts)]
     total = np.add.reduceat(w, starts)
-    yc = y - (np.add.reduceat(w * y, starts) / total)[seg]
+    wx, prod = np.empty(r), np.empty(r)  # row-wise products, reused
+    yc = y - np.repeat(np.add.reduceat(np.multiply(w, y, out=prod), starts) / total, sizes)
     xc = np.empty_like(cols)
     for j in range(f):
         # less a weighted row's own value, a constant column is exact zeros
-        np.subtract(cols[j], cols[j][first][seg], out=xc[j])
-        xc[j] -= (np.add.reduceat(w * xc[j], starts) / total)[seg]
+        np.subtract(cols[j], np.repeat(cols[j][first], sizes), out=xc[j])
+        mean = np.add.reduceat(np.multiply(w, xc[j], out=wx), starts) / total
+        xc[j] -= np.repeat(mean, sizes)
     cxx = np.empty((starts.size, f, f))
     c = np.empty((starts.size, f))
     for j in range(f):
-        wx = w * xc[j]
-        c[:, j] = np.add.reduceat(wx * yc, starts)
+        np.multiply(w, xc[j], out=wx)
+        c[:, j] = np.add.reduceat(np.multiply(wx, yc, out=prod), starts)
         for k in range(j, f):
-            cxx[:, j, k] = cxx[:, k, j] = np.add.reduceat(wx * xc[k], starts)
+            cxx[:, j, k] = cxx[:, k, j] = np.add.reduceat(
+                np.multiply(wx, xc[k], out=prod), starts
+            )
     scale = 1.0 / (total - 1.0)
     return cxx * scale[:, None, None], c * scale[:, None]
 

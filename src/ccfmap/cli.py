@@ -23,10 +23,11 @@ from .pipeline import (
     SampleSet,
     SplitSpec,
     assemble_region_dataset,
-    balance_classes,
+    balanced_split,
     fit_scaler,
-    stratified_split,
 )
+# balanced_split composes these two; perfbench/tracer.py wraps both names here
+from .pipeline import balance_classes, stratified_split  # noqa: F401
 from .cca import standardize
 from .raster_io import (
     PRESETS,
@@ -143,13 +144,11 @@ def cmd_train(args) -> int:
         return _usage_error(f"--seed must be >= 0, got {args.seed}")
 
     # nested, and train rebound, so no earlier set outlives its step
-    train, test = stratified_split(
-        balance_classes(
-            assemble_region_dataset(  # reads one pair at a time
-                (read_raster(r), read_mask(m)) for r, m in zip(args.raster, args.mask)
-            ),
-            np.random.default_rng(np.random.SeedSequence(entropy=args.seed, spawn_key=(1,))),
+    train, test = balanced_split(
+        assemble_region_dataset(  # reads one pair at a time
+            (read_raster(r), read_mask(m)) for r, m in zip(args.raster, args.mask)
         ),
+        np.random.default_rng(np.random.SeedSequence(entropy=args.seed, spawn_key=(1,))),
         SplitSpec(train_fraction=args.split, seed=args.seed),
     )
     scaler = fit_scaler(train)

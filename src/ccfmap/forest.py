@@ -20,6 +20,18 @@ models differ from those of the earlier node-by-node grower). Each tree
 is laid out as a FlatTree: parallel per-node arrays in preorder, the one
 tree representation training, prediction and the model format share.
 
+Growth gathers the training matrix a column at a time, so it runs at
+memory speed on a column-major matrix, the layout cca.standardize
+returns and the CLI trains on; a row-major matrix gives the same trees,
+only slower. A value held per node (a bootstrap bound or offset, a
+feature, a direction, a mean, a threshold) reaches the node's rows as
+np.repeat(value, sizes), never by indexing with a per-row node id. The
+two stable sorts by node (the split search and the partition) key on
+the smallest unsigned dtype that holds the largest key
+(_segment_keys), which numpy sorts by radix up to 16 bits. A stable
+sort gives one permutation whatever the key dtype, so the trees do not
+depend on it.
+
 Prediction standardizes a batch straight into one column-major block
 (bands x rows, one contiguous row per band). _route walks each tree
 depth-first with arrays of row indices; a split gathers only its own
@@ -62,7 +74,7 @@ import numpy as np
 
 # cca and standardize are not called here, but perfbench/tracer.py wraps both
 from .cca import ColumnStats, as_matrix, cca, scale_divisor, standardize  # noqa: F401
-from .cca import binary_directions, segment_ids, segment_moments
+from .cca import binary_directions, segment_moments
 from .errors import DataError
 from .pipeline import UNLABELED, SampleSet, valid_pixels
 
@@ -244,6 +256,14 @@ def _project(columns, direction) -> np.ndarray:
     return z
 
 
+def _segment_keys(sizes, step=1):
+    """step * s for every row of segment s (sizes[s] rows each), in the
+    smallest unsigned dtype that holds step * len(sizes) - 1. numpy's
+    stable sort of 8- and 16-bit keys is a radix sort."""
+    top = step * sizes.size
+    return np.repeat(np.arange(0, top, step, dtype=np.min_scalar_type(top - 1)), sizes)
+
+
 def _segment_splits(z, y, starts):
     """best_split(z[s][:, None], y[s], 2) for every segment s of rows at
     once, with best_split's Gini arithmetic bit for bit.
@@ -254,7 +274,7 @@ def _segment_splits(z, y, starts):
     """
     r, m = z.size, starts.size
     sizes = np.diff(starts, append=r)
-    seg = segment_ids(starts, r)
+    seg = _segment_keys(sizes)
     # by (segment, z); ties in z may fall in any order, as candidate
     # splits lie only between distinct values
     order = np.argsort(z)
@@ -268,11 +288,11 @@ def _segment_splits(z, y, starts):
     cand = np.flatnonzero((zs[:-1] < zs[1:]) & (seg[:-1] == seg[1:]))
     if cand.size == 0:
         return threshold, best, n_left, ones_left
-    cs = seg[cand]
-    n = sizes[cs].astype(np.float64)
-    nl = (cand + 1 - starts[cs]).astype(np.float64)
-    l1 = (ones[cand + 1] - ones[starts[cs]]).astype(np.float64)
-    r1 = (ones[starts + sizes] - ones[starts])[cs] - l1  # class-1 rows on the right
+    per_seg = np.diff(np.searchsorted(cand, starts), append=cand.size)  # candidates in each
+    n = np.repeat(sizes.astype(np.float64), per_seg)
+    nl = (cand + 1 - np.repeat(starts, per_seg)).astype(np.float64)
+    l1 = (ones[cand + 1] - np.repeat(ones[starts], per_seg)).astype(np.float64)
+    r1 = np.repeat(ones[starts + sizes] - ones[starts], per_seg) - l1  # class-1 rows on the right
     # best_split's float operations, in its order; the counts are whole
     # numbers, so they may be formed in any order
     p0, p1 = (nl - l1) / nl, l1 / nl
@@ -282,12 +302,12 @@ def _segment_splits(z, y, starts):
     gini += nr * (1.0 - (p0 * p0 + p1 * p1))
     gini /= n
     # each segment's least Gini, at its lowest threshold
-    head = np.flatnonzero(np.concatenate(([True], cs[1:] != cs[:-1])))
+    s = np.flatnonzero(per_seg)
+    head = (np.cumsum(per_seg) - per_seg)[s]
     low = np.minimum.reduceat(gini, head)
-    hit = np.flatnonzero(gini == np.repeat(low, np.diff(head, append=cand.size)))
+    hit = np.flatnonzero(gini == np.repeat(low, per_seg[s]))
     first = hit[np.searchsorted(hit, head)]
     i = cand[first]
-    s = seg[i]
     best[s] = gini[first]
     lo, hi = zs[i], zs[i + 1]
     t = 0.5 * (lo + hi)
@@ -304,21 +324,34 @@ def _split_nodes(x, y, rows, feats, starts, rng, gamma):
     weights), or from every row when rng is None, and the threshold from
     every row's projection. Returns the directions, thresholds, left
     sizes (0: no split), left class-1 counts and the projections."""
-    seg = segment_ids(starts, rows.size)
+    sizes = np.diff(starts, append=rows.size)
     boot = None
     if rng is not None:
-        high = np.diff(starts, append=rows.size)[seg]
-        boot = np.bincount(starts[seg] + rng.integers(0, high), minlength=rows.size)
+        draw = rng.integers(0, np.repeat(sizes, sizes))
+        draw += np.repeat(starts, sizes)
+        boot = np.bincount(draw, minlength=rows.size)
+        del draw
     cols = np.empty((feats.shape[1], rows.size))
     for j in range(feats.shape[1]):
-        cols[j] = x[rows, feats[seg, j]]
+        cols[j] = x[rows, np.repeat(feats[:, j], sizes)]
     yr = y[rows]
     a = binary_directions(*segment_moments(cols, yr, starts, boot), gamma)
     del boot
-    z = _project(cols, a.T[:, seg])
+    z = _project(cols, np.repeat(a.T, sizes, axis=1))
     del cols
     t, _, n_left, ones_left = _segment_splits(z, yr, starts)
     return a, t, n_left, ones_left, z
+
+
+def _partition(rows, z, t, ok, sizes):
+    """The rows of the next level: those of the nodes where ok, each
+    node's rows (sizes[s] of them, projected to z) split at its
+    threshold t[s], stably by (node, side)."""
+    keep = np.repeat(ok, sizes)
+    kept = sizes[ok]
+    key = _segment_keys(kept, 2)
+    key += z[keep] > np.repeat(t[ok], kept)
+    return rows[keep][np.argsort(key, kind="stable")]
 
 
 def _build_tree(x, y, config, tree_index) -> FlatTree:
@@ -354,11 +387,10 @@ def _build_tree(x, y, config, tree_index) -> FlatTree:
         feats = np.argsort(rng.random((starts.size, x.shape[1])), axis=1)[:, :fs]
         feats.sort(axis=1)
         a, t, nl, n1, z = _split_nodes(x, y, rows, feats, starts, rng, config.gamma)
-        seg = segment_ids(starts, rows.size)
         # no direction or no split from the bootstrap: retry on the whole node
         retry = nl == 0
         if retry.any():
-            sub = retry[seg]
+            sub = np.repeat(retry, n_node)
             n_sub = n_node[retry]
             a[retry], t[retry], nl[retry], n1[retry], z[sub] = _split_nodes(
                 x, y, rows[sub], feats[retry], np.cumsum(n_sub) - n_sub, None, config.gamma
@@ -366,10 +398,7 @@ def _build_tree(x, y, config, tree_index) -> FlatTree:
         ok = nl > 0
         split[tries] = ok
         levels.append((split, feats[ok], a[ok], t[ok], tally))
-        # the next level's rows: the splits' rows, stably by (node, side)
-        keep = ok[seg]
-        side = (2 * seg + (z > t[seg]))[keep]
-        rows = rows[keep][np.argsort(side, kind="stable")]
+        rows = _partition(rows, z, t, ok, n_node)
         sizes = np.column_stack([nl, n_node - nl])[ok].ravel()
         ones = np.column_stack([n1, n_ones - n1])[ok].ravel()
 

@@ -92,12 +92,13 @@ class SplitSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not (0.0 < self.train_fraction < 1.0):
-            raise DataError(
-                f"train_fraction must be in (0, 1), got {self.train_fraction}"
-            )
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            raise DataError(f"seed must be a non-negative integer, got {self.seed!r}")
+        # a bool is no number here
+        frac, seed = self.train_fraction, self.seed
+        real = isinstance(frac, (int, float, np.integer, np.floating))
+        if isinstance(frac, bool) or not real or not (0.0 < frac < 1.0):
+            raise DataError(f"train_fraction must be in (0, 1), got {frac!r}")
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise DataError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 def _raster_values(raster):
@@ -154,6 +155,39 @@ def extract_samples(raster, mask) -> SampleSet:
     )
 
 
+def _balanced_rows(labels: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """balance_classes's row indices into the set with these labels."""
+    counts = np.bincount(labels)
+    present = np.flatnonzero(counts)
+    if present.size < 2:
+        raise DataError("cannot balance with a single class present")
+    m = int(counts[present].min())
+    kept = [rng.choice(np.flatnonzero(labels == c), size=m, replace=False) for c in present]
+    order = np.concatenate(kept)
+    return order[rng.permutation(order.size)]
+
+
+def _split_rows(labels: np.ndarray, class_names, spec: SplitSpec):
+    """stratified_split's train and test row indices into the set with
+    these labels and class names."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=spec.seed, spawn_key=(2,)))
+    train_parts = []
+    test_parts = []
+    counts = np.bincount(labels, minlength=len(class_names))
+    for c in range(len(class_names)):
+        n_c = int(counts[c])
+        if n_c < 2:
+            raise DataError(
+                f"class {c} ({class_names[c]}) has {n_c} sample(s); "
+                f"need at least 2 to split"
+            )
+        perm = rng.permutation(np.flatnonzero(labels == c))
+        n_train = int(math.floor(spec.train_fraction * n_c))
+        train_parts.append(perm[:n_train])
+        test_parts.append(perm[n_train:])
+    return np.concatenate(train_parts), np.concatenate(test_parts)
+
+
 def balance_classes(s: SampleSet, rng: np.random.Generator) -> SampleSet:
     """Downsample every present class to the minority count, then shuffle.
 
@@ -161,17 +195,7 @@ def balance_classes(s: SampleSet, rng: np.random.Generator) -> SampleSet:
     order, then the concatenation is permuted, all by the one rng, so the
     output ordering is a pure function of (input, rng state).
     """
-    counts = s.class_counts()
-    present = np.flatnonzero(counts)
-    if present.size < 2:
-        raise DataError("cannot balance with a single class present")
-    m = int(counts[present].min())
-    kept = []
-    for c in present:
-        idx = np.flatnonzero(s.labels == c)
-        kept.append(rng.choice(idx, size=m, replace=False))
-    order = np.concatenate(kept)
-    return s.take(order[rng.permutation(order.size)])
+    return s.take(_balanced_rows(s.labels, rng))
 
 
 def stratified_split(s: SampleSet, spec: SplitSpec) -> tuple[SampleSet, SampleSet]:
@@ -180,23 +204,18 @@ def stratified_split(s: SampleSet, spec: SplitSpec) -> tuple[SampleSet, SampleSe
     Every class must bring at least 2 samples so neither side can lose a
     class entirely at the default 0.8 fraction.
     """
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=spec.seed, spawn_key=(2,)))
-    train_parts = []
-    test_parts = []
-    counts = s.class_counts()
-    for c in range(s.n_classes):
-        n_c = int(counts[c])
-        if n_c < 2:
-            raise DataError(
-                f"class {c} ({s.class_names[c]}) has {n_c} sample(s); "
-                f"need at least 2 to split"
-            )
-        idx = np.flatnonzero(s.labels == c)
-        perm = rng.permutation(idx)
-        n_train = int(math.floor(spec.train_fraction * n_c))
-        train_parts.append(perm[:n_train])
-        test_parts.append(perm[n_train:])
-    return s.take(np.concatenate(train_parts)), s.take(np.concatenate(test_parts))
+    train, test = _split_rows(s.labels, s.class_names, spec)
+    return s.take(train), s.take(test)
+
+
+def balanced_split(s: SampleSet, rng: np.random.Generator,
+                   spec: SplitSpec) -> tuple[SampleSet, SampleSet]:
+    """stratified_split(balance_classes(s, rng), spec), byte for byte, with
+    the same draws, but the two steps compose their row indices, so only
+    the train and test tables are built from s."""
+    rows = _balanced_rows(s.labels, rng)
+    train, test = _split_rows(s.labels[rows], s.class_names, spec)
+    return s.take(rows[train]), s.take(rows[test])
 
 
 def fit_scaler(train: SampleSet) -> ColumnStats:

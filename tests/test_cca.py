@@ -19,6 +19,7 @@ from ccfmap.cca import (
     _centered,
     column_stats,
     project,
+    scale_divisor,
     segment_moments,
     standardize,
 )
@@ -69,6 +70,17 @@ class TestStandardize:
         stats = ColumnStats(mean=np.zeros(3), stddev=np.ones(3))
         with pytest.raises(DataError, match="3 column"):
             standardize(np.ones((4, 2)), stats)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_column_major_with_the_row_major_values(self, order):
+        rng = np.random.default_rng(12)
+        m = np.asarray(rng.normal(3.0, 2.5, size=(300, 5)), order=order)
+        m[:, 2] = 7.0  # a constant column: divisor 1
+        stats = column_stats(m)
+        z = standardize(m, stats)
+        assert z.flags.f_contiguous
+        want = (np.ascontiguousarray(m) - stats.mean) / scale_divisor(stats.stddev)
+        assert z.tobytes(order="C") == want.tobytes()
 
 
 class TestCentered:

@@ -30,7 +30,7 @@ from ccfmap.forest import (
     predict_raster,
     train_forest,
 )
-from ccfmap.pipeline import SampleSet
+from ccfmap.pipeline import SampleSet, fit_scaler
 
 TREE_FIELDS = [f.name for f in dataclasses.fields(FlatTree)]
 
@@ -240,6 +240,28 @@ def _grid_problem(draw):
     n_trees = draw(st.integers(1, 3))
     seed = draw(st.integers(0, 2**32 - 1))
     return grid.astype(np.float64), labels, k, queries.astype(np.float64), n_trees, seed
+
+
+def _train_on_recorded_pool(s, monkeypatch):
+    """Train 5 trees on 2 workers; return the pool's initargs and the
+    pickled size of each task submitted to it."""
+    monkeypatch.setenv("CCF_THREADS", "2")
+    pools, task_bytes = [], []
+
+    class RecordingPool(forest.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+        def submit(self, fn, /, *args, **kwargs):
+            task_bytes.append(len(pickle.dumps((fn, args, kwargs))))
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(forest, "ProcessPoolExecutor", RecordingPool)
+    model = train_forest(s, TrainConfig(n_trees=5, seed=3))
+    assert len(model.trees) == 5
+    [kwargs] = pools
+    return kwargs.get("initargs", ()), task_bytes
 
 
 class TestFeatureSubsample:
@@ -590,27 +612,19 @@ class TestTrainForest:
 
     def test_pool_receives_samples_once(self, monkeypatch):
         s = _blobs(300, 6, 3.0, np.random.default_rng(19))
-        monkeypatch.setenv("CCF_THREADS", "2")
-        pools, task_bytes = [], []
-
-        class RecordingPool(forest.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                pools.append(kwargs)
-                super().__init__(*args, **kwargs)
-
-            def submit(self, fn, /, *args, **kwargs):
-                task_bytes.append(len(pickle.dumps((fn, args, kwargs))))
-                return super().submit(fn, *args, **kwargs)
-
-        monkeypatch.setattr(forest, "ProcessPoolExecutor", RecordingPool)
-        model = train_forest(s, TrainConfig(n_trees=5, seed=3))
-        assert len(model.trees) == 5
-        [kwargs] = pools
-        initargs = kwargs.get("initargs", ())
+        initargs, task_bytes = _train_on_recorded_pool(s, monkeypatch)
         assert [a is s.features for a in initargs].count(True) == 1
         assert [a is s.labels for a in initargs].count(True) == 1
         # the 300 x 6 features alone pickle to over 14 KB
         assert task_bytes and max(task_bytes) < 1024
+
+    def test_pool_receives_the_standardized_matrix_itself(self, monkeypatch):
+        raw = _blobs(300, 6, 3.0, np.random.default_rng(19))
+        # as the CLI builds its training set: standardized, column-major, taken over
+        s = SampleSet(standardize(raw.features, fit_scaler(raw)), raw.labels, adopt=True)
+        assert s.features.flags.f_contiguous
+        initargs, _ = _train_on_recorded_pool(s, monkeypatch)
+        assert [a is s.features for a in initargs].count(True) == 1
 
     @pytest.mark.parametrize("value", ["abc", "0", "-2"])
     def test_bad_thread_count_rejected(self, monkeypatch, value):
@@ -685,17 +699,78 @@ class TestLevelGrowth:
                 stack.append((tf.left[f], tc.left[c], depth + 1))
                 stack.append((tf.right[f], tc.right[c], depth + 1))
 
-    def test_growth_peaks_under_three_times_the_features(self):
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_growth_peaks_under_three_times_the_features(self, order):
         s = _blobs(20_000, 10, 3.0, np.random.default_rng(23))
+        x = np.asarray(s.features, order=order)
         cfg = TrainConfig().resolved(10)
         tracemalloc.start()
         try:
-            tree = _build_tree(s.features, s.labels, cfg, 0)
+            tree = _build_tree(x, s.labels, cfg, 0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert tree.n_nodes > 1000
-        assert peak <= 3 * s.features.nbytes
+        assert peak <= 3 * x.nbytes
+
+    def test_feature_layout_does_not_change_the_tree(self):
+        s = _blobs(2_000, 8, 1.5, np.random.default_rng(24))
+        cfg = TrainConfig(seed=3).resolved(8)
+        c = _build_tree(np.ascontiguousarray(s.features), s.labels, cfg, 1)
+        f = _build_tree(np.asfortranarray(s.features), s.labels, cfg, 1)
+        assert c.n_nodes > 100
+        for name in TREE_FIELDS:
+            a, b = getattr(c, name), getattr(f, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+def _int64_segment_keys(sizes, step=1):
+    return np.repeat(np.arange(0, step * sizes.size, step, dtype=np.int64), sizes)
+
+
+class TestRadixKeys:
+    """The segment sorts key on the smallest unsigned dtype that holds the
+    largest key, which numpy sorts stably by radix from 8 and 16 bits.
+    Around each dtype switch they equal a stable sort on int64 keys."""
+
+    @pytest.mark.parametrize("m, dtype", [
+        (255, np.uint8), (256, np.uint8), (257, np.uint16),
+        (65_535, np.uint16), (65_536, np.uint16), (65_537, np.uint32),
+    ])
+    def test_key_dtype(self, m, dtype):
+        assert forest._segment_keys(np.ones(m, dtype=np.int64)).dtype == dtype
+
+    @pytest.mark.parametrize("m", [255, 256, 257, 65_535, 65_536, 65_537])
+    def test_segment_splits_equal_int64_keys(self, m, monkeypatch):
+        rng = np.random.default_rng(m)
+        sizes = rng.integers(1, 5, size=m)
+        starts = np.cumsum(sizes) - sizes
+        z = rng.integers(0, 4, size=sizes.sum()).astype(np.float64)
+        y = rng.integers(0, 2, size=z.size)
+        got = forest._segment_splits(z, y, starts)
+        monkeypatch.setattr(forest, "_segment_keys", _int64_segment_keys)
+        want = forest._segment_splits(z, y, starts)
+        assert (got[2] > 0).sum() > m // 4
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("n_split", [
+        127, 128, 129, 255, 256, 257, 32_767, 32_768, 32_769, 65_535, 65_536, 65_537,
+    ])
+    def test_partition_equals_int64_keys(self, n_split):
+        rng = np.random.default_rng(n_split)
+        m = n_split + 3  # three nodes that do not split
+        ok = np.ones(m, dtype=bool)
+        ok[rng.choice(m, 3, replace=False)] = False
+        sizes = rng.integers(2, 5, size=m)
+        rows = np.sort(rng.choice(4 * sizes.sum(), sizes.sum(), replace=False))
+        z = rng.integers(0, 4, size=rows.size).astype(np.float64)
+        t = rng.integers(0, 3, size=m) + 0.5
+        seg = np.repeat(np.arange(m), sizes)
+        keep = ok[seg]
+        key = (2 * seg + (z > t[seg]))[keep]
+        want = rows[keep][np.argsort(key, kind="stable")]
+        assert forest._partition(rows, z, t, ok, sizes).tobytes() == want.tobytes()
 
 
 class TestPrediction:

@@ -1,5 +1,6 @@
 """Tests for sample extraction, balancing, splitting, and scaling."""
 
+import tracemalloc
 import weakref
 from collections import Counter
 
@@ -13,6 +14,7 @@ from ccfmap.pipeline import (
     SplitSpec,
     assemble_region_dataset,
     balance_classes,
+    balanced_split,
     extract_samples,
     fit_scaler,
     stratified_split,
@@ -240,6 +242,61 @@ class TestStratifiedSplit:
     def test_bad_fraction(self):
         with pytest.raises(DataError, match="train_fraction"):
             SplitSpec(train_fraction=1.0)
+
+    @pytest.mark.parametrize("fraction", ["0.5", True, None, float("nan")])
+    def test_fraction_must_be_a_number(self, fraction):
+        with pytest.raises(DataError, match="train_fraction"):
+            SplitSpec(train_fraction=fraction)
+
+    @pytest.mark.parametrize("seed", [True, 1.0, "3", -1])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(DataError, match="seed"):
+            SplitSpec(seed=seed)
+
+    def test_numpy_scalars_accepted(self):
+        spec = SplitSpec(train_fraction=np.float32(0.5), seed=np.int64(3))
+        assert spec.seed == 3
+
+
+class TestBalancedSplit:
+    """balanced_split is stratified_split after balance_classes, with one
+    take from the input."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_balance_then_split(self, seed):
+        rng = np.random.default_rng(seed)
+        s = _random_set(rng, k=int(rng.integers(2, 4)), low=4)
+        spec = SplitSpec(train_fraction=float(rng.uniform(0.3, 0.9)), seed=seed)
+        want = stratified_split(balance_classes(s, np.random.default_rng(seed)), spec)
+        got = balanced_split(s, np.random.default_rng(seed), spec)
+        for a, b in zip(got, want):
+            assert a.features.tobytes() == b.features.tobytes()
+            assert a.labels.tobytes() == b.labels.tobytes()
+            assert a.class_names == b.class_names
+
+    def test_errors_of_both_steps(self):
+        one_class = SampleSet(np.ones((4, 2)), np.zeros(4, dtype=np.int64))
+        with pytest.raises(DataError, match="single class"):
+            balanced_split(one_class, np.random.default_rng(0), SplitSpec())
+        tiny = SampleSet(np.ones((3, 2)), np.array([0, 1, 1]))
+        with pytest.raises(DataError, match="class 0"):
+            balanced_split(tiny, np.random.default_rng(0), SplitSpec())
+
+    def test_builds_no_balanced_table(self):
+        rng = np.random.default_rng(8)
+        labels = np.repeat([0, 1], [30_000, 20_000])
+        s = SampleSet(rng.normal(size=(labels.size, 20)), labels)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            train, test = balanced_split(s, np.random.default_rng(1), SplitSpec())
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        # the two outputs, their labels and the row indices; a balanced
+        # table in between would add the outputs' size again
+        outputs = train.features.nbytes + test.features.nbytes
+        assert peak <= 1.4 * outputs
 
 
 class TestFitScaler:
