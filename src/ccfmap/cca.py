@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, is_real
 
 # Columns whose sample stddev falls at or below this are treated as constant
 # when standardizing (divisor 1 instead of ~0).
@@ -162,7 +162,7 @@ def cca(x, y, gamma: float = 1e-8) -> CcaResult:
         )
     if x.shape[0] < 2:
         raise DataError("cca needs at least 2 rows")
-    if not np.isfinite(gamma) or gamma < 0:
+    if not is_real(gamma) or gamma < 0:
         raise DataError(f"gamma must be a finite non-negative float, got {gamma!r}")
 
     n = x.shape[0]

@@ -165,7 +165,7 @@ def cmd_train(args) -> int:
     )
     if not args.no_eval:
         pred = predict_class_batch(model, test.features)
-        report = evaluate(pred, test.labels, n_classes=model.n_classes)
+        report = evaluate(pred, test.labels)
         path = write_report(
             report, _report_path(args.out), class_names=model.class_names
         )
@@ -212,7 +212,7 @@ def cmd_cross(args) -> int:
     raster = read_raster(args.raster)
     truth = read_mask(args.mask)
     pred, _ = predict_raster(model, raster)
-    report = evaluate(pred, truth, n_classes=model.n_classes)
+    report = evaluate(pred, truth)
     path = write_report(report, args.out, class_names=model.class_names)
     print(
         f"cross-region: pixel_accuracy {report.pixel_accuracy * 100.0:.1f}%, "

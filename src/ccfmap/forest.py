@@ -55,8 +55,8 @@ Numeric conventions that matter for reproducibility:
     which earlier models were grown with, except that a sum of negative
     zeros stays -0.0 (it compares equal to numpy's 0.0). From 8 features
     on, numpy sums a row in 8 interleaved partial sums, so a model grown
-    with feature_subsample >= 8 (more than 64 bands by default) can
-    differ in the last bits from one grown by that older code;
+    with 8 or more features per node (more than 64 bands) can differ in
+    the last bits from one grown by that older code;
   * thresholds are midpoints of consecutive distinct projected values,
     searched on the uncentered projection;
   * Gini terms accumulate class by class, left to right.
@@ -68,14 +68,15 @@ import functools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 # cca and standardize are not called here, but perfbench/tracer.py wraps both
 from .cca import ColumnStats, as_matrix, cca, scale_divisor, standardize  # noqa: F401
 from .cca import binary_directions, segment_moments
-from .errors import DataError
+from .errors import DataError, is_int
 from .pipeline import UNLABELED, SampleSet, valid_pixels
 
 MODEL_FORMAT_VERSION = "ccf-1"
@@ -91,57 +92,34 @@ def default_feature_subsample(n_bands: int) -> int:
     return min(n_bands, int(math.ceil(math.log2(n_bands))) + 1)
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-
-
 @dataclass(frozen=True)
 class TrainConfig:
-    """Forest hyperparameters; n_trees is the only knob that usually
-    needs touching, the rest are sane defaults."""
+    """Forest settings: the number of trees, a depth cap (None: grow to
+    purity) and the seed. The rest of growth is fixed: every node draws
+    default_feature_subsample(n_bands) features, a node of fewer than
+    2 * min_node_size rows is a leaf, and gamma is the CCA ridge."""
 
     n_trees: int = 10
-    min_node_size: int = 2
     max_depth: int | None = None
-    feature_subsample: int | None = None
-    gamma: float = 1e-8
     seed: int = 0
 
-    def resolved(self, n_bands: int) -> "TrainConfig":
-        """Validate (a bool is no number here) and fill the
-        feature_subsample default for n_bands."""
-        if not _is_int(self.n_trees) or self.n_trees < 1:
+    min_node_size: ClassVar[int] = 2
+    gamma: ClassVar[float] = 1e-8
+
+    def __post_init__(self):
+        if not is_int(self.n_trees) or self.n_trees < 1:
             raise DataError(f"n_trees must be >= 1, got {self.n_trees!r}")
-        if not _is_int(self.min_node_size) or self.min_node_size < 1:
-            raise DataError(f"min_node_size must be >= 1, got {self.min_node_size!r}")
         if self.max_depth is not None and (
-            not _is_int(self.max_depth) or self.max_depth < 0
+            not is_int(self.max_depth) or self.max_depth < 0
         ):
             raise DataError(f"max_depth must be None or >= 0, got {self.max_depth!r}")
-        try:
-            gamma_ok = math.isfinite(self.gamma) and self.gamma >= 0
-        except (TypeError, OverflowError):  # not a number, or an int beyond float
-            gamma_ok = False
-        if isinstance(self.gamma, bool) or not gamma_ok:
-            raise DataError(f"gamma must be finite and >= 0, got {self.gamma!r}")
-        if not _is_int(self.seed) or not (0 <= self.seed < 2**64):
+        if not is_int(self.seed) or not (0 <= self.seed < 2**64):
             raise DataError(f"seed must be a 64-bit non-negative integer, got {self.seed!r}")
-        fs = self.feature_subsample
-        if fs is None:
-            fs = default_feature_subsample(n_bands)
-        elif not _is_int(fs) or not (1 <= fs <= n_bands):
-            raise DataError(
-                f"feature_subsample must be in [1, {n_bands}], got {fs!r}"
-            )
-        return replace(
-            self,
-            n_trees=int(self.n_trees),
-            min_node_size=int(self.min_node_size),
-            max_depth=None if self.max_depth is None else int(self.max_depth),
-            feature_subsample=int(fs),
-            gamma=float(self.gamma),
-            seed=int(self.seed),
-        )
+        # numpy integers become ints, which a saved model records as JSON
+        object.__setattr__(self, "n_trees", int(self.n_trees))
+        if self.max_depth is not None:
+            object.__setattr__(self, "max_depth", int(self.max_depth))
+        object.__setattr__(self, "seed", int(self.seed))
 
 
 @dataclass
@@ -158,8 +136,8 @@ class FlatTree:
     thresholds: np.ndarray  # (m,) float64
     left: np.ndarray  # (m,) int64 child ids, -1 on leaves
     right: np.ndarray
-    counts: np.ndarray  # (m, k) int64 leaf tallies, 0 on split rows
-    probs: np.ndarray  # (m, k) float64
+    counts: np.ndarray  # (m, 2) int64 leaf tallies, 0 on split rows
+    probs: np.ndarray  # (m, 2) float64
 
     @classmethod
     def from_rows(cls, features, projections, thresholds, left, right, counts):
@@ -317,7 +295,7 @@ def _segment_splits(z, y, starts):
     return threshold, best, n_left, ones_left
 
 
-def _split_nodes(x, y, rows, feats, starts, rng, gamma):
+def _split_nodes(x, y, rows, feats, starts, rng):
     """One split attempt for each node: its rows are the segment of rows
     from its start, its features a row of feats. The direction comes
     from a projection bootstrap drawn from rng (as multinomial row
@@ -335,7 +313,7 @@ def _split_nodes(x, y, rows, feats, starts, rng, gamma):
     for j in range(feats.shape[1]):
         cols[j] = x[rows, np.repeat(feats[:, j], sizes)]
     yr = y[rows]
-    a = binary_directions(*segment_moments(cols, yr, starts, boot), gamma)
+    a = binary_directions(*segment_moments(cols, yr, starts, boot), TrainConfig.gamma)
     del boot
     z = _project(cols, np.repeat(a.T, sizes, axis=1))
     del cols
@@ -365,7 +343,7 @@ def _build_tree(x, y, config, tree_index) -> FlatTree:
     2*min_node_size, at max_depth, or admits no split; each child of a
     split gets at least one row.
     """
-    fs = config.feature_subsample
+    fs = default_feature_subsample(x.shape[1])
     rows = np.arange(x.shape[0])
     sizes = np.array([x.shape[0]])
     ones = np.array([np.count_nonzero(y)])
@@ -386,14 +364,14 @@ def _build_tree(x, y, config, tree_index) -> FlatTree:
         rng = np.random.default_rng(seed)
         feats = np.argsort(rng.random((starts.size, x.shape[1])), axis=1)[:, :fs]
         feats.sort(axis=1)
-        a, t, nl, n1, z = _split_nodes(x, y, rows, feats, starts, rng, config.gamma)
+        a, t, nl, n1, z = _split_nodes(x, y, rows, feats, starts, rng)
         # no direction or no split from the bootstrap: retry on the whole node
         retry = nl == 0
         if retry.any():
             sub = np.repeat(retry, n_node)
             n_sub = n_node[retry]
             a[retry], t[retry], nl[retry], n1[retry], z[sub] = _split_nodes(
-                x, y, rows[sub], feats[retry], np.cumsum(n_sub) - n_sub, None, config.gamma
+                x, y, rows[sub], feats[retry], np.cumsum(n_sub) - n_sub, None
             )
         ok = nl > 0
         split[tries] = ok
@@ -434,9 +412,9 @@ def _preorder(levels, fs) -> FlatTree:
 
 @dataclass
 class CcfModel:
-    """A trained forest plus everything prediction needs: the scaler
-    fitted on the training region, band count, class names, and the
-    resolved config snapshot."""
+    """A trained two-class forest plus everything prediction needs: the
+    scaler fitted on the training region, band count, class names, and
+    the config it was trained with."""
 
     trees: list
     scaler: ColumnStats
@@ -444,10 +422,6 @@ class CcfModel:
     class_names: tuple[str, ...]
     config: TrainConfig
     format_version: str = MODEL_FORMAT_VERSION
-
-    @property
-    def n_classes(self) -> int:
-        return len(self.class_names)
 
 
 def _worker_count(n_tasks: int) -> int:
@@ -499,7 +473,7 @@ def train_forest(samples: SampleSet, config: TrainConfig | None = None,
     pass the fitted scaler so the model can standardize raw spectra at
     prediction time (an identity scaler is recorded when omitted).
     """
-    cfg = (config if config is not None else TrainConfig()).resolved(samples.n_bands)
+    cfg = config if config is not None else TrainConfig()
     if samples.n_classes != 2:
         raise DataError(f"training needs exactly 2 classes, got {samples.n_classes}")
     counts = samples.class_counts()
@@ -593,7 +567,7 @@ def predict_proba_batch(model: CcfModel, spectra) -> np.ndarray:
     # freed here, before routing, which then reuses their memory instead of
     # faulting in fresh pages
     del spectra, rows
-    out = np.zeros((cols.shape[1], model.n_classes))
+    out = np.zeros((cols.shape[1], 2))
     for tree in model.trees:
         out += tree.probs[_route(tree, cols)]
     out /= len(model.trees)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, is_int
 from .pipeline import UNLABELED
 
 
@@ -60,7 +60,7 @@ def confusion(pred, truth, n_classes: int = 2) -> ConfusionMatrix:
     t = np.asarray(truth)
     if p.shape != t.shape:
         raise DataError(f"shape mismatch: pred {p.shape} vs truth {t.shape}")
-    if not isinstance(n_classes, (int, np.integer)) or n_classes < 2:
+    if not is_int(n_classes) or n_classes < 2:
         raise DataError(f"n_classes must be >= 2, got {n_classes!r}")
     k = int(n_classes)
     for name, arr in (("pred", p), ("truth", t)):

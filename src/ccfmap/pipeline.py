@@ -13,7 +13,7 @@ from dataclasses import InitVar, dataclass
 import numpy as np
 
 from .cca import ColumnStats, as_matrix, column_stats
-from .errors import DataError
+from .errors import DataError, is_int, is_real
 
 UNLABELED = 255  # mask value of a pixel with no label
 MASK_VALUES = (0, 1, UNLABELED)
@@ -92,12 +92,10 @@ class SplitSpec:
     seed: int = 0
 
     def __post_init__(self):
-        # a bool is no number here
         frac, seed = self.train_fraction, self.seed
-        real = isinstance(frac, (int, float, np.integer, np.floating))
-        if isinstance(frac, bool) or not real or not (0.0 < frac < 1.0):
+        if not is_real(frac) or not (0.0 < frac < 1.0):
             raise DataError(f"train_fraction must be in (0, 1), got {frac!r}")
-        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        if not is_int(seed) or seed < 0:
             raise DataError(f"seed must be a non-negative integer, got {seed!r}")
 
 

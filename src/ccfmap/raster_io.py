@@ -23,8 +23,9 @@ from dataclasses import InitVar, dataclass
 import numpy as np
 
 from .cca import ColumnStats
-from .errors import DataError
+from .errors import DataError, is_int, is_real
 from .forest import MODEL_FORMAT_VERSION, CcfModel, FlatTree, TrainConfig
+from .forest import default_feature_subsample
 from .metrics import EvalReport
 from .pipeline import UNLABELED, check_mask
 
@@ -60,10 +61,9 @@ class MultispectralRaster:
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
         if self.nodata is not None:
-            nd = float(self.nodata)
-            if not math.isfinite(nd):
-                raise DataError(f"nodata must be finite, got {nd!r}")
-            object.__setattr__(self, "nodata", nd)
+            if not is_real(self.nodata):
+                raise DataError(f"nodata must be a finite number, got {self.nodata!r}")
+            object.__setattr__(self, "nodata", float(self.nodata))
         if self.band_names is not None:
             names = tuple(str(n) for n in self.band_names)
             if len(names) != v.shape[2]:
@@ -133,16 +133,6 @@ def _load_json(path) -> dict:
     return doc
 
 
-def _is_finite_number(v) -> bool:
-    """A JSON number (not a bool) that converts to a finite float."""
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
-        return False
-    try:
-        return math.isfinite(float(v))
-    except OverflowError:  # an int beyond the float range
-        return False
-
-
 def _write_sidecar(path, dtype: str, planes: np.ndarray, extra=None) -> tuple[str, str]:
     """Write a bands x height x width array as <base>.bin, then the
     <base>.json header that describes it; returns the two paths. The
@@ -164,25 +154,21 @@ def _write_sidecar(path, dtype: str, planes: np.ndarray, extra=None) -> tuple[st
     return header_path, payload_path
 
 
-def _read_sidecar(path, payload_path, dtype: str, bands_fixed=None):
+def _read_sidecar(path, dtype: str, bands_fixed=None):
     """Load and check a sidecar header, then read its payload.
 
     Returns (header, values): values is a new height x width x bands
     array of dtype, the layout MultispectralRaster holds. Checks
-    width/height/bands (bands may be omitted when bands_fixed is given,
-    and must then equal it), dtype, layout, the payload length and that
-    every value is finite; other value checks are the caller's.
+    width/height/bands (bands must equal bands_fixed when that is
+    given), dtype, layout, the payload length and that every value is
+    finite; other value checks are the caller's.
     """
-    header_path, default_payload = _sidecar_paths(path)
-    if payload_path is None:
-        payload_path = default_payload
+    header_path, payload_path = _sidecar_paths(path)
     doc = _load_json(header_path)
-    if bands_fixed is not None:
-        doc.setdefault("bands", bands_fixed)
     dims = []
     for key in ("width", "height", "bands"):
         v = doc.get(key)
-        if not isinstance(v, int) or isinstance(v, bool):
+        if not is_int(v):
             raise DataError(f"malformed header {header_path}: {key} must be an integer")
         if v < 1:
             raise DataError(f"empty raster: {header_path} has {key}={v}")
@@ -245,12 +231,12 @@ def write_raster(raster: MultispectralRaster, path) -> tuple[str, str]:
     return _write_sidecar(path, RASTER_DTYPE, raster.values.transpose(2, 0, 1), extra)
 
 
-def read_raster(header_path, payload_path=None) -> MultispectralRaster:
+def read_raster(header_path) -> MultispectralRaster:
     """Read a raster written by write_raster, validating everything."""
-    doc, values = _read_sidecar(header_path, payload_path, RASTER_DTYPE)
+    doc, values = _read_sidecar(header_path, RASTER_DTYPE)
     nodata = doc.get("nodata")
     if nodata is not None:
-        if not _is_finite_number(nodata):
+        if not is_real(nodata):
             raise DataError(f"{header_path}: nodata must be a finite number")
         nodata = float(nodata)
     band_names = doc.get("band_names")
@@ -279,9 +265,9 @@ def write_mask(mask, path) -> tuple[str, str]:
     return _write_sidecar(path, MASK_DTYPE, m[None])
 
 
-def read_mask(header_path, payload_path=None) -> np.ndarray:
+def read_mask(header_path) -> np.ndarray:
     """Read a u8 label mask, enforcing the {0, 1, 255} value domain."""
-    _, values = _read_sidecar(header_path, payload_path, MASK_DTYPE, bands_fixed=1)
+    _, values = _read_sidecar(header_path, MASK_DTYPE, bands_fixed=1)
     check_mask(values)
     return values[..., 0]
 
@@ -293,7 +279,6 @@ def save_model(model: CcfModel, path) -> str:
     """Serialize a trained model to one JSON document (full float
     precision; floats round-trip exactly), written atomically; returns
     the path."""
-    cfg = model.config
     head = _dumps({
         "format_version": model.format_version,
         "n_bands": model.n_bands,
@@ -302,14 +287,7 @@ def save_model(model: CcfModel, path) -> str:
             "mean": [float(v) for v in model.scaler.mean],
             "stddev": [float(v) for v in model.scaler.stddev],
         },
-        "config": {
-            "n_trees": cfg.n_trees,
-            "min_node_size": cfg.min_node_size,
-            "max_depth": cfg.max_depth,
-            "feature_subsample": cfg.feature_subsample,
-            "gamma": cfg.gamma,
-            "seed": cfg.seed,
-        },
+        "config": _config_doc(model.config, model.n_bands),
     })
 
     def chunks():
@@ -321,6 +299,19 @@ def save_model(model: CcfModel, path) -> str:
         yield b"]}\n"
 
     return _write_atomic(path, chunks())
+
+
+def _config_doc(cfg: TrainConfig, n_bands: int) -> dict:
+    """A model's config block: cfg's settings and, in their places, the
+    fixed growth settings a model over n_bands bands was grown with."""
+    return {
+        "n_trees": cfg.n_trees,
+        "min_node_size": TrainConfig.min_node_size,
+        "max_depth": cfg.max_depth,
+        "feature_subsample": default_feature_subsample(n_bands),
+        "gamma": TrainConfig.gamma,
+        "seed": cfg.seed,
+    }
 
 
 def _dumps(doc) -> str:
@@ -361,7 +352,7 @@ def _expect(cond: bool, msg: str):
 def _int_list(values, length, name, path):
     _expect(
         isinstance(values, list) and len(values) == length
-        and all(isinstance(v, int) and not isinstance(v, bool) for v in values),
+        and all(is_int(v) for v in values),
         f"{path}: {name} must be a list of {length} integer(s)",
     )
     return values
@@ -370,7 +361,7 @@ def _int_list(values, length, name, path):
 def _float_list(values, length, name, path):
     _expect(
         isinstance(values, list) and len(values) == length
-        and all(_is_finite_number(v) for v in values),
+        and all(is_real(v) for v in values),
         f"{path}: {name} must be a list of {length} finite number(s)",
     )
     return [float(v) for v in values]
@@ -388,16 +379,15 @@ def load_model(path) -> CcfModel:
         )
     n_bands = doc.get("n_bands")
     _expect(
-        isinstance(n_bands, int) and not isinstance(n_bands, bool) and n_bands >= 1,
+        is_int(n_bands) and n_bands >= 1,
         f"{p}: n_bands must be a positive integer",
     )
     class_names = doc.get("class_names")
     _expect(
-        isinstance(class_names, list) and len(class_names) >= 2
+        isinstance(class_names, list) and len(class_names) == 2
         and all(isinstance(c, str) for c in class_names),
-        f"{p}: class_names must list at least 2 strings",
+        f"{p}: class_names must list 2 strings",
     )
-    k = len(class_names)
 
     scaler_doc = doc.get("scaler")
     _expect(isinstance(scaler_doc, dict), f"{p}: missing scaler")
@@ -416,28 +406,26 @@ def load_model(path) -> CcfModel:
     try:
         config = TrainConfig(
             n_trees=cfg_doc.get("n_trees"),
-            min_node_size=cfg_doc.get("min_node_size"),
             max_depth=cfg_doc.get("max_depth"),
-            feature_subsample=cfg_doc.get("feature_subsample"),
-            gamma=cfg_doc.get("gamma"),
             seed=cfg_doc.get("seed"),
-        ).resolved(n_bands)
+        )
     except DataError as exc:
         raise DataError(f"{p}: bad config: {exc}") from exc
-    _expect(
-        cfg_doc.get("feature_subsample") == config.feature_subsample,
-        f"{p}: config.feature_subsample must be explicit in a saved model",
-    )
+    # the fixed settings hold exactly the values save_model writes, type too
+    for key, want in _config_doc(config, n_bands).items():
+        got = cfg_doc.get(key)
+        _expect(
+            type(got) is type(want) and got == want,
+            f"{p}: bad config: {key} must be {want!r}, got {got!r}",
+        )
 
     trees_doc = doc.get("trees")
     _expect(
         isinstance(trees_doc, list) and len(trees_doc) == config.n_trees,
         f"{p}: expected {config.n_trees} tree(s) per config",
     )
-    trees = [
-        _parse_tree(t, i, k, n_bands, config.feature_subsample, p)
-        for i, t in enumerate(trees_doc)
-    ]
+    fs = default_feature_subsample(n_bands)
+    trees = [_parse_tree(t, i, n_bands, fs, p) for i, t in enumerate(trees_doc)]
     return CcfModel(
         trees=trees,
         scaler=scaler,
@@ -448,7 +436,7 @@ def load_model(path) -> CcfModel:
     )
 
 
-def _parse_tree(doc, tree_index: int, k: int, n_bands: int, fs: int, path) -> FlatTree:
+def _parse_tree(doc, tree_index: int, n_bands: int, fs: int, path) -> FlatTree:
     where = f"{path}: tree {tree_index}"
     _expect(isinstance(doc, dict), f"{where} must be an object")
     nodes = doc.get("nodes")
@@ -467,12 +455,11 @@ def _parse_tree(doc, tree_index: int, k: int, n_bands: int, fs: int, path) -> Fl
             )
             proj = _float_list(nd.get("projection"), fs, "projection", at)
             thr = nd.get("threshold")
-            _expect(_is_finite_number(thr), f"{at}: threshold must be a finite number")
+            _expect(is_real(thr), f"{at}: threshold must be a finite number")
             left, right = nd.get("left"), nd.get("right")
             for name, child in (("left", left), ("right", right)):
                 _expect(
-                    isinstance(child, int) and not isinstance(child, bool)
-                    and 0 <= child < m,
+                    is_int(child) and 0 <= child < m,
                     f"{at}: {name} child index out of range [0, {m})",
                 )
             features.append(feats)
@@ -480,9 +467,9 @@ def _parse_tree(doc, tree_index: int, k: int, n_bands: int, fs: int, path) -> Fl
             thresholds.append(float(thr))
             lefts.append(left)
             rights.append(right)
-            counts.append([0] * k)
+            counts.append([0, 0])
         elif kind == "leaf":
-            tally = _int_list(nd.get("class_counts"), k, "class_counts", at)
+            tally = _int_list(nd.get("class_counts"), 2, "class_counts", at)
             _expect(all(c >= 0 for c in tally), f"{at}: negative class count")
             total = sum(tally)
             _expect(total > 0, f"{at}: leaf class_counts all zero")
@@ -518,15 +505,15 @@ def _parse_tree(doc, tree_index: int, k: int, n_bands: int, fs: int, path) -> Fl
 # --- evaluation reports ---------------------------------------------------
 
 
-def write_report(report: EvalReport, path, region: str | None = None,
-                 class_names=None) -> str:
+def write_report(report: EvalReport, path, class_names=None) -> str:
     """Serialize an EvalReport as JSON: percent figures rounded to one
-    decimal for readability, raw fractions alongside for tooling."""
+    decimal for readability, raw fractions alongside for tooling. The
+    region field is always null."""
     def pct(v):
         return None if v is None else round(v * 100.0, 1)
 
     doc = {
-        "region": region,
+        "region": None,
         "pixel_accuracy_percent": pct(report.pixel_accuracy),
         "mean_iou_percent": pct(report.mean_iou),
         "pixel_accuracy": report.pixel_accuracy,
@@ -572,24 +559,22 @@ class SyntheticSceneSpec:
             raise DataError(
                 f"unknown preset {self.preset!r}; choose from {', '.join(PRESETS)}"
             )
-        if not isinstance(self.width, (int, np.integer)) \
-                or not isinstance(self.height, (int, np.integer)) \
+        if not (is_int(self.width) and is_int(self.height)) \
                 or self.width < 1 or self.height < 1:
             raise DataError(
                 f"zero-area scene: width={self.width!r}, height={self.height!r}"
             )
-        if not isinstance(self.bands, (int, np.integer)) or self.bands < 1:
+        if not is_int(self.bands) or self.bands < 1:
             raise DataError(f"bands must be >= 1, got {self.bands!r}")
-        if not math.isfinite(self.class_separation) or self.class_separation < 0:
+        if not is_real(self.class_separation) or self.class_separation < 0:
             raise DataError(
                 f"class_separation must be >= 0, got {self.class_separation!r}"
             )
-        if not math.isfinite(self.noise_std) or self.noise_std < 0:
+        if not is_real(self.noise_std) or self.noise_std < 0:
             raise DataError(f"noise_std must be >= 0, got {self.noise_std!r}")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+        if not is_int(self.seed) or self.seed < 0:
             raise DataError(f"seed must be a non-negative integer, got {self.seed!r}")
-        if not isinstance(self.unlabeled_border, (int, np.integer)) \
-                or self.unlabeled_border < 0:
+        if not is_int(self.unlabeled_border) or self.unlabeled_border < 0:
             raise DataError(
                 f"unlabeled_border must be >= 0, got {self.unlabeled_border!r}"
             )

@@ -254,6 +254,11 @@ class TestCca:
         with pytest.raises(DataError, match="gamma"):
             cca(np.ones((4, 2)), np.ones((4, 2)), gamma=-1e-3)
 
+    @pytest.mark.parametrize("gamma", [True, "4", None])
+    def test_gamma_must_be_a_number(self, gamma):
+        with pytest.raises(DataError, match="gamma"):
+            cca(np.ones((4, 2)), np.ones((4, 2)), gamma=gamma)
+
     def test_nan_rejected_with_location(self):
         x = np.ones((4, 2))
         x[2, 1] = np.inf

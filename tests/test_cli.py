@@ -344,6 +344,39 @@ class TestBadThreadCount:
         assert not any(tmp_path.iterdir())  # no output written
 
 
+class TestThreeClassModel:
+    """A model file with three classes is rejected before any output is
+    written: masks hold only 0, 1 and 255."""
+
+    @pytest.fixture
+    def three_class_model(self, model_dir, tmp_path):
+        doc = json.loads((model_dir / "model.ccf.json").read_text())
+        doc["class_names"].append("other")
+        for tree in doc["trees"]:
+            for node in tree["nodes"]:
+                if node["kind"] == "leaf":
+                    node["class_counts"].append(node["class_counts"][0] + 1)
+        path = tmp_path / "three.ccf.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    @pytest.mark.parametrize("command", ["predict", "cross"])
+    def test_rejected(self, command, three_class_model, scene_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = [command, "--model", str(three_class_model),
+                "--raster", str(scene_dir / "raster.json")]
+        if command == "predict":
+            argv += ["--out-mask", str(out / "pred"), "--out-prob", str(out / "prob")]
+        else:
+            argv += ["--mask", str(scene_dir / "mask.json"), "--out", str(out / "r.json")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "class_names must list 2 strings" in _error_lines(captured.err)[0]
+        assert not any(out.iterdir())
+
+
 class TestEvaluateAndCross:
     def test_perfect_self_evaluation(self, scene_dir, tmp_path):
         rc = main(

@@ -163,13 +163,13 @@ def _leaf_model(count_rows, n_bands=3):
         scaler=ColumnStats(np.zeros(n_bands), np.ones(n_bands)),
         n_bands=n_bands,
         class_names=tuple(f"c{i}" for i in range(k)),
-        config=TrainConfig().resolved(n_bands),
+        config=TrainConfig(),
     )
 
 
 def _grow_tree(samples, config, seed):
     """Grow tree 0 of a forest seeded with seed, as train_forest does."""
-    cfg = dataclasses.replace(config, seed=seed).resolved(samples.n_bands)
+    cfg = dataclasses.replace(config, seed=seed)
     return _build_tree(samples.features, samples.labels, cfg, 0)
 
 
@@ -210,7 +210,7 @@ def _scalar_proba(model, row):
         for v, mu, sd in zip(row.tolist(), model.scaler.mean.tolist(),
                              model.scaler.stddev.tolist())
     ]
-    total = np.zeros(model.n_classes)
+    total = np.zeros(2)
     for tree in model.trees:
         nid = 0
         while tree.kind[nid]:
@@ -279,39 +279,47 @@ class TestFeatureSubsample:
 
 class TestTrainConfig:
     def test_fills_default_subsample(self):
-        cfg = TrainConfig().resolved(10)
-        assert cfg.feature_subsample == 5
-        assert cfg.n_trees == 10
-
-    def test_explicit_subsample_kept(self):
-        assert TrainConfig(feature_subsample=3).resolved(10).feature_subsample == 3
+        # three settings; the rest of growth is fixed on the class
+        assert [f.name for f in dataclasses.fields(TrainConfig)] == [
+            "n_trees", "max_depth", "seed"]
+        assert TrainConfig() == TrainConfig(n_trees=10, max_depth=None, seed=0)
+        assert (TrainConfig.min_node_size, TrainConfig.gamma) == (2, 1e-8)
+        tree = _grow_tree(_blobs(40, 10, 2.0, np.random.default_rng(0)), TrainConfig(), 0)
+        assert tree.features.shape[1] == default_feature_subsample(10) == 5
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"n_trees": 0},
-            {"min_node_size": 0},
+            {"n_trees": -1},
+            {"n_trees": 2.0},
             {"max_depth": -1},
-            {"gamma": -1.0},
-            {"gamma": float("nan")},
+            {"max_depth": 1.5},
             {"seed": -1},
-            {"feature_subsample": 0},
-            {"feature_subsample": 11},
+            {"seed": 2**64},
+            {"seed": 3.0},
+            {"n_trees": "4"},
+            {"n_trees": None},
+            {"max_depth": "4"},
+            {"seed": "4"},
+            {"seed": None},
         ],
     )
     def test_rejects(self, kwargs):
-        with pytest.raises(DataError):
-            TrainConfig(**kwargs).resolved(10)
+        with pytest.raises(DataError, match=next(iter(kwargs))):
+            TrainConfig(**kwargs)
 
     @pytest.mark.parametrize("value", [True, False])
-    @pytest.mark.parametrize(
-        "field",
-        ["n_trees", "min_node_size", "max_depth", "feature_subsample", "seed", "gamma"],
-    )
+    @pytest.mark.parametrize("field", ["n_trees", "max_depth", "seed"])
     def test_rejects_bool(self, field, value):
         # bool is an int subclass: True would pass as 1 and False as 0
         with pytest.raises(DataError, match=field):
-            TrainConfig(**{field: value}).resolved(10)
+            TrainConfig(**{field: value})
+
+    def test_numpy_integers_become_ints(self):
+        cfg = TrainConfig(n_trees=np.int64(3), max_depth=np.uint8(4), seed=np.uint64(2**63))
+        assert [type(v) for v in (cfg.n_trees, cfg.max_depth, cfg.seed)] == [int] * 3
+        assert cfg == TrainConfig(n_trees=3, max_depth=4, seed=2**63)
 
 
 class TestBestSplit:
@@ -479,8 +487,8 @@ class TestGrowNode:
 
     def test_min_node_size_stops_growth(self):
         s = SampleSet(np.array([[0.0], [1.0], [2.0]]), np.array([0, 1, 0]))
-        tree = _grow_tree(s, TrainConfig(min_node_size=2), 0)
-        np.testing.assert_array_equal(tree.kind, [0])  # 3 < 2 * min_node_size
+        tree = _grow_tree(s, TrainConfig(), 0)
+        np.testing.assert_array_equal(tree.kind, [0])  # 3 < 2 * TrainConfig.min_node_size
 
 
 class TestFlattenTree:
@@ -551,7 +559,7 @@ class TestTrainForest:
         model = train_forest(s, TrainConfig(n_trees=3, seed=7))
         assert len(model.trees) == 3
         assert model.config.n_trees == 3
-        assert model.config.feature_subsample == 5
+        assert all(t.features.shape[1] == 5 for t in model.trees)
         assert model.config.seed == 7
         assert model.n_bands == 10
         assert model.class_names == ("environment", "informal")
@@ -703,7 +711,7 @@ class TestLevelGrowth:
     def test_growth_peaks_under_three_times_the_features(self, order):
         s = _blobs(20_000, 10, 3.0, np.random.default_rng(23))
         x = np.asarray(s.features, order=order)
-        cfg = TrainConfig().resolved(10)
+        cfg = TrainConfig()
         tracemalloc.start()
         try:
             tree = _build_tree(x, s.labels, cfg, 0)
@@ -715,7 +723,7 @@ class TestLevelGrowth:
 
     def test_feature_layout_does_not_change_the_tree(self):
         s = _blobs(2_000, 8, 1.5, np.random.default_rng(24))
-        cfg = TrainConfig(seed=3).resolved(8)
+        cfg = TrainConfig(seed=3)
         c = _build_tree(np.ascontiguousarray(s.features), s.labels, cfg, 1)
         f = _build_tree(np.asfortranarray(s.features), s.labels, cfg, 1)
         assert c.n_nodes > 100

@@ -87,6 +87,12 @@ class TestRasterContainer:
         with pytest.raises(DataError, match="nodata"):
             MultispectralRaster(values=np.ones((1, 1, 1), np.float32), nodata=math.inf)
 
+    @pytest.mark.parametrize("nodata", [True, "4"])
+    def test_rejects_nodata_that_is_no_number(self, nodata):
+        # float() would take True as 1.0 and "4" as 4.0
+        with pytest.raises(DataError, match="nodata"):
+            MultispectralRaster(values=np.ones((1, 1, 1), np.float32), nodata=nodata)
+
     def test_band_name_count(self):
         with pytest.raises(DataError, match="band name"):
             MultispectralRaster(values=np.ones((1, 1, 2), np.float32), band_names=("a",))
@@ -414,7 +420,27 @@ class TestModelSerialization:
     def test_implicit_subsample_rejected(self, tmp_path):
         _, doc = self._doc(tmp_path)
         doc["config"]["feature_subsample"] = None
-        self._reject(tmp_path, doc, "explicit")
+        self._reject(tmp_path, doc, "bad config: feature_subsample must be 3, got None")
+
+    @pytest.mark.parametrize("field,value", [
+        ("min_node_size", 1), ("min_node_size", 2.0),
+        ("feature_subsample", 4), ("feature_subsample", 3.0),
+        ("gamma", 0.0), ("gamma", 1e-7),
+    ])
+    def test_fixed_settings_must_keep_their_values(self, tmp_path, field, value):
+        # growth fixes these; a 4-band model was grown with 3 features per node
+        _, doc = self._doc(tmp_path)
+        doc["config"][field] = value
+        self._reject(tmp_path, doc, f"bad config: {field} must be")
+
+    def test_three_class_model_rejected(self, tmp_path):
+        _, doc = self._doc(tmp_path)
+        doc["class_names"].append("other")
+        for tree in doc["trees"]:
+            for node in tree["nodes"]:
+                if node["kind"] == "leaf":
+                    node["class_counts"].append(1)
+        self._reject(tmp_path, doc, "class_names must list 2 strings")
 
     def test_negative_stddev_rejected(self, tmp_path):
         _, doc = self._doc(tmp_path)
@@ -459,7 +485,7 @@ class TestModelSerialization:
     def test_bad_gamma_rejected(self, tmp_path, gamma):
         _, doc = self._doc(tmp_path)
         doc["config"]["gamma"] = gamma
-        self._reject(tmp_path, doc, "gamma must be finite")
+        self._reject(tmp_path, doc, "bad config: gamma must be 1e-08")
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "junk.ccf.json"
@@ -723,7 +749,7 @@ def _load_or_reject_then_predict(data):
         mask, prob = predict_raster(model, MultispectralRaster(values, nodata=-9.0))
     valid = mask != 255
     assert valid.sum() == values.shape[0] * values.shape[1] - 1
-    assert (mask[valid] < model.n_classes).all()
+    assert (mask[valid] < 2).all()
     assert prob.dtype == np.float32
     assert ((prob[valid] >= 0) & (prob[valid] <= 1)).all()
     assert (prob[~valid] == -1).all()
@@ -758,11 +784,9 @@ class TestReportIo:
         pred = np.array([[0, 1, 1], [0, 0, 255]], dtype=np.uint8)
         truth = np.array([[0, 1, 0], [0, 255, 1]], dtype=np.uint8)
         report = evaluate(pred, truth, n_classes=3)
-        path = write_report(
-            report, tmp_path / "r.json", region="unit", class_names=("a", "b", "c")
-        )
+        path = write_report(report, tmp_path / "r.json", class_names=("a", "b", "c"))
         doc = read_report(path)
-        assert doc["region"] == "unit"
+        assert doc["region"] is None
         assert doc["class_names"] == ["a", "b", "c"]
         assert doc["pixel_accuracy"] == report.pixel_accuracy
         assert doc["pixel_accuracy_percent"] == round(report.pixel_accuracy * 100.0, 1)
@@ -833,6 +857,14 @@ class TestSceneGeneration:
     def test_bad_specs(self, kwargs, pattern):
         with pytest.raises(DataError, match=pattern):
             SyntheticSceneSpec(**kwargs)
+
+    @pytest.mark.parametrize("value", [True, "4", None])
+    @pytest.mark.parametrize("field", ["width", "height", "bands", "class_separation",
+                                       "noise_std", "seed", "unlabeled_border"])
+    def test_numbers_only(self, field, value):
+        # a bool is no number: width=True would draw a one-pixel-wide scene
+        with pytest.raises(DataError, match=field):
+            SyntheticSceneSpec(**{field: value})
 
 
 class TestBayesEstimate:
