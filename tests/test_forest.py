@@ -1,6 +1,7 @@
 """Tests for oblique-tree growth, the split search, and forest prediction."""
 
 import dataclasses
+import json
 import os
 import pickle
 import re
@@ -31,6 +32,7 @@ from ccfmap.forest import (
     train_forest,
 )
 from ccfmap.pipeline import SampleSet, fit_scaler
+from ccfmap.raster_io import load_model, save_model
 
 TREE_FIELDS = [f.name for f in dataclasses.fields(FlatTree)]
 
@@ -310,11 +312,26 @@ class TestTrainConfig:
             TrainConfig(**kwargs)
 
     @pytest.mark.parametrize("value", [True, False])
-    @pytest.mark.parametrize("field", ["n_trees", "max_depth", "seed"])
-    def test_rejects_bool(self, field, value):
+    @pytest.mark.parametrize(
+        "field",
+        ["n_trees", "min_node_size", "max_depth", "feature_subsample", "seed", "gamma"],
+    )
+    def test_rejects_bool(self, tmp_path, field, value):
         # bool is an int subclass: True would pass as 1 and False as 0
-        with pytest.raises(DataError, match=field):
-            TrainConfig(**{field: value})
+        if field in {f.name for f in dataclasses.fields(TrainConfig)}:
+            with pytest.raises(DataError, match=field):
+                TrainConfig(**{field: value})
+            return
+        # a fixed setting is only ever read from a model file's config block
+        model = train_forest(_blobs(20, 4, 2.0, np.random.default_rng(0)),
+                             TrainConfig(n_trees=1))
+        with open(save_model(model, tmp_path / "m.ccf.json")) as f:
+            doc = json.load(f)
+        doc["config"][field] = value
+        bad = tmp_path / "bad.ccf.json"
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match=f"bad config: {field}"):
+            load_model(bad)
 
     def test_numpy_integers_become_ints(self):
         cfg = TrainConfig(n_trees=np.int64(3), max_depth=np.uint8(4), seed=np.uint64(2**63))
