@@ -33,10 +33,17 @@ sort gives one permutation whatever the key dtype, so the trees do not
 depend on it.
 
 Prediction standardizes a batch straight into one column-major block
-(bands x rows, one contiguous row per band). _route walks each tree
-depth-first with arrays of row indices; a split gathers only its own
+(bands x rows, one contiguous row per band). _route walks each tree in
+two phases. It goes depth-first with arrays of row indices while a split
+holds more than _SMALL_NODE rows; such a split gathers only its own
 feature columns for the rows that reach it, so a row costs
 feature_subsample reads per level it descends, not one read per band.
+A smaller split is parked, and after the walk _finish_small takes all of
+the tree's parked rows down at once, one level per step, each row with
+its own node id. Deep trees end in thousands of small nodes, and the
+depth-first walk pays its numpy calls per node; the batched pass pays
+them once per level. Both phases project through _project and compare
+with <=, so where the cut falls does not change a leaf.
 
 _fan_out runs both training and prediction on up to CCF_THREADS worker
 processes. Each worker receives the shared inputs once, when it starts
@@ -83,6 +90,7 @@ MODEL_FORMAT_VERSION = "ccf-1"
 
 _PREDICT_CHUNK = 1 << 18  # most rows one predict_proba_batch call routes
 _FANOUT_FLOOR = 1 << 15  # fewer valid pixels than this predict in-process
+_SMALL_NODE = 128  # most rows a split may hold for _route to park it for _finish_small
 
 
 def default_feature_subsample(n_bands: int) -> int:
@@ -513,8 +521,11 @@ def train_forest(samples: SampleSet, config: TrainConfig | None = None,
 def _route(tree: FlatTree, cols: np.ndarray) -> np.ndarray:
     """Leaf id of every row routed down one tree.
 
-    cols is bands x rows: cols[b, i] is band b of row i. Each split
-    gathers only its own feature columns for the rows that reach it.
+    cols is bands x rows: cols[b, i] is band b of row i. The walk goes
+    depth-first with arrays of row indices, and each split gathers only
+    its own feature columns for the rows that reach it. A split that at
+    most _SMALL_NODE rows reach is parked instead, and _finish_small
+    takes all of the tree's parked rows to their leaves at once.
     """
     kind = tree.kind.tolist()
     features = tree.features.tolist()
@@ -524,11 +535,16 @@ def _route(tree: FlatTree, cols: np.ndarray) -> np.ndarray:
     right = tree.right.tolist()
     n = cols.shape[1]
     leaf = np.empty(n, dtype=np.int64)
+    parked_at, parked = [], []
     stack = [(0, np.arange(n))]
     while stack:
         nid, idx = stack.pop()
         if not kind[nid]:
             leaf[idx] = nid
+            continue
+        if idx.size <= _SMALL_NODE:
+            parked_at.append(nid)
+            parked.append(idx)
             continue
         # idx is ascending and duplicate-free, so a node every row reaches
         # can read the columns in place
@@ -545,7 +561,28 @@ def _route(tree: FlatTree, cols: np.ndarray) -> np.ndarray:
             stack.append((right[nid], right_idx))
         if left_idx.size:
             stack.append((left[nid], left_idx))
+    if parked:
+        rows = np.concatenate(parked)
+        at = np.repeat(parked_at, [idx.size for idx in parked])
+        _finish_small(tree, cols, at, rows, leaf)
     return leaf
+
+
+def _finish_small(tree: FlatTree, cols, at, rows, leaf):
+    """Route each row rows[i] from split node at[i] down to its leaf and
+    record it in leaf, all rows one level at a time: a step gathers each
+    row's own node's features, direction and threshold, and a row drops
+    out when it reaches a leaf."""
+    n = cols.shape[1]
+    flat = cols.reshape(-1)
+    step = np.column_stack((tree.right, tree.left)).reshape(-1)  # 2 * node + went left
+    while rows.size:
+        columns = flat.take(tree.features[at].T * n + rows)
+        z = _project(columns, tree.projections[at].T)
+        at = step.take(2 * at + (z <= tree.thresholds.take(at)))
+        done = tree.kind.take(at) == 0
+        leaf[rows.compress(done)] = at.compress(done)
+        rows, at = rows.compress(~done), at.compress(~done)
 
 
 def predict_proba_batch(model: CcfModel, spectra) -> np.ndarray:

@@ -15,6 +15,7 @@ guessing.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -349,15 +350,6 @@ def _expect(cond: bool, msg: str):
         raise DataError(msg)
 
 
-def _int_list(values, length, name, path):
-    _expect(
-        isinstance(values, list) and len(values) == length
-        and all(is_int(v) for v in values),
-        f"{path}: {name} must be a list of {length} integer(s)",
-    )
-    return values
-
-
 def _float_list(values, length, name, path):
     _expect(
         isinstance(values, list) and len(values) == length
@@ -368,7 +360,9 @@ def _float_list(values, length, name, path):
 
 
 def load_model(path) -> CcfModel:
-    """Parse and structurally validate a saved model."""
+    """Parse and structurally validate a saved model. _parse_tree checks
+    each field of a tree as one array, so past JSON decoding a tree costs
+    a few numpy calls per field, not Python work per value."""
     p = os.fspath(path)
     doc = _load_json(p)
     version = doc.get("format_version")
@@ -436,70 +430,97 @@ def load_model(path) -> CcfModel:
     )
 
 
+def _column(values, width, name, dtype, where) -> np.ndarray:
+    """One field of many nodes as an array: values holds a number per
+    node (width None) or a list of width numbers per node. An index or a
+    count is an int (a bool is no number); a real is an int or a float."""
+    noun = "int64 integers" if dtype is np.int64 else "finite numbers"
+    if width is not None:
+        _expect(
+            set(map(type, values)) <= {list} and set(map(len, values)) <= {width},
+            f"{where}: each {name} must be a list of {width} {noun}",
+        )
+        values = list(itertools.chain.from_iterable(values))
+    types = {int} if dtype is np.int64 else {int, float}
+    try:
+        out = np.array(values, dtype=dtype) if set(map(type, values)) <= types else None
+    except OverflowError:  # an int beyond int64, or beyond the float range
+        out = None
+    _expect(
+        out is not None and (dtype is np.int64 or bool(np.isfinite(out).all())),
+        f"{where}: {name} values must be {noun}",
+    )
+    return out if width is None else out.reshape(-1, width)
+
+
+def _no_bad_node(bad, ids, where, what):
+    """Raise what for the first node of ids where bad holds, if any does."""
+    if bad.any():
+        raise DataError(f"{where} node {ids[int(np.argmax(bad))]}: {what}")
+
+
 def _parse_tree(doc, tree_index: int, n_bands: int, fs: int, path) -> FlatTree:
+    """One tree of a ccf-1 document as a FlatTree. Per node this only
+    pulls the fields out of its object; each field is then checked for
+    every node at once, as an array."""
     where = f"{path}: tree {tree_index}"
     _expect(isinstance(doc, dict), f"{where} must be an object")
     nodes = doc.get("nodes")
     _expect(isinstance(nodes, list) and len(nodes) >= 1, f"{where}: empty node list")
     m = len(nodes)
-    features, projections, thresholds, lefts, rights, counts = [], [], [], [], [], []
+    split_at, feats, projs, thrs, lefts, rights = [], [], [], [], [], []
+    leaf_at, tallies = [], []
     for i, nd in enumerate(nodes):
-        at = f"{where} node {i}"
-        _expect(isinstance(nd, dict), f"{at} must be an object")
+        _expect(isinstance(nd, dict), f"{where} node {i} must be an object")
         kind = nd.get("kind")
         if kind == "split":
-            feats = _int_list(nd.get("feature_indices"), fs, "feature_indices", at)
-            _expect(
-                all(0 <= f < n_bands for f in feats),
-                f"{at}: feature index out of range [0, {n_bands})",
-            )
-            proj = _float_list(nd.get("projection"), fs, "projection", at)
-            thr = nd.get("threshold")
-            _expect(is_real(thr), f"{at}: threshold must be a finite number")
-            left, right = nd.get("left"), nd.get("right")
-            for name, child in (("left", left), ("right", right)):
-                _expect(
-                    is_int(child) and 0 <= child < m,
-                    f"{at}: {name} child index out of range [0, {m})",
-                )
-            features.append(feats)
-            projections.append(proj)
-            thresholds.append(float(thr))
-            lefts.append(left)
-            rights.append(right)
-            counts.append([0, 0])
+            split_at.append(i)
+            feats.append(nd.get("feature_indices"))
+            projs.append(nd.get("projection"))
+            thrs.append(nd.get("threshold"))
+            lefts.append(nd.get("left"))
+            rights.append(nd.get("right"))
         elif kind == "leaf":
-            tally = _int_list(nd.get("class_counts"), 2, "class_counts", at)
-            _expect(all(c >= 0 for c in tally), f"{at}: negative class count")
-            total = sum(tally)
-            _expect(total > 0, f"{at}: leaf class_counts all zero")
-            # the tree stores counts and their sum as int64
-            _expect(total < 2**63, f"{at}: leaf class_counts sum beyond int64")
-            features.append([-1] * fs)
-            projections.append([0.0] * fs)
-            thresholds.append(0.0)
-            lefts.append(-1)
-            rights.append(-1)
-            counts.append(tally)
+            leaf_at.append(i)
+            tallies.append(nd.get("class_counts"))
         else:
-            raise DataError(f"{at}: unknown node kind {kind!r}")
-    tree = FlatTree.from_rows(features, projections, thresholds, lefts, rights, counts)
+            raise DataError(f"{where} node {i}: unknown node kind {kind!r}")
 
-    # structural pass: every node reachable from the root exactly once
-    seen = np.zeros(m, dtype=bool)
-    stack = [0]
-    while stack:
-        i = stack.pop()
-        _expect(not seen[i], f"{where}: node {i} referenced more than once")
-        seen[i] = True
-        if tree.kind[i] == 1:
-            stack.append(int(tree.left[i]))
-            stack.append(int(tree.right[i]))
-    _expect(
-        bool(seen.all()),
-        f"{where}: {int((~seen).sum())} unreachable node(s)",
-    )
-    return tree
+    features = np.full((m, fs), -1, dtype=np.int64)
+    projections, thresholds = np.zeros((m, fs)), np.zeros(m)
+    left, right = np.full((2, m), -1, dtype=np.int64)
+    counts = np.zeros((m, 2), dtype=np.int64)
+    f = _column(feats, fs, "feature_indices", np.int64, where)
+    _no_bad_node(((f < 0) | (f >= n_bands)).any(axis=1), split_at, where,
+                 f"feature index out of range [0, {n_bands})")
+    features[split_at] = f
+    projections[split_at] = _column(projs, fs, "projection", np.float64, where)
+    thresholds[split_at] = _column(thrs, None, "threshold", np.float64, where)
+    for name, values, out in (("left", lefts, left), ("right", rights, right)):
+        child = _column(values, None, name, np.int64, where)
+        _no_bad_node((child < 0) | (child >= m), split_at, where,
+                     f"{name} child index out of range [0, {m})")
+        out[split_at] = child
+    tally = _column(tallies, 2, "class_counts", np.int64, where)
+    _no_bad_node((tally < 0).any(axis=1), leaf_at, where, "negative class count")
+    _no_bad_node((tally == 0).all(axis=1), leaf_at, where, "leaf class_counts all zero")
+    # the tree stores counts and their sum as int64
+    _no_bad_node(tally[:, 0] > np.iinfo(np.int64).max - tally[:, 1], leaf_at, where,
+                 "leaf class_counts sum beyond int64")
+    counts[leaf_at] = tally
+
+    # every node reachable from the root exactly once: each is referenced
+    # once (the root by the tree itself), and none sits in a detached cycle
+    refs = np.bincount(np.concatenate(([0], left[split_at], right[split_at])), minlength=m)
+    _expect(not (refs > 1).any(),
+            f"{where}: node {int(np.argmax(refs > 1))} referenced more than once")
+    reached, level = 1, np.zeros(1, dtype=np.int64)
+    while level.size:  # ends, as no node has two parents and none the root
+        level = level[left[level] >= 0]
+        level = np.concatenate((left[level], right[level]))
+        reached += level.size
+    _expect(reached == m, f"{where}: {m - reached} unreachable node(s)")
+    return FlatTree.from_rows(features, projections, thresholds, left, right, counts)
 
 
 # --- evaluation reports ---------------------------------------------------

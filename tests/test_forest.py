@@ -14,7 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from ccfmap import forest
+from ccfmap import forest, raster_io
 from ccfmap.cca import CONSTANT_COLUMN_TOL, ColumnStats, standardize
 from ccfmap.errors import DataError
 from ccfmap.forest import (
@@ -204,6 +204,60 @@ def _route(tree, x):
     return leaf, on_threshold
 
 
+# _route's small-node cuts, with a test id suffix each: depth-first only,
+# the module's value, and level by level only (above every batch a test routes)
+_ROUTING_CUTS = {0: "-depth-first", forest._SMALL_NODE: "", 2**62: "-levels"}
+
+
+def _walk(tree, row):
+    """Leaf id of one row, walked node by node in Python floats."""
+    nid = 0
+    while tree.kind[nid]:
+        feats = tree.features[nid].tolist()
+        direction = tree.projections[nid].tolist()
+        z = row[feats[0]] * direction[0]
+        for f, a in zip(feats[1:], direction[1:]):
+            z += row[f] * a
+        nid = tree.left[nid] if z <= tree.thresholds[nid] else tree.right[nid]
+    return nid
+
+
+@st.composite
+def _shuffled_tree(draw):
+    """A random tree over a few bands whose node ids are in no particular
+    order (the root is node 0), with small-integer directions and
+    half-integer thresholds; up to 300 rows on a small integer grid, so
+    that many rows sit on thresholds; and a cut between 1 and the rows."""
+    n_bands = draw(st.integers(1, 5))
+    fs = default_feature_subsample(n_bands)
+    children = [None]  # per node of a tree in growth order: its children
+    for _ in range(draw(st.integers(0, 30))):
+        leaves = [i for i, c in enumerate(children) if c is None]
+        at = leaves[draw(st.integers(0, len(leaves) - 1))]
+        children[at] = (len(children), len(children) + 1)
+        children += [None, None]
+    m = len(children)
+    ids = [0] + draw(st.permutations(range(1, m)))  # node i gets id ids[i]
+    small = st.integers(-2, 2).map(float)
+    features = np.full((m, fs), -1)
+    projections, thresholds = np.zeros((m, fs)), np.zeros(m)
+    left, right = np.full((2, m), -1)
+    counts = np.zeros((m, 2), dtype=np.int64)
+    for i, c in enumerate(children):
+        nid = ids[i]
+        if c is None:
+            counts[nid] = draw(st.tuples(st.integers(0, 3), st.integers(1, 3)))
+            continue
+        features[nid] = sorted(draw(st.permutations(range(n_bands)))[:fs])
+        projections[nid] = [draw(small) for _ in range(fs)]
+        thresholds[nid] = draw(small) / 2
+        left[nid], right[nid] = ids[c[0]], ids[c[1]]
+    tree = FlatTree.from_rows(features, projections, thresholds, left, right, counts)
+    n_rows = draw(st.integers(1, 300))
+    rows = draw(hnp.arrays(np.int64, (n_rows, n_bands), elements=st.integers(-2, 2)))
+    return tree, rows.astype(np.float64), draw(st.integers(1, n_rows))
+
+
 def _scalar_proba(model, row):
     """Reference walk of one row in Python floats: standardize, project
     term by term left to right, then average the leaves tree by tree."""
@@ -214,15 +268,7 @@ def _scalar_proba(model, row):
     ]
     total = np.zeros(2)
     for tree in model.trees:
-        nid = 0
-        while tree.kind[nid]:
-            feats = tree.features[nid].tolist()
-            direction = tree.projections[nid].tolist()
-            z = x[feats[0]] * direction[0]
-            for f, a in zip(feats[1:], direction[1:]):
-                z += x[f] * a
-            nid = tree.left[nid] if z <= tree.thresholds[nid] else tree.right[nid]
-        total += tree.probs[nid]
+        total += tree.probs[_walk(tree, x)]
     total /= len(model.trees)
     return total
 
@@ -672,7 +718,7 @@ class TestTrainForest:
         assert _worker_count(10_000) == (os.cpu_count() or 1)
         assert _worker_count(1) == 1
 
-    def test_training_rows_reroute_to_their_leaves(self):
+    def test_training_rows_reroute_to_their_leaves(self, monkeypatch):
         # a unit grid on a 2**48 offset: many rows share a projection, and
         # distinct projections lie a few ulps apart, so split midpoints
         # round onto a row's value and rows sit exactly on thresholds
@@ -681,15 +727,17 @@ class TestTrainForest:
         y = (grid[:, 0] + grid[:, 1] + rng.integers(0, 3, size=400) > 4).astype(np.int64)
         s = SampleSet(2.0**48 + grid, y)
         model = train_forest(s, TrainConfig(n_trees=6, seed=4))
-        ties = 0
-        for tree in model.trees:
-            leaf, on_threshold = _route(tree, s.features)
-            ties += on_threshold
-            assert (leaf >= 0).all() and (tree.kind[leaf] == 0).all()
-            tally = np.zeros_like(tree.counts)
-            np.add.at(tally, (leaf, s.labels), 1)
-            np.testing.assert_array_equal(tally, tree.counts)
-        assert ties > 0
+        for cut in _ROUTING_CUTS:
+            monkeypatch.setattr(forest, "_SMALL_NODE", cut)
+            ties = 0
+            for tree in model.trees:
+                leaf, on_threshold = _route(tree, s.features)
+                ties += on_threshold
+                assert (leaf >= 0).all() and (tree.kind[leaf] == 0).all()
+                tally = np.zeros_like(tree.counts)
+                np.add.at(tally, (leaf, s.labels), 1)
+                np.testing.assert_array_equal(tally, tree.counts)
+            assert ties > 0
 
 
 def _subtree_counts(tree, nid):
@@ -844,6 +892,20 @@ class TestPrediction:
             single = predict_proba_batch(model, row[None, :])[0]
             assert single.tobytes() == expected.tobytes()
 
+    @given(_shuffled_tree())
+    def test_route_equals_a_walk_at_every_cut(self, problem):
+        # node ids out of preorder, as load_model accepts them
+        tree, rows, drawn_cut = problem
+        loaded = raster_io._parse_tree(raster_io._tree_doc(tree), 0, rows.shape[1],
+                                       tree.features.shape[1], "model")
+        for name in TREE_FIELDS:
+            np.testing.assert_array_equal(getattr(loaded, name), getattr(tree, name))
+        want = [_walk(tree, row) for row in rows.tolist()]
+        cols = np.ascontiguousarray(rows.T)
+        for cut in [*_ROUTING_CUTS, drawn_cut]:
+            with mock.patch.object(forest, "_SMALL_NODE", cut):
+                assert forest._route(tree, cols).tolist() == want
+
     def test_float32_rows_equal_their_float64_values(self, monkeypatch):
         rng = np.random.default_rng(20)
         s = _blobs(80, 5, 2.0, rng)
@@ -940,12 +1002,16 @@ class TestPredictRaster:
             flat[p, p % 4] = -7.0
         return _ArrayRaster(values, nodata=-7.0)
 
-    @pytest.mark.parametrize("threads", ["1", "2", "3", None])
-    def test_outputs_identical_across_worker_counts(self, monkeypatch, threads):
+    @pytest.mark.parametrize("threads,cut", [
+        pytest.param(threads, cut, id=str(threads) + suffix)
+        for cut, suffix in _ROUTING_CUTS.items() for threads in ["1", "2", "3", None]
+    ])
+    def test_outputs_identical_across_worker_counts(self, monkeypatch, threads, cut):
         model = self._model()
         raster = self._gappy_raster()
         want_mask, want_prob = predict_raster(model, raster)  # serial, one piece
 
+        monkeypatch.setattr(forest, "_SMALL_NODE", cut)
         monkeypatch.setattr(forest, "_FANOUT_FLOOR", 16)
         monkeypatch.setattr(forest, "_PREDICT_CHUNK", 39)
         if threads is None:

@@ -1,6 +1,7 @@
 """Tests for raster/mask/model/report files and the synthetic scene generator."""
 
 import copy
+import dataclasses
 import functools
 import json
 import math
@@ -8,6 +9,7 @@ import os
 import struct
 import tempfile
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,8 +19,9 @@ from hypothesis.extra import numpy as hnp
 from scipy.stats import norm
 
 from ccfmap import raster_io
-from ccfmap.errors import DataError
+from ccfmap.errors import DataError, is_int, is_real
 from ccfmap.forest import (
+    FlatTree,
     TrainConfig,
     predict_class_batch,
     predict_proba_batch,
@@ -49,6 +52,9 @@ from ccfmap.raster_io import (
     write_raster,
     write_report,
 )
+
+
+TREE_FIELDS = [f.name for f in dataclasses.fields(FlatTree)]
 
 
 def _random_raster(rng, h=5, w=7, b=3, nodata=None, band_names=None):
@@ -392,6 +398,30 @@ class TestModelSerialization:
         doc["trees"][0]["nodes"].append({"kind": "leaf", "class_counts": [1, 1]})
         self._reject(tmp_path, doc, "unreachable node")
 
+    def test_detached_cycle_unreachable(self, tmp_path):
+        # nodes 3 and 4 are each other's children: every node is referenced
+        # exactly once, yet neither is reached from the root
+        _, doc = self._doc(tmp_path)
+        split = next(nd for t in doc["trees"] for nd in t["nodes"] if nd["kind"] == "split")
+        leaf = {"kind": "leaf", "class_counts": [1, 1]}
+        doc["trees"][0]["nodes"] = [
+            dict(split, left=1, right=2), leaf, leaf,
+            dict(split, left=4, right=5), dict(split, left=3, right=6), leaf, leaf,
+        ]
+        self._reject(tmp_path, doc, "unreachable node")
+
+    @pytest.mark.parametrize("value", [True, 1.0, 2**63])
+    @pytest.mark.parametrize("field", ["feature_indices", "left", "right", "class_counts"])
+    def test_index_or_count_that_is_no_int64_rejected(self, tmp_path, field, value):
+        _, doc = self._doc(tmp_path)
+        kind = "leaf" if field == "class_counts" else "split"
+        node = next(nd for t in doc["trees"] for nd in t["nodes"] if nd["kind"] == kind)
+        if isinstance(node[field], list):
+            node[field][0] = value
+        else:
+            node[field] = value
+        self._reject(tmp_path, doc, field)
+
     def test_zero_count_leaf(self, tmp_path):
         _, doc = self._doc(tmp_path)
         for tree in doc["trees"]:
@@ -731,17 +761,109 @@ def _mutate_model(text, edits, byte_edit=None):
     return bytes(data)
 
 
+def _reference_parse_tree(doc, tree_index, n_bands, fs, path):
+    """The tree reader load_model had before it checked fields as arrays:
+    every value of every node checked in Python, one node at a time,
+    then a depth-first walk from the root."""
+    where = f"{path}: tree {tree_index}"
+
+    def expect(cond, msg):
+        if not cond:
+            raise DataError(msg)
+
+    def int_list(values, length, name, at):
+        expect(isinstance(values, list) and len(values) == length
+               and all(is_int(v) for v in values), f"{at}: {name}")
+        return values
+
+    def float_list(values, length, name, at):
+        expect(isinstance(values, list) and len(values) == length
+               and all(is_real(v) for v in values), f"{at}: {name}")
+        return [float(v) for v in values]
+
+    expect(isinstance(doc, dict), f"{where} must be an object")
+    nodes = doc.get("nodes")
+    expect(isinstance(nodes, list) and len(nodes) >= 1, f"{where}: empty node list")
+    m = len(nodes)
+    features, projections, thresholds, lefts, rights, counts = [], [], [], [], [], []
+    for i, nd in enumerate(nodes):
+        at = f"{where} node {i}"
+        expect(isinstance(nd, dict), f"{at} must be an object")
+        kind = nd.get("kind")
+        if kind == "split":
+            feats = int_list(nd.get("feature_indices"), fs, "feature_indices", at)
+            expect(all(0 <= f < n_bands for f in feats), f"{at}: feature index out of range")
+            proj = float_list(nd.get("projection"), fs, "projection", at)
+            thr = nd.get("threshold")
+            expect(is_real(thr), f"{at}: threshold must be a finite number")
+            left, right = nd.get("left"), nd.get("right")
+            for name, child in (("left", left), ("right", right)):
+                expect(is_int(child) and 0 <= child < m, f"{at}: {name} child index out of range")
+            features.append(feats)
+            projections.append(proj)
+            thresholds.append(float(thr))
+            lefts.append(left)
+            rights.append(right)
+            counts.append([0, 0])
+        elif kind == "leaf":
+            tally = int_list(nd.get("class_counts"), 2, "class_counts", at)
+            expect(all(c >= 0 for c in tally), f"{at}: negative class count")
+            expect(sum(tally) > 0, f"{at}: leaf class_counts all zero")
+            expect(sum(tally) < 2**63, f"{at}: leaf class_counts sum beyond int64")
+            features.append([-1] * fs)
+            projections.append([0.0] * fs)
+            thresholds.append(0.0)
+            lefts.append(-1)
+            rights.append(-1)
+            counts.append(tally)
+        else:
+            raise DataError(f"{at}: unknown node kind {kind!r}")
+    tree = FlatTree.from_rows(features, projections, thresholds, lefts, rights, counts)
+    seen = np.zeros(m, dtype=bool)
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        expect(not seen[i], f"{where}: node {i} referenced more than once")
+        seen[i] = True
+        if tree.kind[i] == 1:
+            stack.append(int(tree.left[i]))
+            stack.append(int(tree.right[i]))
+    expect(bool(seen.all()), f"{where}: {int((~seen).sum())} unreachable node(s)")
+    return tree
+
+
+def _load_as_the_reference(path):
+    """load_model's model, or None when it rejects the file, checked
+    against load_model with the reference tree reader: both accept or
+    both reject, and the trees they accept are equal, dtypes included."""
+    def load(reader):
+        with mock.patch.object(raster_io, "_parse_tree", reader):
+            try:
+                return load_model(path)
+            except DataError:
+                return None
+
+    model, want = load(raster_io._parse_tree), load(_reference_parse_tree)
+    assert (model is None) == (want is None)
+    for got, ref in zip(model.trees if model else [], want.trees if want else []):
+        for name in TREE_FIELDS:
+            a, b = getattr(got, name), getattr(ref, name)
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            np.testing.assert_array_equal(a, b)
+    return model
+
+
 def _load_or_reject_then_predict(data):
-    """load_model raises DataError on the bytes, or returns a model that
-    predict_raster runs on, with outputs in their domains."""
+    """load_model raises DataError on the bytes, as the reference reader
+    does, or returns the reference's model, which predict_raster runs on
+    with outputs in their domains."""
     with tempfile.TemporaryDirectory() as d:
         path = os.path.join(d, "m.ccf.json")
         with open(path, "wb") as fh:
             fh.write(data)
-        try:
-            model = load_model(path)
-        except DataError:
-            return
+        model = _load_as_the_reference(path)
+    if model is None:
+        return
     rng = np.random.default_rng(0)
     values = (rng.normal(size=(4, 5, model.n_bands)) * 3).astype(np.float32)
     values[1, 2, 0] = -9.0
