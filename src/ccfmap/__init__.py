@@ -3,87 +3,46 @@
 __version__ = "0.1.0"
 
 from .errors import DataError
-from .cca import (
-    CcaResult,
-    ColumnStats,
-    cca,
-    column_stats,
-    project,
-    standardize,
-)
+from .cca import cca, project, standardize
 from .pipeline import (
     SampleSet,
     SplitSpec,
-    assemble_region_dataset,
     balance_classes,
     extract_samples,
     fit_scaler,
     stratified_split,
 )
-from .forest import (
-    CcfModel,
-    FlatTree,
-    TrainConfig,
-    best_split,
-    default_feature_subsample,
-    predict_class_batch,
-    predict_proba_batch,
-    predict_raster,
-    train_forest,
-)
-from .metrics import (
-    ConfusionMatrix,
-    EvalReport,
-    confusion,
-    evaluate,
-    mean_iou,
-    pixel_accuracy,
-)
+from .forest import TrainConfig, predict_class_batch, predict_raster, train_forest
+from .metrics import evaluate
+from .model_io import load_model
 from .raster_io import (
     MultispectralRaster,
     SyntheticSceneSpec,
     bayes_accuracy_estimate,
     generate_scene,
-    load_model,
     read_mask,
     read_raster,
     read_report,
-    save_model,
     write_mask,
     write_raster,
-    write_report,
 )
 
 __all__ = [
     "DataError",
-    "CcaResult",
-    "ColumnStats",
     "cca",
-    "column_stats",
     "project",
     "standardize",
     "SampleSet",
     "SplitSpec",
-    "assemble_region_dataset",
     "balance_classes",
     "extract_samples",
     "fit_scaler",
     "stratified_split",
-    "CcfModel",
-    "FlatTree",
     "TrainConfig",
-    "best_split",
-    "default_feature_subsample",
     "predict_class_batch",
-    "predict_proba_batch",
     "predict_raster",
     "train_forest",
-    "ConfusionMatrix",
-    "EvalReport",
-    "confusion",
     "evaluate",
-    "mean_iou",
-    "pixel_accuracy",
     "MultispectralRaster",
     "SyntheticSceneSpec",
     "bayes_accuracy_estimate",
@@ -92,9 +51,7 @@ __all__ = [
     "read_mask",
     "read_raster",
     "read_report",
-    "save_model",
     "write_mask",
     "write_raster",
-    "write_report",
     "__version__",
 ]

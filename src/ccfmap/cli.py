@@ -29,16 +29,15 @@ from .pipeline import (
 # balanced_split composes these two; perfbench/tracer.py wraps both names here
 from .pipeline import balance_classes, stratified_split  # noqa: F401
 from .cca import standardize
+from .model_io import load_model, save_model
 from .raster_io import (
     PRESETS,
     MultispectralRaster,
     SyntheticSceneSpec,
     bayes_accuracy_estimate,
     generate_scene,
-    load_model,
     read_mask,
     read_raster,
-    save_model,
     write_mask,
     write_raster,
     write_report,

@@ -46,13 +46,13 @@ them once per level. Both phases project through _project and compare
 with <=, so where the cut falls does not change a leaf.
 
 _fan_out runs both training and prediction on up to CCF_THREADS worker
-processes. Each worker receives the shared inputs once, when it starts
-(the training set, or the model and the raster's pixels), and a task is
-a small number: a tree index, or the start offset of a piece of
-consecutive valid pixels. predict_raster fans out only above
-_FANOUT_FLOOR valid pixels. A row's prediction does not depend on the
-rows routed with it, so the outputs are the same bytes for any worker
-count.
+processes, never more than the usable cores. Each worker receives the
+shared inputs once, when it starts (the training set, or the model and
+the raster's pixels), and a task is a small number: a tree index, or
+the start offset of a piece of consecutive valid pixels. predict_raster
+fans out only above _FANOUT_FLOOR valid pixels. A row's prediction does
+not depend on the rows routed with it, so the outputs are the same bytes
+for any worker count.
 
 Numeric conventions that matter for reproducibility:
   * _project is the single projection routine: training partitions and
@@ -432,19 +432,27 @@ class CcfModel:
     format_version: str = MODEL_FORMAT_VERSION
 
 
+def _usable_cores() -> int:
+    """The cores this process may run on (os.cpu_count ignores affinity)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _worker_count(n_tasks: int) -> int:
-    """Worker processes for n_tasks: CCF_THREADS when set, else every
-    core, never more than n_tasks."""
+    """Worker processes for n_tasks: never more than n_tasks, the usable
+    cores or CCF_THREADS when that is set. A pool launches all its
+    workers at once, so a larger CCF_THREADS is clamped, not obeyed."""
     env = os.environ.get("CCF_THREADS", "").strip()
     if not env:
-        return min(n_tasks, os.cpu_count() or 1)
+        return min(n_tasks, _usable_cores())
     try:
         cap = int(env)
     except ValueError:
         cap = 0  # reported below, with the non-positive values
     if cap < 1:
         raise DataError(f"CCF_THREADS must be a positive integer, got {env!r}")
-    return min(n_tasks, cap)
+    return min(n_tasks, cap, _usable_cores())
 
 
 _held_task = None  # a pool worker's fn with its inputs, set by the initializer
@@ -551,7 +559,7 @@ def _route(tree: FlatTree, cols: np.ndarray) -> np.ndarray:
         if idx.size == n:
             columns = [cols[f] for f in features[nid]]
         else:
-            columns = [np.take(cols[f], idx) for f in features[nid]]
+            columns = [cols[f].take(idx) for f in features[nid]]
         z = _project(columns, projections[nid])
         go_left = z <= thresholds[nid]
         # compress measured several times faster than idx[go_left] here

@@ -8,9 +8,9 @@ import pytest
 
 from ccfmap import cli, forest
 from ccfmap.cli import main
+from ccfmap.model_io import load_model
 from ccfmap.raster_io import (
     MultispectralRaster,
-    load_model,
     read_mask,
     read_raster,
     read_report,

@@ -14,7 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from ccfmap import forest, raster_io
+from ccfmap import forest, model_io
 from ccfmap.cca import CONSTANT_COLUMN_TOL, ColumnStats, standardize
 from ccfmap.errors import DataError
 from ccfmap.forest import (
@@ -32,7 +32,7 @@ from ccfmap.forest import (
     train_forest,
 )
 from ccfmap.pipeline import SampleSet, fit_scaler
-from ccfmap.raster_io import load_model, save_model
+from ccfmap.model_io import load_model, save_model
 
 TREE_FIELDS = [f.name for f in dataclasses.fields(FlatTree)]
 
@@ -293,6 +293,7 @@ def _grid_problem(draw):
 def _train_on_recorded_pool(s, monkeypatch):
     """Train 5 trees on 2 workers; return the pool's initargs and the
     pickled size of each task submitted to it."""
+    monkeypatch.setattr(forest, "_usable_cores", lambda: 2)
     monkeypatch.setenv("CCF_THREADS", "2")
     pools, task_bytes = [], []
 
@@ -671,6 +672,7 @@ class TestTrainForest:
     def test_worker_count_does_not_change_model(self, monkeypatch):
         # overlapping blobs: deep trees of more than 500 nodes each
         s = _blobs(1500, 6, 1.0, np.random.default_rng(7))
+        monkeypatch.setattr(forest, "_usable_cores", lambda: 3)  # unset runs 3 too
         monkeypatch.setenv("CCF_THREADS", "1")
         serial = train_forest(s, TrainConfig(n_trees=4, seed=9))
         assert min(t.n_nodes for t in serial.trees) > 500
@@ -715,8 +717,16 @@ class TestTrainForest:
             monkeypatch.delenv("CCF_THREADS", raising=False)
         else:
             monkeypatch.setenv("CCF_THREADS", value)
-        assert _worker_count(10_000) == (os.cpu_count() or 1)
+        cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                 else os.cpu_count() or 1)
+        assert _worker_count(10_000) == cores
         assert _worker_count(1) == 1
+
+    def test_thread_count_above_the_cores_is_clamped(self, monkeypatch):
+        monkeypatch.setattr(forest, "_usable_cores", lambda: 3)
+        monkeypatch.setenv("CCF_THREADS", "5000")
+        assert _worker_count(10**6) == 3
+        assert _worker_count(2) == 2
 
     def test_training_rows_reroute_to_their_leaves(self, monkeypatch):
         # a unit grid on a 2**48 offset: many rows share a projection, and
@@ -896,8 +906,8 @@ class TestPrediction:
     def test_route_equals_a_walk_at_every_cut(self, problem):
         # node ids out of preorder, as load_model accepts them
         tree, rows, drawn_cut = problem
-        loaded = raster_io._parse_tree(raster_io._tree_doc(tree), 0, rows.shape[1],
-                                       tree.features.shape[1], "model")
+        loaded = model_io._parse_tree(model_io._tree_doc(tree), 0, rows.shape[1],
+                                      tree.features.shape[1], "model")
         for name in TREE_FIELDS:
             np.testing.assert_array_equal(getattr(loaded, name), getattr(tree, name))
         want = [_walk(tree, row) for row in rows.tolist()]
@@ -1004,9 +1014,10 @@ class TestPredictRaster:
 
     @pytest.mark.parametrize("threads,cut", [
         pytest.param(threads, cut, id=str(threads) + suffix)
-        for cut, suffix in _ROUTING_CUTS.items() for threads in ["1", "2", "3", None]
+        for cut, suffix in _ROUTING_CUTS.items() for threads in ["1", "2", "3", None, "5000"]
     ])
     def test_outputs_identical_across_worker_counts(self, monkeypatch, threads, cut):
+        monkeypatch.setattr(forest, "_usable_cores", lambda: 3)  # unset and 5000 run 3
         model = self._model()
         raster = self._gappy_raster()
         want_mask, want_prob = predict_raster(model, raster)  # serial, one piece

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.stats import norm
 
-from ccfmap import raster_io
+from ccfmap import model_io, raster_io
 from ccfmap.errors import DataError, is_int, is_real
 from ccfmap.forest import (
     FlatTree,
@@ -38,16 +38,15 @@ from ccfmap.pipeline import (
     stratified_split,
 )
 from ccfmap.cca import standardize
+from ccfmap.model_io import load_model, save_model
 from ccfmap.raster_io import (
     MultispectralRaster,
     SyntheticSceneSpec,
     bayes_accuracy_estimate,
     generate_scene,
-    load_model,
     read_mask,
     read_raster,
     read_report,
-    save_model,
     write_mask,
     write_raster,
     write_report,
@@ -837,13 +836,13 @@ def _load_as_the_reference(path):
     against load_model with the reference tree reader: both accept or
     both reject, and the trees they accept are equal, dtypes included."""
     def load(reader):
-        with mock.patch.object(raster_io, "_parse_tree", reader):
+        with mock.patch.object(model_io, "_parse_tree", reader):
             try:
                 return load_model(path)
             except DataError:
                 return None
 
-    model, want = load(raster_io._parse_tree), load(_reference_parse_tree)
+    model, want = load(model_io._parse_tree), load(_reference_parse_tree)
     assert (model is None) == (want is None)
     for got, ref in zip(model.trees if model else [], want.trees if want else []):
         for name in TREE_FIELDS:
