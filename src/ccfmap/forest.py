@@ -18,7 +18,7 @@ spawn_key=(0, tree, level)), drawn in node order. So training is
 deterministic for a given seed no matter how many workers run (its
 models differ from those of the earlier node-by-node grower). Each tree
 is laid out as a FlatTree: parallel per-node arrays in preorder, the one
-tree representation training, prediction and the model format share.
+tree representation training, prediction and the ccf-2 columns share.
 
 Growth gathers the training matrix a column at a time, so it runs at
 memory speed on a column-major matrix, the layout cca.standardize
@@ -86,7 +86,7 @@ from .cca import binary_directions, segment_moments
 from .errors import DataError, is_int
 from .pipeline import UNLABELED, SampleSet, valid_pixels
 
-MODEL_FORMAT_VERSION = "ccf-1"
+MODEL_FORMAT_VERSION = "ccf-2"
 
 _PREDICT_CHUNK = 1 << 18  # most rows one predict_proba_batch call routes
 _FANOUT_FLOOR = 1 << 15  # fewer valid pixels than this predict in-process

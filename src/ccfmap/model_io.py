@@ -1,54 +1,55 @@
-"""The model file, format ccf-1: one JSON document with the two class
-names, the scaler, the training config and every tree as a flat node
-list.
+"""The model file, format ccf-2: one JSON document with the two class
+names, the scaler, the training config and every tree as binary columns.
 
-save_model writes it through raster_io._write_atomic and load_model
-reads it through raster_io._load_json, so every file the package writes
-or reads goes through one atomic writer and one JSON reader. load_model
-checks each field of every tree, and the scaler, as one array with
-_column, the one judge of what a valid model number is, and rejects a
-malformed model with a DataError instead of predicting from it.
+A tree entry holds its node count and the columns kind (|u1: 1 split,
+0 leaf), features (the smallest unsigned dtype that holds n_bands - 1),
+projections and thresholds (<f8), left and right (<i4) of the split
+nodes, and class_counts (the smallest unsigned dtype that holds the
+largest count) of the leaves. A column is {"dtype", "shape", "data"},
+data being base64 of its little-endian bytes. The arrays stay in the one
+file, so a model is one path to size, copy or replace atomically.
+
+Both directions go through raster_io's one atomic writer and one JSON
+reader. save_model refuses a value its column would not hold exactly (a
+NaN threshold, a negative count) before it writes anything. load_model
+takes only the dtypes above and checks each column's byte length against
+its shape and the node count before it reads a value, then every field
+of a tree as one array; a malformed model raises a DataError.
 """
 
 from __future__ import annotations
 
-import itertools
+import base64
 import json
+import math
 import os
 
 import numpy as np
 
 from .cca import ColumnStats
-from .errors import DataError, is_int
+from .errors import DataError, is_int, is_real
 from .forest import MODEL_FORMAT_VERSION, CcfModel, FlatTree, TrainConfig
 from .forest import default_feature_subsample
 from .raster_io import _load_json, _write_atomic
 
+_UINTS = ("|u1", "<u2", "<u4", "<u8")
+
 
 def save_model(model: CcfModel, path) -> str:
-    """Serialize a trained model to one JSON document (full float
-    precision; floats round-trip exactly), written atomically; returns
-    the path."""
-    head = _dumps({
+    """Serialize a trained model to one JSON document (floats keep every
+    bit), written atomically; returns the path."""
+    p = os.fspath(path)
+    doc = {
         "format_version": model.format_version,
         "n_bands": model.n_bands,
         "class_names": list(model.class_names),
-        "scaler": {
-            "mean": [float(v) for v in model.scaler.mean],
-            "stddev": [float(v) for v in model.scaler.stddev],
-        },
+        "scaler": {key: [float(v) for v in getattr(model.scaler, key)]
+                   for key in ColumnStats._fields},
         "config": _config_doc(model.config, model.n_bands),
-    })
-
-    def chunks():
-        # "trees" is the last key; encoding one tree at a time keeps a
-        # single tree's text in memory, not the whole document's
-        yield (head[:-1] + ',"trees":[').encode()
-        for i, tree in enumerate(model.trees):
-            yield (("," if i else "") + _dumps(_tree_doc(tree))).encode()
-        yield b"]}\n"
-
-    return _write_atomic(path, chunks())
+        "trees": [_tree_doc(tree, model.n_bands, f"{p}: tree {i}")
+                  for i, tree in enumerate(model.trees)],
+    }
+    return _write_atomic(p, [(_dumps(doc) + "\n").encode()])
 
 
 def _config_doc(cfg: TrainConfig, n_bands: int) -> dict:
@@ -68,30 +69,38 @@ def _dumps(doc) -> str:
     return json.dumps(doc, separators=(",", ":"), allow_nan=False)
 
 
-def _tree_doc(tree: FlatTree) -> dict:
-    kind = tree.kind.tolist()
-    features = tree.features.tolist()
-    projections = tree.projections.tolist()
-    thresholds = tree.thresholds.tolist()
-    left = tree.left.tolist()
-    right = tree.right.tolist()
-    counts = tree.counts.tolist()
-    nodes = []
-    for i in range(tree.n_nodes):
-        if kind[i] == 1:
-            nodes.append(
-                {
-                    "kind": "split",
-                    "feature_indices": features[i],
-                    "projection": projections[i],
-                    "threshold": thresholds[i],
-                    "left": left[i],
-                    "right": right[i],
-                }
-            )
-        else:
-            nodes.append({"kind": "leaf", "class_counts": counts[i]})
-    return {"nodes": nodes}
+def _uint(top: int) -> str:
+    """The smallest unsigned dtype that holds 0..top."""
+    return next(t for t in _UINTS if top <= np.iinfo(t).max)
+
+
+def _tree_doc(tree: FlatTree, n_bands: int, where: str) -> dict:
+    split, leaf = tree.kind == 1, tree.kind == 0
+    counts = tree.counts[leaf]
+    columns = {
+        "kind": (tree.kind, "|u1"),
+        "features": (tree.features[split], _uint(n_bands - 1)),
+        "projections": (tree.projections[split], "<f8"),
+        "thresholds": (tree.thresholds[split], "<f8"),
+        "left": (tree.left[split], "<i4"),
+        "right": (tree.right[split], "<i4"),
+        "class_counts": (counts, _uint(int(counts.max(initial=0)))),
+    }
+    return {"nodes": tree.n_nodes, **{
+        name: _encode(values, dtype, name, where) for name, (values, dtype) in columns.items()
+    }}
+
+
+def _encode(values: np.ndarray, dtype: str, name: str, where: str) -> dict:
+    """values as a column of dtype. Casting wraps integers and keeps NaN,
+    so a value the column would not hold exactly raises a DataError."""
+    out = values.astype(dtype)
+    _expect(
+        np.array_equal(out, values) and bool(np.isfinite(out).all()),
+        f"{where}: {name} values must be finite and fit {dtype}",
+    )
+    return {"dtype": dtype, "shape": list(out.shape),
+            "data": base64.b64encode(out.tobytes()).decode("ascii")}
 
 
 def _expect(cond: bool, msg: str):
@@ -102,7 +111,7 @@ def _expect(cond: bool, msg: str):
 def load_model(path) -> CcfModel:
     """Parse and structurally validate a saved model. _parse_tree checks
     each field of a tree as one array, so past JSON decoding a tree costs
-    a few numpy calls per field, not Python work per value."""
+    a few numpy calls per column, not Python work per value."""
     p = os.fspath(path)
     doc = _load_json(p)
     version = doc.get("format_version")
@@ -125,13 +134,13 @@ def load_model(path) -> CcfModel:
 
     scaler_doc = doc.get("scaler")
     _expect(isinstance(scaler_doc, dict), f"{p}: missing scaler")
-    scaler = ColumnStats(*(
-        _column([scaler_doc.get(key)], n_bands, f"scaler.{key}", np.float64, p)[0]
-        for key in ColumnStats._fields
-    ))
-    _expect(
-        bool((scaler.stddev >= 0).all()), f"{p}: scaler.stddev must be >= 0"
-    )
+    for key in ColumnStats._fields:
+        values = scaler_doc.get(key)
+        _expect(isinstance(values, list) and len(values) == n_bands
+                and all(map(is_real, values)),
+                f"{p}: scaler.{key} must be a list of {n_bands} finite numbers")
+    scaler = ColumnStats(*(np.array(scaler_doc[k], dtype=np.float64) for k in ColumnStats._fields))
+    _expect(bool((scaler.stddev >= 0).all()), f"{p}: scaler.stddev must be >= 0")
 
     cfg_doc = doc.get("config")
     _expect(isinstance(cfg_doc, dict), f"{p}: missing config")
@@ -168,28 +177,25 @@ def load_model(path) -> CcfModel:
     )
 
 
-def _column(values, width, name, dtype, where) -> np.ndarray:
-    """One field of many nodes as an array: values holds a number per
-    node (width None) or a list of width numbers per node (the scaler's
-    mean or stddev is one such list). An index or a count is an int (a
-    bool is no number); a real is an int or a float."""
-    noun = "int64 integers" if dtype is np.int64 else "finite numbers"
-    if width is not None:
-        _expect(
-            set(map(type, values)) <= {list} and set(map(len, values)) <= {width},
-            f"{where}: each {name} must be a list of {width} {noun}",
-        )
-        values = list(itertools.chain.from_iterable(values))
-    types = {int} if dtype is np.int64 else {int, float}
+def _array(doc: dict, name: str, dtypes, shape: list, where: str) -> np.ndarray:
+    """Column name of a tree entry as a read-only array of one of dtypes,
+    of the given shape and from exactly the bytes it needs; the sizes are
+    compared as Python ints, so no shape reaches numpy unchecked."""
+    col = doc.get(name)
+    _expect(isinstance(col, dict), f"{where}: {name} must be a column object")
+    dtype, dims, data = col.get("dtype"), col.get("shape"), col.get("data")
+    _expect(dtype in dtypes,
+            f"{where}: {name} dtype must be one of {', '.join(dtypes)}, got {dtype!r}")
+    _expect(isinstance(dims, list) and all(map(is_int, dims)) and dims == shape,
+            f"{where}: {name} shape must be {shape}, got {dims!r}")
     try:
-        out = np.array(values, dtype=dtype) if set(map(type, values)) <= types else None
-    except OverflowError:  # an int beyond int64, or beyond the float range
-        out = None
-    _expect(
-        out is not None and (dtype is np.int64 or bool(np.isfinite(out).all())),
-        f"{where}: {name} values must be {noun}",
-    )
-    return out if width is None else out.reshape(-1, width)
+        raw = base64.b64decode(data, validate=True)
+    except (TypeError, ValueError) as exc:  # no string, no ASCII, or no base64
+        raise DataError(f"{where}: {name} data is not base64: {exc}") from exc
+    size = math.prod(shape) * np.dtype(dtype).itemsize
+    _expect(len(raw) == size,
+            f"{where}: {name} holds {len(raw)} bytes, its shape needs {size}")
+    return np.frombuffer(raw, dtype=dtype).reshape(shape)
 
 
 def _no_bad_node(bad, ids, where, what):
@@ -199,53 +205,45 @@ def _no_bad_node(bad, ids, where, what):
 
 
 def _parse_tree(doc, tree_index: int, n_bands: int, fs: int, path) -> FlatTree:
-    """One tree of a ccf-1 document as a FlatTree. Per node this only
-    pulls the fields out of its object; each field is then checked for
-    every node at once, as an array."""
+    """One tree of a ccf-2 document as a FlatTree. Each column is checked
+    for its dtype and byte length, then each field for every node at
+    once, as an array."""
     where = f"{path}: tree {tree_index}"
     _expect(isinstance(doc, dict), f"{where} must be an object")
-    nodes = doc.get("nodes")
-    _expect(isinstance(nodes, list) and len(nodes) >= 1, f"{where}: empty node list")
-    m = len(nodes)
-    split_at, feats, projs, thrs, lefts, rights = [], [], [], [], [], []
-    leaf_at, tallies = [], []
-    for i, nd in enumerate(nodes):
-        _expect(isinstance(nd, dict), f"{where} node {i} must be an object")
-        kind = nd.get("kind")
-        if kind == "split":
-            split_at.append(i)
-            feats.append(nd.get("feature_indices"))
-            projs.append(nd.get("projection"))
-            thrs.append(nd.get("threshold"))
-            lefts.append(nd.get("left"))
-            rights.append(nd.get("right"))
-        elif kind == "leaf":
-            leaf_at.append(i)
-            tallies.append(nd.get("class_counts"))
-        else:
-            raise DataError(f"{where} node {i}: unknown node kind {kind!r}")
+    m = doc.get("nodes")
+    _expect(is_int(m) and m >= 1, f"{where}: nodes must be a positive integer")
+    kind = _array(doc, "kind", ("|u1",), [m], where)
+    _no_bad_node(kind > 1, range(m), where, "kind must be 0 (leaf) or 1 (split)")
+    split_at, leaf_at = np.flatnonzero(kind), np.flatnonzero(kind == 0)
+    s = split_at.size
+
+    f = _array(doc, "features", (_uint(n_bands - 1),), [s, fs], where)
+    _no_bad_node((f >= n_bands).any(axis=1), split_at, where,
+                 f"feature index out of range [0, {n_bands})")
+    proj = _array(doc, "projections", ("<f8",), [s, fs], where)
+    thr = _array(doc, "thresholds", ("<f8",), [s], where)
+    _no_bad_node(~np.isfinite(np.column_stack((proj, thr))).all(axis=1), split_at, where,
+                 "projections and thresholds must be finite numbers")
+    child = np.stack([_array(doc, name, ("<i4",), [s], where) for name in ("left", "right")])
+    _no_bad_node(((child < 0) | (child >= m)).any(axis=0), split_at, where,
+                 f"child index out of range [0, {m})")
+    tally = _array(doc, "class_counts", _UINTS, [m - s, 2], where)
+    _expect(tally.dtype.str == _uint(int(tally.max(initial=0))),
+            f"{where}: class_counts dtype must be the smallest that holds its counts")
+    _no_bad_node((tally == 0).all(axis=1), leaf_at, where, "leaf class_counts all zero")
+    # the tree stores counts and their sum as int64; two counts of at most
+    # its max add up in uint64 without wrapping
+    big = np.iinfo(np.int64).max
+    tally = tally.astype(np.uint64)
+    _no_bad_node((tally > big).any(axis=1) | (tally.sum(axis=1) > big), leaf_at, where,
+                 "leaf class_counts sum beyond int64")
 
     features = np.full((m, fs), -1, dtype=np.int64)
     projections, thresholds = np.zeros((m, fs)), np.zeros(m)
     left, right = np.full((2, m), -1, dtype=np.int64)
     counts = np.zeros((m, 2), dtype=np.int64)
-    f = _column(feats, fs, "feature_indices", np.int64, where)
-    _no_bad_node(((f < 0) | (f >= n_bands)).any(axis=1), split_at, where,
-                 f"feature index out of range [0, {n_bands})")
-    features[split_at] = f
-    projections[split_at] = _column(projs, fs, "projection", np.float64, where)
-    thresholds[split_at] = _column(thrs, None, "threshold", np.float64, where)
-    for name, values, out in (("left", lefts, left), ("right", rights, right)):
-        child = _column(values, None, name, np.int64, where)
-        _no_bad_node((child < 0) | (child >= m), split_at, where,
-                     f"{name} child index out of range [0, {m})")
-        out[split_at] = child
-    tally = _column(tallies, 2, "class_counts", np.int64, where)
-    _no_bad_node((tally < 0).any(axis=1), leaf_at, where, "negative class count")
-    _no_bad_node((tally == 0).all(axis=1), leaf_at, where, "leaf class_counts all zero")
-    # the tree stores counts and their sum as int64
-    _no_bad_node(tally[:, 0] > np.iinfo(np.int64).max - tally[:, 1], leaf_at, where,
-                 "leaf class_counts sum beyond int64")
+    features[split_at], projections[split_at], thresholds[split_at] = f, proj, thr
+    left[split_at], right[split_at] = child
     counts[leaf_at] = tally
 
     # every node reachable from the root exactly once: each is referenced

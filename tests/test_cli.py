@@ -1,5 +1,6 @@
 """End-to-end tests for the ccfmap command line."""
 
+import base64
 import json
 import tracemalloc
 
@@ -353,9 +354,11 @@ class TestThreeClassModel:
         doc = json.loads((model_dir / "model.ccf.json").read_text())
         doc["class_names"].append("other")
         for tree in doc["trees"]:
-            for node in tree["nodes"]:
-                if node["kind"] == "leaf":
-                    node["class_counts"].append(node["class_counts"][0] + 1)
+            col = tree["class_counts"]
+            counts = np.frombuffer(base64.b64decode(col["data"]), col["dtype"])
+            wide = np.column_stack([counts.reshape(col["shape"]), np.ones(col["shape"][0])])
+            col["shape"] = list(wide.shape)
+            col["data"] = base64.b64encode(wide.astype(col["dtype"]).tobytes()).decode()
         path = tmp_path / "three.ccf.json"
         path.write_text(json.dumps(doc))
         return path

@@ -906,8 +906,9 @@ class TestPrediction:
     def test_route_equals_a_walk_at_every_cut(self, problem):
         # node ids out of preorder, as load_model accepts them
         tree, rows, drawn_cut = problem
-        loaded = model_io._parse_tree(model_io._tree_doc(tree), 0, rows.shape[1],
-                                      tree.features.shape[1], "model")
+        n_bands = rows.shape[1]
+        loaded = model_io._parse_tree(model_io._tree_doc(tree, n_bands, "model"), 0,
+                                      n_bands, tree.features.shape[1], "model")
         for name in TREE_FIELDS:
             np.testing.assert_array_equal(getattr(loaded, name), getattr(tree, name))
         want = [_walk(tree, row) for row in rows.tolist()]

@@ -1,5 +1,6 @@
 """Tests for raster/mask/model/report files and the synthetic scene generator."""
 
+import base64
 import copy
 import dataclasses
 import functools
@@ -71,6 +72,27 @@ def _tiny_model(seed=0, n_bands=4, n_trees=3):
     from ccfmap.pipeline import SampleSet
 
     return train_forest(SampleSet(x, y), TrainConfig(n_trees=n_trees, seed=seed))
+
+
+def _column(tree, name):
+    """Column name of a saved tree entry as a writable array."""
+    col = tree[name]
+    raw = base64.b64decode(col["data"])
+    return np.frombuffer(raw, col["dtype"]).reshape(col["shape"]).copy()
+
+
+def _put_column(tree, name, values, dtype=None):
+    """Store values as column name of a saved tree entry, by default in
+    the column's present dtype."""
+    values = np.asarray(values).astype(dtype or tree[name]["dtype"])
+    tree[name] = {"dtype": values.dtype.str, "shape": list(values.shape),
+                  "data": base64.b64encode(values.tobytes()).decode()}
+
+
+def _edit_column(tree, name, edit):
+    values = _column(tree, name)
+    edit(values)
+    _put_column(tree, name, values)
 
 
 class TestRasterContainer:
@@ -338,6 +360,10 @@ class TestModelSerialization:
         loaded = load_model(path)
         assert loaded.class_names == model.class_names
         assert loaded.config == model.config
+        for got, want in zip(loaded.trees, model.trees, strict=True):
+            for name in TREE_FIELDS:
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b), name
         queries = np.random.default_rng(7).normal(size=(100, model.n_bands))
         np.testing.assert_array_equal(
             predict_proba_batch(loaded, queries), predict_proba_batch(model, queries)
@@ -360,6 +386,43 @@ class TestModelSerialization:
         assert open(path, "rb").read() == before
         assert os.listdir(tmp_path) == ["m.ccf.json"]
 
+    def test_save_leaves_one_file_and_returns_its_path(self, tmp_path):
+        # the whole model, payload included, is the one file a caller sizes
+        path = tmp_path / "m.ccf.json"
+        assert save_model(_tiny_model(), path) == str(path)
+        assert os.listdir(tmp_path) == ["m.ccf.json"]
+
+    def test_bytes_per_node_ceiling(self, tmp_path):
+        # trees grown to purity on overlapping classes: binary columns at
+        # most 96 B per split and 12 B per leaf, base64 and header included
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(2000, 10))
+        y = (x[:, 0] + rng.normal(size=2000) > 0).astype(np.int64)
+        from ccfmap.pipeline import SampleSet
+
+        model = train_forest(SampleSet(x, y), TrainConfig(n_trees=2, seed=3))
+        splits = sum(int(t.kind.sum()) for t in model.trees)
+        leaves = sum(t.n_nodes for t in model.trees) - splits
+        assert splits >= 300
+        path = save_model(model, tmp_path / "m.ccf.json")
+        assert os.path.getsize(path) <= 96 * splits + 12 * leaves
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("thresholds", np.inf, "thresholds values must be finite and fit <f8"),
+        ("projections", np.nan, "projections values must be finite and fit <f8"),
+        ("left", 2**31, "left values must be finite and fit <i4"),
+        ("right", -2**31 - 1, "right values must be finite and fit <i4"),
+        ("counts", -1, "class_counts values must be finite and fit"),
+    ])
+    def test_unwritable_value_not_saved(self, tmp_path, field, value, message):
+        model = _tiny_model()
+        tree = model.trees[0]
+        row = int(np.flatnonzero(tree.kind == (0 if field == "counts" else 1))[0])
+        getattr(tree, field).reshape(tree.n_nodes, -1)[row, 0] = value
+        with pytest.raises(DataError, match=message):
+            save_model(model, tmp_path / "m.ccf.json")
+        assert os.listdir(tmp_path) == []
+
     def _doc(self, tmp_path):
         path = save_model(_tiny_model(), tmp_path / "m.ccf.json")
         return path, json.load(open(path))
@@ -370,75 +433,141 @@ class TestModelSerialization:
         with pytest.raises(DataError, match=pattern):
             load_model(path)
 
+    def _split_tree(self, doc):
+        """The first tree entry whose root splits."""
+        return next(t for t in doc["trees"] if _column(t, "kind")[0] == 1)
+
     def test_unknown_version(self, tmp_path):
         _, doc = self._doc(tmp_path)
-        doc["format_version"] = "ccf-2"
+        doc["format_version"] = "ccf-3"
         self._reject(tmp_path, doc, "unsupported model format_version")
+
+    def test_ccf1_file_rejected(self, tmp_path):
+        _, doc = self._doc(tmp_path)
+        doc["format_version"] = "ccf-1"
+        doc["trees"] = [{"nodes": [{"kind": "leaf", "class_counts": [1, 1]}]}] * 3
+        self._reject(tmp_path, doc, "unsupported model format_version 'ccf-1'")
 
     def test_child_index_out_of_range(self, tmp_path):
         _, doc = self._doc(tmp_path)
-        for tree in doc["trees"]:
-            if tree["nodes"][0]["kind"] == "split":
-                tree["nodes"][0]["left"] = 99
-                break
+        tree = self._split_tree(doc)
+        _edit_column(tree, "left", lambda left: left.__setitem__(0, 99))
         self._reject(tmp_path, doc, "child index out of range")
 
     def test_double_reference(self, tmp_path):
         _, doc = self._doc(tmp_path)
-        for tree in doc["trees"]:
-            root = tree["nodes"][0]
-            if root["kind"] == "split":
-                root["right"] = root["left"]
-                break
+        tree = self._split_tree(doc)
+        _put_column(tree, "right", _column(tree, "left"))
         self._reject(tmp_path, doc, "referenced more than once")
 
     def test_unreachable_node(self, tmp_path):
         _, doc = self._doc(tmp_path)
-        doc["trees"][0]["nodes"].append({"kind": "leaf", "class_counts": [1, 1]})
+        tree = doc["trees"][0]
+        tree["nodes"] += 1
+        _put_column(tree, "kind", np.append(_column(tree, "kind"), 0))
+        _put_column(tree, "class_counts", np.vstack([_column(tree, "class_counts"), [1, 1]]))
         self._reject(tmp_path, doc, "unreachable node")
 
     def test_detached_cycle_unreachable(self, tmp_path):
         # nodes 3 and 4 are each other's children: every node is referenced
         # exactly once, yet neither is reached from the root
         _, doc = self._doc(tmp_path)
-        split = next(nd for t in doc["trees"] for nd in t["nodes"] if nd["kind"] == "split")
-        leaf = {"kind": "leaf", "class_counts": [1, 1]}
-        doc["trees"][0]["nodes"] = [
-            dict(split, left=1, right=2), leaf, leaf,
-            dict(split, left=4, right=5), dict(split, left=3, right=6), leaf, leaf,
-        ]
+        tree = self._split_tree(doc)
+        tree["nodes"] = 7
+        _put_column(tree, "kind", np.array([1, 0, 0, 1, 1, 0, 0]))
+        for name in ("features", "projections", "thresholds"):
+            _put_column(tree, name, np.repeat(_column(tree, name)[:1], 3, axis=0))
+        _put_column(tree, "left", np.array([1, 4, 3]))
+        _put_column(tree, "right", np.array([2, 5, 6]))
+        _put_column(tree, "class_counts", np.ones((4, 2)))
         self._reject(tmp_path, doc, "unreachable node")
 
     @pytest.mark.parametrize("value", [True, 1.0, 2**63])
     @pytest.mark.parametrize("field", ["feature_indices", "left", "right", "class_counts"])
     def test_index_or_count_that_is_no_int64_rejected(self, tmp_path, field, value):
+        # as a bool or float column, or 2**63 in a <u8 one
         _, doc = self._doc(tmp_path)
-        kind = "leaf" if field == "class_counts" else "split"
-        node = next(nd for t in doc["trees"] for nd in t["nodes"] if nd["kind"] == kind)
-        if isinstance(node[field], list):
-            node[field][0] = value
+        name = "features" if field == "feature_indices" else field
+        tree = self._split_tree(doc)
+        values = _column(tree, name)
+        if isinstance(value, bool):
+            _put_column(tree, name, values != 0, "|b1")
+        elif isinstance(value, float):
+            _put_column(tree, name, values, "<f8")
         else:
-            node[field] = value
-        self._reject(tmp_path, doc, field)
+            values = values.astype(np.uint64)
+            values.flat[0] = value
+            _put_column(tree, name, values, "<u8")
+        self._reject(tmp_path, doc, name)
+
+    @pytest.mark.parametrize("name,dtype", [
+        ("projections", "|O"), ("projections", ">f8"), ("projections", "<f4"),
+        ("thresholds", "<f4"), ("features", "|i1"), ("features", "<u2"),
+        ("left", "<i8"), ("kind", "|b1"), ("class_counts", "<i4"), ("kind", None),
+    ])
+    def test_disallowed_dtype_rejected(self, tmp_path, name, dtype):
+        _, doc = self._doc(tmp_path)
+        doc["trees"][0][name]["dtype"] = dtype
+        self._reject(tmp_path, doc, f"{name} dtype must be one of")
+
+    def test_over_wide_class_counts_rejected(self, tmp_path):
+        _, doc = self._doc(tmp_path)
+        tree = doc["trees"][0]
+        _put_column(tree, "class_counts", _column(tree, "class_counts"), "<u2")
+        self._reject(tmp_path, doc, "class_counts dtype must be the smallest")
+
+    @pytest.mark.parametrize("data", ["A", "AQ=", "AQ==AQ==", "AQ!=", "AQ\u00e9=", "AQ\n==", 7])
+    def test_invalid_base64_rejected(self, tmp_path, data):
+        _, doc = self._doc(tmp_path)
+        doc["trees"][0]["thresholds"]["data"] = data
+        self._reject(tmp_path, doc, "thresholds data is not base64")
+
+    @pytest.mark.parametrize("rows", [-1, 1])
+    def test_shape_disagreeing_with_byte_length_rejected(self, tmp_path, rows):
+        # the data one row short or long of the shape
+        _, doc = self._doc(tmp_path)
+        tree = self._split_tree(doc)
+        values, shape = _column(tree, "projections"), tree["projections"]["shape"]
+        _put_column(tree, "projections",
+                    values[:-1] if rows < 0 else np.vstack([values, values[:1]]))
+        tree["projections"]["shape"] = shape
+        self._reject(tmp_path, doc, r"projections holds \d+ bytes, its shape needs")
+
+    @pytest.mark.parametrize("name,shape", [
+        ("kind", None), ("features", [1, 4]), ("thresholds", [True]), ("class_counts", [3]),
+    ])
+    def test_shape_disagreeing_with_nodes_rejected(self, tmp_path, name, shape):
+        _, doc = self._doc(tmp_path)
+        tree = self._split_tree(doc)
+        if shape is None:
+            tree["nodes"] += 1  # kind now has one flag too few
+        else:
+            tree[name]["shape"] = shape
+        self._reject(tmp_path, doc, f"{name} shape must be")
+
+    @pytest.mark.parametrize("m", [2**62, 2**64])
+    def test_shape_whose_product_overflows_rejected(self, tmp_path, m):
+        # checked against the bytes as Python ints, before numpy sees it
+        _, doc = self._doc(tmp_path)
+        tree = doc["trees"][0]
+        tree["nodes"] = m
+        tree["kind"]["shape"] = [m]
+        self._reject(tmp_path, doc, f"kind holds \\d+ bytes, its shape needs {m}")
+
+    def test_kind_flag_beyond_one_rejected(self, tmp_path):
+        _, doc = self._doc(tmp_path)
+        _edit_column(doc["trees"][0], "kind", lambda kind: kind.__setitem__(0, 2))
+        self._reject(tmp_path, doc, r"kind must be 0 \(leaf\) or 1 \(split\)")
 
     def test_zero_count_leaf(self, tmp_path):
         _, doc = self._doc(tmp_path)
-        for tree in doc["trees"]:
-            for node in tree["nodes"]:
-                if node["kind"] == "leaf":
-                    node["class_counts"] = [0, 0]
-                    break
-            else:
-                continue
-            break
+        _edit_column(doc["trees"][0], "class_counts", lambda c: c.__setitem__(0, 0))
         self._reject(tmp_path, doc, "class_counts all zero")
 
     def test_feature_index_out_of_range(self, tmp_path):
         _, doc = self._doc(tmp_path)
-        for tree in doc["trees"]:
-            if tree["nodes"][0]["kind"] == "split":
-                tree["nodes"][0]["feature_indices"][0] = 12
-                break
+        tree = self._split_tree(doc)
+        _edit_column(tree, "features", lambda f: f.__setitem__((0, 0), 12))
         self._reject(tmp_path, doc, "feature index out of range")
 
     def test_tree_count_mismatch(self, tmp_path):
@@ -466,9 +595,8 @@ class TestModelSerialization:
         _, doc = self._doc(tmp_path)
         doc["class_names"].append("other")
         for tree in doc["trees"]:
-            for node in tree["nodes"]:
-                if node["kind"] == "leaf":
-                    node["class_counts"].append(1)
+            counts = _column(tree, "class_counts")
+            _put_column(tree, "class_counts", np.column_stack([counts, counts[:, 0] + 1]))
         self._reject(tmp_path, doc, "class_names must list 2 strings")
 
     def test_negative_stddev_rejected(self, tmp_path):
@@ -477,28 +605,24 @@ class TestModelSerialization:
         self._reject(tmp_path, doc, "stddev")
 
     def test_non_finite_projection_rejected(self, tmp_path):
-        path, _ = self._doc(tmp_path)
-        text = open(path).read()
-        assert '"projection":[' in text
-        head, _, rest = text.partition('"projection":[')
-        num, _, tail = rest.partition(",")
-        open(path, "w").write(head + '"projection":[' + "NaN" + "," + tail)
-        with pytest.raises(DataError, match="finite"):
-            load_model(path)
+        _, doc = self._doc(tmp_path)
+        tree = self._split_tree(doc)
+        _edit_column(tree, "projections", lambda p: p.__setitem__((0, 1), np.nan))
+        self._reject(tmp_path, doc, "projections and thresholds must be finite")
 
     def test_out_of_float_range_threshold_rejected(self, tmp_path):
         _, doc = self._doc(tmp_path)
-        for tree in doc["trees"]:
-            if tree["nodes"][0]["kind"] == "split":
-                tree["nodes"][0]["threshold"] = 10**400  # valid JSON, no float holds it
-                break
-        self._reject(tmp_path, doc, "finite")
+        tree = self._split_tree(doc)
+        _edit_column(tree, "thresholds", lambda t: t.__setitem__(0, -np.inf))
+        self._reject(tmp_path, doc, "projections and thresholds must be finite")
 
     @pytest.mark.parametrize("counts", [[2**63, 1], [2**62, 2**62]])
     def test_class_counts_beyond_int64_rejected(self, tmp_path, counts):
         _, doc = self._doc(tmp_path)
-        leaf = next(nd for t in doc["trees"] for nd in t["nodes"] if nd["kind"] == "leaf")
-        leaf["class_counts"] = counts
+        tree = doc["trees"][0]
+        tally = _column(tree, "class_counts").astype(np.uint64)
+        tally[0] = counts
+        _put_column(tree, "class_counts", tally, "<u8")
         self._reject(tmp_path, doc, "int64")
 
     @pytest.mark.parametrize(
@@ -707,7 +831,7 @@ def _read_mask_or_reject(header, payload):
 
 @functools.cache
 def _model_text():
-    """A small saved model as ccf-1 text: two trees over three bands."""
+    """A small saved model as ccf-2 text: two trees over three bands."""
     with tempfile.TemporaryDirectory() as d:
         path = save_model(_tiny_model(seed=5, n_bands=3, n_trees=2), os.path.join(d, "m"))
         with open(path, encoding="utf-8") as fh:
@@ -760,64 +884,90 @@ def _mutate_model(text, edits, byte_edit=None):
     return bytes(data)
 
 
+_STRUCT_CODES = {"|u1": "B", "<u2": "H", "<u4": "I", "<u8": "Q", "<f8": "d", "<i4": "i"}
+
+
 def _reference_parse_tree(doc, tree_index, n_bands, fs, path):
-    """The tree reader load_model had before it checked fields as arrays:
-    every value of every node checked in Python, one node at a time,
-    then a depth-first walk from the root."""
+    """A ccf-2 tree reader apart from load_model's: every value unpacked
+    with struct and checked in Python, one node at a time, then a
+    depth-first walk from the root."""
     where = f"{path}: tree {tree_index}"
 
     def expect(cond, msg):
         if not cond:
             raise DataError(msg)
 
-    def int_list(values, length, name, at):
-        expect(isinstance(values, list) and len(values) == length
-               and all(is_int(v) for v in values), f"{at}: {name}")
-        return values
+    def smallest_uint(top):
+        return next(t for t in ("|u1", "<u2", "<u4", "<u8")
+                    if top < 1 << 8 * struct.calcsize("<" + _STRUCT_CODES[t]))
 
-    def float_list(values, length, name, at):
-        expect(isinstance(values, list) and len(values) == length
-               and all(is_real(v) for v in values), f"{at}: {name}")
-        return [float(v) for v in values]
+    def column(name, dtypes, shape):
+        """(dtype, values) of a column: values in rows of shape[1] when
+        shape has two dims."""
+        at = f"{where}: {name}"
+        col = doc.get(name)
+        expect(isinstance(col, dict), at)
+        dtype, dims, data = col.get("dtype"), col.get("shape"), col.get("data")
+        expect(isinstance(dtype, str) and dtype in dtypes, f"{at} dtype")
+        expect(isinstance(dims, list) and len(dims) == len(shape)
+               and all(is_int(d) and d == want for d, want in zip(dims, shape)), f"{at} shape")
+        expect(isinstance(data, str), f"{at} data")
+        try:
+            raw = base64.b64decode(data, validate=True)
+        except ValueError:
+            raise DataError(f"{at} base64") from None
+        code = "<" + _STRUCT_CODES[dtype]
+        count = math.prod(shape)
+        expect(len(raw) == count * struct.calcsize(code), f"{at} length")
+        values = [struct.unpack_from(code, raw, i * struct.calcsize(code))[0]
+                  for i in range(count)]
+        if len(shape) == 2:
+            values = [values[i:i + shape[1]] for i in range(0, count, shape[1])]
+        return dtype, values
 
     expect(isinstance(doc, dict), f"{where} must be an object")
-    nodes = doc.get("nodes")
-    expect(isinstance(nodes, list) and len(nodes) >= 1, f"{where}: empty node list")
-    m = len(nodes)
-    features, projections, thresholds, lefts, rights, counts = [], [], [], [], [], []
-    for i, nd in enumerate(nodes):
+    m = doc.get("nodes")
+    expect(is_int(m) and m >= 1, f"{where}: nodes")
+    _, kind = column("kind", ["|u1"], [m])
+    expect(all(k in (0, 1) for k in kind), f"{where}: kind")
+    s = sum(kind)
+    _, feats = column("features", [smallest_uint(n_bands - 1)], [s, fs])
+    _, projs = column("projections", ["<f8"], [s, fs])
+    _, thrs = column("thresholds", ["<f8"], [s])
+    _, lefts = column("left", ["<i4"], [s])
+    _, rights = column("right", ["<i4"], [s])
+    width, tallies = column("class_counts", ["|u1", "<u2", "<u4", "<u8"], [m - s, 2])
+    expect(width == smallest_uint(max([c for t in tallies for c in t], default=0)),
+           f"{where}: class_counts width")
+
+    features, projections, thresholds, left, right, counts = [], [], [], [], [], []
+    splits, leaves = iter(range(s)), iter(range(m - s))
+    for i in range(m):
         at = f"{where} node {i}"
-        expect(isinstance(nd, dict), f"{at} must be an object")
-        kind = nd.get("kind")
-        if kind == "split":
-            feats = int_list(nd.get("feature_indices"), fs, "feature_indices", at)
-            expect(all(0 <= f < n_bands for f in feats), f"{at}: feature index out of range")
-            proj = float_list(nd.get("projection"), fs, "projection", at)
-            thr = nd.get("threshold")
-            expect(is_real(thr), f"{at}: threshold must be a finite number")
-            left, right = nd.get("left"), nd.get("right")
-            for name, child in (("left", left), ("right", right)):
-                expect(is_int(child) and 0 <= child < m, f"{at}: {name} child index out of range")
-            features.append(feats)
-            projections.append(proj)
-            thresholds.append(float(thr))
-            lefts.append(left)
-            rights.append(right)
+        if kind[i]:
+            j = next(splits)
+            expect(all(f < n_bands for f in feats[j]), f"{at}: feature index out of range")
+            expect(all(math.isfinite(v) for v in projs[j]), f"{at}: projection")
+            expect(math.isfinite(thrs[j]), f"{at}: threshold")
+            for name, child in (("left", lefts[j]), ("right", rights[j])):
+                expect(0 <= child < m, f"{at}: {name} child index out of range")
+            features.append(feats[j])
+            projections.append(projs[j])
+            thresholds.append(thrs[j])
+            left.append(lefts[j])
+            right.append(rights[j])
             counts.append([0, 0])
-        elif kind == "leaf":
-            tally = int_list(nd.get("class_counts"), 2, "class_counts", at)
-            expect(all(c >= 0 for c in tally), f"{at}: negative class count")
+        else:
+            tally = tallies[next(leaves)]
             expect(sum(tally) > 0, f"{at}: leaf class_counts all zero")
             expect(sum(tally) < 2**63, f"{at}: leaf class_counts sum beyond int64")
             features.append([-1] * fs)
             projections.append([0.0] * fs)
             thresholds.append(0.0)
-            lefts.append(-1)
-            rights.append(-1)
+            left.append(-1)
+            right.append(-1)
             counts.append(tally)
-        else:
-            raise DataError(f"{at}: unknown node kind {kind!r}")
-    tree = FlatTree.from_rows(features, projections, thresholds, lefts, rights, counts)
+    tree = FlatTree.from_rows(features, projections, thresholds, left, right, counts)
     seen = np.zeros(m, dtype=bool)
     stack = [0]
     while stack:
