@@ -34,6 +34,7 @@ from .raster_io import (
     PRESETS,
     MultispectralRaster,
     SyntheticSceneSpec,
+    _sidecar_paths,
     bayes_accuracy_estimate,
     generate_scene,
     read_mask,
@@ -176,6 +177,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    mask_files, prob_files = (_sidecar_paths(os.path.abspath(p))
+                              for p in (args.out_mask, args.out_prob))
+    if mask_files == prob_files:
+        return _usage_error(f"--out-mask and --out-prob both name {' and '.join(mask_files)}")
     model = load_model(args.model)
     raster = read_raster(args.raster)
     mask, prob = predict_raster(model, raster)

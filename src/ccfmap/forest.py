@@ -17,8 +17,8 @@ comes from one RNG stream per tree and level, SeedSequence(seed,
 spawn_key=(0, tree, level)), drawn in node order. So training is
 deterministic for a given seed no matter how many workers run (its
 models differ from those of the earlier node-by-node grower). Each tree
-is laid out as a FlatTree: parallel per-node arrays in preorder, the one
-tree representation training, prediction and the ccf-2 columns share.
+is laid out as a FlatTree: parallel per-node arrays in level order, the
+one tree representation training, prediction and the ccf-3 columns share.
 
 Growth gathers the training matrix a column at a time, so it runs at
 memory speed on a column-major matrix, the layout cca.standardize
@@ -86,7 +86,7 @@ from .cca import binary_directions, segment_moments
 from .errors import DataError, is_int
 from .pipeline import UNLABELED, SampleSet, valid_pixels
 
-MODEL_FORMAT_VERSION = "ccf-2"
+MODEL_FORMAT_VERSION = "ccf-3"
 
 _PREDICT_CHUNK = 1 << 18  # most rows one predict_proba_batch call routes
 _FANOUT_FLOOR = 1 << 15  # fewer valid pixels than this predict in-process
@@ -132,7 +132,9 @@ class TrainConfig:
 
 @dataclass
 class FlatTree:
-    """One tree as parallel node arrays, preorder; node 0 is the root.
+    """One tree as parallel node arrays in level order: the root, then
+    each level's nodes in parent order, left child before right, so the
+    k-th split (by node id) has children 2k + 1 and 2k + 2.
 
     A split row routes a row left iff its projection onto the row's
     direction is <= the threshold.
@@ -148,19 +150,27 @@ class FlatTree:
     probs: np.ndarray  # (m, 2) float64
 
     @classmethod
-    def from_rows(cls, features, projections, thresholds, left, right, counts):
-        """Build a tree from per-node rows. kind and probs follow from
-        them: a row with a left child is a split, and a leaf's probs are
-        its counts normalized (split rows have zero counts, so zero probs)."""
-        left = np.asarray(left, dtype=np.int64)
-        counts = np.asarray(counts, dtype=np.int64)
+    def from_columns(cls, kind, features, projections, thresholds, class_counts):
+        """A tree from its columns in node order (kind of every node, the
+        rest of the splits or the leaves), padded to per-node rows. A
+        leaf's probs are its counts normalized; split rows get zeros."""
+        kind = np.asarray(kind, dtype=np.uint8)
+        split_at = np.flatnonzero(kind)
+
+        def per_node(values, at, fill, dtype):
+            out = np.full((kind.size, *np.shape(values)[1:]), fill, dtype=dtype)
+            out[at] = values
+            return out
+
+        left = per_node(2 * np.arange(split_at.size) + 1, split_at, -1, np.int64)
+        counts = per_node(class_counts, kind == 0, 0, np.int64)
         return cls(
-            kind=(left >= 0).astype(np.uint8),
-            features=np.asarray(features, dtype=np.int64),
-            projections=np.asarray(projections, dtype=np.float64),
-            thresholds=np.asarray(thresholds, dtype=np.float64),
+            kind=kind,
+            features=per_node(features, split_at, -1, np.int64),
+            projections=per_node(projections, split_at, 0, np.float64),
+            thresholds=per_node(thresholds, split_at, 0, np.float64),
             left=left,
-            right=np.asarray(right, dtype=np.int64),
+            right=np.where(kind, left + 1, -1),
             counts=counts,
             probs=counts / np.maximum(counts.sum(axis=1, keepdims=True), 1),
         )
@@ -341,13 +351,13 @@ def _partition(rows, z, t, ok, sizes):
 
 
 def _build_tree(x, y, config, tree_index) -> FlatTree:
-    """Grow tree tree_index level by level, straight into FlatTree rows.
+    """Grow tree tree_index level by level, into a FlatTree in level order.
 
     A level's nodes are the children of the last level's splits, in
-    parent order, left before right. The rows of the nodes that try a
-    split lie as contiguous segments of one index array, each in
-    ascending row order, and every step below runs on all of them at
-    once. A node becomes a leaf when it is pure, smaller than
+    parent order, left before right: the tree's node order. The rows of
+    the nodes that try a split lie as contiguous segments of one index
+    array, each in ascending row order, and every step below runs on all
+    of them at once. A node becomes a leaf when it is pure, smaller than
     2*min_node_size, at max_depth, or admits no split; each child of a
     split gets at least one row.
     """
@@ -363,8 +373,9 @@ def _build_tree(x, y, config, tree_index) -> FlatTree:
         split = np.zeros(sizes.size, dtype=bool)
         tally = np.column_stack([sizes - ones, ones])
         if not tries.any():
-            levels.append((split, None, None, None, tally))
-            return _preorder(levels, fs)
+            levels.append((split, np.empty((0, fs), dtype=np.int64), np.empty((0, fs)),
+                           np.empty(0), tally))
+            return FlatTree.from_columns(*map(np.concatenate, zip(*levels)))
         rows = rows[np.repeat(tries, sizes)]
         n_node, n_ones = sizes[tries], ones[tries]
         starts = np.cumsum(n_node) - n_node
@@ -383,39 +394,10 @@ def _build_tree(x, y, config, tree_index) -> FlatTree:
             )
         ok = nl > 0
         split[tries] = ok
-        levels.append((split, feats[ok], a[ok], t[ok], tally))
+        levels.append((split, feats[ok], a[ok], t[ok], tally[~split]))
         rows = _partition(rows, z, t, ok, n_node)
         sizes = np.column_stack([nl, n_node - nl])[ok].ravel()
         ones = np.column_stack([n1, n_ones - n1])[ok].ravel()
-
-
-def _preorder(levels, fs) -> FlatTree:
-    """Lay a tree's levels out in preorder. levels[i] holds level i's
-    split mask and leaf tallies over its nodes, and the features,
-    directions and thresholds of its splits; level i + 1 holds the
-    children of level i's splits, in order, left before right."""
-    subtree = [np.zeros(0, dtype=np.int64)]  # subtree node counts, from the bottom
-    for split, *_ in reversed(levels):
-        size = np.ones(split.size, dtype=np.int64)
-        size[split] += subtree[-1][0::2] + subtree[-1][1::2]
-        subtree.append(size)
-    subtree.reverse()
-    m = int(subtree[0][0])
-    features = np.full((m, fs), -1, dtype=np.int64)
-    projections, thresholds = np.zeros((m, fs)), np.zeros(m)
-    left, right = np.full((2, m), -1, dtype=np.int64)
-    counts = np.zeros((m, 2), dtype=np.int64)
-    ids = np.zeros(1, dtype=np.int64)
-    for level, (split, feats, a, t, tally) in enumerate(levels):
-        counts[ids[~split]] = tally[~split]
-        at = ids[split]
-        if not at.size:
-            break
-        features[at], projections[at], thresholds[at] = feats, a, t
-        left[at] = at + 1
-        right[at] = at + 1 + subtree[level + 1][0::2]
-        ids = np.column_stack([left[at], right[at]]).ravel()
-    return FlatTree.from_rows(features, projections, thresholds, left, right, counts)
 
 
 @dataclass

@@ -1,13 +1,14 @@
-"""The model file, format ccf-2: one JSON document with the two class
+"""The model file, format ccf-3: one JSON document with the two class
 names, the scaler, the training config and every tree as binary columns.
 
 A tree entry holds its node count and the columns kind (|u1: 1 split,
 0 leaf), features (the smallest unsigned dtype that holds n_bands - 1),
-projections and thresholds (<f8), left and right (<i4) of the split
-nodes, and class_counts (the smallest unsigned dtype that holds the
-largest count) of the leaves. A column is {"dtype", "shape", "data"},
-data being base64 of its little-endian bytes. The arrays stay in the one
-file, so a model is one path to size, copy or replace atomically.
+projections and thresholds (<f8) of the split nodes, and class_counts
+(the smallest unsigned dtype that holds the largest count) of the
+leaves, in FlatTree's level order, which implies every child id. A column
+is {"dtype", "shape", "data"}, data being base64 of its little-endian
+bytes. The arrays stay in the one file, so a model is one path to size,
+copy or replace atomically.
 
 Both directions go through raster_io's one atomic writer and one JSON
 reader. save_model refuses a value its column would not hold exactly (a
@@ -82,8 +83,6 @@ def _tree_doc(tree: FlatTree, n_bands: int, where: str) -> dict:
         "features": (tree.features[split], _uint(n_bands - 1)),
         "projections": (tree.projections[split], "<f8"),
         "thresholds": (tree.thresholds[split], "<f8"),
-        "left": (tree.left[split], "<i4"),
-        "right": (tree.right[split], "<i4"),
         "class_counts": (counts, _uint(int(counts.max(initial=0)))),
     }
     return {"nodes": tree.n_nodes, **{
@@ -205,7 +204,7 @@ def _no_bad_node(bad, ids, where, what):
 
 
 def _parse_tree(doc, tree_index: int, n_bands: int, fs: int, path) -> FlatTree:
-    """One tree of a ccf-2 document as a FlatTree. Each column is checked
+    """One tree of a ccf-3 document as a FlatTree. Each column is checked
     for its dtype and byte length, then each field for every node at
     once, as an array."""
     where = f"{path}: tree {tree_index}"
@@ -216,6 +215,11 @@ def _parse_tree(doc, tree_index: int, n_bands: int, fs: int, path) -> FlatTree:
     _no_bad_node(kind > 1, range(m), where, "kind must be 0 (leaf) or 1 (split)")
     split_at, leaf_at = np.flatnonzero(kind), np.flatnonzero(kind == 0)
     s = split_at.size
+    # with these two, node j > 0 has one parent, split (j - 1) // 2, at an
+    # id below j, so every node leads back to the root: the kinds are a tree
+    _expect(m == 2 * s + 1, f"{where}: {s} split(s) need {2 * s + 1} nodes, got {m}")
+    _no_bad_node(split_at > 2 * np.arange(s), split_at, where,
+                 "the k-th split must come before its children 2k + 1 and 2k + 2")
 
     f = _array(doc, "features", (_uint(n_bands - 1),), [s, fs], where)
     _no_bad_node((f >= n_bands).any(axis=1), split_at, where,
@@ -224,9 +228,6 @@ def _parse_tree(doc, tree_index: int, n_bands: int, fs: int, path) -> FlatTree:
     thr = _array(doc, "thresholds", ("<f8",), [s], where)
     _no_bad_node(~np.isfinite(np.column_stack((proj, thr))).all(axis=1), split_at, where,
                  "projections and thresholds must be finite numbers")
-    child = np.stack([_array(doc, name, ("<i4",), [s], where) for name in ("left", "right")])
-    _no_bad_node(((child < 0) | (child >= m)).any(axis=0), split_at, where,
-                 f"child index out of range [0, {m})")
     tally = _array(doc, "class_counts", _UINTS, [m - s, 2], where)
     _expect(tally.dtype.str == _uint(int(tally.max(initial=0))),
             f"{where}: class_counts dtype must be the smallest that holds its counts")
@@ -237,24 +238,4 @@ def _parse_tree(doc, tree_index: int, n_bands: int, fs: int, path) -> FlatTree:
     tally = tally.astype(np.uint64)
     _no_bad_node((tally > big).any(axis=1) | (tally.sum(axis=1) > big), leaf_at, where,
                  "leaf class_counts sum beyond int64")
-
-    features = np.full((m, fs), -1, dtype=np.int64)
-    projections, thresholds = np.zeros((m, fs)), np.zeros(m)
-    left, right = np.full((2, m), -1, dtype=np.int64)
-    counts = np.zeros((m, 2), dtype=np.int64)
-    features[split_at], projections[split_at], thresholds[split_at] = f, proj, thr
-    left[split_at], right[split_at] = child
-    counts[leaf_at] = tally
-
-    # every node reachable from the root exactly once: each is referenced
-    # once (the root by the tree itself), and none sits in a detached cycle
-    refs = np.bincount(np.concatenate(([0], left[split_at], right[split_at])), minlength=m)
-    _expect(not (refs > 1).any(),
-            f"{where}: node {int(np.argmax(refs > 1))} referenced more than once")
-    reached, level = 1, np.zeros(1, dtype=np.int64)
-    while level.size:  # ends, as no node has two parents and none the root
-        level = level[left[level] >= 0]
-        level = np.concatenate((left[level], right[level]))
-        reached += level.size
-    _expect(reached == m, f"{where}: {m - reached} unreachable node(s)")
-    return FlatTree.from_rows(features, projections, thresholds, left, right, counts)
+    return FlatTree.from_columns(kind, f, proj, thr, tally)

@@ -293,6 +293,34 @@ class TestPredict:
         prob = read_raster(tmp_path / "prob.json")
         assert (prob.values == -1.0).all()
 
+    @pytest.mark.parametrize("out_mask,out_prob", [
+        ("out", "out.json"), ("out.bin", "out"), ("out.json", "./out.bin"), ("out", "out"),
+    ])
+    def test_outputs_sharing_files_rejected(self, scene_dir, tmp_path, capsys, monkeypatch,
+                                            out_mask, out_prob):
+        # the probability raster would overwrite the mask's header and payload
+        monkeypatch.chdir(tmp_path)
+
+        def no_model(path):
+            raise AssertionError("the model was read")
+
+        monkeypatch.setattr(cli, "load_model", no_model)
+        rc = main(
+            [
+                "predict",
+                "--model", "model.ccf.json",
+                "--raster", str(scene_dir / "raster.json"),
+                "--out-mask", out_mask,
+                "--out-prob", out_prob,
+            ]
+        )
+        assert rc == 1
+        assert _error_lines(capsys.readouterr().err) == [
+            f"ccfmap: error: --out-mask and --out-prob both name "
+            f"{tmp_path / 'out.json'} and {tmp_path / 'out.bin'}"
+        ]
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_model_file(self, scene_dir, tmp_path, capsys):
         rc = main(
             [

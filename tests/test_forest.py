@@ -157,7 +157,7 @@ def _leaf_model(count_rows, n_bands=3):
     k = len(count_rows[0])
     fs = default_feature_subsample(n_bands)
     trees = [
-        FlatTree.from_rows([[-1] * fs], [[0.0] * fs], [0.0], [-1], [-1], [counts])
+        FlatTree.from_columns([0], np.empty((0, fs)), np.empty((0, fs)), [], [counts])
         for counts in count_rows
     ]
     return CcfModel(
@@ -189,18 +189,19 @@ def _route(tree, x):
     """Route rows down one tree with the forest's router. Returns each
     row's leaf id and how many times a row met a threshold exactly."""
     leaf = forest._route(tree, np.ascontiguousarray(x.T))
-    # preorder: node i's subtree holds the ids [i, end[i])
-    end = np.arange(1, tree.n_nodes + 1)
-    for i in range(tree.n_nodes - 1, -1, -1):
-        if tree.kind[i]:
-            end[i] = end[tree.right[i]]
+    split = np.flatnonzero(tree.kind)
+    parent = np.full(tree.n_nodes, -1)
+    parent[tree.left[split]] = parent[tree.right[split]] = split
+    # climb every row from its leaf to the root, checking each split it passed
     on_threshold = 0
-    for nid in np.flatnonzero(tree.kind):
-        rows = (leaf >= nid) & (leaf < end[nid])
-        z = _project(x[rows][:, tree.features[nid]].T, tree.projections[nid])
-        on_threshold += int((z == tree.thresholds[nid]).sum())
-        went_left = leaf[rows] < tree.right[nid]
-        np.testing.assert_array_equal(went_left, z <= tree.thresholds[nid])
+    rows, at = np.arange(len(x)), leaf
+    while rows.size:
+        up = parent[at]
+        rows, at, up = rows[up >= 0], at[up >= 0], up[up >= 0]
+        z = _project(x[rows[:, None], tree.features[up]].T, tree.projections[up].T)
+        on_threshold += int((z == tree.thresholds[up]).sum())
+        np.testing.assert_array_equal(tree.left[up] == at, z <= tree.thresholds[up])
+        at = up
     return leaf, on_threshold
 
 
@@ -223,11 +224,11 @@ def _walk(tree, row):
 
 
 @st.composite
-def _shuffled_tree(draw):
-    """A random tree over a few bands whose node ids are in no particular
-    order (the root is node 0), with small-integer directions and
-    half-integer thresholds; up to 300 rows on a small integer grid, so
-    that many rows sit on thresholds; and a cut between 1 and the rows."""
+def _level_order_tree(draw):
+    """A random tree over a few bands in level order, with small-integer
+    directions and half-integer thresholds, and the children its shape
+    gives each split; up to 300 rows on a small integer grid, so that
+    many rows sit on thresholds; and a cut between 1 and the rows."""
     n_bands = draw(st.integers(1, 5))
     fs = default_feature_subsample(n_bands)
     children = [None]  # per node of a tree in growth order: its children
@@ -236,26 +237,27 @@ def _shuffled_tree(draw):
         at = leaves[draw(st.integers(0, len(leaves) - 1))]
         children[at] = (len(children), len(children) + 1)
         children += [None, None]
-    m = len(children)
-    ids = [0] + draw(st.permutations(range(1, m)))  # node i gets id ids[i]
+    order = [0]  # breadth first from the root, left child before right
+    for i in order:
+        order += children[i] or ()
+    ids = {node: nid for nid, node in enumerate(order)}
     small = st.integers(-2, 2).map(float)
-    features = np.full((m, fs), -1)
-    projections, thresholds = np.zeros((m, fs)), np.zeros(m)
-    left, right = np.full((2, m), -1)
-    counts = np.zeros((m, 2), dtype=np.int64)
-    for i, c in enumerate(children):
-        nid = ids[i]
+    kind, features, projections, thresholds, counts, want = [], [], [], [], [], {}
+    for node in order:
+        c = children[node]
+        kind.append(int(c is not None))
         if c is None:
-            counts[nid] = draw(st.tuples(st.integers(0, 3), st.integers(1, 3)))
+            counts.append(draw(st.tuples(st.integers(0, 3), st.integers(1, 3))))
             continue
-        features[nid] = sorted(draw(st.permutations(range(n_bands)))[:fs])
-        projections[nid] = [draw(small) for _ in range(fs)]
-        thresholds[nid] = draw(small) / 2
-        left[nid], right[nid] = ids[c[0]], ids[c[1]]
-    tree = FlatTree.from_rows(features, projections, thresholds, left, right, counts)
+        features.append(sorted(draw(st.permutations(range(n_bands)))[:fs]))
+        projections.append([draw(small) for _ in range(fs)])
+        thresholds.append(draw(small) / 2)
+        want[ids[node]] = (ids[c[0]], ids[c[1]])
+    tree = FlatTree.from_columns(kind, np.reshape(features, (-1, fs)),
+                                 np.reshape(projections, (-1, fs)), thresholds, counts)
     n_rows = draw(st.integers(1, 300))
     rows = draw(hnp.arrays(np.int64, (n_rows, n_bands), elements=st.integers(-2, 2)))
-    return tree, rows.astype(np.float64), draw(st.integers(1, n_rows))
+    return tree, want, rows.astype(np.float64), draw(st.integers(1, n_rows))
 
 
 def _scalar_proba(model, row):
@@ -556,9 +558,9 @@ class TestGrowNode:
 
 
 class TestFlattenTree:
-    """Growth writes the tree flat, in preorder, with FlatTree's dtypes."""
+    """Growth writes the tree flat, in level order, with FlatTree's dtypes."""
 
-    def test_preorder_layout(self):
+    def test_level_order_layout(self):
         s = _blobs(80, 6, 2.0, np.random.default_rng(17))
         tree = _grow_tree(s, TrainConfig(), 3)
         m, fs = tree.n_nodes, default_feature_subsample(6)
@@ -572,16 +574,16 @@ class TestFlattenTree:
             arr = getattr(tree, name)
             assert arr.dtype == dtypes[name], name
             assert arr.shape == shapes.get(name, (m,)), name
-        # subtree sizes, children before parents in reverse preorder
-        size = np.ones(m, dtype=np.int64)
-        for i in range(m - 1, -1, -1):
-            if tree.kind[i] == 1:
-                size[i] += size[tree.left[i]] + size[tree.right[i]]
-        assert size[0] == m
         split = tree.kind == 1
-        ids = np.flatnonzero(split)
-        np.testing.assert_array_equal(tree.left[split], ids + 1)
-        np.testing.assert_array_equal(tree.right[split], ids + 1 + size[ids + 1])
+        k = np.arange(split.sum())
+        np.testing.assert_array_equal(tree.left[split], 2 * k + 1)
+        np.testing.assert_array_equal(tree.right[split], 2 * k + 2)
+        assert m == 2 * k.size + 1
+        # a node's depth, from its parent's: never less than the last node's
+        depth = np.zeros(m, dtype=np.int64)
+        for nid in np.flatnonzero(split):
+            depth[[tree.left[nid], tree.right[nid]]] = depth[nid] + 1
+        assert (np.diff(depth) >= 0).all() and depth[-1] > 2
         assert (tree.features[split] >= 0).all()
         assert (tree.counts[split] == 0).all() and (tree.probs[split] == 0).all()
         leaf = ~split
@@ -592,10 +594,10 @@ class TestFlattenTree:
         np.testing.assert_array_equal(
             tree.probs[leaf], leaf_counts / leaf_counts.sum(axis=1, keepdims=True)
         )
-        np.testing.assert_array_equal(tree.counts.sum(axis=0), s.class_counts())
+        np.testing.assert_array_equal(leaf_counts.sum(axis=0), s.class_counts())
 
     def test_single_leaf(self):
-        tree = FlatTree.from_rows([[-1, -1, -1]], [[0.0] * 3], [0.0], [-1], [-1], [[1, 1]])
+        tree = FlatTree.from_columns([0], np.empty((0, 3)), np.empty((0, 3)), [], [[1, 1]])
         assert tree.n_nodes == 1
         assert tree.kind[0] == 0
         np.testing.assert_array_equal(tree.probs, [[0.5, 0.5]])
@@ -902,10 +904,12 @@ class TestPrediction:
             single = predict_proba_batch(model, row[None, :])[0]
             assert single.tobytes() == expected.tobytes()
 
-    @given(_shuffled_tree())
+    @given(_level_order_tree())
     def test_route_equals_a_walk_at_every_cut(self, problem):
-        # node ids out of preorder, as load_model accepts them
-        tree, rows, drawn_cut = problem
+        # any level-order shape, as load_model accepts them
+        tree, children, rows, drawn_cut = problem
+        split = np.flatnonzero(tree.kind)
+        assert {nid: (tree.left[nid], tree.right[nid]) for nid in split} == children
         n_bands = rows.shape[1]
         loaded = model_io._parse_tree(model_io._tree_doc(tree, n_bands, "model"), 0,
                                       n_bands, tree.features.shape[1], "model")

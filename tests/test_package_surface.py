@@ -4,7 +4,8 @@ The ccfmap root exports exactly the names its callers import from it:
 the README's library example, the demos and the benchmark scripts. A
 root name that nothing imports fails here, and so does a caller that
 imports a name the root no longer has. raster_io stays free of the
-forest, so the model file has one owner, model_io.
+forest, so the model file has one owner, model_io, and the README names
+the model format version the code writes.
 """
 
 import ast
@@ -17,6 +18,7 @@ import sys
 import pytest
 
 import ccfmap
+from ccfmap import forest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -62,3 +64,10 @@ def test_raster_io_imports_neither_the_forest_nor_the_model_file():
     pairs = _from_imports((ROOT / "src" / "ccfmap" / "raster_io.py").read_text(), "ccfmap")
     imported = {module for module, _ in pairs} | {f"{m}.{name}" for m, name in pairs}
     assert not imported & {"ccfmap.forest", "ccfmap.model_io"}
+
+
+def test_readme_names_the_model_format_version():
+    # the next format bump cannot leave the README's model paragraph behind
+    paragraphs = [" ".join(p.split()) for p in (ROOT / "README.md").read_text().split("\n\n")]
+    [models] = [p for p in paragraphs if p.startswith("Models are")]
+    assert f'`format_version` "{forest.MODEL_FORMAT_VERSION}"' in models

@@ -1,6 +1,7 @@
 """Tests for raster/mask/model/report files and the synthetic scene generator."""
 
 import base64
+import collections
 import copy
 import dataclasses
 import functools
@@ -394,7 +395,9 @@ class TestModelSerialization:
 
     def test_bytes_per_node_ceiling(self, tmp_path):
         # trees grown to purity on overlapping classes: binary columns at
-        # most 96 B per split and 12 B per leaf, base64 and header included
+        # most 72 B per split and 8 B per leaf, base64 and header included.
+        # A split's own columns take 72 B, so child ids stored per split
+        # (ccf-2's <i4 pair, about 10.7 B of base64) would not fit
         rng = np.random.default_rng(3)
         x = rng.normal(size=(2000, 10))
         y = (x[:, 0] + rng.normal(size=2000) > 0).astype(np.int64)
@@ -405,13 +408,11 @@ class TestModelSerialization:
         leaves = sum(t.n_nodes for t in model.trees) - splits
         assert splits >= 300
         path = save_model(model, tmp_path / "m.ccf.json")
-        assert os.path.getsize(path) <= 96 * splits + 12 * leaves
+        assert os.path.getsize(path) <= 72 * splits + 8 * leaves
 
     @pytest.mark.parametrize("field,value,message", [
         ("thresholds", np.inf, "thresholds values must be finite and fit <f8"),
         ("projections", np.nan, "projections values must be finite and fit <f8"),
-        ("left", 2**31, "left values must be finite and fit <i4"),
-        ("right", -2**31 - 1, "right values must be finite and fit <i4"),
         ("counts", -1, "class_counts values must be finite and fit"),
     ])
     def test_unwritable_value_not_saved(self, tmp_path, field, value, message):
@@ -439,7 +440,7 @@ class TestModelSerialization:
 
     def test_unknown_version(self, tmp_path):
         _, doc = self._doc(tmp_path)
-        doc["format_version"] = "ccf-3"
+        doc["format_version"] = "ccf-4"
         self._reject(tmp_path, doc, "unsupported model format_version")
 
     def test_ccf1_file_rejected(self, tmp_path):
@@ -448,17 +449,37 @@ class TestModelSerialization:
         doc["trees"] = [{"nodes": [{"kind": "leaf", "class_counts": [1, 1]}]}] * 3
         self._reject(tmp_path, doc, "unsupported model format_version 'ccf-1'")
 
-    def test_child_index_out_of_range(self, tmp_path):
+    def test_ccf2_file_rejected(self, tmp_path):
+        # a ccf-2 tree entry: these columns plus <i4 left and right child ids
         _, doc = self._doc(tmp_path)
-        tree = self._split_tree(doc)
-        _edit_column(tree, "left", lambda left: left.__setitem__(0, 99))
-        self._reject(tmp_path, doc, "child index out of range")
+        doc["format_version"] = "ccf-2"
+        for tree in doc["trees"]:
+            k = np.arange(int(_column(tree, "kind").sum()))
+            _put_column(tree, "left", 2 * k + 1, "<i4")
+            _put_column(tree, "right", 2 * k + 2, "<i4")
+        self._reject(tmp_path, doc, "unsupported model format_version 'ccf-2'")
+
+    def _reshape(self, tree, kind):
+        """Give a split tree entry the node kinds kind, with its first
+        split's columns on every split and [1, 1] on every leaf."""
+        kind = np.array(kind)
+        tree["nodes"] = kind.size
+        _put_column(tree, "kind", kind)
+        for name in ("features", "projections", "thresholds"):
+            _put_column(tree, name, np.repeat(_column(tree, name)[:1], kind.sum(), axis=0))
+        _put_column(tree, "class_counts", np.ones((kind.size - kind.sum(), 2)))
+
+    def test_child_index_out_of_range(self, tmp_path):
+        # split 1's right child would be node 4, past the last node, 3
+        _, doc = self._doc(tmp_path)
+        self._reshape(self._split_tree(doc), [1, 0, 1, 0])
+        self._reject(tmp_path, doc, r"2 split\(s\) need 5 nodes, got 4")
 
     def test_double_reference(self, tmp_path):
+        # split 1 at node 3, its own left child
         _, doc = self._doc(tmp_path)
-        tree = self._split_tree(doc)
-        _put_column(tree, "right", _column(tree, "left"))
-        self._reject(tmp_path, doc, "referenced more than once")
+        self._reshape(self._split_tree(doc), [1, 0, 0, 1, 0])
+        self._reject(tmp_path, doc, "node 3: the k-th split must come before its children")
 
     def test_unreachable_node(self, tmp_path):
         _, doc = self._doc(tmp_path)
@@ -466,24 +487,17 @@ class TestModelSerialization:
         tree["nodes"] += 1
         _put_column(tree, "kind", np.append(_column(tree, "kind"), 0))
         _put_column(tree, "class_counts", np.vstack([_column(tree, "class_counts"), [1, 1]]))
-        self._reject(tmp_path, doc, "unreachable node")
+        self._reject(tmp_path, doc, r"split\(s\) need \d+ nodes, got")
 
     def test_detached_cycle_unreachable(self, tmp_path):
-        # nodes 3 and 4 are each other's children: every node is referenced
-        # exactly once, yet neither is reached from the root
+        # splits 1 and 2 at nodes 3 and 4 would have children 3 to 6: node
+        # 3 its own child, and nodes 3 to 6 unreached from the root
         _, doc = self._doc(tmp_path)
-        tree = self._split_tree(doc)
-        tree["nodes"] = 7
-        _put_column(tree, "kind", np.array([1, 0, 0, 1, 1, 0, 0]))
-        for name in ("features", "projections", "thresholds"):
-            _put_column(tree, name, np.repeat(_column(tree, name)[:1], 3, axis=0))
-        _put_column(tree, "left", np.array([1, 4, 3]))
-        _put_column(tree, "right", np.array([2, 5, 6]))
-        _put_column(tree, "class_counts", np.ones((4, 2)))
-        self._reject(tmp_path, doc, "unreachable node")
+        self._reshape(self._split_tree(doc), [1, 0, 0, 1, 1, 0, 0])
+        self._reject(tmp_path, doc, "node 3: the k-th split must come before its children")
 
     @pytest.mark.parametrize("value", [True, 1.0, 2**63])
-    @pytest.mark.parametrize("field", ["feature_indices", "left", "right", "class_counts"])
+    @pytest.mark.parametrize("field", ["feature_indices", "class_counts"])
     def test_index_or_count_that_is_no_int64_rejected(self, tmp_path, field, value):
         # as a bool or float column, or 2**63 in a <u8 one
         _, doc = self._doc(tmp_path)
@@ -503,7 +517,7 @@ class TestModelSerialization:
     @pytest.mark.parametrize("name,dtype", [
         ("projections", "|O"), ("projections", ">f8"), ("projections", "<f4"),
         ("thresholds", "<f4"), ("features", "|i1"), ("features", "<u2"),
-        ("left", "<i8"), ("kind", "|b1"), ("class_counts", "<i4"), ("kind", None),
+        ("kind", "|b1"), ("class_counts", "<i4"), ("kind", None),
     ])
     def test_disallowed_dtype_rejected(self, tmp_path, name, dtype):
         _, doc = self._doc(tmp_path)
@@ -831,7 +845,7 @@ def _read_mask_or_reject(header, payload):
 
 @functools.cache
 def _model_text():
-    """A small saved model as ccf-2 text: two trees over three bands."""
+    """A small saved model as ccf-3 text: two trees over three bands."""
     with tempfile.TemporaryDirectory() as d:
         path = save_model(_tiny_model(seed=5, n_bands=3, n_trees=2), os.path.join(d, "m"))
         with open(path, encoding="utf-8") as fh:
@@ -884,13 +898,14 @@ def _mutate_model(text, edits, byte_edit=None):
     return bytes(data)
 
 
-_STRUCT_CODES = {"|u1": "B", "<u2": "H", "<u4": "I", "<u8": "Q", "<f8": "d", "<i4": "i"}
+_STRUCT_CODES = {"|u1": "B", "<u2": "H", "<u4": "I", "<u8": "Q", "<f8": "d"}
 
 
 def _reference_parse_tree(doc, tree_index, n_bands, fs, path):
-    """A ccf-2 tree reader apart from load_model's: every value unpacked
-    with struct and checked in Python, one node at a time, then a
-    depth-first walk from the root."""
+    """A ccf-3 tree reader apart from load_model's: every value unpacked
+    with struct and checked in Python, one node at a time, and children
+    assigned breadth first from the root, node by node: each split takes
+    the next two unassigned ids."""
     where = f"{path}: tree {tree_index}"
 
     def expect(cond, msg):
@@ -931,16 +946,24 @@ def _reference_parse_tree(doc, tree_index, n_bands, fs, path):
     _, kind = column("kind", ["|u1"], [m])
     expect(all(k in (0, 1) for k in kind), f"{where}: kind")
     s = sum(kind)
+    left, right = [-1] * m, [-1] * m
+    queue, next_id = collections.deque([0]), 1
+    while queue:
+        i = queue.popleft()
+        if kind[i]:
+            expect(next_id + 1 < m, f"{where} node {i}: child index out of range")
+            left[i], right[i] = next_id, next_id + 1
+            queue.extend((next_id, next_id + 1))
+            next_id += 2
+    expect(next_id == m, f"{where}: {m - next_id} unreachable node(s)")
     _, feats = column("features", [smallest_uint(n_bands - 1)], [s, fs])
     _, projs = column("projections", ["<f8"], [s, fs])
     _, thrs = column("thresholds", ["<f8"], [s])
-    _, lefts = column("left", ["<i4"], [s])
-    _, rights = column("right", ["<i4"], [s])
     width, tallies = column("class_counts", ["|u1", "<u2", "<u4", "<u8"], [m - s, 2])
     expect(width == smallest_uint(max([c for t in tallies for c in t], default=0)),
            f"{where}: class_counts width")
 
-    features, projections, thresholds, left, right, counts = [], [], [], [], [], []
+    features, projections, thresholds, counts = [], [], [], []
     splits, leaves = iter(range(s)), iter(range(m - s))
     for i in range(m):
         at = f"{where} node {i}"
@@ -949,13 +972,9 @@ def _reference_parse_tree(doc, tree_index, n_bands, fs, path):
             expect(all(f < n_bands for f in feats[j]), f"{at}: feature index out of range")
             expect(all(math.isfinite(v) for v in projs[j]), f"{at}: projection")
             expect(math.isfinite(thrs[j]), f"{at}: threshold")
-            for name, child in (("left", lefts[j]), ("right", rights[j])):
-                expect(0 <= child < m, f"{at}: {name} child index out of range")
             features.append(feats[j])
             projections.append(projs[j])
             thresholds.append(thrs[j])
-            left.append(lefts[j])
-            right.append(rights[j])
             counts.append([0, 0])
         else:
             tally = tallies[next(leaves)]
@@ -964,21 +983,18 @@ def _reference_parse_tree(doc, tree_index, n_bands, fs, path):
             features.append([-1] * fs)
             projections.append([0.0] * fs)
             thresholds.append(0.0)
-            left.append(-1)
-            right.append(-1)
             counts.append(tally)
-    tree = FlatTree.from_rows(features, projections, thresholds, left, right, counts)
-    seen = np.zeros(m, dtype=bool)
-    stack = [0]
-    while stack:
-        i = stack.pop()
-        expect(not seen[i], f"{where}: node {i} referenced more than once")
-        seen[i] = True
-        if tree.kind[i] == 1:
-            stack.append(int(tree.left[i]))
-            stack.append(int(tree.right[i]))
-    expect(bool(seen.all()), f"{where}: {int((~seen).sum())} unreachable node(s)")
-    return tree
+    counts = np.array(counts, dtype=np.int64)
+    return FlatTree(
+        kind=np.array(kind, dtype=np.uint8),
+        features=np.array(features, dtype=np.int64),
+        projections=np.array(projections, dtype=np.float64),
+        thresholds=np.array(thresholds, dtype=np.float64),
+        left=np.array(left, dtype=np.int64),
+        right=np.array(right, dtype=np.int64),
+        counts=counts,
+        probs=counts / np.maximum(counts.sum(axis=1, keepdims=True), 1),
+    )
 
 
 def _load_as_the_reference(path):
