@@ -68,25 +68,24 @@ def standardize(m, stats: ColumnStats) -> np.ndarray:
     """Center by stats.mean and scale by stats.stddev, column-wise.
 
     Columns with stddev <= CONSTANT_COLUMN_TOL are only centered; dividing
-    by a near-zero spread would blow up round-off noise. The result is
-    column-major, each column one contiguous run: the layout in which
-    tree growth gathers a node's feature columns.
+    by a near-zero spread would blow up round-off noise. float32 rows are
+    read as they are, without a float64 copy. The result is column-major,
+    each column one contiguous run: the layout in which tree growth
+    gathers a node's feature columns, and whose transpose is the bands x
+    rows block prediction routes.
     """
-    m = as_matrix(m, "matrix")
+    m = np.asarray(m)
+    if m.dtype != np.float32:
+        m = np.asarray(m, dtype=np.float64)
     mean = np.asarray(stats.mean, dtype=np.float64)
     stddev = np.asarray(stats.stddev, dtype=np.float64)
-    if mean.shape != (m.shape[1],) or stddev.shape != (m.shape[1],):
+    if mean.shape != m.shape[-1:] or stddev.shape != m.shape[-1:]:
         raise DataError(
-            f"stats cover {mean.shape[0]} column(s) but matrix has {m.shape[1]}"
+            f"stats cover {mean.size} column(s) but matrix has shape {m.shape}"
         )
-    out = np.subtract(m, mean, order="F")
-    out /= scale_divisor(stddev)
-    return out
-
-
-def scale_divisor(stddev: np.ndarray) -> np.ndarray:
-    """standardize's divisor per column: stddev, or 1 for a constant one."""
-    return np.where(stddev > CONSTANT_COLUMN_TOL, stddev, 1.0)
+    out = np.subtract(m, mean, dtype=np.float64, order="F")
+    out /= np.where(stddev > CONSTANT_COLUMN_TOL, stddev, 1.0)
+    return as_matrix(out, "matrix")  # 2-D, at least one row and column, all finite
 
 
 def _centered(m: np.ndarray) -> np.ndarray:

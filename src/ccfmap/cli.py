@@ -143,21 +143,22 @@ def cmd_train(args) -> int:
     if args.seed < 0:
         return _usage_error(f"--seed must be >= 0, got {args.seed}")
 
+    # the settings are checked before any raster is read
+    config = TrainConfig(n_trees=args.trees, seed=args.seed)
+    spec = SplitSpec(train_fraction=args.split, seed=args.seed)
     # nested, and train rebound, so no earlier set outlives its step
     train, test = balanced_split(
         assemble_region_dataset(  # reads one pair at a time
             (read_raster(r), read_mask(m)) for r, m in zip(args.raster, args.mask)
         ),
         np.random.default_rng(np.random.SeedSequence(entropy=args.seed, spawn_key=(1,))),
-        SplitSpec(train_fraction=args.split, seed=args.seed),
+        spec,
     )
     scaler = fit_scaler(train)
     train = SampleSet(
         standardize(train.features, scaler), train.labels, train.class_names, adopt=True
     )
-    model = train_forest(
-        train, TrainConfig(n_trees=args.trees, seed=args.seed), scaler=scaler
-    )
+    model = train_forest(train, config, scaler=scaler)
     save_model(model, args.out)
     print(
         f"model written: {args.out} ({model.config.n_trees} trees, "
@@ -249,7 +250,10 @@ def cmd_synth(args) -> int:
         seed=args.seed,
     )
     raster, mask = generate_scene(spec)
-    os.makedirs(args.out, exist_ok=True)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        raise DataError(f"cannot write {args.out}: {exc}") from exc
     raster_paths = write_raster(raster, os.path.join(args.out, "raster"))
     mask_paths = write_mask(mask, os.path.join(args.out, "mask"))
     print(f"bayes_accuracy_estimate={bayes_accuracy_estimate(spec):.6f}")

@@ -15,8 +15,7 @@ partition) runs on all of them in a few numpy calls. There is no bagging
 of the data itself; every tree sees every sample, and all randomness
 comes from one RNG stream per tree and level, SeedSequence(seed,
 spawn_key=(0, tree, level)), drawn in node order. So training is
-deterministic for a given seed no matter how many workers run (its
-models differ from those of the earlier node-by-node grower). Each tree
+deterministic for a given seed no matter how many workers run. Each tree
 is laid out as a FlatTree: parallel per-node arrays in level order, the
 one tree representation training, prediction and the ccf-3 columns share.
 
@@ -32,11 +31,11 @@ the smallest unsigned dtype that holds the largest key
 sort gives one permutation whatever the key dtype, so the trees do not
 depend on it.
 
-Prediction standardizes a batch straight into one column-major block
-(bands x rows, one contiguous row per band). _route walks each tree in
-two phases. It goes depth-first with arrays of row indices while a split
-holds more than _SMALL_NODE rows; such a split gathers only its own
-feature columns for the rows that reach it, so a row costs
+Prediction routes the transpose of cca.standardize's column-major
+result: a bands x rows block, one contiguous row per band. _route walks
+each tree in two phases. It goes depth-first with arrays of row indices
+while a split holds more than _SMALL_NODE rows; such a split gathers
+only its own feature columns for the rows that reach it, so a row costs
 feature_subsample reads per level it descends, not one read per band.
 A smaller split is parked, and after the walk _finish_small takes all of
 the tree's parked rows down at once, one level per step, each row with
@@ -49,21 +48,15 @@ _fan_out runs both training and prediction on up to CCF_THREADS worker
 processes, never more than the usable cores. Each worker receives the
 shared inputs once, when it starts (the training set, or the model and
 the raster's pixels), and a task is a small number: a tree index, or
-the start offset of a piece of consecutive valid pixels. predict_raster
-fans out only above _FANOUT_FLOOR valid pixels. A row's prediction does
-not depend on the rows routed with it, so the outputs are the same bytes
-for any worker count.
+the start offset of a window of consecutive pixels, which applies the
+nodata rule to its own pixels. predict_raster fans out only above
+_FANOUT_FLOOR pixels. A row's prediction does not depend on the rows
+routed with it, so the outputs are the same bytes for any worker count.
 
 Numeric conventions that matter for reproducibility:
   * _project is the single projection routine: training partitions and
     prediction routes with the same arithmetic, so the two agree bit for
-    bit. It adds the terms one feature at a time, left to right. Up to 7
-    features per node this equals numpy's row sum (x * a).sum(axis=1),
-    which earlier models were grown with, except that a sum of negative
-    zeros stays -0.0 (it compares equal to numpy's 0.0). From 8 features
-    on, numpy sums a row in 8 interleaved partial sums, so a model grown
-    with 8 or more features per node (more than 64 bands) can differ in
-    the last bits from one grown by that older code;
+    bit. It adds the terms one feature at a time, left to right;
   * thresholds are midpoints of consecutive distinct projected values,
     searched on the uncentered projection;
   * Gini terms accumulate class by class, left to right.
@@ -80,16 +73,15 @@ from typing import ClassVar
 
 import numpy as np
 
-# cca and standardize are not called here, but perfbench/tracer.py wraps both
-from .cca import ColumnStats, as_matrix, cca, scale_divisor, standardize  # noqa: F401
-from .cca import binary_directions, segment_moments
+from .cca import cca  # noqa: F401  (not called here; perfbench/tracer.py counts it)
+from .cca import ColumnStats, binary_directions, segment_moments, standardize
 from .errors import DataError, is_int
 from .pipeline import UNLABELED, SampleSet, valid_pixels
 
 MODEL_FORMAT_VERSION = "ccf-3"
 
 _PREDICT_CHUNK = 1 << 18  # most rows one predict_proba_batch call routes
-_FANOUT_FLOOR = 1 << 15  # fewer valid pixels than this predict in-process
+_FANOUT_FLOOR = 1 << 15  # fewer pixels than this predict in-process
 _SMALL_NODE = 128  # most rows a split may hold for _route to park it for _finish_small
 
 
@@ -579,20 +571,14 @@ def predict_proba_batch(model: CcfModel, spectra) -> np.ndarray:
     """Ensemble class distribution for each row of raw spectra. float32
     rows are read as they are, without a float64 copy of the rows."""
     rows = np.asarray(spectra)
-    if rows.dtype != np.float32:
-        rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim != 2 or rows.shape[1] != model.n_bands:
         raise DataError(
             f"spectra must be (n, {model.n_bands}), got {rows.shape}"
         )
-    # the standardized bands x rows block in one allocation, bit-identical to standardize
-    mean, stddev = (np.asarray(v, dtype=np.float64)[:, None] for v in model.scaler)
-    cols = np.subtract(rows.T, mean, dtype=np.float64, order="C")
-    cols /= scale_divisor(stddev)
-    as_matrix(cols.T, "spectra")  # at least one row, all finite
-    # rows that are the caller's temporary (a piece in _predict_piece) are
-    # freed here, before routing, which then reuses their memory instead of
-    # faulting in fresh pages
+    cols = standardize(rows, model.scaler).T  # bands x rows, C-contiguous
+    # rows that are the caller's temporary (a window's valid pixels in
+    # _predict_piece) are freed here, before routing, which then reuses
+    # their memory instead of faulting in fresh pages
     del spectra, rows
     out = np.zeros((cols.shape[1], 2))
     for tree in model.trees:
@@ -606,11 +592,20 @@ def predict_class_batch(model: CcfModel, spectra) -> np.ndarray:
     return np.argmax(probs, axis=1)  # ties resolve to the lowest index
 
 
-def _predict_piece(model, flat, idx, size, start):
-    """Classes and class-1 probabilities of one piece of valid pixels:
-    the pixels idx[start:start + size] of the pixels x bands array flat."""
-    p = predict_proba_batch(model, flat[idx[start : start + size]])
-    return np.argmax(p, axis=1).astype(np.uint8), p[:, 1].astype(np.float32)
+def _predict_piece(model, flat, nodata, size, start):
+    """Classes (uint8) and class-1 probabilities (float32) of the window
+    flat[start:start + size] of the pixels x bands array flat: UNLABELED
+    and -1 on its nodata pixels. Only the valid pixels are routed, and an
+    all-valid window is routed as it is, a view with no copy."""
+    window = flat[start : start + size]
+    ok = valid_pixels(window, nodata)
+    classes = np.full(ok.size, UNLABELED, dtype=np.uint8)
+    p1 = np.full(ok.size, -1.0, dtype=np.float32)
+    if ok.any():
+        p = predict_proba_batch(model, window if ok.all() else window[ok])
+        classes[ok] = np.argmax(p, axis=1)
+        p1[ok] = p[:, 1]
+    return classes, p1
 
 
 def predict_raster(model: CcfModel, raster):
@@ -618,33 +613,24 @@ def predict_raster(model: CcfModel, raster):
 
     Returns (mask, informal_prob): an H x W uint8 label mask, UNLABELED where
     any band equals the raster's nodata value, and an H x W float32 map
-    of the class-1 probability (-1 on nodata pixels). Rasters with at
-    least _FANOUT_FLOOR valid pixels are split over _worker_count worker
-    processes; the result is the same for any number of workers.
+    of the class-1 probability (-1 on nodata pixels). The pixels are
+    predicted in windows of consecutive pixels; rasters of at least
+    _FANOUT_FLOOR pixels are split over _worker_count worker processes.
+    The result is the same for any number of workers.
     """
     values = np.asarray(raster.values)
-    if values.ndim != 3:
-        raise DataError(f"raster values must be H x W x B, got ndim={values.ndim}")
+    if values.ndim != 3 or not values.size:
+        raise DataError(f"raster values must be non-empty H x W x B, got {values.shape}")
     h, w, b = values.shape
     if b != model.n_bands:
         raise DataError(
             f"band mismatch: raster has {b} band(s), model expects {model.n_bands}"
         )
-    flat = values.reshape(-1, b)
-    valid = valid_pixels(flat, getattr(raster, "nodata", None))
-
-    mask = np.full(h * w, UNLABELED, dtype=np.uint8)
-    prob = np.full(h * w, -1.0, dtype=np.float32)
-    idx = np.flatnonzero(valid)
-    workers = _worker_count(idx.size)  # checks CCF_THREADS even when serial
-    pooled = workers > 1 and idx.size >= _FANOUT_FLOOR
-    size = min(_PREDICT_CHUNK, math.ceil(idx.size / workers)) if pooled else _PREDICT_CHUNK
-    starts = range(0, idx.size, size)
-    pieces = _fan_out(
-        _predict_piece, (model, flat, idx, size), starts, workers if pooled else 1
-    )
-    for start, (classes, p1) in zip(starts, pieces):
-        rows = idx[start : start + size]
-        mask[rows] = classes
-        prob[rows] = p1
+    n = h * w
+    workers = _worker_count(n)  # checks CCF_THREADS even when serial
+    pooled = workers > 1 and n >= _FANOUT_FLOOR
+    size = min(_PREDICT_CHUNK, math.ceil(n / workers)) if pooled else _PREDICT_CHUNK
+    inputs = (model, values.reshape(n, b), getattr(raster, "nodata", None), size)
+    pieces = _fan_out(_predict_piece, inputs, range(0, n, size), workers if pooled else 1)
+    mask, prob = map(np.concatenate, zip(*pieces))
     return mask.reshape(h, w), prob.reshape(h, w)

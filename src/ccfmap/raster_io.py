@@ -99,7 +99,8 @@ def _sidecar_paths(path) -> tuple[str, str]:
 def _write_atomic(path, chunks) -> str:
     """Write the byte chunks to <path>.<pid>.tmp in path's directory, then
     rename that over path; returns path. A failure at any point removes
-    the temp file, so path holds either its earlier bytes or all new ones."""
+    the temp file, so path holds either its earlier bytes or all new ones.
+    An OSError is raised as a DataError."""
     p = os.fspath(path)
     tmp = f"{p}.{os.getpid()}.tmp"  # same directory, so os.replace is atomic
     try:
@@ -107,9 +108,11 @@ def _write_atomic(path, chunks) -> str:
             for chunk in chunks:
                 fh.write(chunk)
         os.replace(tmp, p)
-    except BaseException:
+    except BaseException as exc:
         if os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise DataError(f"cannot write {p}: {exc}") from exc
         raise
     return p
 

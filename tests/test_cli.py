@@ -91,6 +91,22 @@ class TestUsageErrors:
         )
         assert rc == 1
 
+    def test_train_seed_checked_before_reading(self, capsys, monkeypatch):
+        def no_read(path):
+            raise AssertionError("a raster was read")
+
+        monkeypatch.setattr(cli, "read_raster", no_read)
+        rc = main(
+            [
+                "train", "--raster", "r.json", "--mask", "m.json",
+                "--out", "o.json", "--seed", str(2**64),
+            ]
+        )
+        assert rc == 2
+        assert _error_lines(capsys.readouterr().err) == [
+            f"ccfmap: error: seed must be a 64-bit non-negative integer, got {2**64}"
+        ]
+
     def test_train_bad_trees(self):
         rc = main(
             [
@@ -406,6 +422,34 @@ class TestThreeClassModel:
         assert captured.out == ""
         assert "class_names must list 2 strings" in _error_lines(captured.err)[0]
         assert not any(out.iterdir())
+
+
+class TestFailedWrite:
+    """An output that cannot be written, here because its parent is a
+    file, is a data error: exit 2, one error line, no temp file left."""
+
+    @pytest.mark.parametrize("command", ["train", "predict", "evaluate", "cross", "synth"])
+    def test_reported_as_data_error(self, command, scene_dir, model_dir, tmp_path, capsys):
+        parent = tmp_path / "parent"
+        parent.write_text("a file, not a directory")
+        out = str(parent / "out")
+        raster, mask = str(scene_dir / "raster.json"), str(scene_dir / "mask.json")
+        model = str(model_dir / "model.ccf.json")
+        argv = {
+            "train": ["--raster", raster, "--mask", mask, "--out", out + ".ccf.json",
+                      "--trees", "2"],
+            "predict": ["--model", model, "--raster", raster, "--out-mask", out,
+                        "--out-prob", str(tmp_path / "prob")],
+            "evaluate": ["--pred", mask, "--truth", mask, "--out", out],
+            "cross": ["--model", model, "--raster", raster, "--mask", mask, "--out", out],
+            "synth": ["--width", "4", "--height", "4", "--out", out],
+        }[command]
+        assert main([command, *argv]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = _error_lines(err)
+        assert len(errors) == 1 and errors[0].startswith(f"ccfmap: error: cannot write {out}")
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["parent"]
 
 
 class TestEvaluateAndCross:

@@ -1046,13 +1046,59 @@ class TestPredictRaster:
 
         workers = forest._worker_count(10**6)
         assert pools == ([] if workers == 1 else [workers])
-        # pieces of 39, 39 and 37 valid pixels, with a nodata pixel
-        # between the first two
-        idx = np.flatnonzero(want_mask.ravel() != 255)
-        assert idx.size == 115
-        assert idx[39] - idx[38] == 2
+        # windows of 39 pixels (the last of 26), each with nodata pixels
+        windows = (want_mask.ravel() == 255)[: 3 * 39].reshape(3, 39)
+        assert windows.any(axis=1).all() and (~windows).any(axis=1).all()
         assert mask.tobytes() == want_mask.tobytes()
         assert prob.tobytes() == want_prob.tobytes()
+
+    def _windowed_raster(self):
+        """12 x 13 pixels, four windows of 39: all nodata, all valid, then
+        two with every fifth pixel at nodata."""
+        values = np.random.default_rng(18).normal(size=(12, 13, 4)).astype(np.float32)
+        flat = values.reshape(-1, 4)
+        flat[:39, 1] = -7.0
+        flat[78::5, 3] = -7.0
+        return _ArrayRaster(values, nodata=-7.0)
+
+    def test_all_nodata_and_all_valid_windows(self, monkeypatch):
+        model = self._model()
+        raster = self._windowed_raster()
+        monkeypatch.setattr(forest, "_PREDICT_CHUNK", 39)
+        monkeypatch.setenv("CCF_THREADS", "1")
+        want_mask, want_prob = predict_raster(model, raster)
+        assert (want_mask.ravel()[:39] == 255).all() and (want_prob.ravel()[:39] == -1).all()
+        assert (want_mask.ravel()[39:78] != 255).all()
+
+        monkeypatch.setattr(forest, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(forest, "_FANOUT_FLOOR", 16)
+        monkeypatch.setenv("CCF_THREADS", "2")
+        mask, prob = predict_raster(model, raster)
+        assert mask.tobytes() == want_mask.tobytes()
+        assert prob.tobytes() == want_prob.tobytes()
+
+    def test_windows_route_their_valid_pixels_through_standardize(self, monkeypatch):
+        model = self._model()
+        raster = self._windowed_raster()
+        monkeypatch.setattr(forest, "_PREDICT_CHUNK", 39)
+        batches, standardized = [], []
+        real_batch, real_standardize = forest.predict_proba_batch, forest.standardize
+
+        def capture_batch(model, spectra):
+            batches.append((len(spectra), np.shares_memory(spectra, raster.values)))
+            return real_batch(model, spectra)
+
+        def counting_standardize(m, stats):
+            standardized.append(len(m))
+            return real_standardize(m, stats)
+
+        monkeypatch.setattr(forest, "predict_proba_batch", capture_batch)
+        monkeypatch.setattr(forest, "standardize", counting_standardize)
+        predict_raster(model, raster)
+        # the all-nodata window is not routed; the all-valid one is a view
+        # of the raster, the others copies of their valid pixels
+        assert batches == [(39, True), (31, False), (31, False)]
+        assert standardized == [39, 31, 31]
 
     @pytest.mark.parametrize("threads", ["2", None])
     def test_small_raster_builds_no_pool(self, monkeypatch, threads):
@@ -1068,7 +1114,7 @@ class TestPredictRaster:
 
         monkeypatch.setattr(forest, "ProcessPoolExecutor", no_pool)
         mask, _ = predict_raster(model, raster)
-        assert (mask != 255).sum() == 115 < forest._FANOUT_FLOOR
+        assert mask.size == 143 < forest._FANOUT_FLOOR
 
     def test_worker_error_propagates(self, monkeypatch):
         monkeypatch.setattr(forest, "_FANOUT_FLOOR", 16)

@@ -689,7 +689,7 @@ class TestAtomicWrites:
             raise OSError("replace failed")
 
         monkeypatch.setattr(os, "replace", fail)
-        with pytest.raises(OSError, match="replace failed"):
+        with pytest.raises(DataError, match="cannot write .*: replace failed"):
             write(tmp_path / "f.json", 1)
         assert {p: open(p, "rb").read() for p in paths} == before
         assert sorted(os.listdir(tmp_path)) == sorted(os.path.basename(p) for p in paths)
