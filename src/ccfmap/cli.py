@@ -37,6 +37,7 @@ from .raster_io import (
     _sidecar_paths,
     bayes_accuracy_estimate,
     generate_scene,
+    open_raster,
     read_mask,
     read_raster,
     write_mask,
@@ -178,13 +179,15 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    mask_files, prob_files = (_sidecar_paths(os.path.abspath(p))
-                              for p in (args.out_mask, args.out_prob))
-    if mask_files == prob_files:
-        return _usage_error(f"--out-mask and --out-prob both name {' and '.join(mask_files)}")
+    named = {}  # no output may replace the raster or the other output
+    for flag, path in (("--raster", args.raster), ("--out-mask", args.out_mask),
+                       ("--out-prob", args.out_prob)):
+        files = _sidecar_paths(os.path.abspath(path))
+        if files in named:
+            return _usage_error(f"{named[files]} and {flag} both name {' and '.join(files)}")
+        named[files] = flag
     model = load_model(args.model)
-    raster = read_raster(args.raster)
-    mask, prob = predict_raster(model, raster)
+    mask, prob = predict_raster(model, open_raster(args.raster))
     write_mask(mask, args.out_mask)
     prob_raster = MultispectralRaster(
         values=prob[..., None],
@@ -214,8 +217,11 @@ def cmd_evaluate(args) -> int:
 
 def cmd_cross(args) -> int:
     model = load_model(args.model)
-    raster = read_raster(args.raster)
+    raster = open_raster(args.raster)
     truth = read_mask(args.mask)
+    shape = (raster.height, raster.width)
+    if truth.shape != shape:  # before predicting, not after
+        raise DataError(f"shape mismatch: raster {shape} vs truth {truth.shape}")
     pred, _ = predict_raster(model, raster)
     report = evaluate(pred, truth)
     path = write_report(report, args.out, class_names=model.class_names)

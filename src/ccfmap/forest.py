@@ -47,9 +47,10 @@ with <=, so where the cut falls does not change a leaf.
 _fan_out runs both training and prediction on up to CCF_THREADS worker
 processes, never more than the usable cores. Each worker receives the
 shared inputs once, when it starts (the training set, or the model and
-the raster's pixels), and a task is a small number: a tree index, or
-the start offset of a window of consecutive pixels, which applies the
-nodata rule to its own pixels. predict_raster fans out only above
+the raster in memory or its RasterFile), and a task is a small number:
+a tree index, or the start of a window of consecutive pixels, which
+reads them from the file or the array and applies the nodata rule to
+them. predict_raster fans out only above
 _FANOUT_FLOOR pixels. A row's prediction does not depend on the rows
 routed with it, so the outputs are the same bytes for any worker count.
 
@@ -77,6 +78,7 @@ from .cca import cca  # noqa: F401  (not called here; perfbench/tracer.py counts
 from .cca import ColumnStats, binary_directions, segment_moments, standardize
 from .errors import DataError, is_int
 from .pipeline import UNLABELED, SampleSet, valid_pixels
+from .raster_io import RasterFile
 
 MODEL_FORMAT_VERSION = "ccf-3"
 
@@ -576,9 +578,8 @@ def predict_proba_batch(model: CcfModel, spectra) -> np.ndarray:
             f"spectra must be (n, {model.n_bands}), got {rows.shape}"
         )
     cols = standardize(rows, model.scaler).T  # bands x rows, C-contiguous
-    # rows that are the caller's temporary (a window's valid pixels in
-    # _predict_piece) are freed here, before routing, which then reuses
-    # their memory instead of faulting in fresh pages
+    # rows the caller handed on (a window in _predict_piece) are freed here,
+    # before routing, which then reuses their memory, not fresh pages
     del spectra, rows
     out = np.zeros((cols.shape[1], 2))
     for tree in model.trees:
@@ -592,24 +593,30 @@ def predict_class_batch(model: CcfModel, spectra) -> np.ndarray:
     return np.argmax(probs, axis=1)  # ties resolve to the lowest index
 
 
-def _predict_piece(model, flat, nodata, size, start):
+def _pixels(flat, start, size):
+    return flat[start : start + size]
+
+
+def _predict_piece(model, read, nodata, size, start):
     """Classes (uint8) and class-1 probabilities (float32) of the window
-    flat[start:start + size] of the pixels x bands array flat: UNLABELED
-    and -1 on its nodata pixels. Only the valid pixels are routed, and an
-    all-valid window is routed as it is, a view with no copy."""
-    window = flat[start : start + size]
+    read(start, size), UNLABELED and -1 on its nodata pixels. Only valid
+    pixels are routed; an all-valid window as it is, with no copy."""
+    window = read(start, size)
     ok = valid_pixels(window, nodata)
     classes = np.full(ok.size, UNLABELED, dtype=np.uint8)
     p1 = np.full(ok.size, -1.0, dtype=np.float32)
     if ok.any():
-        p = predict_proba_batch(model, window if ok.all() else window[ok])
+        rows = [window if ok.all() else window[ok]]  # handed on, not kept, so
+        del window  # predict_proba_batch frees them before routing
+        p = predict_proba_batch(model, rows.pop())
         classes[ok] = np.argmax(p, axis=1)
         p1[ok] = p[:, 1]
     return classes, p1
 
 
 def predict_raster(model: CcfModel, raster):
-    """Per-pixel prediction over a full raster.
+    """Per-pixel prediction over a RasterFile, each window read from the
+    file, or an in-memory raster (values H x W x B, nodata).
 
     Returns (mask, informal_prob): an H x W uint8 label mask, UNLABELED where
     any band equals the raster's nodata value, and an H x W float32 map
@@ -618,10 +625,14 @@ def predict_raster(model: CcfModel, raster):
     _FANOUT_FLOOR pixels are split over _worker_count worker processes.
     The result is the same for any number of workers.
     """
-    values = np.asarray(raster.values)
-    if values.ndim != 3 or not values.size:
-        raise DataError(f"raster values must be non-empty H x W x B, got {values.shape}")
-    h, w, b = values.shape
+    if isinstance(raster, RasterFile):
+        h, w, b, read = raster.height, raster.width, raster.bands, raster.window
+    else:
+        values = np.asarray(raster.values)
+        if values.ndim != 3 or not values.size:
+            raise DataError(f"raster values must be non-empty H x W x B, got {values.shape}")
+        h, w, b = values.shape
+        read = functools.partial(_pixels, values.reshape(h * w, b))
     if b != model.n_bands:
         raise DataError(
             f"band mismatch: raster has {b} band(s), model expects {model.n_bands}"
@@ -630,7 +641,9 @@ def predict_raster(model: CcfModel, raster):
     workers = _worker_count(n)  # checks CCF_THREADS even when serial
     pooled = workers > 1 and n >= _FANOUT_FLOOR
     size = min(_PREDICT_CHUNK, math.ceil(n / workers)) if pooled else _PREDICT_CHUNK
-    inputs = (model, values.reshape(n, b), getattr(raster, "nodata", None), size)
+    inputs = (model, read, getattr(raster, "nodata", None), size)
     pieces = _fan_out(_predict_piece, inputs, range(0, n, size), workers if pooled else 1)
-    mask, prob = map(np.concatenate, zip(*pieces))
+    mask, prob = np.empty(n, dtype=np.uint8), np.empty(n, dtype=np.float32)
+    for start, (classes, p1) in zip(range(0, n, size), pieces):  # serial: one piece held
+        mask[start : start + size], prob[start : start + size] = classes, p1
     return mask.reshape(h, w), prob.reshape(h, w)

@@ -4,15 +4,16 @@ the tests, demos and benchmark generate.
 Rasters and masks are sidecar pairs: a raw payload (<name>.bin) of
 little-endian band-sequential planes (float32 for spectra, one u8 plane
 for label masks) and a JSON header (<name>.json) that describes it.
-_write_sidecar and _read_sidecar are the one writer and the one reader
-of that convention. Evaluation reports are single JSON documents; the
-model file is model_io's, which shares _write_atomic and _load_json.
-Every file goes through _write_atomic (temp file in the same directory,
-then os.replace; a sidecar's payload before its header), so a failed or
-interrupted write leaves any earlier file whole. Writers emit
-deterministic bytes so repeated runs can be compared with cmp, and every
-reader rejects malformed input with a DataError instead of crashing or
-guessing.
+_write_sidecar is their one writer, _check_header their one header
+check and RasterFile.window their one reader, a window of pixels at a
+time (_read_payload reads a whole payload through it). Evaluation
+reports are single JSON documents; the model file is model_io's, which
+shares _write_atomic and _load_json. Every file goes through
+_write_atomic (temp file in the same directory, then os.replace; a
+sidecar's payload before its header), so a failed or interrupted write
+leaves any earlier file whole. Writers emit deterministic bytes so
+repeated runs can be compared with cmp, and every reader rejects
+malformed input with a DataError instead of crashing or guessing.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ RASTER_DTYPE = "f32le"
 MASK_DTYPE = "u8"
 LAYOUT = "band-sequential"
 _NUMPY_DTYPES = {RASTER_DTYPE: "<f4", MASK_DTYPE: "u1"}
-_READ_BLOCK = 1 << 16  # most payload bytes _fill_planes reads at a time
+_READ_BLOCK = 1 << 18  # most payload bytes _read_payload reads at a time
 
 PRESETS = ("blobs", "oblique", "ring")
 
@@ -156,15 +157,59 @@ def _write_sidecar(path, dtype: str, planes: np.ndarray, extra=None) -> tuple[st
     return header_path, payload_path
 
 
-def _read_sidecar(path, dtype: str, bands_fixed=None):
-    """Load and check a sidecar header, then read its payload.
+def _length_mismatch(expected: int, got: int, payload_path) -> DataError:
+    return DataError(
+        f"payload length mismatch: expected {expected} bytes, got {got} ({payload_path})"
+    )
 
-    Returns (header, values): values is a new height x width x bands
-    array of dtype, the layout MultispectralRaster holds. Checks
-    width/height/bands (bands must equal bands_fixed when that is
-    given), dtype, layout, the payload length and that every value is
-    finite; other value checks are the caller's.
-    """
+
+def _check_finite(block: np.ndarray, offset: int, payload_path) -> None:
+    """Raise unless every value of block, the payload's bytes from offset
+    on, is finite, naming the first bad value's byte offset."""
+    finite = np.isfinite(block)
+    if not finite.all():
+        i = offset + int(np.argmin(finite)) * block.itemsize
+        header_path = _sidecar_paths(payload_path)[0]
+        raise DataError(f"{header_path}: non-finite payload value at byte offset {i}")
+
+
+@dataclass(frozen=True)
+class RasterFile:
+    """A checked sidecar raster (or mask) whose pixels stay in its file."""
+
+    path: str  # the band-sequential payload
+    height: int
+    width: int
+    bands: int
+    nodata: float | None = None
+    dtype: str = RASTER_DTYPE
+
+    def window(self, start: int, size: int) -> np.ndarray:
+        """Pixels start .. start + size - 1, row-major (fewer at the end),
+        read and checked finite band by band, as a pixels x bands array
+        whose bands are contiguous columns, as cca.standardize reads them."""
+        n = self.height * self.width
+        planes = np.empty((self.bands, min(size, n - start)), dtype=_NUMPY_DTYPES[self.dtype])
+        try:
+            with open(self.path, "rb") as fh:
+                for k, plane in enumerate(planes):
+                    offset = (k * n + start) * planes.itemsize
+                    fh.seek(offset)
+                    got = fh.readinto(plane)
+                    if got != plane.nbytes:  # the file now ends at offset + got
+                        raise _length_mismatch(n * self.bands * planes.itemsize,
+                                               offset + got, self.path)
+                    _check_finite(plane, offset, self.path)
+        except OSError as exc:
+            raise DataError(f"cannot read {self.path}: {exc}") from exc
+        return planes.T
+
+
+def _check_header(path, dtype: str, bands_fixed=None):
+    """(RasterFile, band_names) of a sidecar, its payload unread. Checks
+    width/height/bands (bands must equal bands_fixed when that is given),
+    dtype, layout, the optional nodata and band_names, and the payload's
+    size."""
     header_path, payload_path = _sidecar_paths(path)
     doc = _load_json(header_path)
     dims = []
@@ -183,44 +228,36 @@ def _read_sidecar(path, dtype: str, bands_fixed=None):
             raise DataError(
                 f"{header_path}: unsupported {key} {doc.get(key)!r}, expected {want!r}"
             )
-    item = np.dtype(_NUMPY_DTYPES[dtype])
-    expected = w * h * b * item.itemsize
+    nodata = doc.get("nodata")
+    if nodata is not None:
+        if not is_real(nodata):
+            raise DataError(f"{header_path}: nodata must be a finite number")
+        nodata = float(nodata)
+    band_names = doc.get("band_names")
+    if band_names is not None:
+        if not (isinstance(band_names, list) and len(band_names) == b
+                and all(isinstance(n, str) for n in band_names)):
+            raise DataError(f"{header_path}: band_names must list {b} strings")
+        band_names = tuple(band_names)
+    expected = w * h * b * np.dtype(_NUMPY_DTYPES[dtype]).itemsize
     try:
         with open(payload_path, "rb") as fh:
             got = os.fstat(fh.fileno()).st_size
-            if got == expected:  # before allocating: the header is not trusted
-                values = np.empty((h, w, b), dtype=item)
-                got = _fill_planes(values, fh, header_path)
     except OSError as exc:
         raise DataError(f"cannot read {payload_path}: {exc}") from exc
     if got != expected:
-        raise DataError(
-            f"payload length mismatch: expected {expected} bytes, "
-            f"got {got} ({payload_path})"
-        )
-    return doc, values
+        raise _length_mismatch(expected, got, payload_path)
+    return RasterFile(payload_path, h, w, b, nodata, dtype), band_names
 
 
-def _fill_planes(values: np.ndarray, fh, header_path) -> int:
-    """Read a band-sequential payload from fh into the height x width x
-    bands array values, _READ_BLOCK bytes at a time, checking that every
-    value is finite; returns the number of bytes read."""
-    rows = max(1, _READ_BLOCK // (values.shape[1] * values.itemsize))
-    # a short read (the file shrank since it was opened) leaves zeros or
-    # earlier, finite values in buf; the byte count reports the shortfall
-    buf = np.zeros((rows, values.shape[1]), dtype=values.dtype)
-    done = 0
-    for plane in values.transpose(2, 0, 1):
-        for top in range(0, plane.shape[0], rows):
-            block = buf[: plane.shape[0] - top]
-            n = fh.readinto(block)
-            finite = np.isfinite(block)
-            if not finite.all():
-                i = done + int(np.argmin(finite)) * values.itemsize
-                raise DataError(f"{header_path}: non-finite payload value at byte offset {i}")
-            plane[top : top + rows] = block
-            done += n
-    return done
+def _read_payload(file: RasterFile) -> np.ndarray:
+    """All of file's pixels, read in windows of at most _READ_BLOCK bytes,
+    as a new height x width x bands array (MultispectralRaster's layout)."""
+    values = np.empty((file.height * file.width, file.bands), dtype=_NUMPY_DTYPES[file.dtype])
+    step = max(1, _READ_BLOCK // values[0].nbytes)
+    for start in range(0, len(values), step):
+        values[start : start + step] = file.window(start, step)
+    return values.reshape(file.height, file.width, file.bands)
 
 
 def write_raster(raster: MultispectralRaster, path) -> tuple[str, str]:
@@ -235,25 +272,14 @@ def write_raster(raster: MultispectralRaster, path) -> tuple[str, str]:
 
 def read_raster(header_path) -> MultispectralRaster:
     """Read a raster written by write_raster, validating everything."""
-    doc, values = _read_sidecar(header_path, RASTER_DTYPE)
-    nodata = doc.get("nodata")
-    if nodata is not None:
-        if not is_real(nodata):
-            raise DataError(f"{header_path}: nodata must be a finite number")
-        nodata = float(nodata)
-    band_names = doc.get("band_names")
-    if band_names is not None:
-        b = values.shape[2]
-        if (
-            not isinstance(band_names, list)
-            or len(band_names) != b
-            or not all(isinstance(n, str) for n in band_names)
-        ):
-            raise DataError(
-                f"{header_path}: band_names must list {b} strings"
-            )
-        band_names = tuple(band_names)
-    return MultispectralRaster(values, nodata, band_names, adopt=True)
+    file, band_names = _check_header(header_path, RASTER_DTYPE)
+    return MultispectralRaster(_read_payload(file), file.nodata, band_names, adopt=True)
+
+
+def open_raster(header_path) -> RasterFile:
+    """Check a raster written by write_raster as read_raster does, but leave
+    its pixels in the file for RasterFile.window to read a window at a time."""
+    return _check_header(header_path, RASTER_DTYPE)[0]
 
 
 def write_mask(mask, path) -> tuple[str, str]:
@@ -269,7 +295,7 @@ def write_mask(mask, path) -> tuple[str, str]:
 
 def read_mask(header_path) -> np.ndarray:
     """Read a u8 label mask, enforcing the {0, 1, 255} value domain."""
-    _, values = _read_sidecar(header_path, MASK_DTYPE, bands_fixed=1)
+    values = _read_payload(_check_header(header_path, MASK_DTYPE, bands_fixed=1)[0])
     check_mask(values)
     return values[..., 0]
 

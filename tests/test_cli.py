@@ -2,6 +2,9 @@
 
 import base64
 import json
+import os
+import shutil
+import struct
 import tracemalloc
 
 import numpy as np
@@ -12,6 +15,7 @@ from ccfmap.cli import main
 from ccfmap.model_io import load_model
 from ccfmap.raster_io import (
     MultispectralRaster,
+    open_raster,
     read_mask,
     read_raster,
     read_report,
@@ -337,6 +341,95 @@ class TestPredict:
         ]
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("out_mask,out_prob,flag", [
+        ("raster", "prob", "--out-mask"), ("raster.bin", "prob", "--out-mask"),
+        ("pred", "raster.json", "--out-prob"), ("pred", "./raster", "--out-prob"),
+    ])
+    def test_output_naming_the_raster_rejected(self, scene_dir, tmp_path, capsys, monkeypatch,
+                                               out_mask, out_prob, flag):
+        # the output would replace the raster its windows are read from
+        for name in ("raster.json", "raster.bin"):
+            shutil.copy(scene_dir / name, tmp_path / name)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        monkeypatch.chdir(tmp_path)
+
+        def no_model(path):
+            raise AssertionError("the model was read")
+
+        monkeypatch.setattr(cli, "load_model", no_model)
+        rc = main(
+            [
+                "predict",
+                "--model", "model.ccf.json",
+                "--raster", "raster.json",
+                "--out-mask", out_mask,
+                "--out-prob", out_prob,
+            ]
+        )
+        assert rc == 1
+        assert _error_lines(capsys.readouterr().err) == [
+            f"ccfmap: error: --raster and {flag} both name "
+            f"{tmp_path / 'raster.json'} and {tmp_path / 'raster.bin'}"
+        ]
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_non_finite_pixel_rejected_with_its_byte_offset(self, model_dir, tmp_path, capsys,
+                                                            monkeypatch, threads):
+        monkeypatch.setattr(forest, "_FANOUT_FLOOR", 16)  # "2" reads in the workers
+        monkeypatch.setenv("CCF_THREADS", threads)
+        values = np.random.default_rng(4).normal(size=(9, 8, 10)).astype(np.float32)
+        _, payload = write_raster(MultispectralRaster(values), tmp_path / "r")
+        pixel, band = 41, 6
+        with open(payload, "r+b") as fh:
+            fh.seek((band * 72 + pixel) * 4)
+            fh.write(struct.pack("<f", np.nan))
+        rc = main(
+            [
+                "predict",
+                "--model", str(model_dir / "model.ccf.json"),
+                "--raster", str(tmp_path / "r.json"),
+                "--out-mask", str(tmp_path / "pred"),
+                "--out-prob", str(tmp_path / "prob"),
+            ]
+        )
+        assert rc == 2
+        assert _error_lines(capsys.readouterr().err) == [
+            f"ccfmap: error: {tmp_path / 'r.json'}: non-finite payload value "
+            f"at byte offset {(band * 72 + pixel) * 4}"
+        ]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["r.bin", "r.json"]
+
+    @pytest.mark.parametrize("command", ["predict", "cross"])
+    def test_payload_truncated_after_open(self, command, scene_dir, model_dir, tmp_path,
+                                          capsys, monkeypatch):
+        for name in ("raster.json", "raster.bin"):
+            shutil.copy(scene_dir / name, tmp_path / name)
+        full = os.path.getsize(tmp_path / "raster.bin")
+
+        def open_then_truncate(path):
+            raster = open_raster(path)
+            os.truncate(tmp_path / "raster.bin", full - 4)
+            return raster
+
+        monkeypatch.setattr(cli, "open_raster", open_then_truncate)
+        outputs = {
+            "predict": ["--out-mask", str(tmp_path / "pred"),
+                        "--out-prob", str(tmp_path / "prob")],
+            "cross": ["--mask", str(scene_dir / "mask.json"),
+                      "--out", str(tmp_path / "cross.report.json")],
+        }[command]
+        rc = main([command, "--model", str(model_dir / "model.ccf.json"),
+                   "--raster", str(tmp_path / "raster.json"), *outputs])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert _error_lines(err) == [
+            f"ccfmap: error: payload length mismatch: expected {full} bytes, "
+            f"got {full - 4} ({tmp_path / 'raster.bin'})"
+        ]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["raster.bin", "raster.json"]
+
     def test_missing_model_file(self, scene_dir, tmp_path, capsys):
         rc = main(
             [
@@ -481,6 +574,29 @@ class TestEvaluateAndCross:
         )
         assert rc == 2
         assert "ccfmap: error:" in capsys.readouterr().err
+
+    def test_cross_shape_mismatch_found_before_predicting(self, scene_dir, model_dir,
+                                                         tmp_path, capsys, monkeypatch):
+        write_mask(np.zeros((24, 48), dtype=np.uint8), tmp_path / "half")
+
+        def no_prediction(model, raster):
+            raise AssertionError("the raster was predicted")
+
+        monkeypatch.setattr(cli, "predict_raster", no_prediction)
+        rc = main(
+            [
+                "cross",
+                "--model", str(model_dir / "model.ccf.json"),
+                "--raster", str(scene_dir / "raster.json"),
+                "--mask", str(tmp_path / "half.json"),
+                "--out", str(tmp_path / "r.json"),
+            ]
+        )
+        assert rc == 2
+        assert _error_lines(capsys.readouterr().err) == [
+            "ccfmap: error: shape mismatch: raster (48, 48) vs truth (24, 48)"
+        ]
+        assert not (tmp_path / "r.json").exists()
 
     def test_nothing_evaluable(self, scene_dir, tmp_path):
         blank = np.full((48, 48), 255, dtype=np.uint8)

@@ -33,6 +33,7 @@ from ccfmap.forest import (
 )
 from ccfmap.pipeline import SampleSet, fit_scaler
 from ccfmap.model_io import load_model, save_model
+from ccfmap.raster_io import MultispectralRaster, open_raster, read_raster, write_raster
 
 TREE_FIELDS = [f.name for f in dataclasses.fields(FlatTree)]
 
@@ -1017,15 +1018,21 @@ class TestPredictRaster:
             flat[p, p % 4] = -7.0
         return _ArrayRaster(values, nodata=-7.0)
 
-    @pytest.mark.parametrize("threads,cut", [
-        pytest.param(threads, cut, id=str(threads) + suffix)
+    @pytest.mark.parametrize("threads,cut,from_file", [
+        pytest.param(threads, cut, from_file,
+                     id=str(threads) + suffix + ("-file" if from_file else ""))
+        for from_file in [False, True]
         for cut, suffix in _ROUTING_CUTS.items() for threads in ["1", "2", "3", None, "5000"]
     ])
-    def test_outputs_identical_across_worker_counts(self, monkeypatch, threads, cut):
+    def test_outputs_identical_across_worker_counts(self, monkeypatch, tmp_path, threads, cut,
+                                                    from_file):
         monkeypatch.setattr(forest, "_usable_cores", lambda: 3)  # unset and 5000 run 3
         model = self._model()
         raster = self._gappy_raster()
-        want_mask, want_prob = predict_raster(model, raster)  # serial, one piece
+        want_mask, want_prob = predict_raster(model, raster)  # serial, one piece, in memory
+        if from_file:  # each window then reads its pixels from the file
+            write_raster(MultispectralRaster(raster.values, raster.nodata), tmp_path / "g")
+            raster = open_raster(tmp_path / "g.json")
 
         monkeypatch.setattr(forest, "_SMALL_NODE", cut)
         monkeypatch.setattr(forest, "_FANOUT_FLOOR", 16)
@@ -1099,6 +1106,27 @@ class TestPredictRaster:
         # of the raster, the others copies of their valid pixels
         assert batches == [(39, True), (31, False), (31, False)]
         assert standardized == [39, 31, 31]
+
+    def test_file_windows_bound_memory(self, tmp_path, monkeypatch):
+        s = _blobs(60, 8, 4.0, np.random.default_rng(19))
+        model = train_forest(s, TrainConfig(n_trees=3, seed=2))
+        values = np.random.default_rng(20).normal(size=(512, 512, 8)).astype(np.float32)
+        write_raster(MultispectralRaster(values), tmp_path / "big")
+        payload = values.nbytes
+        del values
+        monkeypatch.setattr(forest, "_PREDICT_CHUNK", 4096)
+        monkeypatch.setenv("CCF_THREADS", "1")
+
+        def peak(load):
+            tracemalloc.start()
+            try:
+                predict_raster(model, load(tmp_path / "big.json"))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # the raster read whole holds the payload; windows read from the file do not
+        assert peak(open_raster) < 0.25 * payload < payload < peak(read_raster)
 
     @pytest.mark.parametrize("threads", ["2", None])
     def test_small_raster_builds_no_pool(self, monkeypatch, threads):

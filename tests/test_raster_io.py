@@ -43,9 +43,11 @@ from ccfmap.cca import standardize
 from ccfmap.model_io import load_model, save_model
 from ccfmap.raster_io import (
     MultispectralRaster,
+    RasterFile,
     SyntheticSceneSpec,
     bayes_accuracy_estimate,
     generate_scene,
+    open_raster,
     read_mask,
     read_raster,
     read_report,
@@ -299,6 +301,59 @@ class TestRasterCorruption:
         json.dump(doc, open(header, "w"))
         with pytest.raises(DataError, match="nodata"):
             read_raster(header)
+
+
+class TestOpenRaster:
+    @given(st.integers(1, 9), st.integers(1, 9), st.integers(1, 4), st.data())
+    def test_window_matches_read_raster(self, h, w, b, data):
+        n = h * w
+        start = data.draw(st.integers(0, n - 1), label="start")
+        size = data.draw(st.integers(1, n - start + 2), label="size")  # past the end too
+        values = data.draw(hnp.arrays(np.float32, (h, w, b), elements=st.floats(
+            width=32, allow_nan=False, allow_infinity=False)), label="values")
+        with tempfile.TemporaryDirectory() as d:
+            header, _ = write_raster(MultispectralRaster(values, nodata=-1.0),
+                                     os.path.join(d, "r"))
+            window = open_raster(header).window(start, size)
+            want = read_raster(header).values.reshape(-1, b)[start : start + size]
+        assert window.dtype == np.float32 and window.shape == want.shape
+        assert window.flags.f_contiguous  # each band one contiguous column
+        assert window.tobytes() == want.tobytes()  # bit for bit, row by row
+
+    def test_fields(self, tmp_path):
+        header, payload = write_raster(_random_raster(np.random.default_rng(3), nodata=-5.0),
+                                       tmp_path / "f")
+        assert open_raster(tmp_path / "f") == RasterFile(payload, 5, 7, 3, -5.0)
+
+    @pytest.mark.parametrize("offset", [0, 52, 136, 416])
+    def test_only_the_window_holding_a_non_finite_value_fails(self, tmp_path, offset):
+        header, payload = write_raster(_random_raster(np.random.default_rng(5)), tmp_path / "c")
+        data = bytearray(open(payload, "rb").read())
+        data[offset : offset + 4] = struct.pack("<f", math.nan)
+        open(payload, "wb").write(bytes(data))
+        raster = open_raster(header)
+        pixel = offset // 4 % 35
+        with pytest.raises(DataError, match=f"non-finite payload value at byte offset {offset}$"):
+            raster.window(pixel, 1)
+        for start in range(35):
+            if start != pixel:
+                assert np.isfinite(raster.window(start, 1)).all()
+
+    def test_payload_truncated_after_open(self, tmp_path):
+        header, payload = write_raster(_random_raster(np.random.default_rng(6)), tmp_path / "t")
+        raster = open_raster(header)
+        full = os.path.getsize(payload)
+        os.truncate(payload, full - 4)
+        assert raster.window(0, 34).shape == (34, 3)  # the last band still holds these
+        with pytest.raises(DataError, match=f"expected {full} bytes, got {full - 4}"):
+            raster.window(30, 5)
+
+    def test_payload_removed_after_open(self, tmp_path):
+        header, payload = write_raster(_random_raster(np.random.default_rng(7)), tmp_path / "g")
+        raster = open_raster(header)
+        os.remove(payload)
+        with pytest.raises(DataError, match="cannot read"):
+            raster.window(0, 1)
 
 
 class TestMaskIo:
@@ -819,11 +874,22 @@ class TestReaderProperties:
 
 
 def _read_raster_or_reject(header, payload):
-    """read_raster raises DataError or returns a raster that matches its payload."""
+    """read_raster raises DataError or returns a raster that matches its
+    payload, and open_raster agrees: with the same error at open or on
+    reading the whole raster as one window, or with the same pixels."""
     try:
         back = read_raster(header)
-    except DataError:
+    except DataError as exc:
+        with pytest.raises(DataError) as opened:
+            whole = open_raster(header)
+            whole.window(0, whole.height * whole.width)
+        assert str(opened.value) == str(exc)
         return
+    whole = open_raster(header)
+    window = whole.window(0, whole.height * whole.width)
+    assert window.tobytes("F") == back.values.reshape(-1, back.bands).tobytes("F")
+    assert (whole.height, whole.width, whole.bands, whole.nodata) == (
+        *back.values.shape, back.nodata)
     assert isinstance(back, MultispectralRaster)
     assert back.values.dtype == np.float32 and back.values.ndim == 3
     assert back.values.size * 4 == os.path.getsize(payload)
