@@ -1,9 +1,10 @@
 """Command-line front end: train, predict, evaluate, cross, synth.
 
-Exit codes: 0 success, 1 usage error, 2 data/validation error, 3 numeric
-failure. Every run echoes its resolved configuration to stderr, and every
-failure prints a single line starting with "<prog>: error:" (or
-"numeric error:") so scripts can grep for it.
+Exit codes: 0 success, 1 usage error (such as an output that names an
+input), 2 data/validation error, 3 numeric failure, 4 out of memory or a
+lost worker process. Every run echoes its resolved configuration to
+stderr; every failure prints one line starting with "<prog>: error:"
+(or "numeric error:") so scripts can grep for it.
 """
 
 from __future__ import annotations
@@ -11,7 +12,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
+from concurrent.futures import BrokenExecutor
 
 import numpy as np
 
@@ -51,6 +54,7 @@ _EXIT_OK = 0
 _EXIT_USAGE = 1
 _EXIT_DATA = 2
 _EXIT_NUMERIC = 3
+_EXIT_RESOURCES = 4
 
 
 class _Parser(argparse.ArgumentParser):
@@ -122,13 +126,24 @@ def _usage_error(message: str) -> int:
     return _EXIT_USAGE
 
 
+def _overwrite_refused(inputs, outputs):
+    """A usage error for the first output that names a file of an input or
+    an earlier output, else None. Each is a (flag, path): --model and --out
+    name one file, the other flags a raster's or mask's sidecar pair."""
+    named = []
+    for k, (flag, path) in enumerate(inputs + outputs):
+        path = os.path.realpath(path)  # a symlinked directory hides no input
+        files = (path,) if flag in ("--model", "--out") else _sidecar_paths(path)
+        for other, taken in named if k >= len(inputs) else ():
+            if shared := [f for f in files if f in taken]:
+                return _usage_error(f"{other} and {flag} both name {' and '.join(shared)}")
+        named.append((flag, files))
+    return None
+
+
 def _report_path(model_path: str) -> str:
-    base = model_path
-    if base.endswith(".ccf.json"):
-        base = base[: -len(".ccf.json")]
-    elif base.endswith(".json"):
-        base = base[: -len(".json")]
-    return base + ".report.json"
+    """model_path less its .ccf.json (or .json), plus .report.json."""
+    return re.sub(r"(\.ccf)?\.json\Z", "", model_path) + ".report.json"
 
 
 def cmd_train(args) -> int:
@@ -144,9 +159,13 @@ def cmd_train(args) -> int:
     if args.seed < 0:
         return _usage_error(f"--seed must be >= 0, got {args.seed}")
 
-    # the settings are checked before any raster is read
+    # the settings and the paths are checked before any raster is read
     config = TrainConfig(n_trees=args.trees, seed=args.seed)
     spec = SplitSpec(train_fraction=args.split, seed=args.seed)
+    reads = [("--raster", r) for r in args.raster] + [("--mask", m) for m in args.mask]
+    writes = [("--out", args.out)] + ([] if args.no_eval else [("--out", _report_path(args.out))])
+    if rc := _overwrite_refused(reads, writes):
+        return rc
     # nested, and train rebound, so no earlier set outlives its step
     train, test = balanced_split(
         assemble_region_dataset(  # reads one pair at a time
@@ -179,22 +198,14 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    named = {}  # no output may replace the raster or the other output
-    for flag, path in (("--raster", args.raster), ("--out-mask", args.out_mask),
-                       ("--out-prob", args.out_prob)):
-        files = _sidecar_paths(os.path.abspath(path))
-        if files in named:
-            return _usage_error(f"{named[files]} and {flag} both name {' and '.join(files)}")
-        named[files] = flag
+    outputs = [("--out-mask", args.out_mask), ("--out-prob", args.out_prob)]
+    if rc := _overwrite_refused([("--model", args.model), ("--raster", args.raster)], outputs):
+        return rc
     model = load_model(args.model)
     mask, prob = predict_raster(model, open_raster(args.raster))
     write_mask(mask, args.out_mask)
-    prob_raster = MultispectralRaster(
-        values=prob[..., None],
-        nodata=-1.0,
-        band_names=("informal_probability",),
-    )
-    write_raster(prob_raster, args.out_prob)
+    write_raster(MultispectralRaster(prob[..., None], -1.0, ("informal_probability",)),
+                 args.out_prob)
     labeled = int((mask != UNLABELED).sum())
     print(
         f"mask written: {args.out_mask} ({labeled}/{mask.size} pixels labeled); "
@@ -204,6 +215,9 @@ def cmd_predict(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    if rc := _overwrite_refused([("--pred", args.pred), ("--truth", args.truth)],
+                                     [("--out", args.out)]):
+        return rc
     pred = read_mask(args.pred)
     truth = read_mask(args.truth)
     report = evaluate(pred, truth)
@@ -216,6 +230,9 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_cross(args) -> int:
+    inputs = [("--model", args.model), ("--raster", args.raster), ("--mask", args.mask)]
+    if rc := _overwrite_refused(inputs, [("--out", args.out)]):
+        return rc
     model = load_model(args.model)
     raster = open_raster(args.raster)
     truth = read_mask(args.mask)
@@ -285,6 +302,10 @@ def main(argv=None) -> int:
     except (np.linalg.LinAlgError, FloatingPointError, ZeroDivisionError) as exc:
         print(f"{PROG}: numeric error: {exc}", file=sys.stderr)
         return _EXIT_NUMERIC
+    except (MemoryError, BrokenExecutor) as exc:  # a worker the OOM killer ends breaks the pool
+        print(f"{PROG}: error: out of memory or a worker process lost ({exc!r}); "
+              f"a lower CCF_THREADS runs fewer workers", file=sys.stderr)
+        return _EXIT_RESOURCES
 
 
 if __name__ == "__main__":

@@ -47,11 +47,10 @@ with <=, so where the cut falls does not change a leaf.
 _fan_out runs both training and prediction on up to CCF_THREADS worker
 processes, never more than the usable cores. Each worker receives the
 shared inputs once, when it starts (the training set, or the model and
-the raster in memory or its RasterFile), and a task is a small number:
-a tree index, or the start of a window of consecutive pixels, which
-reads them from the file or the array and applies the nodata rule to
-them. predict_raster fans out only above
-_FANOUT_FLOOR pixels. A row's prediction does not depend on the rows
+the raster), and a task is a small number: a tree index, or the start
+of a window of consecutive pixels, which reads them by raster.window
+and applies the nodata rule to them. predict_raster fans out only
+above _FANOUT_FLOOR pixels. A row's prediction does not depend on the rows
 routed with it, so the outputs are the same bytes for any worker count.
 
 Numeric conventions that matter for reproducibility:
@@ -78,7 +77,6 @@ from .cca import cca  # noqa: F401  (not called here; perfbench/tracer.py counts
 from .cca import ColumnStats, binary_directions, segment_moments, standardize
 from .errors import DataError, is_int
 from .pipeline import UNLABELED, SampleSet, valid_pixels
-from .raster_io import RasterFile
 
 MODEL_FORMAT_VERSION = "ccf-3"
 
@@ -593,16 +591,12 @@ def predict_class_batch(model: CcfModel, spectra) -> np.ndarray:
     return np.argmax(probs, axis=1)  # ties resolve to the lowest index
 
 
-def _pixels(flat, start, size):
-    return flat[start : start + size]
-
-
-def _predict_piece(model, read, nodata, size, start):
+def _predict_piece(model, raster, size, start):
     """Classes (uint8) and class-1 probabilities (float32) of the window
-    read(start, size), UNLABELED and -1 on its nodata pixels. Only valid
-    pixels are routed; an all-valid window as it is, with no copy."""
-    window = read(start, size)
-    ok = valid_pixels(window, nodata)
+    raster.window(start, size), UNLABELED and -1 on its nodata pixels.
+    Only valid pixels are routed; an all-valid window as is, no copy."""
+    window = raster.window(start, size)
+    ok = valid_pixels(window, raster.nodata)
     classes = np.full(ok.size, UNLABELED, dtype=np.uint8)
     p1 = np.full(ok.size, -1.0, dtype=np.float32)
     if ok.any():
@@ -615,8 +609,9 @@ def _predict_piece(model, read, nodata, size, start):
 
 
 def predict_raster(model: CcfModel, raster):
-    """Per-pixel prediction over a RasterFile, each window read from the
-    file, or an in-memory raster (values H x W x B, nodata).
+    """Per-pixel prediction over a raster (see raster_io), read a window
+    at a time through raster.window: views of a MultispectralRaster's
+    pixels, or reads from the file of a raster open_raster checked.
 
     Returns (mask, informal_prob): an H x W uint8 label mask, UNLABELED where
     any band equals the raster's nodata value, and an H x W float32 map
@@ -625,14 +620,7 @@ def predict_raster(model: CcfModel, raster):
     _FANOUT_FLOOR pixels are split over _worker_count worker processes.
     The result is the same for any number of workers.
     """
-    if isinstance(raster, RasterFile):
-        h, w, b, read = raster.height, raster.width, raster.bands, raster.window
-    else:
-        values = np.asarray(raster.values)
-        if values.ndim != 3 or not values.size:
-            raise DataError(f"raster values must be non-empty H x W x B, got {values.shape}")
-        h, w, b = values.shape
-        read = functools.partial(_pixels, values.reshape(h * w, b))
+    h, w, b = raster.height, raster.width, raster.bands
     if b != model.n_bands:
         raise DataError(
             f"band mismatch: raster has {b} band(s), model expects {model.n_bands}"
@@ -641,7 +629,7 @@ def predict_raster(model: CcfModel, raster):
     workers = _worker_count(n)  # checks CCF_THREADS even when serial
     pooled = workers > 1 and n >= _FANOUT_FLOOR
     size = min(_PREDICT_CHUNK, math.ceil(n / workers)) if pooled else _PREDICT_CHUNK
-    inputs = (model, read, getattr(raster, "nodata", None), size)
+    inputs = (model, raster, size)
     pieces = _fan_out(_predict_piece, inputs, range(0, n, size), workers if pooled else 1)
     mask, prob = np.empty(n, dtype=np.uint8), np.empty(n, dtype=np.float32)
     for start, (classes, p1) in zip(range(0, n, size), pieces):  # serial: one piece held

@@ -99,13 +99,6 @@ class SplitSpec:
             raise DataError(f"seed must be a non-negative integer, got {seed!r}")
 
 
-def _raster_values(raster):
-    """Accept a raster object (values + nodata attributes) or a bare array."""
-    if isinstance(raster, np.ndarray):
-        return raster, None
-    return raster.values, getattr(raster, "nodata", None)
-
-
 def check_mask(mask: np.ndarray) -> None:
     """Raise DataError unless every value of mask is in MASK_VALUES."""
     bad = ~np.isin(mask, MASK_VALUES)
@@ -130,26 +123,22 @@ def valid_pixels(values: np.ndarray, nodata) -> np.ndarray:
 
 
 def extract_samples(raster, mask) -> SampleSet:
-    """One sample per labeled, valid pixel, in row-major pixel order.
+    """One sample per labeled, valid pixel, read by raster.window, row-major.
 
     Pixels whose mask value is UNLABELED(255) are skipped, as is any pixel
     containing the raster's nodata value in any band.
     """
-    values, nodata = _raster_values(raster)
-    values = np.asarray(values)
-    if values.ndim != 3:
-        raise DataError(f"raster values must be H x W x B, got ndim={values.ndim}")
     mask = np.asarray(mask)
-    if mask.shape != values.shape[:2]:
-        raise DataError(
-            f"mask shape {mask.shape} does not match raster {values.shape[:2]}"
-        )
+    shape = (raster.height, raster.width)
+    if mask.shape != shape:
+        raise DataError(f"mask shape {mask.shape} does not match raster {shape}")
     check_mask(mask)
-    valid = (mask != UNLABELED) & valid_pixels(values, nodata)
+    pixels, labels = raster.window(0, mask.size), mask.ravel()
+    valid = (labels != UNLABELED) & valid_pixels(pixels, raster.nodata)
     if not valid.any():
         raise DataError("zero labeled pixels")
     return SampleSet(
-        values[valid].astype(np.float64), mask[valid].astype(np.int64), adopt=True
+        pixels[valid].astype(np.float64), labels[valid].astype(np.int64), adopt=True
     )
 
 

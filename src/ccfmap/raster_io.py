@@ -6,11 +6,13 @@ little-endian band-sequential planes (float32 for spectra, one u8 plane
 for label masks) and a JSON header (<name>.json) that describes it.
 _write_sidecar is their one writer, _check_header their one header
 check and RasterFile.window their one reader, a window of pixels at a
-time (_read_payload reads a whole payload through it). Evaluation
-reports are single JSON documents; the model file is model_io's, which
-shares _write_atomic and _load_json. Every file goes through
-_write_atomic (temp file in the same directory, then os.replace; a
-sidecar's payload before its header), so a failed or interrupted write
+time (_read_payload reads a whole payload through it). A
+MultispectralRaster gives the same height, width, bands, nodata and
+window in memory: all that forest and pipeline read of a raster.
+Evaluation reports are single JSON documents; the model file is
+model_io's, which shares _write_atomic and _load_json. Every file goes
+through _write_atomic (temp file in the same directory, then os.replace;
+a sidecar's payload before its header), so a failed or interrupted write
 leaves any earlier file whole. Writers emit deterministic bytes so
 repeated runs can be compared with cmp, and every reader rejects
 malformed input with a DataError instead of crashing or guessing.
@@ -84,16 +86,15 @@ class MultispectralRaster:
     def bands(self) -> int:
         return self.values.shape[2]
 
+    def window(self, start: int, size: int) -> np.ndarray:
+        """RasterFile.window's pixels, as a read-only view of values."""
+        return self.values.reshape(-1, self.bands)[start : start + size]
+
 
 def _sidecar_paths(path) -> tuple[str, str]:
     """Map a header/payload/base path to the (.json, .bin) pair."""
     p = os.fspath(path)
-    if p.endswith(".json"):
-        base = p[:-5]
-    elif p.endswith(".bin"):
-        base = p[:-4]
-    else:
-        base = p
+    base = p.removesuffix(".json") if p.endswith(".json") else p.removesuffix(".bin")
     return base + ".json", base + ".bin"
 
 

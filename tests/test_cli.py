@@ -3,7 +3,9 @@
 import base64
 import json
 import os
+import re
 import shutil
+import signal
 import struct
 import tracemalloc
 
@@ -543,6 +545,92 @@ class TestFailedWrite:
         errors = _error_lines(err)
         assert len(errors) == 1 and errors[0].startswith(f"ccfmap: error: cannot write {out}")
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["parent"]
+
+
+class TestNoOutputOverwritesAnInput:
+    """An output that names a file the command reads is a usage error:
+    exit 1 before anything is read, one error line, every input whole."""
+
+    @pytest.mark.parametrize("command,argv,clash", [
+        ("train", ["--raster", "raster.json", "--mask", "mask.json", "--out", "raster.json"],
+         "--raster and --out both name {raster.json}"),
+        ("train", ["--raster", "raster.json", "--mask", "mask.report.json",
+                   "--out", "mask.ccf.json"],
+         "--mask and --out both name {mask.report.json}"),
+        ("predict", ["--model", "m.ccf.json", "--raster", "raster.json",
+                     "--out-mask", "pred", "--out-prob", "m.ccf.json"],
+         "--model and --out-prob both name {m.ccf.json}"),
+        ("evaluate", ["--pred", "mask.json", "--truth", "mask.json", "--out", "mask.json"],
+         "--pred and --out both name {mask.json}"),
+        ("evaluate", ["--pred", "mask.json", "--truth", "mask.json", "--out", "sub/up/mask.json"],
+         "--pred and --out both name {mask.json}"),
+        ("cross", ["--model", "m.ccf.json", "--raster", "raster.json", "--mask", "mask.json",
+                   "--out", "./mask.bin"],
+         "--mask and --out both name {mask.bin}"),
+    ], ids=["train", "train-report", "predict", "evaluate", "evaluate-symlinked-dir", "cross"])
+    def test_refused_with_inputs_unchanged(self, scene_dir, model_dir, tmp_path, capsys,
+                                           monkeypatch, command, argv, clash):
+        for name in ("raster.json", "raster.bin", "mask.json", "mask.bin"):
+            shutil.copy(scene_dir / name, tmp_path / name)
+        for ext in (".json", ".bin"):  # a mask named as the report of mask.ccf.json
+            shutil.copy(scene_dir / f"mask{ext}", tmp_path / f"mask.report{ext}")
+        shutil.copy(model_dir / "model.ccf.json", tmp_path / "m.ccf.json")
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "sub" / "up").symlink_to(tmp_path)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+        monkeypatch.chdir(tmp_path)
+        assert main([command, *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert _error_lines(captured.err) == [
+            "ccfmap: error: " + re.sub(r"\{(.*?)\}", lambda m: str(tmp_path / m[1]), clash)
+        ]
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
+
+
+class TestResourceFailure:
+    """A worker process killed mid-run (as the OOM killer does) and a
+    MemoryError end in one error line that names CCF_THREADS, exit 4,
+    and no output or temp file."""
+
+    def _predict(self, scene_dir, model_dir, tmp_path, capsys):
+        rc = main(["predict", "--model", str(model_dir / "model.ccf.json"),
+                   "--raster", str(scene_dir / "raster.json"),
+                   "--out-mask", str(tmp_path / "pred"), "--out-prob", str(tmp_path / "prob")])
+        captured = capsys.readouterr()
+        assert rc == 4
+        assert captured.out == "" and "Traceback" not in captured.err
+        errors = _error_lines(captured.err)
+        assert len(errors) == 1 and "CCF_THREADS" in errors[0]
+        assert list(tmp_path.iterdir()) == []
+        return errors[0]
+
+    def test_worker_killed(self, scene_dir, model_dir, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(forest, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(forest, "_FANOUT_FLOOR", 16)
+        monkeypatch.setenv("CCF_THREADS", "2")
+        parent, real_piece = os.getpid(), forest._predict_piece
+
+        def killed_piece(model, raster, size, start):
+            if start == 0:
+                assert os.getpid() != parent, "the first window ran in the parent"
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real_piece(model, raster, size, start)
+
+        monkeypatch.setattr(forest, "_predict_piece", killed_piece)
+        assert "BrokenProcessPool" in self._predict(scene_dir, model_dir, tmp_path, capsys)
+
+    def test_memory_error_serial(self, scene_dir, model_dir, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("CCF_THREADS", "1")
+
+        def no_memory(model, spectra):
+            raise MemoryError("Unable to allocate 1.00 TiB")
+
+        monkeypatch.setattr(forest, "predict_proba_batch", no_memory)
+        assert self._predict(scene_dir, model_dir, tmp_path, capsys) == (
+            "ccfmap: error: out of memory or a worker process lost (MemoryError('Unable to "
+            "allocate 1.00 TiB')); a lower CCF_THREADS runs fewer workers"
+        )
 
 
 class TestEvaluateAndCross:

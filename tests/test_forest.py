@@ -962,14 +962,6 @@ class TestPrediction:
             predict_proba_batch(model, np.ones((4, 2)))
 
 
-class _ArrayRaster:
-    """Minimal raster stand-in for predict_raster tests."""
-
-    def __init__(self, values, nodata=None):
-        self.values = values
-        self.nodata = nodata
-
-
 class TestPredictRaster:
     def _model(self):
         s = _blobs(60, 4, 4.0, np.random.default_rng(12))
@@ -978,7 +970,7 @@ class TestPredictRaster:
     def test_single_pixel_matches_direct_call(self):
         model = self._model()
         values = np.random.default_rng(13).normal(size=(1, 1, 4)).astype(np.float32)
-        mask, prob = predict_raster(model, _ArrayRaster(values))
+        mask, prob = predict_raster(model, MultispectralRaster(values))
         direct = predict_proba_batch(model, values[0, 0].astype(np.float64)[None, :])[0]
         assert mask.shape == (1, 1) and prob.shape == (1, 1)
         assert mask[0, 0] == np.argmax(direct)
@@ -987,7 +979,7 @@ class TestPredictRaster:
     def test_all_nodata(self):
         model = self._model()
         values = np.zeros((3, 4, 4), dtype=np.float32)
-        mask, prob = predict_raster(model, _ArrayRaster(values, nodata=0.0))
+        mask, prob = predict_raster(model, MultispectralRaster(values, nodata=0.0))
         assert (mask == 255).all()
         assert (prob == -1.0).all()
 
@@ -996,7 +988,7 @@ class TestPredictRaster:
         rng = np.random.default_rng(14)
         values = rng.normal(size=(16, 16, 4)).astype(np.float32)
         values[3, 5, 2] = -7.0  # nodata hit on one band
-        raster = _ArrayRaster(values, nodata=-7.0)
+        raster = MultispectralRaster(values, nodata=-7.0)
         mask, prob = predict_raster(model, raster)
         for i in range(16):
             for j in range(16):
@@ -1016,7 +1008,7 @@ class TestPredictRaster:
         flat = values.reshape(-1, 4)
         for p in range(3, flat.shape[0], 5):
             flat[p, p % 4] = -7.0
-        return _ArrayRaster(values, nodata=-7.0)
+        return MultispectralRaster(values, nodata=-7.0)
 
     @pytest.mark.parametrize("threads,cut,from_file", [
         pytest.param(threads, cut, from_file,
@@ -1066,7 +1058,7 @@ class TestPredictRaster:
         flat = values.reshape(-1, 4)
         flat[:39, 1] = -7.0
         flat[78::5, 3] = -7.0
-        return _ArrayRaster(values, nodata=-7.0)
+        return MultispectralRaster(values, nodata=-7.0)
 
     def test_all_nodata_and_all_valid_windows(self, monkeypatch):
         model = self._model()
@@ -1159,7 +1151,7 @@ class TestPredictRaster:
     def test_band_mismatch(self):
         model = self._model()
         with pytest.raises(DataError, match="band mismatch"):
-            predict_raster(model, _ArrayRaster(np.zeros((2, 2, 5), np.float32)))
+            predict_raster(model, MultispectralRaster(np.zeros((2, 2, 5), np.float32)))
 
 
 class TestSeedStability:

@@ -4,8 +4,9 @@ The ccfmap root exports exactly the names its callers import from it:
 the README's library example, the demos and the benchmark scripts. A
 root name that nothing imports fails here, and so does a caller that
 imports a name the root no longer has. raster_io stays free of the
-forest, so the model file has one owner, model_io, and the README names
-the model format version the code writes.
+forest, so the model file has one owner, model_io; the forest and the
+pipeline stay free of raster_io, as they read every raster through its
+window; and the README names the model format version the code writes.
 """
 
 import ast
@@ -60,10 +61,16 @@ def test_demo_runs(demo, tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def _imported_modules(filename: str) -> set[str]:
+    pairs = _from_imports((ROOT / "src" / "ccfmap" / filename).read_text(), "ccfmap")
+    return {module for module, _ in pairs} | {f"{m}.{name}" for m, name in pairs}
+
+
 def test_raster_io_imports_neither_the_forest_nor_the_model_file():
-    pairs = _from_imports((ROOT / "src" / "ccfmap" / "raster_io.py").read_text(), "ccfmap")
-    imported = {module for module, _ in pairs} | {f"{m}.{name}" for m, name in pairs}
-    assert not imported & {"ccfmap.forest", "ccfmap.model_io"}
+    assert not _imported_modules("raster_io.py") & {"ccfmap.forest", "ccfmap.model_io"}
+    # and the rasters' consumers take any raster by its window, not by its class
+    for name in ("forest.py", "pipeline.py"):
+        assert "ccfmap.raster_io" not in _imported_modules(name), name
 
 
 def test_readme_names_the_model_format_version():

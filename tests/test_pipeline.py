@@ -21,6 +21,7 @@ from ccfmap.pipeline import (
     valid_pixels,
 )
 from ccfmap.cca import standardize
+from ccfmap.raster_io import MultispectralRaster
 
 
 def _multiset(s: SampleSet) -> Counter:
@@ -73,7 +74,7 @@ class TestSampleSet:
         assert s.labels[0] == 0
 
     def test_built_sets_are_read_only(self):
-        raster = np.arange(2 * 3 * 2, dtype=np.float32).reshape(2, 3, 2)
+        raster = MultispectralRaster(np.arange(2 * 3 * 2, dtype=np.float32).reshape(2, 3, 2))
         mask = np.array([[0, 1, 255], [1, 0, 1]], dtype=np.uint8)
         built = [
             extract_samples(raster, mask),
@@ -97,7 +98,7 @@ class TestExtractSamples:
     def test_row_major_enumeration(self):
         raster = np.arange(2 * 2 * 3, dtype=np.float32).reshape(2, 2, 3)
         mask = np.array([[1, 255], [0, 1]], dtype=np.uint8)
-        s = extract_samples(raster, mask)
+        s = extract_samples(MultispectralRaster(raster), mask)
         assert len(s) == 3
         np.testing.assert_array_equal(s.labels, [1, 0, 1])
         # row-major: pixels (0,0), (1,0), (1,1)
@@ -107,26 +108,24 @@ class TestExtractSamples:
 
     def test_all_unlabeled(self):
         with pytest.raises(DataError, match="zero labeled pixels"):
-            extract_samples(np.ones((2, 2, 1), np.float32), np.full((2, 2), 255, np.uint8))
+            extract_samples(MultispectralRaster(np.ones((2, 2, 1), np.float32)),
+                            np.full((2, 2), 255, np.uint8))
 
     def test_shape_mismatch(self):
         with pytest.raises(DataError, match="does not match"):
-            extract_samples(np.ones((2, 2, 1), np.float32), np.zeros((3, 2), np.uint8))
+            extract_samples(MultispectralRaster(np.ones((2, 2, 1), np.float32)),
+                            np.zeros((3, 2), np.uint8))
 
     def test_illegal_mask_value(self):
         mask = np.zeros((2, 2), np.uint8)
         mask[0, 1] = 7
         with pytest.raises(DataError, match="illegal value 7 at pixel index 1"):
-            extract_samples(np.ones((2, 2, 1), np.float32), mask)
+            extract_samples(MultispectralRaster(np.ones((2, 2, 1), np.float32)), mask)
 
     def test_nodata_pixels_skipped(self):
-        class Raster:
-            values = np.ones((2, 2, 2), dtype=np.float32)
-            nodata = -9999.0
-
-        r = Raster()
-        r.values = r.values.copy()
-        r.values[0, 0, 1] = -9999.0  # one band hit is enough to drop the pixel
+        values = np.ones((2, 2, 2), dtype=np.float32)
+        values[0, 0, 1] = -9999.0  # one band hit is enough to drop the pixel
+        r = MultispectralRaster(values, nodata=-9999.0)
         mask = np.zeros((2, 2), np.uint8)
         mask[1, 1] = 1
         s = extract_samples(r, mask)
@@ -138,7 +137,7 @@ class TestExtractSamples:
         for _ in range(50):
             h, w = rng.integers(1, 12, size=2)
             mask = rng.choice([0, 1, 255], size=(h, w)).astype(np.uint8)
-            raster = rng.normal(size=(h, w, 3)).astype(np.float32)
+            raster = MultispectralRaster(rng.normal(size=(h, w, 3)).astype(np.float32))
             expected = sum(
                 1 for i in range(h) for j in range(w) if mask[i, j] in (0, 1)
             )
@@ -324,7 +323,7 @@ class TestFitScaler:
 class TestAssembleRegionDataset:
     def test_single_pair_identity(self):
         rng = np.random.default_rng(41)
-        raster = rng.normal(size=(3, 3, 2)).astype(np.float32)
+        raster = MultispectralRaster(rng.normal(size=(3, 3, 2)).astype(np.float32))
         mask = rng.choice([0, 1], size=(3, 3)).astype(np.uint8)
         direct = extract_samples(raster, mask)
         combined = assemble_region_dataset([(raster, mask)])
@@ -332,9 +331,9 @@ class TestAssembleRegionDataset:
         np.testing.assert_array_equal(direct.labels, combined.labels)
 
     def test_concatenation_order(self):
-        r1 = np.arange(3.0, dtype=np.float32).reshape(1, 3, 1)
+        r1 = MultispectralRaster(np.arange(3.0, dtype=np.float32).reshape(1, 3, 1))
         m1 = np.array([[0, 1, 0]], dtype=np.uint8)
-        r2 = np.arange(10.0, 15.0, dtype=np.float32).reshape(1, 5, 1)
+        r2 = MultispectralRaster(np.arange(10.0, 15.0, dtype=np.float32).reshape(1, 5, 1))
         m2 = np.array([[1, 1, 0, 0, 1]], dtype=np.uint8)
         s = assemble_region_dataset([(r1, m1), (r2, m2)])
         assert len(s) == 8
@@ -342,8 +341,8 @@ class TestAssembleRegionDataset:
         np.testing.assert_array_equal(s.features[3:, 0], [10, 11, 12, 13, 14])
 
     def test_band_mismatch(self):
-        r1 = np.ones((2, 2, 3), np.float32)
-        r2 = np.ones((2, 2, 4), np.float32)
+        r1 = MultispectralRaster(np.ones((2, 2, 3), np.float32))
+        r2 = MultispectralRaster(np.ones((2, 2, 4), np.float32))
         m = np.zeros((2, 2), np.uint8)
         m[0, 0] = 1
         with pytest.raises(DataError, match="band mismatch"):
@@ -354,16 +353,11 @@ class TestAssembleRegionDataset:
             assemble_region_dataset([])
 
     def test_pairs_are_read_one_at_a_time(self):
-        class Tile:
-            def __init__(self, seed):
-                rng = np.random.default_rng(seed)
-                self.values = rng.normal(size=(4, 4, 2)).astype(np.float32)
-                self.nodata = None
-
         held = []
 
         def read_tile(seed):
-            tile = Tile(seed)
+            rng = np.random.default_rng(seed)
+            tile = MultispectralRaster(rng.normal(size=(4, 4, 2)).astype(np.float32))
             held.append(weakref.ref(tile))
             return tile
 

@@ -311,14 +311,19 @@ class TestOpenRaster:
         size = data.draw(st.integers(1, n - start + 2), label="size")  # past the end too
         values = data.draw(hnp.arrays(np.float32, (h, w, b), elements=st.floats(
             width=32, allow_nan=False, allow_infinity=False)), label="values")
+        memory = MultispectralRaster(values, nodata=-1.0)
         with tempfile.TemporaryDirectory() as d:
-            header, _ = write_raster(MultispectralRaster(values, nodata=-1.0),
-                                     os.path.join(d, "r"))
+            header, _ = write_raster(memory, os.path.join(d, "r"))
             window = open_raster(header).window(start, size)
-            want = read_raster(header).values.reshape(-1, b)[start : start + size]
+            whole = read_raster(header)
+            want = whole.values.reshape(-1, b)[start : start + size]
         assert window.dtype == np.float32 and window.shape == want.shape
         assert window.flags.f_contiguous  # each band one contiguous column
         assert window.tobytes() == want.tobytes()  # bit for bit, row by row
+        # the one raster protocol: in memory, read whole or read by window
+        for other in (memory.window(start, size), whole.window(start, size)):
+            assert other.dtype == np.float32 and other.shape == window.shape
+            assert other.tobytes() == window.tobytes()
 
     def test_fields(self, tmp_path):
         header, payload = write_raster(_random_raster(np.random.default_rng(3), nodata=-5.0),
