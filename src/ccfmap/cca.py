@@ -68,8 +68,9 @@ def standardize(m, stats: ColumnStats) -> np.ndarray:
     """Center by stats.mean and scale by stats.stddev, column-wise.
 
     Columns with stddev <= CONSTANT_COLUMN_TOL are only centered; dividing
-    by a near-zero spread would blow up round-off noise. float32 rows are
-    read as they are, without a float64 copy. The result is column-major,
+    by a near-zero spread would blow up round-off noise. float32 rows (a
+    raster window, each band a contiguous column) are read as they are,
+    without a float64 copy. The result is column-major,
     each column one contiguous run: the layout in which tree growth
     gathers a node's feature columns, and whose transpose is the bands x
     rows block prediction routes.

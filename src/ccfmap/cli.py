@@ -146,6 +146,17 @@ def _report_path(model_path: str) -> str:
     return re.sub(r"(\.ccf)?\.json\Z", "", model_path) + ".report.json"
 
 
+def _score(label, pred, truth, path, class_names=None) -> None:
+    """Evaluate pred against truth, write the report to path and print
+    the headline line, label first."""
+    report = evaluate(pred, truth)
+    path = write_report(report, path, class_names=class_names)
+    print(
+        f"{label}pixel_accuracy {report.pixel_accuracy * 100.0:.1f}%, "
+        f"mean_iou {report.mean_iou * 100.0:.1f}%, report: {path}"
+    )
+
+
 def cmd_train(args) -> int:
     if len(args.raster) != len(args.mask):
         return _usage_error(
@@ -185,15 +196,8 @@ def cmd_train(args) -> int:
         f"{len(train)} train / {len(test)} held-out samples)"
     )
     if not args.no_eval:
-        pred = predict_class_batch(model, test.features)
-        report = evaluate(pred, test.labels)
-        path = write_report(
-            report, _report_path(args.out), class_names=model.class_names
-        )
-        print(
-            f"holdout: pixel_accuracy {report.pixel_accuracy * 100.0:.1f}%, "
-            f"mean_iou {report.mean_iou * 100.0:.1f}%, report: {path}"
-        )
+        _score("holdout: ", predict_class_batch(model, test.features), test.labels,
+               _report_path(args.out), model.class_names)
     return _EXIT_OK
 
 
@@ -204,8 +208,9 @@ def cmd_predict(args) -> int:
     model = load_model(args.model)
     mask, prob = predict_raster(model, open_raster(args.raster))
     write_mask(mask, args.out_mask)
-    write_raster(MultispectralRaster(prob[..., None], -1.0, ("informal_probability",)),
-                 args.out_prob)
+    # prob is new and finite, and its one plane is band-sequential: no copy
+    write_raster(MultispectralRaster(prob[..., None], -1.0, ("informal_probability",),
+                                     adopt=True), args.out_prob)
     labeled = int((mask != UNLABELED).sum())
     print(
         f"mask written: {args.out_mask} ({labeled}/{mask.size} pixels labeled); "
@@ -218,14 +223,7 @@ def cmd_evaluate(args) -> int:
     if rc := _overwrite_refused([("--pred", args.pred), ("--truth", args.truth)],
                                      [("--out", args.out)]):
         return rc
-    pred = read_mask(args.pred)
-    truth = read_mask(args.truth)
-    report = evaluate(pred, truth)
-    path = write_report(report, args.out)
-    print(
-        f"pixel_accuracy {report.pixel_accuracy * 100.0:.1f}%, "
-        f"mean_iou {report.mean_iou * 100.0:.1f}%, report: {path}"
-    )
+    _score("", read_mask(args.pred), read_mask(args.truth), args.out)
     return _EXIT_OK
 
 
@@ -240,12 +238,7 @@ def cmd_cross(args) -> int:
     if truth.shape != shape:  # before predicting, not after
         raise DataError(f"shape mismatch: raster {shape} vs truth {truth.shape}")
     pred, _ = predict_raster(model, raster)
-    report = evaluate(pred, truth)
-    path = write_report(report, args.out, class_names=model.class_names)
-    print(
-        f"cross-region: pixel_accuracy {report.pixel_accuracy * 100.0:.1f}%, "
-        f"mean_iou {report.mean_iou * 100.0:.1f}%, report: {path}"
-    )
+    _score("cross-region: ", pred, truth, args.out, model.class_names)
     return _EXIT_OK
 
 

@@ -442,17 +442,18 @@ def _run_held_task(task):
 
 
 def _fan_out(fn, inputs, tasks, workers: int):
-    """fn(*inputs, task) for every task, in task order: lazily in this
-    process when workers <= 1, else on a pool whose workers receive fn
-    and inputs once, when they start. Under fork they inherit them, so
-    only tasks and results are pickled. A worker's error shuts the pool
-    down and is raised here."""
+    """Yield fn(*inputs, task) for every task, in task order, as each
+    arrives: computed in this process when workers <= 1, else on a pool
+    whose workers receive fn and inputs once, when they start. Under fork
+    they inherit them, so only tasks and results are pickled. A worker's
+    error shuts the pool down and is raised here."""
     if workers <= 1:
-        return map(functools.partial(fn, *inputs), tasks)
+        yield from map(functools.partial(fn, *inputs), tasks)
+        return
     with ProcessPoolExecutor(
         max_workers=workers, initializer=_hold_task, initargs=(fn, *inputs)
     ) as pool:
-        return list(pool.map(_run_held_task, tasks))
+        yield from pool.map(_run_held_task, tasks)
 
 
 def train_forest(samples: SampleSet, config: TrainConfig | None = None,
@@ -611,7 +612,7 @@ def _predict_piece(model, raster, size, start):
 def predict_raster(model: CcfModel, raster):
     """Per-pixel prediction over a raster (see raster_io), read a window
     at a time through raster.window: views of a MultispectralRaster's
-    pixels, or reads from the file of a raster open_raster checked.
+    band planes, or reads from the file of a raster open_raster checked.
 
     Returns (mask, informal_prob): an H x W uint8 label mask, UNLABELED where
     any band equals the raster's nodata value, and an H x W float32 map
@@ -632,6 +633,7 @@ def predict_raster(model: CcfModel, raster):
     inputs = (model, raster, size)
     pieces = _fan_out(_predict_piece, inputs, range(0, n, size), workers if pooled else 1)
     mask, prob = np.empty(n, dtype=np.uint8), np.empty(n, dtype=np.float32)
-    for start, (classes, p1) in zip(range(0, n, size), pieces):  # serial: one piece held
+    # serial: one piece held; strict runs pieces to its end, closing a pool
+    for start, (classes, p1) in zip(range(0, n, size), pieces, strict=True):
         mask[start : start + size], prob[start : start + size] = classes, p1
     return mask.reshape(h, w), prob.reshape(h, w)

@@ -17,7 +17,6 @@ from .errors import DataError, is_int, is_real
 
 UNLABELED = 255  # mask value of a pixel with no label
 MASK_VALUES = (0, 1, UNLABELED)
-_VALID_BLOCK = 1 << 14  # pixels valid_pixels compares at a time
 
 DEFAULT_CLASS_NAMES = ("environment", "informal")
 
@@ -111,14 +110,12 @@ def check_mask(mask: np.ndarray) -> None:
 
 def valid_pixels(values: np.ndarray, nodata) -> np.ndarray:
     """True where no band (last axis) equals nodata; all True without one.
-    Blocks of pixels are compared band by band: no temporary is large."""
+    Compared band by band, each band contiguous in a raster's window."""
     valid = np.ones(values.shape[:-1], dtype=bool)
     if nodata is not None:
         nd = np.asarray(nodata, dtype=values.dtype)
-        pixels, flags = values.reshape(valid.size, values.shape[-1]), valid.reshape(-1)
-        for start in range(0, valid.size, _VALID_BLOCK):
-            for column in pixels[start : start + _VALID_BLOCK].T:
-                flags[start : start + _VALID_BLOCK] &= column != nd
+        for band in np.moveaxis(values, -1, 0):
+            valid &= band != nd
     return valid
 
 
@@ -137,6 +134,8 @@ def extract_samples(raster, mask) -> SampleSet:
     valid = (labels != UNLABELED) & valid_pixels(pixels, raster.nodata)
     if not valid.any():
         raise DataError("zero labeled pixels")
+    # pixels[valid] is C-ordered whatever the window's layout: column_stats
+    # (fit_scaler) gives other bits on an F-ordered table
     return SampleSet(
         pixels[valid].astype(np.float64), labels[valid].astype(np.int64), adopt=True
     )

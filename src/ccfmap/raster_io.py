@@ -6,9 +6,10 @@ little-endian band-sequential planes (float32 for spectra, one u8 plane
 for label masks) and a JSON header (<name>.json) that describes it.
 _write_sidecar is their one writer, _check_header their one header
 check and RasterFile.window their one reader, a window of pixels at a
-time (_read_payload reads a whole payload through it). A
-MultispectralRaster gives the same height, width, bands, nodata and
-window in memory: all that forest and pipeline read of a raster.
+time (read_raster and read_mask read the whole payload as one window).
+A MultispectralRaster holds its pixels as the payload lays them out and
+gives the same height, width, bands, nodata and window in memory: all
+that forest and pipeline read of a raster.
 Evaluation reports are single JSON documents; the model file is
 model_io's, which shares _write_atomic and _load_json. Every file goes
 through _write_atomic (temp file in the same directory, then os.replace;
@@ -35,20 +36,30 @@ RASTER_DTYPE = "f32le"
 MASK_DTYPE = "u8"
 LAYOUT = "band-sequential"
 _NUMPY_DTYPES = {RASTER_DTYPE: "<f4", MASK_DTYPE: "u1"}
-_READ_BLOCK = 1 << 18  # most payload bytes _read_payload reads at a time
+_F32_MAX = float(np.finfo(np.float32).max)
 
 PRESETS = ("blobs", "oblique", "ring")
 
 
+def _check_nodata(nodata, where: str = "") -> float | None:
+    """nodata as a float (None stays None); a DataError unless it is a
+    finite number in float32's range, so a float32 pixel can equal it."""
+    if nodata is not None and not (is_real(nodata) and abs(nodata) <= _F32_MAX):
+        raise DataError(f"{where}nodata must be a finite float32 number, got {nodata!r}")
+    return None if nodata is None else float(nodata)
+
+
 @dataclass(frozen=True)
 class MultispectralRaster:
-    """In-memory H x W x B float32 image, one spectrum per pixel."""
+    """In-memory H x W x B float32 image, one spectrum per pixel. values
+    is a read-only view of C-contiguous B x H x W planes, the payload's
+    band-sequential layout, so window is RasterFile.window's layout too."""
 
     values: np.ndarray
     nodata: float | None = None
     band_names: tuple[str, ...] | None = None
 
-    adopt: InitVar[bool] = False  # values is new, C-ordered float32, checked finite
+    adopt: InitVar[bool] = False  # values is new, finite float32; its planes C-ordered
 
     def __post_init__(self, adopt):
         v = np.asarray(self.values, dtype=np.float32)
@@ -56,16 +67,16 @@ class MultispectralRaster:
             raise DataError(f"raster values must be H x W x B, got ndim={v.ndim}")
         if min(v.shape) < 1:
             raise DataError(f"empty raster: shape {v.shape}")
-        if not adopt:  # the caller keeps its array; the raster holds a copy
+        planes = v.transpose(2, 0, 1)
+        if adopt:
+            planes = np.ascontiguousarray(planes)
+        else:  # the caller keeps its array; the raster holds a copy
             if not np.isfinite(v).all():
                 raise DataError("raster values must be finite")
-            v = v.copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-        if self.nodata is not None:
-            if not is_real(self.nodata):
-                raise DataError(f"nodata must be a finite number, got {self.nodata!r}")
-            object.__setattr__(self, "nodata", float(self.nodata))
+            planes = planes.copy()
+        planes.setflags(write=False)
+        object.__setattr__(self, "values", planes.transpose(1, 2, 0))
+        object.__setattr__(self, "nodata", _check_nodata(self.nodata))
         if self.band_names is not None:
             names = tuple(str(n) for n in self.band_names)
             if len(names) != v.shape[2]:
@@ -87,8 +98,9 @@ class MultispectralRaster:
         return self.values.shape[2]
 
     def window(self, start: int, size: int) -> np.ndarray:
-        """RasterFile.window's pixels, as a read-only view of values."""
-        return self.values.reshape(-1, self.bands)[start : start + size]
+        """RasterFile.window's pixels in its layout, a read-only view of values."""
+        planes = self.values.transpose(2, 0, 1).reshape(self.bands, -1)
+        return planes[:, start : start + size].T
 
 
 def _sidecar_paths(path) -> tuple[str, str]:
@@ -184,6 +196,7 @@ class RasterFile:
     bands: int
     nodata: float | None = None
     dtype: str = RASTER_DTYPE
+    band_names: tuple[str, ...] | None = None
 
     def window(self, start: int, size: int) -> np.ndarray:
         """Pixels start .. start + size - 1, row-major (fewer at the end),
@@ -200,14 +213,15 @@ class RasterFile:
                     if got != plane.nbytes:  # the file now ends at offset + got
                         raise _length_mismatch(n * self.bands * planes.itemsize,
                                                offset + got, self.path)
-                    _check_finite(plane, offset, self.path)
+                    if plane.dtype.kind == "f":  # a mask's u8 plane is finite
+                        _check_finite(plane, offset, self.path)
         except OSError as exc:
             raise DataError(f"cannot read {self.path}: {exc}") from exc
         return planes.T
 
 
-def _check_header(path, dtype: str, bands_fixed=None):
-    """(RasterFile, band_names) of a sidecar, its payload unread. Checks
+def _check_header(path, dtype: str, bands_fixed=None) -> RasterFile:
+    """The RasterFile of a sidecar, its payload unread. Checks
     width/height/bands (bands must equal bands_fixed when that is given),
     dtype, layout, the optional nodata and band_names, and the payload's
     size."""
@@ -229,11 +243,7 @@ def _check_header(path, dtype: str, bands_fixed=None):
             raise DataError(
                 f"{header_path}: unsupported {key} {doc.get(key)!r}, expected {want!r}"
             )
-    nodata = doc.get("nodata")
-    if nodata is not None:
-        if not is_real(nodata):
-            raise DataError(f"{header_path}: nodata must be a finite number")
-        nodata = float(nodata)
+    nodata = _check_nodata(doc.get("nodata"), f"{header_path}: ")
     band_names = doc.get("band_names")
     if band_names is not None:
         if not (isinstance(band_names, list) and len(band_names) == b
@@ -248,17 +258,7 @@ def _check_header(path, dtype: str, bands_fixed=None):
         raise DataError(f"cannot read {payload_path}: {exc}") from exc
     if got != expected:
         raise _length_mismatch(expected, got, payload_path)
-    return RasterFile(payload_path, h, w, b, nodata, dtype), band_names
-
-
-def _read_payload(file: RasterFile) -> np.ndarray:
-    """All of file's pixels, read in windows of at most _READ_BLOCK bytes,
-    as a new height x width x bands array (MultispectralRaster's layout)."""
-    values = np.empty((file.height * file.width, file.bands), dtype=_NUMPY_DTYPES[file.dtype])
-    step = max(1, _READ_BLOCK // values[0].nbytes)
-    for start in range(0, len(values), step):
-        values[start : start + step] = file.window(start, step)
-    return values.reshape(file.height, file.width, file.bands)
+    return RasterFile(payload_path, h, w, b, nodata, dtype, band_names)
 
 
 def write_raster(raster: MultispectralRaster, path) -> tuple[str, str]:
@@ -273,14 +273,16 @@ def write_raster(raster: MultispectralRaster, path) -> tuple[str, str]:
 
 def read_raster(header_path) -> MultispectralRaster:
     """Read a raster written by write_raster, validating everything."""
-    file, band_names = _check_header(header_path, RASTER_DTYPE)
-    return MultispectralRaster(_read_payload(file), file.nodata, band_names, adopt=True)
+    file = _check_header(header_path, RASTER_DTYPE)
+    pixels = file.window(0, file.height * file.width)  # planes.T: one read, no copy
+    return MultispectralRaster(pixels.reshape(file.height, file.width, file.bands),
+                               file.nodata, file.band_names, adopt=True)
 
 
 def open_raster(header_path) -> RasterFile:
     """Check a raster written by write_raster as read_raster does, but leave
     its pixels in the file for RasterFile.window to read a window at a time."""
-    return _check_header(header_path, RASTER_DTYPE)[0]
+    return _check_header(header_path, RASTER_DTYPE)
 
 
 def write_mask(mask, path) -> tuple[str, str]:
@@ -296,9 +298,10 @@ def write_mask(mask, path) -> tuple[str, str]:
 
 def read_mask(header_path) -> np.ndarray:
     """Read a u8 label mask, enforcing the {0, 1, 255} value domain."""
-    values = _read_payload(_check_header(header_path, MASK_DTYPE, bands_fixed=1)[0])
+    file = _check_header(header_path, MASK_DTYPE, bands_fixed=1)
+    values = file.window(0, file.height * file.width)[:, 0].reshape(file.height, file.width)
     check_mask(values)
-    return values[..., 0]
+    return values
 
 
 # --- evaluation reports ---------------------------------------------------

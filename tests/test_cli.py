@@ -432,6 +432,29 @@ class TestPredict:
         ]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["raster.bin", "raster.json"]
 
+    @pytest.mark.parametrize("command", ["train", "predict"])
+    def test_nodata_beyond_float32_rejected(self, command, scene_dir, model_dir, tmp_path,
+                                            capsys, recwarn):
+        shutil.copy(scene_dir / "raster.bin", tmp_path / "raster.bin")
+        doc = json.loads((scene_dir / "raster.json").read_text())
+        doc["nodata"] = 1e39  # finite as a double, inf as float32
+        (tmp_path / "raster.json").write_text(json.dumps(doc))
+        outputs = {
+            "train": ["--mask", str(scene_dir / "mask.json"),
+                      "--out", str(tmp_path / "m.ccf.json")],
+            "predict": ["--model", str(model_dir / "model.ccf.json"),
+                        "--out-mask", str(tmp_path / "pred"),
+                        "--out-prob", str(tmp_path / "prob")],
+        }[command]
+        rc = main([command, "--raster", str(tmp_path / "raster.json"), *outputs])
+        assert rc == 2
+        assert _error_lines(capsys.readouterr().err) == [
+            f"ccfmap: error: {tmp_path / 'raster.json'}: nodata must be a finite "
+            f"float32 number, got 1e+39"
+        ]
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["raster.bin", "raster.json"]
+
     def test_missing_model_file(self, scene_dir, tmp_path, capsys):
         rc = main(
             [

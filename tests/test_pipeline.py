@@ -7,7 +7,6 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from ccfmap import pipeline
 from ccfmap.errors import DataError
 from ccfmap.pipeline import (
     SampleSet,
@@ -21,7 +20,7 @@ from ccfmap.pipeline import (
     valid_pixels,
 )
 from ccfmap.cca import standardize
-from ccfmap.raster_io import MultispectralRaster
+from ccfmap.raster_io import MultispectralRaster, open_raster, read_raster, write_raster
 
 
 def _multiset(s: SampleSet) -> Counter:
@@ -131,6 +130,18 @@ class TestExtractSamples:
         s = extract_samples(r, mask)
         assert len(s) == 3
         np.testing.assert_array_equal(s.labels, [0, 0, 1])
+
+    def test_features_are_c_ordered_from_every_raster(self, tmp_path):
+        # fit_scaler's column_stats gives other bits on an F-ordered table
+        rng = np.random.default_rng(5)
+        memory = MultispectralRaster(rng.normal(size=(6, 7, 3)), nodata=0.0)
+        mask = rng.choice([0, 1, 255], size=(6, 7)).astype(np.uint8)
+        header, _ = write_raster(memory, tmp_path / "r")
+        tables = [extract_samples(r, mask).features
+                  for r in (memory, read_raster(header), open_raster(header))]
+        for t in tables:
+            assert t.flags.c_contiguous and t.dtype == np.float64
+            assert t.tobytes() == tables[0].tobytes()
 
     def test_count_matches_brute_force(self):
         rng = np.random.default_rng(17)
@@ -373,9 +384,8 @@ class TestAssembleRegionDataset:
 
 
 class TestValidPixels:
-    @pytest.mark.parametrize("block", [1, 7, 1 << 14])
-    def test_matches_any_band_rule(self, monkeypatch, block):
-        monkeypatch.setattr(pipeline, "_VALID_BLOCK", block)
+    @pytest.mark.parametrize("size", [1, 7, 1 << 14])
+    def test_matches_any_band_rule(self, size):
         rng = np.random.default_rng(43)
         values = rng.integers(0, 4, size=(9, 5, 3)).astype(np.float32)
         expected = ~(values == 2.0).any(axis=-1)
@@ -385,3 +395,11 @@ class TestValidPixels:
             valid_pixels(values.reshape(-1, 3), 2.0), expected.ravel()
         )
         assert valid_pixels(values, None).all()
+        # the C-ordered array against a raster's band-sequential windows
+        raster = MultispectralRaster(values)
+        for start in range(0, expected.size, size):
+            window = raster.window(start, size)
+            assert all(band.flags.c_contiguous for band in window.T)
+            np.testing.assert_array_equal(
+                valid_pixels(window, 2.0), expected.ravel()[start : start + size]
+            )

@@ -123,6 +123,13 @@ class TestRasterContainer:
         with pytest.raises(DataError, match="nodata"):
             MultispectralRaster(values=np.ones((1, 1, 1), np.float32), nodata=nodata)
 
+    @pytest.mark.parametrize("nodata", [1e39, -3.5e38])
+    def test_rejects_nodata_beyond_float32(self, nodata):
+        with pytest.raises(DataError, match="nodata must be a finite float32 number"):
+            MultispectralRaster(values=np.ones((1, 1, 1), np.float32), nodata=nodata)
+        edge = float(np.finfo(np.float32).max)
+        assert MultispectralRaster(np.ones((1, 1, 1)), nodata=-edge).nodata == -edge
+
     def test_band_name_count(self):
         with pytest.raises(DataError, match="band name"):
             MultispectralRaster(values=np.ones((1, 1, 2), np.float32), band_names=("a",))
@@ -159,16 +166,17 @@ class TestRasterRoundTrip:
         b = read_raster(tmp_path / "y")
         np.testing.assert_array_equal(a.values, b.values)
 
-    @pytest.mark.parametrize("block", [4, 56, 1 << 16])
-    def test_read_in_blocks_is_bit_exact(self, tmp_path, monkeypatch, block):
-        # a row of 7 pixels is 28 bytes: one row a block (4 is less than a
-        # row), two rows a block with a shorter last one, all 5 rows at once
-        monkeypatch.setattr(raster_io, "_READ_BLOCK", block)
-        r = _random_raster(np.random.default_rng(8), nodata=-1.0)
+    @pytest.mark.parametrize("plane_bytes", [4, 56, 1 << 16])
+    def test_read_in_blocks_is_bit_exact(self, tmp_path, plane_bytes):
+        # one pixel, a 2 x 7 plane, a 128 x 128 plane: the payload is read
+        # as one window of whole planes
+        h, w = {4: (1, 1), 56: (2, 7), 1 << 16: (128, 128)}[plane_bytes]
+        r = _random_raster(np.random.default_rng(8), h=h, w=w, nodata=-1.0)
         write_raster(r, tmp_path / "s")
         back = read_raster(tmp_path / "s.json")
         assert back.values.tobytes() == r.values.tobytes()
-        assert back.values.flags.c_contiguous and not back.values.flags.writeable
+        assert back.values.transpose(2, 0, 1).flags.c_contiguous
+        assert not back.values.flags.writeable
 
     def test_read_peak_memory_near_payload(self, tmp_path):
         values = np.random.default_rng(9).normal(size=(384, 384, 8)).astype(np.float32)
@@ -181,6 +189,16 @@ class TestRasterRoundTrip:
         finally:
             tracemalloc.stop()
         assert peak <= 1.1 * back.values.nbytes
+
+    def test_write_peak_memory_is_not_a_copy(self, tmp_path):
+        r = MultispectralRaster(np.random.default_rng(9).normal(size=(256, 256, 8)))
+        tracemalloc.start()
+        try:
+            write_raster(r, tmp_path / "big")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.1 * r.values.nbytes
 
     def test_payload_is_band_sequential(self, tmp_path):
         r = _random_raster(np.random.default_rng(4), h=2, w=3, b=2)
@@ -241,8 +259,7 @@ class TestRasterCorruption:
             read_raster(header)
 
     @pytest.mark.parametrize("offset", [0, 52, 136, 416])
-    def test_non_finite_offset_across_blocks(self, tmp_path, monkeypatch, offset):
-        monkeypatch.setattr(raster_io, "_READ_BLOCK", 36)  # one 7-pixel row a block
+    def test_non_finite_offset_across_blocks(self, tmp_path, offset):
         header, payload = self._write(tmp_path)
         data = bytearray(open(payload, "rb").read())
         data[offset : offset + 4] = struct.pack("<f", math.nan)
@@ -302,6 +319,16 @@ class TestRasterCorruption:
         with pytest.raises(DataError, match="nodata"):
             read_raster(header)
 
+    def test_nodata_beyond_float32(self, tmp_path):
+        header, _ = self._write(tmp_path)
+        doc = json.load(open(header))
+        doc["nodata"] = 1e39  # a finite double, inf as float32: no pixel can equal it
+        json.dump(doc, open(header, "w"))
+        with pytest.raises(DataError, match="nodata must be a finite float32 number"):
+            read_raster(header)
+        with pytest.raises(DataError, match="nodata must be a finite float32 number"):
+            open_raster(header)
+
 
 class TestOpenRaster:
     @given(st.integers(1, 9), st.integers(1, 9), st.integers(1, 4), st.data())
@@ -323,6 +350,10 @@ class TestOpenRaster:
         # the one raster protocol: in memory, read whole or read by window
         for other in (memory.window(start, size), whole.window(start, size)):
             assert other.dtype == np.float32 and other.shape == window.shape
+            # the file window's layout: each band one contiguous column; a
+            # view of the planes is F-contiguous as a whole when it has them all
+            assert all(band.flags.c_contiguous for band in other.T)
+            assert other.flags.f_contiguous or not (start == 0 and size >= n)
             assert other.tobytes() == window.tobytes()
 
     def test_fields(self, tmp_path):
@@ -821,7 +852,7 @@ _small_rasters = st.builds(
         st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 3)),
         elements=st.floats(width=32, allow_nan=False, allow_infinity=False),
     ),
-    nodata=st.one_of(st.none(), st.floats(allow_nan=False, allow_infinity=False)),
+    nodata=st.one_of(st.none(), st.floats(allow_nan=False, allow_infinity=False, width=32)),
 )
 _small_masks = hnp.arrays(
     np.uint8,
