@@ -633,7 +633,6 @@ def predict_raster(model: CcfModel, raster):
     inputs = (model, raster, size)
     pieces = _fan_out(_predict_piece, inputs, range(0, n, size), workers if pooled else 1)
     mask, prob = np.empty(n, dtype=np.uint8), np.empty(n, dtype=np.float32)
-    # serial: one piece held; strict runs pieces to its end, closing a pool
-    for start, (classes, p1) in zip(range(0, n, size), pieces, strict=True):
+    for (classes, p1), start in zip(pieces, range(0, n, size)):  # serial: one piece held
         mask[start : start + size], prob[start : start + size] = classes, p1
     return mask.reshape(h, w), prob.reshape(h, w)

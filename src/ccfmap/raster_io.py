@@ -36,15 +36,15 @@ RASTER_DTYPE = "f32le"
 MASK_DTYPE = "u8"
 LAYOUT = "band-sequential"
 _NUMPY_DTYPES = {RASTER_DTYPE: "<f4", MASK_DTYPE: "u1"}
-_F32_MAX = float(np.finfo(np.float32).max)
+_F32_LIMIT = 2.0**128 - 2.0**103  # the least double that float32 rounds to inf
 
 PRESETS = ("blobs", "oblique", "ring")
 
 
 def _check_nodata(nodata, where: str = "") -> float | None:
-    """nodata as a float (None stays None); a DataError unless it is a
-    finite number in float32's range, so a float32 pixel can equal it."""
-    if nodata is not None and not (is_real(nodata) and abs(nodata) <= _F32_MAX):
+    """nodata as a float (None stays None); a DataError unless float32
+    rounds it to a finite value, so a float32 pixel can equal it."""
+    if nodata is not None and not (is_real(nodata) and abs(nodata) < _F32_LIMIT):
         raise DataError(f"{where}nodata must be a finite float32 number, got {nodata!r}")
     return None if nodata is None else float(nodata)
 
@@ -435,7 +435,9 @@ def generate_scene(spec: SyntheticSceneSpec):
 
     scale = np.linspace(0.75, 1.5, b)
     offset = np.linspace(-2.0, 3.0, b)
-    values = values * scale + offset
+    values *= scale
+    planes = np.empty((b, h, w), dtype=np.float32)  # the raster's band-sequential layout
+    np.add(values, offset, out=planes.transpose(1, 2, 0), casting="same_kind")
 
     mask = label.astype(np.uint8)
     border = spec.unlabeled_border
@@ -444,8 +446,7 @@ def generate_scene(spec: SyntheticSceneSpec):
         mask[-border:, :] = UNLABELED
         mask[:, :border] = UNLABELED
         mask[:, -border:] = UNLABELED
-    raster = MultispectralRaster(values=values.astype(np.float32))
-    return raster, mask
+    return MultispectralRaster(planes.transpose(1, 2, 0)), mask
 
 
 def bayes_accuracy_estimate(spec: SyntheticSceneSpec) -> float:

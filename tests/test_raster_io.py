@@ -11,6 +11,7 @@ import os
 import struct
 import tempfile
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -38,6 +39,7 @@ from ccfmap.pipeline import (
     extract_samples,
     fit_scaler,
     stratified_split,
+    valid_pixels,
 )
 from ccfmap.cca import standardize
 from ccfmap.model_io import load_model, save_model
@@ -123,12 +125,24 @@ class TestRasterContainer:
         with pytest.raises(DataError, match="nodata"):
             MultispectralRaster(values=np.ones((1, 1, 1), np.float32), nodata=nodata)
 
-    @pytest.mark.parametrize("nodata", [1e39, -3.5e38])
+    # 2**128 - 2**103 is the least double that float32 rounds to inf
+    @pytest.mark.parametrize("nodata", [1e39, -3.5e38, 2.0**128 - 2.0**103])
     def test_rejects_nodata_beyond_float32(self, nodata):
         with pytest.raises(DataError, match="nodata must be a finite float32 number"):
             MultispectralRaster(values=np.ones((1, 1, 1), np.float32), nodata=nodata)
-        edge = float(np.finfo(np.float32).max)
-        assert MultispectralRaster(np.ones((1, 1, 1)), nodata=-edge).nodata == -edge
+
+    # float32's lowest, numpy's repr of it, GDAL's, the largest double under inf's
+    @pytest.mark.parametrize("nodata", [
+        -float(np.finfo(np.float32).max), -3.4028235e38, -3.40282346638529e38,
+        np.nextafter(2.0**128 - 2.0**103, 0.0),
+    ])
+    def test_accepts_nodata_float32_rounds_to_its_limit(self, nodata):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow in the cast to float32
+            edge = np.float32(nodata)
+            r = MultispectralRaster(np.array([[[edge], [1.0]]]), nodata=nodata)
+            assert valid_pixels(r.window(0, 2), r.nodata).tolist() == [False, True]
+        assert r.nodata == nodata and abs(edge) == np.finfo(np.float32).max
 
     def test_band_name_count(self):
         with pytest.raises(DataError, match="band name"):
@@ -328,6 +342,9 @@ class TestRasterCorruption:
             read_raster(header)
         with pytest.raises(DataError, match="nodata must be a finite float32 number"):
             open_raster(header)
+        doc["nodata"] = -3.4028235e38  # float32 rounds it to its limit, so it is kept
+        json.dump(doc, open(header, "w"))
+        assert read_raster(header).nodata == open_raster(header).nodata == -3.4028235e38
 
 
 class TestOpenRaster:
@@ -852,7 +869,8 @@ _small_rasters = st.builds(
         st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 3)),
         elements=st.floats(width=32, allow_nan=False, allow_infinity=False),
     ),
-    nodata=st.one_of(st.none(), st.floats(allow_nan=False, allow_infinity=False, width=32)),
+    nodata=st.one_of(st.none(), st.floats(-raster_io._F32_LIMIT, raster_io._F32_LIMIT,
+                                          exclude_min=True, exclude_max=True)),
 )
 _small_masks = hnp.arrays(
     np.uint8,
