@@ -1,9 +1,10 @@
 """Command-line front end: train, predict, evaluate, cross, synth.
 
-Exit codes: 0 success, 1 usage error (such as an output that names an
+Exit codes: 0 success, 1 usage error (an unknown or missing flag, a flag
+out of range, unpaired --raster/--mask, or an output that names an
 input), 2 data/validation error, 3 numeric failure, 4 out of memory or a
 lost worker process. Every run echoes its resolved configuration to
-stderr; every failure prints one line starting with "<prog>: error:"
+stderr; every failure prints one line starting with "ccfmap: error:"
 (or "numeric error:") so scripts can grep for it.
 """
 
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -50,19 +52,41 @@ from .raster_io import (
 
 PROG = "ccfmap"
 
-_EXIT_OK = 0
 _EXIT_USAGE = 1
 _EXIT_DATA = 2
 _EXIT_NUMERIC = 3
 _EXIT_RESOURCES = 4
 
 
+class _UsageError(Exception):
+    """A command line main refuses with exit code 1."""
+
+
 class _Parser(argparse.ArgumentParser):
-    """argparse with usage failures mapped to exit code 1."""
+    """argparse that leaves a usage failure, a subcommand's too, to main."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        self.exit(_EXIT_USAGE, f"{self.prog}: error: {message}\n")
+        raise _UsageError(message)
+
+
+def _ranged(convert, rule: str, ok):
+    """An argparse type: convert the text, then refuse a value that fails ok
+    as "must be <rule>". Text convert refuses keeps argparse's wording."""
+    def parse(text):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {value}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse's "invalid int value"
+    return parse
+
+
+_COUNT = _ranged(int, ">= 1", lambda v: v >= 1)
+_SEED = _ranged(int, "in [0, 2**64)", lambda v: 0 <= v < 2**64)
+_FRACTION = _ranged(float, "in (0, 1)", lambda v: 0 < v < 1)
+_NON_NEGATIVE = _ranged(float, "a finite number >= 0", lambda v: math.isfinite(v) and v >= 0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -78,9 +102,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mask", action="append", required=True,
                    help="mask header path paired with the matching --raster")
     p.add_argument("--out", required=True, help="output model path (.ccf.json)")
-    p.add_argument("--trees", type=int, default=10, help="number of trees")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed")
-    p.add_argument("--split", type=float, default=0.8,
+    p.add_argument("--trees", type=_COUNT, default=10, help="number of trees")
+    p.add_argument("--seed", type=_SEED, default=0, help="RNG seed")
+    p.add_argument("--split", type=_FRACTION, default=0.8,
                    help="train fraction for the stratified split")
     p.add_argument("--no-eval", action="store_true",
                    help="skip the held-out evaluation report")
@@ -109,26 +133,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic scene")
     p.add_argument("--preset", choices=PRESETS, default="blobs")
-    p.add_argument("--width", type=int, default=64)
-    p.add_argument("--height", type=int, default=64)
-    p.add_argument("--bands", type=int, default=10)
-    p.add_argument("--separation", type=float, default=4.0,
+    p.add_argument("--width", type=_COUNT, default=64)
+    p.add_argument("--height", type=_COUNT, default=64)
+    p.add_argument("--bands", type=_COUNT, default=10)
+    p.add_argument("--separation", type=_NON_NEGATIVE, default=4.0,
                    help="class separation in spectral space")
-    p.add_argument("--noise", type=float, default=1.0, help="noise stddev")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--noise", type=_NON_NEGATIVE, default=1.0, help="noise stddev")
+    p.add_argument("--seed", type=_SEED, default=0)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_synth)
     return parser
 
 
-def _usage_error(message: str) -> int:
-    print(f"{PROG}: error: {message}", file=sys.stderr)
-    return _EXIT_USAGE
-
-
-def _overwrite_refused(inputs, outputs):
-    """A usage error for the first output that names a file of an input or
-    an earlier output, else None. Each is a (flag, path): --model and --out
+def _refuse_overwrites(inputs, outputs) -> None:
+    """Raise a usage error for the first output that names a file of an
+    input or an earlier output. Each is a (flag, path): --model and --out
     name one file, the other flags a raster's or mask's sidecar pair."""
     named = []
     for k, (flag, path) in enumerate(inputs + outputs):
@@ -136,9 +155,8 @@ def _overwrite_refused(inputs, outputs):
         files = (path,) if flag in ("--model", "--out") else _sidecar_paths(path)
         for other, taken in named if k >= len(inputs) else ():
             if shared := [f for f in files if f in taken]:
-                return _usage_error(f"{other} and {flag} both name {' and '.join(shared)}")
+                raise _UsageError(f"{other} and {flag} both name {' and '.join(shared)}")
         named.append((flag, files))
-    return None
 
 
 def _report_path(model_path: str) -> str:
@@ -157,26 +175,18 @@ def _score(label, pred, truth, path, class_names=None) -> None:
     )
 
 
-def cmd_train(args) -> int:
+def cmd_train(args) -> None:
     if len(args.raster) != len(args.mask):
-        return _usage_error(
+        raise _UsageError(
             f"--raster and --mask must come in pairs, got "
             f"{len(args.raster)} raster(s) and {len(args.mask)} mask(s)"
         )
-    if not (0.0 < args.split < 1.0):
-        return _usage_error(f"--split must be in (0, 1), got {args.split}")
-    if args.trees < 1:
-        return _usage_error(f"--trees must be >= 1, got {args.trees}")
-    if args.seed < 0:
-        return _usage_error(f"--seed must be >= 0, got {args.seed}")
-
     # the settings and the paths are checked before any raster is read
     config = TrainConfig(n_trees=args.trees, seed=args.seed)
     spec = SplitSpec(train_fraction=args.split, seed=args.seed)
     reads = [("--raster", r) for r in args.raster] + [("--mask", m) for m in args.mask]
     writes = [("--out", args.out)] + ([] if args.no_eval else [("--out", _report_path(args.out))])
-    if rc := _overwrite_refused(reads, writes):
-        return rc
+    _refuse_overwrites(reads, writes)
     # nested, and train rebound, so no earlier set outlives its step
     train, test = balanced_split(
         assemble_region_dataset(  # reads one pair at a time
@@ -198,13 +208,11 @@ def cmd_train(args) -> int:
     if not args.no_eval:
         _score("holdout: ", predict_class_batch(model, test.features), test.labels,
                _report_path(args.out), model.class_names)
-    return _EXIT_OK
 
 
-def cmd_predict(args) -> int:
+def cmd_predict(args) -> None:
     outputs = [("--out-mask", args.out_mask), ("--out-prob", args.out_prob)]
-    if rc := _overwrite_refused([("--model", args.model), ("--raster", args.raster)], outputs):
-        return rc
+    _refuse_overwrites([("--model", args.model), ("--raster", args.raster)], outputs)
     model = load_model(args.model)
     mask, prob = predict_raster(model, open_raster(args.raster))
     write_mask(mask, args.out_mask)
@@ -216,21 +224,16 @@ def cmd_predict(args) -> int:
         f"mask written: {args.out_mask} ({labeled}/{mask.size} pixels labeled); "
         f"probability raster: {args.out_prob}"
     )
-    return _EXIT_OK
 
 
-def cmd_evaluate(args) -> int:
-    if rc := _overwrite_refused([("--pred", args.pred), ("--truth", args.truth)],
-                                     [("--out", args.out)]):
-        return rc
+def cmd_evaluate(args) -> None:
+    _refuse_overwrites([("--pred", args.pred), ("--truth", args.truth)], [("--out", args.out)])
     _score("", read_mask(args.pred), read_mask(args.truth), args.out)
-    return _EXIT_OK
 
 
-def cmd_cross(args) -> int:
+def cmd_cross(args) -> None:
     inputs = [("--model", args.model), ("--raster", args.raster), ("--mask", args.mask)]
-    if rc := _overwrite_refused(inputs, [("--out", args.out)]):
-        return rc
+    _refuse_overwrites(inputs, [("--out", args.out)])
     model = load_model(args.model)
     raster = open_raster(args.raster)
     truth = read_mask(args.mask)
@@ -239,23 +242,9 @@ def cmd_cross(args) -> int:
         raise DataError(f"shape mismatch: raster {shape} vs truth {truth.shape}")
     pred, _ = predict_raster(model, raster)
     _score("cross-region: ", pred, truth, args.out, model.class_names)
-    return _EXIT_OK
 
 
-def cmd_synth(args) -> int:
-    if args.width < 1 or args.height < 1:
-        return _usage_error(
-            f"--width and --height must be >= 1, got {args.width}x{args.height}"
-        )
-    if args.bands < 1:
-        return _usage_error(f"--bands must be >= 1, got {args.bands}")
-    if args.separation < 0:
-        return _usage_error(f"--separation must be >= 0, got {args.separation}")
-    if args.noise < 0:
-        return _usage_error(f"--noise must be >= 0, got {args.noise}")
-    if args.seed < 0:
-        return _usage_error(f"--seed must be >= 0, got {args.seed}")
-
+def cmd_synth(args) -> None:
     spec = SyntheticSceneSpec(
         preset=args.preset,
         width=args.width,
@@ -275,20 +264,19 @@ def cmd_synth(args) -> int:
     print(f"bayes_accuracy_estimate={bayes_accuracy_estimate(spec):.6f}")
     print(f"raster written: {raster_paths[0]} + {raster_paths[1]}")
     print(f"mask written: {mask_paths[0]} + {mask_paths[1]}")
-    return _EXIT_OK
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code is not None else 0
-
-    config = {k: v for k, v in vars(args).items() if k != "func"}
-    print(f"{PROG}: config {json.dumps(config, sort_keys=True)}", file=sys.stderr)
-    try:
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+        config = {k: v for k, v in vars(args).items() if k != "func"}
+        print(f"{PROG}: config {json.dumps(config, sort_keys=True)}", file=sys.stderr)
+        args.func(args)
+    except SystemExit as exc:  # --help, after printing the help
+        return exc.code
+    except _UsageError as exc:
+        print(f"{PROG}: error: {exc}", file=sys.stderr)
+        return _EXIT_USAGE
     except DataError as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return _EXIT_DATA
@@ -299,6 +287,7 @@ def main(argv=None) -> int:
         print(f"{PROG}: error: out of memory or a worker process lost ({exc!r}); "
               f"a lower CCF_THREADS runs fewer workers", file=sys.stderr)
         return _EXIT_RESOURCES
+    return 0
 
 
 if __name__ == "__main__":

@@ -403,7 +403,7 @@ class CcfModel:
     n_bands: int
     class_names: tuple[str, ...]
     config: TrainConfig
-    format_version: str = MODEL_FORMAT_VERSION
+    format_version: ClassVar[str] = MODEL_FORMAT_VERSION
 
 
 def _usable_cores() -> int:
@@ -497,7 +497,6 @@ def train_forest(samples: SampleSet, config: TrainConfig | None = None,
         n_bands=samples.n_bands,
         class_names=samples.class_names,
         config=cfg,
-        format_version=MODEL_FORMAT_VERSION,
     )
 
 
@@ -515,7 +514,6 @@ def _route(tree: FlatTree, cols: np.ndarray) -> np.ndarray:
     projections = tree.projections.tolist()
     thresholds = tree.thresholds.tolist()
     left = tree.left.tolist()
-    right = tree.right.tolist()
     n = cols.shape[1]
     leaf = np.empty(n, dtype=np.int64)
     parked_at, parked = [], []
@@ -541,7 +539,7 @@ def _route(tree: FlatTree, cols: np.ndarray) -> np.ndarray:
         left_idx = idx.compress(go_left)
         right_idx = idx.compress(~go_left)
         if right_idx.size:
-            stack.append((right[nid], right_idx))
+            stack.append((left[nid] + 1, right_idx))  # level order: right is left + 1
         if left_idx.size:
             stack.append((left[nid], left_idx))
     if parked:
@@ -558,11 +556,11 @@ def _finish_small(tree: FlatTree, cols, at, rows, leaf):
     out when it reaches a leaf."""
     n = cols.shape[1]
     flat = cols.reshape(-1)
-    step = np.column_stack((tree.right, tree.left)).reshape(-1)  # 2 * node + went left
     while rows.size:
         columns = flat.take(tree.features[at].T * n + rows)
         z = _project(columns, tree.projections[at].T)
-        at = step.take(2 * at + (z <= tree.thresholds.take(at)))
+        # right is left + 1; not z <= t, so a NaN goes right as in _route
+        at = tree.left.take(at) + ~(z <= tree.thresholds.take(at))
         done = tree.kind.take(at) == 0
         leaf[rows.compress(done)] = at.compress(done)
         rows, at = rows.compress(~done), at.compress(~done)

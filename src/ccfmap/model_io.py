@@ -172,7 +172,6 @@ def load_model(path) -> CcfModel:
         n_bands=n_bands,
         class_names=tuple(class_names),
         config=config,
-        format_version=version,
     )
 
 

@@ -220,11 +220,10 @@ class RasterFile:
         return planes.T
 
 
-def _check_header(path, dtype: str, bands_fixed=None) -> RasterFile:
+def _check_header(path, dtype: str) -> RasterFile:
     """The RasterFile of a sidecar, its payload unread. Checks
-    width/height/bands (bands must equal bands_fixed when that is given),
-    dtype, layout, the optional nodata and band_names, and the payload's
-    size."""
+    width/height/bands (a mask has one band), dtype, layout, the optional
+    nodata and band_names, and the payload's size."""
     header_path, payload_path = _sidecar_paths(path)
     doc = _load_json(header_path)
     dims = []
@@ -236,7 +235,7 @@ def _check_header(path, dtype: str, bands_fixed=None) -> RasterFile:
             raise DataError(f"empty raster: {header_path} has {key}={v}")
         dims.append(v)
     w, h, b = dims
-    if bands_fixed is not None and b != bands_fixed:
+    if dtype == MASK_DTYPE and b != 1:
         raise DataError(f"{header_path}: masks are single-band, got bands={b}")
     for key, want in (("dtype", dtype), ("layout", LAYOUT)):
         if doc.get(key) != want:
@@ -298,7 +297,7 @@ def write_mask(mask, path) -> tuple[str, str]:
 
 def read_mask(header_path) -> np.ndarray:
     """Read a u8 label mask, enforcing the {0, 1, 255} value domain."""
-    file = _check_header(header_path, MASK_DTYPE, bands_fixed=1)
+    file = _check_header(header_path, MASK_DTYPE)
     values = file.window(0, file.height * file.width)[:, 0].reshape(file.height, file.width)
     check_mask(values)
     return values
@@ -368,12 +367,10 @@ class SyntheticSceneSpec:
             )
         if not is_int(self.bands) or self.bands < 1:
             raise DataError(f"bands must be >= 1, got {self.bands!r}")
-        if not is_real(self.class_separation) or self.class_separation < 0:
-            raise DataError(
-                f"class_separation must be >= 0, got {self.class_separation!r}"
-            )
-        if not is_real(self.noise_std) or self.noise_std < 0:
-            raise DataError(f"noise_std must be >= 0, got {self.noise_std!r}")
+        for key in ("class_separation", "noise_std"):
+            v = getattr(self, key)
+            if not is_real(v) or v < 0:
+                raise DataError(f"{key} must be a finite number >= 0, got {v!r}")
         if not is_int(self.seed) or self.seed < 0:
             raise DataError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not is_int(self.unlabeled_border) or self.unlabeled_border < 0:

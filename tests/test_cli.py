@@ -57,6 +57,9 @@ def model_dir(scene_dir, tmp_path_factory):
     return out
 
 
+_TRAIN = ["train", "--raster", "r.json", "--mask", "m.json", "--out", "o.json"]
+
+
 class TestUsageErrors:
     def test_no_subcommand(self):
         assert main([]) == 1
@@ -108,9 +111,9 @@ class TestUsageErrors:
                 "--out", "o.json", "--seed", str(2**64),
             ]
         )
-        assert rc == 2
+        assert rc == 1
         assert _error_lines(capsys.readouterr().err) == [
-            f"ccfmap: error: seed must be a 64-bit non-negative integer, got {2**64}"
+            f"ccfmap: error: argument --seed: must be in [0, 2**64), got {2**64}"
         ]
 
     def test_train_bad_trees(self):
@@ -121,6 +124,36 @@ class TestUsageErrors:
             ]
         )
         assert rc == 1
+
+    @pytest.mark.parametrize("argv,message", [
+        (["synth", "--noise", "nan"], "argument --noise: must be a finite number >= 0, got nan"),
+        (["synth", "--separation", "inf"],
+         "argument --separation: must be a finite number >= 0, got inf"),
+        (["synth", "--width", "0"], "argument --width: must be >= 1, got 0"),
+        (_TRAIN + ["--trees", "0"], "argument --trees: must be >= 1, got 0"),
+        (_TRAIN + ["--trees", "1.5"], "argument --trees: invalid int value: '1.5'"),
+        (_TRAIN + ["--split", "nan"], "argument --split: must be in (0, 1), got nan"),
+        (_TRAIN + ["--seed", "-1"], "argument --seed: must be in [0, 2**64), got -1"),
+        (_TRAIN + ["--seed", str(2**64)],
+         f"argument --seed: must be in [0, 2**64), got {2**64}"),
+        (["predict", "--model", "m.ccf.json", "--raster", "r.json", "--out-mask", "p"],
+         "the following arguments are required: --out-prob"),
+        (_TRAIN + ["--bogus"], "unrecognized arguments: --bogus"),
+    ])
+    def test_one_error_line_and_nothing_read(self, argv, message, tmp_path, capsys,
+                                             monkeypatch):
+        def no_read(*args, **kwargs):
+            raise AssertionError("an input was read")
+
+        for name in ("read_raster", "open_raster", "read_mask", "load_model"):
+            monkeypatch.setattr(cli, name, no_read)
+        if argv[0] == "synth":
+            argv = argv + ["--out", str(tmp_path / "scene")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert _error_lines(err) == [f"ccfmap: error: {message}"]
+        assert not [line for line in err.splitlines() if re.match(r"ccfmap \w+: error:", line)]
+        assert not os.listdir(tmp_path)
 
 
 class TestConfigEcho:

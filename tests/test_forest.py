@@ -630,6 +630,9 @@ class TestTrainForest:
         assert model.config.seed == 7
         assert model.n_bands == 10
         assert model.class_names == ("environment", "informal")
+        # one format per release: a class constant, not a per-model field
+        assert model.format_version == forest.MODEL_FORMAT_VERSION
+        assert "format_version" not in {f.name for f in dataclasses.fields(CcfModel)}
 
     def test_identity_scaler_default(self):
         s = _blobs(20, 4, 6.0, np.random.default_rng(2))
@@ -921,6 +924,18 @@ class TestPrediction:
         for cut in [*_ROUTING_CUTS, drawn_cut]:
             with mock.patch.object(forest, "_SMALL_NODE", cut):
                 assert forest._route(tree, cols).tolist() == want
+
+    def test_route_derives_the_right_child(self, monkeypatch):
+        # in level order a split's right child is left + 1: routing never reads right
+        s = _blobs(300, 6, 1.0, np.random.default_rng(21))  # overlapping: deep trees
+        model = train_forest(s, TrainConfig(n_trees=3, seed=4))
+        cols = np.ascontiguousarray(s.features.T)
+        for cut in _ROUTING_CUTS:
+            monkeypatch.setattr(forest, "_SMALL_NODE", cut)
+            for tree in model.trees:
+                no_right = dataclasses.replace(tree, right=np.full_like(tree.right, -7))
+                np.testing.assert_array_equal(forest._route(no_right, cols),
+                                              forest._route(tree, cols))
 
     def test_float32_rows_equal_their_float64_values(self, monkeypatch):
         rng = np.random.default_rng(20)

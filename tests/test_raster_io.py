@@ -1259,6 +1259,9 @@ class TestSceneGeneration:
             ({"bands": 0}, "bands"),
             ({"unlabeled_border": -1}, "unlabeled_border"),
             ({"noise_std": -0.5}, "noise_std"),
+            ({"class_separation": float("nan")},
+             r"class_separation must be a finite number >= 0, got nan\Z"),
+            ({"noise_std": float("inf")}, r"noise_std must be a finite number >= 0, got inf\Z"),
         ],
     )
     def test_bad_specs(self, kwargs, pattern):
