@@ -26,13 +26,13 @@ CONSTANT_COLUMN_TOL = 1e-12
 _RANK_RTOL = 1e-12
 
 
-def as_matrix(values, name: str = "matrix", min_rows: int = 1) -> np.ndarray:
+def as_matrix(values, name: str = "matrix") -> np.ndarray:
     """Coerce to a finite float64 2-D array, raising DataError otherwise."""
     m = np.asarray(values, dtype=np.float64)
     if m.ndim != 2:
         raise DataError(f"{name} must be 2-D (rows=samples), got ndim={m.ndim}")
-    if m.shape[0] < min_rows:
-        raise DataError(f"{name} needs at least {min_rows} row(s), got {m.shape[0]}")
+    if m.shape[0] < 1:
+        raise DataError(f"{name} needs at least 1 row(s), got {m.shape[0]}")
     if m.shape[1] < 1:
         raise DataError(f"{name} needs at least one column")
     if not np.isfinite(m).all():

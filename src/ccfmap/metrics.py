@@ -3,7 +3,8 @@
 Conventions: truth pixels labeled 255 are skipped entirely; a prediction
 of 255 against a labeled truth pixel is a distinguished "abstain" miss
 (it counts against accuracy and the truth class's IoU but belongs to no
-predicted class). All tallies are exact integers.
+predicted class). All tallies are exact integers. Since 255 marks an
+unlabeled pixel, confusion and evaluate take at most 254 classes.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, is_int
-from .pipeline import UNLABELED
+from .pipeline import UNLABELED, check_mask
 
 
 @dataclass(frozen=True)
@@ -60,24 +61,17 @@ def confusion(pred, truth, n_classes: int = 2) -> ConfusionMatrix:
     t = np.asarray(truth)
     if p.shape != t.shape:
         raise DataError(f"shape mismatch: pred {p.shape} vs truth {t.shape}")
-    if not is_int(n_classes) or n_classes < 2:
-        raise DataError(f"n_classes must be >= 2, got {n_classes!r}")
+    if not is_int(n_classes) or not 2 <= n_classes < UNLABELED:
+        raise DataError(f"n_classes must be in [2, {UNLABELED}), got {n_classes!r}")
     k = int(n_classes)
     for name, arr in (("pred", p), ("truth", t)):
         if arr.size and not np.issubdtype(arr.dtype, np.integer):
             raise DataError(f"{name} must be an integer array, got {arr.dtype}")
-        legal = ((arr >= 0) & (arr < k)) | (arr == UNLABELED)
-        if not legal.all():
-            bad = arr[~legal].ravel()[0]
-            raise DataError(f"{name} contains illegal label {bad}")
+        check_mask(arr, k, name)
 
-    evaluated = t != UNLABELED
-    skipped = int(t.size - evaluated.sum())
-    ti = t[evaluated].astype(np.int64)
-    pi = p[evaluated].astype(np.int64)
-    pi = np.where(pi == UNLABELED, k, pi)  # abstain gets column k
-    table = np.bincount(ti * (k + 1) + pi, minlength=k * (k + 1)).reshape(k, k + 1)
-    return ConfusionMatrix(counts=table[:, :k], abstain=table[:, k], skipped=skipped)
+    codes = t.astype(np.uint16) << 8 | p.astype(np.uint16)  # one code per (truth, pred)
+    table = np.bincount(codes.ravel(), minlength=1 << 16).reshape(256, 256)
+    return ConfusionMatrix(table[:k, :k], table[:k, UNLABELED], table[UNLABELED].sum())
 
 
 def pixel_accuracy(c: ConfusionMatrix) -> float:

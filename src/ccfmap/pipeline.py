@@ -16,7 +16,6 @@ from .cca import ColumnStats, as_matrix, column_stats
 from .errors import DataError, is_int, is_real
 
 UNLABELED = 255  # mask value of a pixel with no label
-MASK_VALUES = (0, 1, UNLABELED)
 
 DEFAULT_CLASS_NAMES = ("environment", "informal")
 
@@ -98,13 +97,15 @@ class SplitSpec:
             raise DataError(f"seed must be a non-negative integer, got {seed!r}")
 
 
-def check_mask(mask: np.ndarray) -> None:
-    """Raise DataError unless every value of mask is in MASK_VALUES."""
-    bad = ~np.isin(mask, MASK_VALUES)
+def check_mask(mask: np.ndarray, classes: int = 2, name: str = "mask") -> None:
+    """The one label rule, for raster_io's masks, extract_samples and
+    metrics.confusion: DataError unless every value is a class index below
+    classes or UNLABELED. A membership test, so 0.5 is refused too."""
+    bad = ~np.isin(mask, (*range(classes), UNLABELED))
     if bad.any():
         i = int(np.flatnonzero(bad)[0])
         raise DataError(
-            f"mask contains illegal value {mask.flat[i]} at pixel index {i}"
+            f"{name} contains illegal value {mask.flat[i]} at pixel index {i}"
         )
 
 

@@ -435,6 +435,8 @@ def generate_scene(spec: SyntheticSceneSpec):
     values *= scale
     planes = np.empty((b, h, w), dtype=np.float32)  # the raster's band-sequential layout
     np.add(values, offset, out=planes.transpose(1, 2, 0), casting="same_kind")
+    if not np.isfinite(planes).all():  # checked once here, so the raster adopts them
+        raise DataError("raster values must be finite")
 
     mask = label.astype(np.uint8)
     border = spec.unlabeled_border
@@ -443,7 +445,7 @@ def generate_scene(spec: SyntheticSceneSpec):
         mask[-border:, :] = UNLABELED
         mask[:, :border] = UNLABELED
         mask[:, -border:] = UNLABELED
-    return MultispectralRaster(planes.transpose(1, 2, 0)), mask
+    return MultispectralRaster(planes.transpose(1, 2, 0), adopt=True), mask
 
 
 def bayes_accuracy_estimate(spec: SyntheticSceneSpec) -> float:

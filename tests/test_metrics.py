@@ -1,5 +1,7 @@
 """Tests for confusion tallying, pixel accuracy, and IoU."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -102,18 +104,33 @@ class TestConfusionValidation:
     def test_illegal_pred_label(self):
         pred = np.array([[2]], dtype=np.uint8)
         truth = np.array([[0]], dtype=np.uint8)
-        with pytest.raises(DataError, match="illegal label"):
+        with pytest.raises(DataError, match="^pred contains illegal value 2 at pixel index 0$"):
             confusion(pred, truth, n_classes=2)
 
     def test_illegal_truth_label(self):
         pred = np.array([[0]], dtype=np.uint8)
         truth = np.array([[254]], dtype=np.uint8)
-        with pytest.raises(DataError, match="illegal label"):
+        with pytest.raises(
+            DataError, match="^truth contains illegal value 254 at pixel index 0$"
+        ):
             confusion(pred, truth, n_classes=2)
 
     def test_n_classes_lower_bound(self):
         with pytest.raises(DataError, match="n_classes"):
             confusion(np.zeros((1, 1), np.uint8), np.zeros((1, 1), np.uint8), n_classes=1)
+
+    @pytest.mark.parametrize("k", [255, 256])
+    def test_n_classes_upper_bound(self, k):
+        # 255 is UNLABELED, so it cannot also be a class index
+        with pytest.raises(DataError, match=r"n_classes must be in \[2, 255\)"):
+            confusion(np.zeros((1, 1), np.uint8), np.zeros((1, 1), np.uint8), n_classes=k)
+
+    def test_largest_n_classes_accepted(self):
+        pred = np.array([[253, UNLABELED, 0]], dtype=np.uint8)
+        truth = np.array([[253, 253, UNLABELED]], dtype=np.uint8)
+        cm = confusion(pred, truth, n_classes=254)
+        assert cm.counts.shape == (254, 254)
+        assert cm.counts[253, 253] == 1 and cm.abstain[253] == 1 and cm.skipped == 1
 
     def test_three_class_values_accepted(self):
         pred = np.array([[2, 0]], dtype=np.uint8)
@@ -145,6 +162,20 @@ class TestAgainstBruteForce:
             else:
                 want = counts.trace() / total
                 assert abs(pixel_accuracy(cm) - want) <= 1e-12
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_dtypes_and_class_counts(self, dtype, k):
+        rng = np.random.default_rng(k)
+        values = np.array(list(range(k)) + [UNLABELED])
+        pred = rng.choice(values, size=(17, 23)).astype(dtype)
+        truth = rng.choice(values, size=(17, 23)).astype(dtype)
+        assert (pred == UNLABELED).any() and (truth == UNLABELED).any()
+        counts, abstain, skipped = _brute_force(pred, truth, k)
+        cm = confusion(pred, truth, n_classes=k)
+        np.testing.assert_array_equal(cm.counts, counts)
+        np.testing.assert_array_equal(cm.abstain, abstain)
+        assert cm.skipped == skipped
 
     def test_row_chunks_are_additive(self):
         rng = np.random.default_rng(5)
@@ -228,6 +259,20 @@ class TestEvaluate:
         assert report.pixel_accuracy == pixel_accuracy(cm)
         assert report.iou_per_class == mean_iou(cm)[0]
         assert report.mean_iou == mean_iou(cm)[1]
+
+    def test_peak_memory_per_pixel(self):
+        # a fully labeled 1024^2 pair: int64 copies of the evaluated pixels
+        # alone would take 16 B/px
+        rng = np.random.default_rng(9)
+        pred = rng.choice(np.array([0, 1, UNLABELED], np.uint8), size=(1024, 1024))
+        truth = rng.choice(np.array([0, 1], np.uint8), size=(1024, 1024))
+        tracemalloc.start()
+        try:
+            evaluate(pred, truth)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * truth.size
 
     def test_all_unlabeled_truth_raises(self):
         pred = np.zeros((3, 3), dtype=np.uint8)

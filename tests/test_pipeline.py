@@ -14,6 +14,7 @@ from ccfmap.pipeline import (
     assemble_region_dataset,
     balance_classes,
     balanced_split,
+    check_mask,
     extract_samples,
     fit_scaler,
     stratified_split,
@@ -120,6 +121,16 @@ class TestExtractSamples:
         mask[0, 1] = 7
         with pytest.raises(DataError, match="illegal value 7 at pixel index 1"):
             extract_samples(MultispectralRaster(np.ones((2, 2, 1), np.float32)), mask)
+
+    @pytest.mark.parametrize(
+        "values,text",
+        [([0.0, 1.0, 255.0, 0.5], "0.5"), ([0, 1, 255, -1], "-1"), ([0, 1, 255, 2], "2")],
+    )
+    def test_check_mask_refuses(self, values, text):
+        # membership, not range: 0.5 lies between legal values yet is refused
+        pattern = f"^mask contains illegal value {text} at pixel index 3$"
+        with pytest.raises(DataError, match=pattern):
+            check_mask(np.array(values))
 
     def test_nodata_pixels_skipped(self):
         values = np.ones((2, 2, 2), dtype=np.float32)

@@ -33,7 +33,7 @@ from ccfmap.forest import (
 )
 from ccfmap.metrics import evaluate
 from ccfmap.pipeline import (
-    MASK_VALUES,
+    UNLABELED,
     SplitSpec,
     balance_classes,
     extract_samples,
@@ -875,7 +875,7 @@ _small_rasters = st.builds(
 _small_masks = hnp.arrays(
     np.uint8,
     st.tuples(st.integers(1, 5), st.integers(1, 5)),
-    elements=st.sampled_from(MASK_VALUES),
+    elements=st.sampled_from((0, 1, UNLABELED)),
 )
 
 
@@ -960,7 +960,7 @@ def _read_mask_or_reject(header, payload):
         return
     assert back.dtype == np.uint8 and back.ndim == 2
     assert back.size == os.path.getsize(payload)
-    assert np.isin(back, MASK_VALUES).all()
+    assert np.isin(back, (0, 1, UNLABELED)).all()
 
 
 @functools.cache
@@ -1244,6 +1244,11 @@ class TestSceneGeneration:
         assert (mask[:, :2] == 255).all() and (mask[:, -2:] == 255).all()
         _, plain = generate_scene(SyntheticSceneSpec(seed=2))
         np.testing.assert_array_equal(mask[2:-2, 2:-2], plain[2:-2, 2:-2])
+
+    def test_overflowing_noise_refused(self):
+        # 1e39 is finite as a float64 but overflows the float32 raster
+        with pytest.raises(DataError, match="raster values must be finite"):
+            generate_scene(SyntheticSceneSpec(width=4, height=4, noise_std=1e39))
 
     def test_seed_changes_scene(self):
         r1, _ = generate_scene(SyntheticSceneSpec(seed=0))
