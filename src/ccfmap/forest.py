@@ -625,11 +625,9 @@ def predict_raster(model: CcfModel, raster):
             f"band mismatch: raster has {b} band(s), model expects {model.n_bands}"
         )
     n = h * w
-    workers = _worker_count(n)  # checks CCF_THREADS even when serial
-    pooled = workers > 1 and n >= _FANOUT_FLOOR
-    size = min(_PREDICT_CHUNK, math.ceil(n / workers)) if pooled else _PREDICT_CHUNK
-    inputs = (model, raster, size)
-    pieces = _fan_out(_predict_piece, inputs, range(0, n, size), workers if pooled else 1)
+    workers = _worker_count(n if n >= _FANOUT_FLOOR else 1)  # checks CCF_THREADS always
+    size = min(_PREDICT_CHUNK, math.ceil(n / workers))
+    pieces = _fan_out(_predict_piece, (model, raster, size), range(0, n, size), workers)
     mask, prob = np.empty(n, dtype=np.uint8), np.empty(n, dtype=np.float32)
     for (classes, p1), start in zip(pieces, range(0, n, size)):  # serial: one piece held
         mask[start : start + size], prob[start : start + size] = classes, p1

@@ -4,7 +4,8 @@ Conventions: truth pixels labeled 255 are skipped entirely; a prediction
 of 255 against a labeled truth pixel is a distinguished "abstain" miss
 (it counts against accuracy and the truth class's IoU but belongs to no
 predicted class). All tallies are exact integers. Since 255 marks an
-unlabeled pixel, confusion and evaluate take at most 254 classes.
+unlabeled pixel, confusion and evaluate take at most 254 classes; their
+label arrays may be of any dtype whose values pass pipeline.check_mask.
 """
 
 from __future__ import annotations
@@ -64,10 +65,8 @@ def confusion(pred, truth, n_classes: int = 2) -> ConfusionMatrix:
     if not is_int(n_classes) or not 2 <= n_classes < UNLABELED:
         raise DataError(f"n_classes must be in [2, {UNLABELED}), got {n_classes!r}")
     k = int(n_classes)
-    for name, arr in (("pred", p), ("truth", t)):
-        if arr.size and not np.issubdtype(arr.dtype, np.integer):
-            raise DataError(f"{name} must be an integer array, got {arr.dtype}")
-        check_mask(arr, k, name)
+    check_mask(p, k, "pred")
+    check_mask(t, k, "truth")
 
     codes = t.astype(np.uint16) << 8 | p.astype(np.uint16)  # one code per (truth, pred)
     table = np.bincount(codes.ravel(), minlength=1 << 16).reshape(256, 256)

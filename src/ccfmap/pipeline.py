@@ -98,12 +98,14 @@ class SplitSpec:
 
 
 def check_mask(mask: np.ndarray, classes: int = 2, name: str = "mask") -> None:
-    """The one label rule, for raster_io's masks, extract_samples and
-    metrics.confusion: DataError unless every value is a class index below
-    classes or UNLABELED. A membership test, so 0.5 is refused too."""
-    bad = ~np.isin(mask, (*range(classes), UNLABELED))
+    """The one label rule, for read_mask, write_mask, extract_samples and
+    metrics.confusion: DataError unless each value equals a class below
+    classes or UNLABELED (so 0.5 and NaN are refused); costs 2 B/px."""
+    bad = mask != UNLABELED
+    for c in range(classes):
+        bad &= mask != c
     if bad.any():
-        i = int(np.flatnonzero(bad)[0])
+        i = int(bad.argmax())
         raise DataError(
             f"{name} contains illegal value {mask.flat[i]} at pixel index {i}"
         )

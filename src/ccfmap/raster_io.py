@@ -386,6 +386,7 @@ def _grid(spec: SyntheticSceneSpec):
     return np.meshgrid(ys, xs, indexing="ij")
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow is refused below as non-finite
 def generate_scene(spec: SyntheticSceneSpec):
     """Deterministic (raster, mask) pair for one scene spec.
 
@@ -413,22 +414,21 @@ def generate_scene(spec: SyntheticSceneSpec):
         label = np.zeros((h, w), dtype=bool)
         for i in range(n_blobs):
             label |= ((xx - cx[i]) / rx[i]) ** 2 + ((yy - cy[i]) / ry[i]) ** 2 <= 1.0
-        values = rng.standard_normal((h, w, b)) * spec.noise_std
-        values += label[..., None] * (spec.class_separation / math.sqrt(b))
     elif spec.preset == "ring":
         yy, xx = _grid(spec)
         rr = np.sqrt((xx - 0.5) ** 2 + (yy - 0.5) ** 2)
         label = (rr >= 0.18) & (rr <= 0.42)
-        values = rng.standard_normal((h, w, b)) * spec.noise_std
-        values += label[..., None] * (spec.class_separation / math.sqrt(b))
-    else:  # oblique
-        values = rng.standard_normal((h, w, b)) * spec.noise_std
+    values = rng.standard_normal((h, w, b))
+    values *= spec.noise_std
+    if spec.preset == "oblique":
         label = values[..., 0] + values[..., 1] > 0.0
         push = np.where(label, 1.0, -1.0) * (
             spec.class_separation / (2.0 * math.sqrt(2.0))
         )
         values[..., 0] += push
         values[..., 1] += push
+    else:
+        values += label[..., None] * (spec.class_separation / math.sqrt(b))
 
     scale = np.linspace(0.75, 1.5, b)
     offset = np.linspace(-2.0, 3.0, b)

@@ -184,6 +184,20 @@ class TestSynth:
         mask = read_mask(out / "mask.json")
         assert mask.shape == (22, 20)
 
+    @pytest.mark.parametrize("preset", ["blobs", "oblique", "ring"])
+    @pytest.mark.parametrize("noise", ["1e39", "1e308"])
+    def test_overflowing_noise_gives_one_error_line(self, preset, noise, tmp_path, capsys,
+                                                    recwarn):
+        # finite, so argparse takes it, but the float32 raster overflows
+        rc = main(["synth", "--preset", preset, "--width", "4", "--height", "4",
+                   "--noise", noise, "--out", str(tmp_path / "s")])
+        assert rc == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 2 and lines[0].startswith("ccfmap: config ")
+        assert lines[1] == "ccfmap: error: raster values must be finite"
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+        assert not os.listdir(tmp_path)
+
 
 class TestTrain:
     def test_model_and_report(self, model_dir):

@@ -177,6 +177,23 @@ class TestAgainstBruteForce:
         np.testing.assert_array_equal(cm.abstain, abstain)
         assert cm.skipped == skipped
 
+    @pytest.mark.parametrize("pred_dtype,truth_dtype", [(np.float64, np.float64),
+                                                       (bool, np.uint8)])
+    def test_labels_of_any_dtype_tally_as_uint8(self, pred_dtype, truth_dtype):
+        rng = np.random.default_rng(12)
+        pred_values = [0, 1] if pred_dtype is bool else [0, 1, UNLABELED]
+        pred = rng.choice(np.array(pred_values, np.uint8), size=(14, 9))
+        truth = rng.choice(np.array([0, 1, UNLABELED], np.uint8), size=(14, 9))
+        want = evaluate(pred, truth)
+        p, t = pred.astype(pred_dtype), truth.astype(truth_dtype)
+        got = evaluate(p, t)
+        for cm in (confusion(p, t), got.confusion):
+            np.testing.assert_array_equal(cm.counts, want.confusion.counts)
+            np.testing.assert_array_equal(cm.abstain, want.confusion.abstain)
+            assert cm.skipped == want.confusion.skipped
+        assert (got.pixel_accuracy, got.iou_per_class, got.mean_iou) == (
+            want.pixel_accuracy, want.iou_per_class, want.mean_iou)
+
     def test_row_chunks_are_additive(self):
         rng = np.random.default_rng(5)
         pred = rng.choice([0, 1, UNLABELED], size=(20, 9)).astype(np.uint8)

@@ -132,6 +132,25 @@ class TestExtractSamples:
         with pytest.raises(DataError, match=pattern):
             check_mask(np.array(values))
 
+    def test_check_mask_names_the_first_of_all_illegal_pixels(self):
+        with pytest.raises(DataError, match="^mask contains illegal value 9 at pixel index 0$"):
+            check_mask(np.full((4, 5), 9, np.uint8))
+
+    @pytest.mark.parametrize("values", [[0.0, 1.0, 255.0], [False, True]])
+    def test_check_mask_accepts_labels_of_any_dtype(self, values):
+        check_mask(np.array(values))
+
+    def test_check_mask_peak_memory(self):
+        # one bool array and one comparison; a cast of the mask to intp would add 8 B/px
+        mask = np.random.default_rng(3).choice(np.array([0, 1, 255], np.uint8), (1024, 1024))
+        tracemalloc.start()
+        try:
+            check_mask(mask)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * mask.size
+
     def test_nodata_pixels_skipped(self):
         values = np.ones((2, 2, 2), dtype=np.float32)
         values[0, 0, 1] = -9999.0  # one band hit is enough to drop the pixel

@@ -433,6 +433,18 @@ class TestMaskIo:
         with pytest.raises(DataError, match="illegal value 7 at pixel index 5"):
             read_mask(header)
 
+    def test_read_peak_memory(self, tmp_path):
+        # the mask (1 B/px) and its label check (2 B/px), with no wider copy of it
+        mask = np.random.default_rng(6).choice(np.array([0, 1, 255], np.uint8), (1024, 1024))
+        header, _ = write_mask(mask, tmp_path / "m")
+        tracemalloc.start()
+        try:
+            read_mask(header)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * mask.size
+
     def test_multi_band_header_rejected(self, tmp_path):
         mask = np.zeros((2, 2), np.uint8)
         header, _ = write_mask(mask, tmp_path / "m")
