@@ -226,12 +226,9 @@ def segment_moments(cols, y, starts, weights=None):
     """
     f, r = cols.shape
     sizes = np.diff(starts, append=r)
-    if weights is None:
-        w, first = np.ones(r), starts
-    else:
-        w = np.asarray(weights, dtype=np.float64)
-        drawn = np.flatnonzero(w)
-        first = drawn[np.searchsorted(drawn, starts)]
+    w = np.ones(r) if weights is None else np.asarray(weights, dtype=np.float64)
+    drawn = np.flatnonzero(w)
+    first = drawn[np.searchsorted(drawn, starts)]
     total = np.add.reduceat(w, starts)
     wx, prod = np.empty(r), np.empty(r)  # row-wise products, reused
     yc = y - np.repeat(np.add.reduceat(np.multiply(w, y, out=prod), starts) / total, sizes)

@@ -94,31 +94,25 @@ def default_feature_subsample(n_bands: int) -> int:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Forest settings: the number of trees, a depth cap (None: grow to
-    purity) and the seed. The rest of growth is fixed: every node draws
-    default_feature_subsample(n_bands) features, a node of fewer than
-    2 * min_node_size rows is a leaf, and gamma is the CCA ridge."""
+    """Forest settings: the number of trees and the seed. The rest of
+    growth is fixed: every node draws default_feature_subsample(n_bands)
+    features, a node of fewer than 2 * min_node_size rows is a leaf,
+    trees grow to purity (no max_depth) and gamma is the CCA ridge."""
 
     n_trees: int = 10
-    max_depth: int | None = None
     seed: int = 0
 
     min_node_size: ClassVar[int] = 2
+    max_depth: ClassVar[None] = None
     gamma: ClassVar[float] = 1e-8
 
     def __post_init__(self):
         if not is_int(self.n_trees) or self.n_trees < 1:
             raise DataError(f"n_trees must be >= 1, got {self.n_trees!r}")
-        if self.max_depth is not None and (
-            not is_int(self.max_depth) or self.max_depth < 0
-        ):
-            raise DataError(f"max_depth must be None or >= 0, got {self.max_depth!r}")
         if not is_int(self.seed) or not (0 <= self.seed < 2**64):
             raise DataError(f"seed must be a 64-bit non-negative integer, got {self.seed!r}")
         # numpy integers become ints, which a saved model records as JSON
         object.__setattr__(self, "n_trees", int(self.n_trees))
-        if self.max_depth is not None:
-            object.__setattr__(self, "max_depth", int(self.max_depth))
         object.__setattr__(self, "seed", int(self.seed))
 
 
@@ -350,8 +344,8 @@ def _build_tree(x, y, config, tree_index) -> FlatTree:
     the nodes that try a split lie as contiguous segments of one index
     array, each in ascending row order, and every step below runs on all
     of them at once. A node becomes a leaf when it is pure, smaller than
-    2*min_node_size, at max_depth, or admits no split; each child of a
-    split gets at least one row.
+    2*min_node_size, or admits no split; each child of a split gets at
+    least one row.
     """
     fs = default_feature_subsample(x.shape[1])
     rows = np.arange(x.shape[0])
@@ -361,7 +355,6 @@ def _build_tree(x, y, config, tree_index) -> FlatTree:
     while True:
         depth = len(levels)
         tries = (ones > 0) & (ones < sizes) & (sizes >= 2 * config.min_node_size)
-        tries &= config.max_depth is None or depth < config.max_depth
         split = np.zeros(sizes.size, dtype=bool)
         tally = np.column_stack([sizes - ones, ones])
         if not tries.any():

@@ -17,6 +17,8 @@ import numpy as np
 from .errors import DataError, is_int
 from .pipeline import UNLABELED, check_mask
 
+_TALLY_SLICE = 1 << 18  # most pixels one bincount of confusion tallies
+
 
 @dataclass(frozen=True)
 class ConfusionMatrix:
@@ -68,8 +70,13 @@ def confusion(pred, truth, n_classes: int = 2) -> ConfusionMatrix:
     check_mask(p, k, "pred")
     check_mask(t, k, "truth")
 
-    codes = t.astype(np.uint16) << 8 | p.astype(np.uint16)  # one code per (truth, pred)
-    table = np.bincount(codes.ravel(), minlength=1 << 16).reshape(256, 256)
+    t, p = t.ravel(), p.ravel()
+    table = 0  # summed over slices: the codes and their intp cast cost one slice
+    for i in range(0, t.size or 1, _TALLY_SLICE):
+        s = slice(i, i + _TALLY_SLICE)
+        codes = t[s].astype(np.uint16) << 8 | p[s].astype(np.uint16)  # one per (truth, pred)
+        table = table + np.bincount(codes, minlength=1 << 16)
+    table = table.reshape(256, 256)
     return ConfusionMatrix(table[:k, :k], table[:k, UNLABELED], table[UNLABELED].sum())
 
 

@@ -59,7 +59,7 @@ def _config_doc(cfg: TrainConfig, n_bands: int) -> dict:
     return {
         "n_trees": cfg.n_trees,
         "min_node_size": TrainConfig.min_node_size,
-        "max_depth": cfg.max_depth,
+        "max_depth": TrainConfig.max_depth,
         "feature_subsample": default_feature_subsample(n_bands),
         "gamma": TrainConfig.gamma,
         "seed": cfg.seed,
@@ -144,11 +144,7 @@ def load_model(path) -> CcfModel:
     cfg_doc = doc.get("config")
     _expect(isinstance(cfg_doc, dict), f"{p}: missing config")
     try:
-        config = TrainConfig(
-            n_trees=cfg_doc.get("n_trees"),
-            max_depth=cfg_doc.get("max_depth"),
-            seed=cfg_doc.get("seed"),
-        )
+        config = TrainConfig(n_trees=cfg_doc.get("n_trees"), seed=cfg_doc.get("seed"))
     except DataError as exc:
         raise DataError(f"{p}: bad config: {exc}") from exc
     # the fixed settings hold exactly the values save_model writes, type too

@@ -331,11 +331,11 @@ class TestFeatureSubsample:
 
 class TestTrainConfig:
     def test_fills_default_subsample(self):
-        # three settings; the rest of growth is fixed on the class
-        assert [f.name for f in dataclasses.fields(TrainConfig)] == [
-            "n_trees", "max_depth", "seed"]
-        assert TrainConfig() == TrainConfig(n_trees=10, max_depth=None, seed=0)
-        assert (TrainConfig.min_node_size, TrainConfig.gamma) == (2, 1e-8)
+        # two settings; the rest of growth is fixed on the class
+        assert [f.name for f in dataclasses.fields(TrainConfig)] == ["n_trees", "seed"]
+        assert TrainConfig() == TrainConfig(n_trees=10, seed=0)
+        assert (TrainConfig.min_node_size, TrainConfig.max_depth, TrainConfig.gamma) == (
+            2, None, 1e-8)
         tree = _grow_tree(_blobs(40, 10, 2.0, np.random.default_rng(0)), TrainConfig(), 0)
         assert tree.features.shape[1] == default_feature_subsample(10) == 5
 
@@ -345,14 +345,14 @@ class TestTrainConfig:
             {"n_trees": 0},
             {"n_trees": -1},
             {"n_trees": 2.0},
-            {"max_depth": -1},
-            {"max_depth": 1.5},
+            {"n_trees": np.int64(0)},
+            {"n_trees": np.float64(4.0)},
             {"seed": -1},
             {"seed": 2**64},
             {"seed": 3.0},
             {"n_trees": "4"},
             {"n_trees": None},
-            {"max_depth": "4"},
+            {"seed": np.int64(-1)},
             {"seed": "4"},
             {"seed": None},
         ],
@@ -384,9 +384,9 @@ class TestTrainConfig:
             load_model(bad)
 
     def test_numpy_integers_become_ints(self):
-        cfg = TrainConfig(n_trees=np.int64(3), max_depth=np.uint8(4), seed=np.uint64(2**63))
-        assert [type(v) for v in (cfg.n_trees, cfg.max_depth, cfg.seed)] == [int] * 3
-        assert cfg == TrainConfig(n_trees=3, max_depth=4, seed=2**63)
+        cfg = TrainConfig(n_trees=np.int64(3), seed=np.uint64(2**63))
+        assert [type(v) for v in (cfg.n_trees, cfg.seed)] == [int] * 2
+        assert cfg == TrainConfig(n_trees=3, seed=2**63)
 
 
 class TestBestSplit:
@@ -547,11 +547,6 @@ class TestGrowNode:
         boundary = tree.thresholds[0] / tree.projections[0, 0]
         assert 1.0 < boundary < 2.0
 
-    def test_max_depth_zero(self):
-        s = SampleSet(np.arange(8.0).reshape(4, 2), np.array([0, 1, 0, 1]))
-        tree = _grow_tree(s, TrainConfig(max_depth=0), 0)
-        np.testing.assert_array_equal(tree.kind, [0])
-
     def test_min_node_size_stops_growth(self):
         s = SampleSet(np.array([[0.0], [1.0], [2.0]]), np.array([0, 1, 0]))
         tree = _grow_tree(s, TrainConfig(), 0)
@@ -654,11 +649,6 @@ class TestTrainForest:
         pred = predict_class_batch(model, s.features)
         assert (pred == s.labels).all()
 
-    def test_max_depth_one_caps_tree_size(self):
-        s = _blobs(50, 6, 2.0, np.random.default_rng(4))
-        model = train_forest(s, TrainConfig(n_trees=4, max_depth=1, seed=0))
-        assert all(t.n_nodes <= 3 for t in model.trees)
-
     def test_deterministic_rebuild(self):
         s = _blobs(60, 8, 3.0, np.random.default_rng(5))
         a = train_forest(s, TrainConfig(n_trees=5, seed=42))
@@ -756,37 +746,31 @@ class TestTrainForest:
             assert ties > 0
 
 
-def _subtree_counts(tree, nid):
-    """Class tallies of the leaves under node nid."""
-    if not tree.kind[nid]:
-        return tree.counts[nid]
-    return _subtree_counts(tree, tree.left[nid]) + _subtree_counts(tree, tree.right[nid])
-
-
 class TestLevelGrowth:
     """Each level of a tree draws from its own stream, keyed on (tree,
     level), and growth holds its rows as index segments."""
 
-    @pytest.mark.parametrize("cap", [1, 2, 5])
-    def test_max_depth_cuts_the_unlimited_tree(self, cap):
+    def test_each_level_draws_features_in_node_order(self):
         s = _blobs(300, 6, 1.0, np.random.default_rng(22))
-        full = train_forest(s, TrainConfig(n_trees=3, seed=5))
-        cut = train_forest(s, TrainConfig(n_trees=3, seed=5, max_depth=cap))
-        for tf, tc in zip(full.trees, cut.trees):
-            assert tc.n_nodes < tf.n_nodes
-            stack = [(0, 0, 0)]
-            while stack:
-                f, c, depth = stack.pop()
-                if depth == cap or not tf.kind[f]:
-                    # a leaf holds what the unlimited tree spreads below it
-                    assert tc.kind[c] == 0
-                    np.testing.assert_array_equal(tc.counts[c], _subtree_counts(tf, f))
-                    continue
-                assert tc.kind[c] == 1
-                for name in ("features", "projections", "thresholds"):
-                    assert getattr(tc, name)[c].tobytes() == getattr(tf, name)[f].tobytes()
-                stack.append((tf.left[f], tc.left[c], depth + 1))
-                stack.append((tf.right[f], tc.right[c], depth + 1))
+        cfg = TrainConfig(n_trees=3, seed=5)
+        model = train_forest(s, cfg)
+        fs = default_feature_subsample(6)
+        checked = 0
+        for i, tree in enumerate(model.trees):
+            level, depth = np.array([0]), 0
+            while level.size:
+                split = tree.kind[level] == 1
+                # a leaf tried a split, and found none, when it is mixed and big enough
+                n = tree.counts[level]
+                tried = split | ((n > 0).all(axis=1) & (n.sum(axis=1) >= 2 * cfg.min_node_size))
+                seq = np.random.SeedSequence(cfg.seed, spawn_key=(0, i, depth))
+                draw = np.random.default_rng(seq).random((np.count_nonzero(tried), 6))
+                feats = np.sort(np.argsort(draw, axis=1)[:, :fs], axis=1)
+                np.testing.assert_array_equal(tree.features[level[split]], feats[split[tried]])
+                checked += np.count_nonzero(split)
+                kids = tree.left[level[split]]
+                level, depth = np.column_stack([kids, kids + 1]).ravel(), depth + 1
+        assert checked == sum(int(t.kind.sum()) for t in model.trees) > 100
 
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_growth_peaks_under_three_times_the_features(self, order):

@@ -718,12 +718,15 @@ class TestModelSerialization:
         ("min_node_size", 1), ("min_node_size", 2.0),
         ("feature_subsample", 4), ("feature_subsample", 3.0),
         ("gamma", 0.0), ("gamma", 1e-7),
+        ("max_depth", 3), ("max_depth", 0),
     ])
     def test_fixed_settings_must_keep_their_values(self, tmp_path, field, value):
-        # growth fixes these; a 4-band model was grown with 3 features per node
+        # growth fixes these; a 4-band model was grown with 3 features per
+        # node, and every tree grows to purity
         _, doc = self._doc(tmp_path)
         doc["config"][field] = value
-        self._reject(tmp_path, doc, f"bad config: {field} must be")
+        want = {"min_node_size": 2, "feature_subsample": 3, "gamma": 1e-08, "max_depth": None}
+        self._reject(tmp_path, doc, f"bad config: {field} must be {want[field]!r}, got {value!r}")
 
     def test_three_class_model_rejected(self, tmp_path):
         _, doc = self._doc(tmp_path)

@@ -43,12 +43,12 @@ def test_every_name_and_field_the_tracer_reads_exists():
     rng = np.random.default_rng(0)
     x = np.vstack([rng.normal(size=(60, 4)) - 1.0, rng.normal(size=(60, 4)) + 1.0])
     model = train_forest(SampleSet(x, np.repeat([0, 1], 60)),
-                         TrainConfig(n_trees=2, max_depth=4, seed=1))
+                         TrainConfig(n_trees=2, seed=1))
     cfg = model.config
-    assert (cfg.min_node_size, cfg.max_depth) == (2, 4)
+    assert (cfg.min_node_size, cfg.max_depth) == (2, None)
     for tree in model.trees:
         depth, leaf_depths, no_split = tracer.tree_shape(tree, cfg.min_node_size, cfg.max_depth)
-        assert 1 <= depth <= 4 and leaf_depths.size == tree.n_nodes - tree.kind.sum()
+        assert depth >= 1 and leaf_depths.size == tree.n_nodes - tree.kind.sum()
         assert no_split >= 0
     # reads every tree field, the scaler, n_bands, class_names, config, format_version
     assert tracer.model_differences(model, model) == []
