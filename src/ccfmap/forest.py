@@ -42,7 +42,12 @@ the tree's parked rows down at once, one level per step, each row with
 its own node id. Deep trees end in thousands of small nodes, and the
 depth-first walk pays its numpy calls per node; the batched pass pays
 them once per level. Both phases project through _project and compare
-with <=, so where the cut falls does not change a leaf.
+with <=, so where the cut falls does not change a leaf. A depth-first
+split hands _project a generator, so it holds one gathered feature
+column at a time. predict_proba_batch sums the leaf distributions
+class-major, one contiguous run of rows per class, and returns their
+(rows, 2) transpose; _classes is the one class rule (class 1 iff its
+probability exceeds class 0's, argmax's tie rule).
 
 _fan_out runs both training and prediction on up to CCF_THREADS worker
 processes, never more than the usable cores. Each worker receives the
@@ -227,14 +232,17 @@ def best_split(projections, labels, n_classes: int):
 def _project(columns, direction) -> np.ndarray:
     """Project rows onto one direction, given their feature columns.
 
-    columns[j] holds every row's value of the direction's j-th feature.
-    The terms accumulate one column at a time, in feature order. Training
-    and prediction both call this, so a training-time partition and a
-    prediction-time routing agree bit for bit.
+    columns yields every row's value of each feature of the direction in
+    turn: a 2-D array, or a generator that gathers a column only when its
+    term is added. The terms accumulate one column at a time, in feature
+    order. Training and prediction both call this, so a training-time
+    partition and a prediction-time routing agree bit for bit.
     """
-    z = columns[0] * direction[0]
-    for j in range(1, len(direction)):
-        z += columns[j] * direction[j]
+    terms = zip(columns, direction)
+    column, a = next(terms)
+    z = column * a
+    for column, a in terms:
+        z += column * a
     return z
 
 
@@ -523,9 +531,9 @@ def _route(tree: FlatTree, cols: np.ndarray) -> np.ndarray:
         # idx is ascending and duplicate-free, so a node every row reaches
         # can read the columns in place
         if idx.size == n:
-            columns = [cols[f] for f in features[nid]]
+            columns = (cols[f] for f in features[nid])
         else:
-            columns = [cols[f].take(idx) for f in features[nid]]
+            columns = (cols[f].take(idx) for f in features[nid])
         z = _project(columns, projections[nid])
         go_left = z <= thresholds[nid]
         # compress measured several times faster than idx[go_left] here
@@ -571,16 +579,25 @@ def predict_proba_batch(model: CcfModel, spectra) -> np.ndarray:
     # rows the caller handed on (a window in _predict_piece) are freed here,
     # before routing, which then reuses their memory, not fresh pages
     del spectra, rows
-    out = np.zeros((cols.shape[1], 2))
+    # class-major: the same additions, in the same order, as (rows, 2) sums
+    sums = np.zeros((2, cols.shape[1]))
     for tree in model.trees:
-        out += tree.probs[_route(tree, cols)]
-    out /= len(model.trees)
-    return out
+        leaf = _route(tree, cols)
+        for c in range(2):
+            sums[c] += tree.probs[:, c].take(leaf)
+        del leaf  # freed before the next tree routes
+    sums /= len(model.trees)
+    return sums.T
+
+
+def _classes(probs) -> np.ndarray:
+    """argmax of each row of predict_proba_batch's result, whose columns
+    are contiguous: class 1 iff it beats class 0, so a tie is class 0."""
+    return probs[:, 1] > probs[:, 0]
 
 
 def predict_class_batch(model: CcfModel, spectra) -> np.ndarray:
-    probs = predict_proba_batch(model, spectra)
-    return np.argmax(probs, axis=1)  # ties resolve to the lowest index
+    return _classes(predict_proba_batch(model, spectra)).astype(np.intp)
 
 
 def _predict_piece(model, raster, size, start):
@@ -595,7 +612,7 @@ def _predict_piece(model, raster, size, start):
         rows = [window if ok.all() else window[ok]]  # handed on, not kept, so
         del window  # predict_proba_batch frees them before routing
         p = predict_proba_batch(model, rows.pop())
-        classes[ok] = np.argmax(p, axis=1)
+        classes[ok] = _classes(p)
         p1[ok] = p[:, 1]
     return classes, p1
 

@@ -520,6 +520,20 @@ class TestProject:
             expected.append(z)
         assert _project(x.T, a).tobytes() == np.array(expected).tobytes()
 
+    @pytest.mark.parametrize("fs", [1, 5, 13])
+    def test_generator_of_columns_equals_the_array(self, fs):
+        # _route hands over one gathered column at a time, _finish_small a
+        # 2-D block with a direction per row
+        rng = np.random.default_rng(200 + fs)
+        x = rng.normal(size=(fs, 400)) * 10.0 ** rng.integers(-6, 7, size=(fs, 400))
+        idx = np.flatnonzero(rng.random(400) < 0.6)
+        a = rng.normal(size=fs).tolist()
+        want = _project(x[:, idx], a).tobytes()
+        assert _project((x[f].take(idx) for f in range(fs)), a).tobytes() == want
+        per_row = rng.normal(size=(fs, idx.size))
+        want = _project(x[:, idx], per_row).tobytes()
+        assert _project((x[f].take(idx) for f in range(fs)), per_row).tobytes() == want
+
 
 class TestGrowNode:
     def test_pure_node_is_leaf(self):
@@ -945,6 +959,68 @@ class TestPrediction:
         assert got.tobytes() == want.tobytes()
         for row, p in zip(rows[:20].astype(np.float64), got):
             assert p.tobytes() == _scalar_proba(model, row).tobytes()
+
+    @staticmethod
+    def _tie_model():
+        """Three trees on 3 bands: two split at band 0 <= 0 and vote
+        exactly [1, 0] and [0, 1] there, one is a [1, 1] leaf, so every
+        row with band 0 <= 0 ties; the others get uneven sums, class 0
+        winning where band 1 <= 0 and class 1 elsewhere."""
+        bands, on_band = [0, 1, 2], np.eye(3)
+        trees = [
+            FlatTree.from_columns([1, 0, 0], [bands], on_band[:1], [0.0], [[4, 0], [1, 2]]),
+            FlatTree.from_columns([1, 0, 1, 0, 0], [bands, bands], on_band[:2], [0.0, 0.0],
+                                  [[0, 3], [7, 3], [1, 9]]),
+            FlatTree.from_columns([0], np.empty((0, 3)), np.empty((0, 3)), [], [[1, 1]]),
+        ]
+        return dataclasses.replace(_leaf_model([[1, 1]]), trees=trees)
+
+    def test_sums_add_leaf_rows_in_tree_order(self):
+        model = self._tie_model()
+        rows = np.random.default_rng(22).normal(size=(500, 3))
+        want = np.zeros((500, 2))
+        for tree in model.trees:
+            want += tree.probs[forest._route(tree, np.ascontiguousarray(rows.T))]
+        want /= len(model.trees)
+        got = predict_proba_batch(model, rows)
+        assert got.shape == (500, 2)
+        assert got.tobytes() == want.tobytes()
+
+    def test_tied_rows_take_class_zero(self):
+        model = self._tie_model()
+        values = np.random.default_rng(23).normal(size=(20, 25, 3)).astype(np.float32)
+        rows = values.reshape(-1, 3)
+        proba = predict_proba_batch(model, rows)
+        tied = rows[:, 0] <= 0
+        assert (proba[tied, 0] == proba[tied, 1]).all()
+        want = np.where(tied, 0, (rows[:, 1] > 0).astype(np.intp))
+        np.testing.assert_array_equal(proba.argmax(axis=1), want)
+        classes = predict_class_batch(model, rows)
+        assert classes.dtype == np.intp
+        np.testing.assert_array_equal(classes, want)
+        piece, p1 = forest._predict_piece(model, MultispectralRaster(values), 500, 0)
+        np.testing.assert_array_equal(piece, want)
+        assert p1.tobytes() == proba[:, 1].astype(np.float32).tobytes()
+
+    def test_window_memory_per_routed_row(self):
+        # a shallow 10-band forest, as on separable oblique tiles: splits
+        # below the root still hold tens of thousands of rows. The float64
+        # bands x rows block alone is 80 B/row, and standardize peaks at
+        # about 90; holding a split's five gathered columns at once, or
+        # summing (rows, 2) leaf gathers, takes routing to about 170
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=(8000, 10))
+        model = train_forest(SampleSet(x, (x[:, 0] + x[:, 1] > 0).astype(np.int64)),
+                             TrainConfig(n_trees=5, seed=6))
+        n = 1 << 17
+        held = [rng.normal(size=(n, 10)).astype(np.float32)]
+        tracemalloc.start()
+        try:
+            predict_proba_batch(model, held.pop())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / n < 155
 
     def test_non_finite_rows_rejected(self):
         model = _leaf_model([[1, 1]], n_bands=3)
