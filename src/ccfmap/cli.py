@@ -28,11 +28,10 @@ from .pipeline import (
     SampleSet,
     SplitSpec,
     assemble_region_dataset,
-    balanced_split,
+    balance_classes,
     fit_scaler,
+    stratified_split,
 )
-# balanced_split composes these two; perfbench/tracer.py wraps both names here
-from .pipeline import balance_classes, stratified_split  # noqa: F401
 from .cca import standardize
 from .model_io import load_model, save_model
 from .raster_io import (
@@ -187,12 +186,15 @@ def cmd_train(args) -> None:
     reads = [("--raster", r) for r in args.raster] + [("--mask", m) for m in args.mask]
     writes = [("--out", args.out)] + ([] if args.no_eval else [("--out", _report_path(args.out))])
     _refuse_overwrites(reads, writes)
-    # nested, and train rebound, so no earlier set outlives its step
-    train, test = balanced_split(
-        assemble_region_dataset(  # reads one pair at a time
-            (read_raster(r), read_mask(m)) for r, m in zip(args.raster, args.mask)
+    # the library's steps, nested, and train rebound, so each set is freed
+    # as soon as the step it feeds returns
+    train, test = stratified_split(
+        balance_classes(
+            assemble_region_dataset(  # reads one pair at a time
+                (read_raster(r), read_mask(m)) for r, m in zip(args.raster, args.mask)
+            ),
+            np.random.default_rng(np.random.SeedSequence(entropy=args.seed, spawn_key=(1,))),
         ),
-        np.random.default_rng(np.random.SeedSequence(entropy=args.seed, spawn_key=(1,))),
         spec,
     )
     scaler = fit_scaler(train)

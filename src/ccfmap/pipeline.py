@@ -1,7 +1,9 @@
 """Dataset preparation: pixel extraction, balancing, splitting, scaling.
 
-Turns raster+mask pairs into the flat table form the forest consumes.
-Every random step takes an explicit Generator or seed, so identical
+Turns raster+mask pairs into the flat table form the forest consumes:
+assemble_region_dataset (extract_samples for one pair), balance_classes,
+stratified_split and fit_scaler, the steps `ccfmap train` runs. Every
+random step takes an explicit Generator or seed, so identical
 inputs reproduce identical SampleSets byte for byte.
 """
 
@@ -9,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass
+from itertools import starmap
 
 import numpy as np
 
@@ -128,6 +131,12 @@ def extract_samples(raster, mask) -> SampleSet:
     Pixels whose mask value is UNLABELED(255) are skipped, as is any pixel
     containing the raster's nodata value in any band.
     """
+    return assemble_region_dataset([(raster, mask)])
+
+
+def _labeled_pixels(raster, mask):
+    """A pair's labeled, valid pixels in the raster's own dtype (float32)
+    and their int64 labels, both row-major."""
     mask = np.asarray(mask)
     shape = (raster.height, raster.width)
     if mask.shape != shape:
@@ -137,11 +146,7 @@ def extract_samples(raster, mask) -> SampleSet:
     valid = (labels != UNLABELED) & valid_pixels(pixels, raster.nodata)
     if not valid.any():
         raise DataError("zero labeled pixels")
-    # pixels[valid] is C-ordered whatever the window's layout: column_stats
-    # (fit_scaler) gives other bits on an F-ordered table
-    return SampleSet(
-        pixels[valid].astype(np.float64), labels[valid].astype(np.int64), adopt=True
-    )
+    return pixels[valid], labels[valid].astype(np.int64)
 
 
 def _balanced_rows(labels: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -197,16 +202,6 @@ def stratified_split(s: SampleSet, spec: SplitSpec) -> tuple[SampleSet, SampleSe
     return s.take(train), s.take(test)
 
 
-def balanced_split(s: SampleSet, rng: np.random.Generator,
-                   spec: SplitSpec) -> tuple[SampleSet, SampleSet]:
-    """stratified_split(balance_classes(s, rng), spec), byte for byte, with
-    the same draws, but the two steps compose their row indices, so only
-    the train and test tables are built from s."""
-    rows = _balanced_rows(s.labels, rng)
-    train, test = _split_rows(s.labels[rows], s.class_names, spec)
-    return s.take(rows[train]), s.take(rows[test])
-
-
 def fit_scaler(train: SampleSet) -> ColumnStats:
     """Per-band mean/stddev from the TRAINING samples only.
 
@@ -217,23 +212,22 @@ def fit_scaler(train: SampleSet) -> ColumnStats:
 
 
 def assemble_region_dataset(pairs) -> SampleSet:
-    """Concatenate extract_samples over (raster, mask) pairs in order. A
-    pair is dropped once extracted, so a generator holds one at a time."""
-    parts = []
-    for i, part in enumerate(map(lambda pair: extract_samples(*pair), pairs)):
-        if parts and part.n_bands != parts[0].n_bands:
+    """extract_samples over (raster, mask) pairs, concatenated in order.
+    A pair is dropped once its pixels are taken, so a generator holds one
+    at a time; the pixels stay float32 until the one float64 table."""
+    parts, labels = [], []
+    for i, (pixels, part_labels) in enumerate(starmap(_labeled_pixels, pairs)):
+        if parts and pixels.shape[1] != parts[0].shape[1]:
             raise DataError(
-                f"band mismatch: pair 0 has {parts[0].n_bands} band(s), "
-                f"pair {i} has {part.n_bands}"
+                f"band mismatch: pair 0 has {parts[0].shape[1]} band(s), "
+                f"pair {i} has {pixels.shape[1]}"
             )
-        parts.append(part)
+        parts.append(pixels)
+        labels.append(part_labels)
     if not parts:
         raise DataError("no raster/mask pairs given")
-    if len(parts) == 1:
-        return parts[0]
+    # a new C-ordered table whatever the windows' layout: column_stats
+    # (fit_scaler) gives other bits on an F-ordered one
     return SampleSet(
-        np.concatenate([p.features for p in parts], axis=0),
-        np.concatenate([p.labels for p in parts]),
-        parts[0].class_names,
-        adopt=True,
+        np.concatenate(parts, dtype=np.float64), np.concatenate(labels), adopt=True
     )

@@ -8,6 +8,7 @@ import shutil
 import signal
 import struct
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -282,6 +283,35 @@ class TestTrain:
         # rasters, the pooled and balanced sets and the raw train set are gone
         assert seen["matrix"] > 1_000_000
         assert seen["held"] <= 1.5 * seen["matrix"]
+
+    def test_each_set_is_freed_once_the_step_it_feeds_returns(self, scene_dir, tmp_path,
+                                                              monkeypatch):
+        made, entered = {}, []
+
+        def kept(name, step):
+            def call(*args):
+                out = step(*args)
+                made[name] = weakref.ref(out)
+                return out
+            return call
+
+        def freed_before(name, step):
+            def call(*args):
+                assert made[name]() is None, f"the {name} set outlived its step"
+                entered.append(step.__name__)
+                return step(*args)
+            return call
+
+        monkeypatch.setattr(cli, "assemble_region_dataset",
+                            kept("pooled", cli.assemble_region_dataset))
+        monkeypatch.setattr(cli, "balance_classes", kept("balanced", cli.balance_classes))
+        monkeypatch.setattr(cli, "stratified_split",
+                            freed_before("pooled", cli.stratified_split))
+        monkeypatch.setattr(cli, "fit_scaler", freed_before("balanced", cli.fit_scaler))
+        assert main(["train", "--raster", str(scene_dir / "raster.json"),
+                     "--mask", str(scene_dir / "mask.json"), "--trees", "1", "--no-eval",
+                     "--out", str(tmp_path / "m.ccf.json")]) == 0
+        assert entered == ["stratified_split", "fit_scaler"]
 
     def test_all_unlabeled_mask(self, scene_dir, tmp_path, capsys):
         blank = np.full((48, 48), 255, dtype=np.uint8)

@@ -13,7 +13,6 @@ from ccfmap.pipeline import (
     SplitSpec,
     assemble_region_dataset,
     balance_classes,
-    balanced_split,
     check_mask,
     extract_samples,
     fit_scaler,
@@ -298,47 +297,6 @@ class TestStratifiedSplit:
         assert spec.seed == 3
 
 
-class TestBalancedSplit:
-    """balanced_split is stratified_split after balance_classes, with one
-    take from the input."""
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_equals_balance_then_split(self, seed):
-        rng = np.random.default_rng(seed)
-        s = _random_set(rng, k=int(rng.integers(2, 4)), low=4)
-        spec = SplitSpec(train_fraction=float(rng.uniform(0.3, 0.9)), seed=seed)
-        want = stratified_split(balance_classes(s, np.random.default_rng(seed)), spec)
-        got = balanced_split(s, np.random.default_rng(seed), spec)
-        for a, b in zip(got, want):
-            assert a.features.tobytes() == b.features.tobytes()
-            assert a.labels.tobytes() == b.labels.tobytes()
-            assert a.class_names == b.class_names
-
-    def test_errors_of_both_steps(self):
-        one_class = SampleSet(np.ones((4, 2)), np.zeros(4, dtype=np.int64))
-        with pytest.raises(DataError, match="single class"):
-            balanced_split(one_class, np.random.default_rng(0), SplitSpec())
-        tiny = SampleSet(np.ones((3, 2)), np.array([0, 1, 1]))
-        with pytest.raises(DataError, match="class 0"):
-            balanced_split(tiny, np.random.default_rng(0), SplitSpec())
-
-    def test_builds_no_balanced_table(self):
-        rng = np.random.default_rng(8)
-        labels = np.repeat([0, 1], [30_000, 20_000])
-        s = SampleSet(rng.normal(size=(labels.size, 20)), labels)
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            train, test = balanced_split(s, np.random.default_rng(1), SplitSpec())
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-        # the two outputs, their labels and the row indices; a balanced
-        # table in between would add the outputs' size again
-        outputs = train.features.nbytes + test.features.nbytes
-        assert peak <= 1.4 * outputs
-
-
 class TestFitScaler:
     def test_constant_band_flag(self):
         s = SampleSet(
@@ -392,6 +350,47 @@ class TestAssembleRegionDataset:
     def test_empty_list(self):
         with pytest.raises(DataError, match="no raster/mask pairs"):
             assemble_region_dataset([])
+
+    def test_equals_per_pair_float64_concatenation(self, tmp_path):
+        # the reference: each pair's pixels cast to float64 on their own,
+        # then joined, which is what the pooled float32 parts must equal
+        rng = np.random.default_rng(47)
+        with_nodata = rng.normal(size=(9, 7, 4)).astype(np.float32)
+        with_nodata[rng.random((9, 7)) < 0.2, rng.integers(0, 4)] = -1.0
+        header, _ = write_raster(MultispectralRaster(with_nodata, nodata=-1.0), tmp_path / "r")
+        pairs = [
+            (read_raster(header), rng.choice([0, 1, 255], size=(9, 7)).astype(np.uint8)),
+            (MultispectralRaster(rng.normal(size=(5, 6, 4))),
+             rng.choice([0.0, 1.0, 255.0], size=(5, 6))),
+            (open_raster(header), rng.random((9, 7)) < 0.5),
+        ]
+        features, labels = [], []
+        for raster, mask in pairs:
+            pixels, flat = raster.window(0, mask.size), np.asarray(mask).ravel()
+            valid = (flat != 255) & valid_pixels(pixels, raster.nodata)
+            features.append(pixels[valid].astype(np.float64))
+            labels.append(flat[valid].astype(np.int64))
+        s = assemble_region_dataset(pairs)
+        want = np.concatenate(features)
+        assert s.features.dtype == np.float64 and s.features.flags.c_contiguous
+        assert s.features.tobytes() == want.tobytes()
+        assert s.labels.dtype == np.int64
+        assert s.labels.tobytes() == np.concatenate(labels).tobytes()
+
+    def test_peak_memory(self):
+        # float32 parts until the one float64 table; float64 parts beside
+        # the table they are joined into would peak at about 2.3 tables
+        rng = np.random.default_rng(53)
+        pairs = [(MultispectralRaster(rng.normal(size=(128, 128, 10)).astype(np.float32)),
+                  rng.integers(0, 2, size=(128, 128), dtype=np.uint8)) for _ in range(4)]
+        tracemalloc.start()
+        try:
+            s = assemble_region_dataset(pairs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(s) == 4 * 128 * 128
+        assert peak <= 2.0 * s.features.nbytes
 
     def test_pairs_are_read_one_at_a_time(self):
         held = []

@@ -73,5 +73,6 @@ def test_traced_train_with_probe(tmp_path):
     assert doc["exit_code"] == 0
     assert doc["probe"]["differences"] == []
     names = {span["name"] for span in doc["spans"]}
-    assert {"cli.main", "raster_io.read_raster", "forest.train_forest",
-            "raster_io.save_model", "metrics.evaluate"} <= names
+    assert {"cli.main", "raster_io.read_raster", "pipeline.assemble", "pipeline.balance",
+            "pipeline.split", "forest.train_forest", "raster_io.save_model",
+            "metrics.evaluate"} <= names
