@@ -214,6 +214,13 @@ def cca(x, y, gamma: float = 1e-8) -> CcaResult:
     return CcaResult(a=a, b=b, rho=rho, x_mean=x_mean, y_mean=y_mean)
 
 
+def spread(values, counts):
+    """np.repeat(values, counts): each segment's value for every one of
+    its rows. A single segment keeps its (1,) array, which broadcasts to
+    the same elementwise results without a pass over the rows."""
+    return values if counts.size == 1 else np.repeat(values, counts)
+
+
 def segment_moments(cols, y, starts, weights=None):
     """cca's covariances against two classes, for each segment of rows.
 
@@ -227,17 +234,17 @@ def segment_moments(cols, y, starts, weights=None):
     f, r = cols.shape
     sizes = np.diff(starts, append=r)
     w = np.ones(r) if weights is None else np.asarray(weights, dtype=np.float64)
-    drawn = np.flatnonzero(w)
+    drawn = np.flatnonzero(w != 0)  # numpy finds a bool array's nonzeros fastest
     first = drawn[np.searchsorted(drawn, starts)]
     total = np.add.reduceat(w, starts)
     wx, prod = np.empty(r), np.empty(r)  # row-wise products, reused
-    yc = y - np.repeat(np.add.reduceat(np.multiply(w, y, out=prod), starts) / total, sizes)
+    yc = y - spread(np.add.reduceat(np.multiply(w, y, out=prod), starts) / total, sizes)
     xc = np.empty_like(cols)
     for j in range(f):
         # less a weighted row's own value, a constant column is exact zeros
-        np.subtract(cols[j], np.repeat(cols[j][first], sizes), out=xc[j])
+        np.subtract(cols[j], spread(cols[j][first], sizes), out=xc[j])
         mean = np.add.reduceat(np.multiply(w, xc[j], out=wx), starts) / total
-        xc[j] -= np.repeat(mean, sizes)
+        xc[j] -= spread(mean, sizes)
     cxx = np.empty((starts.size, f, f))
     c = np.empty((starts.size, f))
     for j in range(f):

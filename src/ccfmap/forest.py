@@ -19,17 +19,24 @@ deterministic for a given seed no matter how many workers run. Each tree
 is laid out as a FlatTree: parallel per-node arrays in level order, the
 one tree representation training, prediction and the ccf-3 columns share.
 
-Growth gathers the training matrix a column at a time, so it runs at
-memory speed on a column-major matrix, the layout cca.standardize
-returns and the CLI trains on; a row-major matrix gives the same trees,
-only slower. A value held per node (a bootstrap bound or offset, a
-feature, a direction, a mean, a threshold) reaches the node's rows as
-np.repeat(value, sizes), never by indexing with a per-row node id. The
-two stable sorts by node (the split search and the partition) key on
-the smallest unsigned dtype that holds the largest key
-(_segment_keys), which numpy sorts by radix up to 16 bits. A stable
-sort gives one permutation whatever the key dtype, so the trees do not
-depend on it.
+Growth gathers the training matrix a column at a time, each column one
+np.take from a flat view of the table (feature f of row r at
+f * step + r * rstep), so it runs at memory speed on a column-major
+matrix, the layout cca.standardize returns and the CLI trains on; a
+row-major matrix gives the same trees, only slower. A value held per
+node (a bootstrap offset, a feature, a direction, a mean, a threshold)
+reaches the node's rows as cca.spread(value, sizes): np.repeat, or on a
+one-node level the value itself, broadcast. It is never found by
+indexing with a per-row node id. The bootstrap (_draw) is one stream of
+per-row-bound draws, rng.integers(0, np.repeat(sizes, sizes)), which
+numpy serves one row at a time; so a node of at least _LARGE_NODE rows
+draws its part with a scalar bound, the same numbers in one fast call,
+and each run of smaller nodes keeps one per-row-bound call. The two
+stable sorts by node (the split search and the partition) key on the
+smallest unsigned dtype that holds the largest key (_segment_keys),
+which numpy sorts by radix up to 16 bits; a level of one node needs no
+sort by node. A stable sort gives one permutation whatever the key
+dtype, so the trees do not depend on it.
 
 Prediction routes the transpose of cca.standardize's column-major
 result: a bands x rows block, one contiguous row per band. _route walks
@@ -79,7 +86,7 @@ from typing import ClassVar
 import numpy as np
 
 from .cca import cca  # noqa: F401  (not called here; perfbench/tracer.py counts it)
-from .cca import ColumnStats, binary_directions, segment_moments, standardize
+from .cca import ColumnStats, binary_directions, segment_moments, spread, standardize
 from .errors import DataError, is_int
 from .pipeline import UNLABELED, SampleSet, valid_pixels
 
@@ -88,6 +95,7 @@ MODEL_FORMAT_VERSION = "ccf-3"
 _PREDICT_CHUNK = 1 << 18  # most rows one predict_proba_batch call routes
 _FANOUT_FLOOR = 1 << 15  # fewer pixels than this predict in-process
 _SMALL_NODE = 128  # most rows a split may hold for _route to park it for _finish_small
+_LARGE_NODE = 1 << 12  # fewest rows of a node that draws its bootstrap on its own
 
 
 def default_feature_subsample(n_bands: int) -> int:
@@ -254,6 +262,21 @@ def _segment_keys(sizes, step=1):
     return np.repeat(np.arange(0, top, step, dtype=np.min_scalar_type(top - 1)), sizes)
 
 
+def _gini_term(k, k1):
+    """best_split's k * (1 - (p0 * p0 + p1 * p1)) with p0 = (k - k1) / k
+    and p1 = k1 / k: the same operations in place (a float product does
+    not depend on operand order), overwriting k1."""
+    g = k - k1
+    g /= k
+    g *= g
+    k1 /= k
+    k1 *= k1
+    g += k1
+    np.subtract(1.0, g, out=g)
+    g *= k
+    return g
+
+
 def _segment_splits(z, y, starts):
     """best_split(z[s][:, None], y[s], 2) for every segment s of rows at
     once, with best_split's Gini arithmetic bit for bit.
@@ -264,38 +287,39 @@ def _segment_splits(z, y, starts):
     """
     r, m = z.size, starts.size
     sizes = np.diff(starts, append=r)
-    seg = _segment_keys(sizes)
     # by (segment, z); ties in z may fall in any order, as candidate
     # splits lie only between distinct values
     order = np.argsort(z)
-    order = order[np.argsort(seg[order], kind="stable")]
+    if m > 1:
+        seg = _segment_keys(sizes)
+        order = order[np.argsort(seg[order], kind="stable")]
     zs = z[order]
     ones = np.concatenate(([0], np.cumsum(y[order])))  # class-1 rows before each position
     del order
     threshold, best = np.zeros(m), np.zeros(m)
     n_left, ones_left = np.zeros((2, m), dtype=np.int64)
     # a candidate keeps the sorted rows up to position i on the left
-    cand = np.flatnonzero((zs[:-1] < zs[1:]) & (seg[:-1] == seg[1:]))
+    cand = zs[:-1] < zs[1:]
+    if m > 1:
+        cand &= seg[:-1] == seg[1:]
+    cand = np.flatnonzero(cand)
     if cand.size == 0:
         return threshold, best, n_left, ones_left
     per_seg = np.diff(np.searchsorted(cand, starts), append=cand.size)  # candidates in each
-    n = np.repeat(sizes.astype(np.float64), per_seg)
-    nl = (cand + 1 - np.repeat(starts, per_seg)).astype(np.float64)
-    l1 = (ones[cand + 1] - np.repeat(ones[starts], per_seg)).astype(np.float64)
-    r1 = np.repeat(ones[starts + sizes] - ones[starts], per_seg) - l1  # class-1 rows on the right
-    # best_split's float operations, in its order; the counts are whole
-    # numbers, so they may be formed in any order
-    p0, p1 = (nl - l1) / nl, l1 / nl
-    gini = nl * (1.0 - (p0 * p0 + p1 * p1))
-    nr = n - nl
-    p0, p1 = (nr - r1) / nr, r1 / nr
-    gini += nr * (1.0 - (p0 * p0 + p1 * p1))
+    n = spread(sizes.astype(np.float64), per_seg)
+    nl = np.subtract(cand + 1, spread(starts, per_seg), dtype=np.float64)
+    l1 = np.subtract(ones[cand + 1], spread(ones[starts], per_seg), dtype=np.float64)
+    r1 = spread(ones[starts + sizes] - ones[starts], per_seg) - l1  # class-1 rows on the right
+    # best_split's float operations, in its order, in place; the counts
+    # are whole numbers, so they may be formed in any order
+    gini = _gini_term(nl, l1)
+    gini += _gini_term(n - nl, r1)
     gini /= n
     # each segment's least Gini, at its lowest threshold
     s = np.flatnonzero(per_seg)
     head = (np.cumsum(per_seg) - per_seg)[s]
     low = np.minimum.reduceat(gini, head)
-    hit = np.flatnonzero(gini == np.repeat(low, per_seg[s]))
+    hit = np.flatnonzero(gini == spread(low, per_seg[s]))
     first = hit[np.searchsorted(hit, head)]
     i = cand[first]
     best[s] = gini[first]
@@ -305,6 +329,24 @@ def _segment_splits(z, y, starts):
     n_left[s] = i + 1 - starts[s]
     ones_left[s] = ones[i + 1] - ones[starts[s]]
     return threshold, best, n_left, ones_left
+
+
+def _draw(rng, sizes):
+    """rng.integers(0, np.repeat(sizes, sizes)): for each node s, sizes[s]
+    draws below sizes[s], the same numbers, leaving rng in the same state.
+    numpy serves a per-row bound one row at a time, so a node of at least
+    _LARGE_NODE rows draws with one scalar-bound call, and each run of
+    smaller nodes between such nodes with one per-row-bound call;
+    consecutive calls continue one stream."""
+    pieces, run = [], 0  # run: the first node not yet drawn
+    for s in np.flatnonzero(sizes >= _LARGE_NODE).tolist():
+        if run < s:
+            pieces.append(rng.integers(0, np.repeat(sizes[run:s], sizes[run:s])))
+        pieces.append(rng.integers(0, sizes[s], size=sizes[s]))
+        run = s + 1
+    if run < sizes.size or not pieces:
+        pieces.append(rng.integers(0, np.repeat(sizes[run:], sizes[run:])))
+    return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
 
 
 def _split_nodes(x, y, rows, feats, starts, rng):
@@ -317,17 +359,24 @@ def _split_nodes(x, y, rows, feats, starts, rng):
     sizes = np.diff(starts, append=rows.size)
     boot = None
     if rng is not None:
-        draw = rng.integers(0, np.repeat(sizes, sizes))
-        draw += np.repeat(starts, sizes)
+        draw = _draw(rng, sizes)
+        draw += spread(starts, sizes)
         boot = np.bincount(draw, minlength=rows.size)
         del draw
+    # x[r, f] is flat[f * step + r * rstep]; flat is a view of a C- or
+    # F-contiguous table (training passes one), a copy of any other
+    f_order = x.flags.f_contiguous
+    flat = x.ravel("F" if f_order else "C")
+    step, rstep = (x.shape[0], 1) if f_order else (1, x.shape[1])
+    at = rows * rstep
     cols = np.empty((feats.shape[1], rows.size))
     for j in range(feats.shape[1]):
-        cols[j] = x[rows, np.repeat(feats[:, j], sizes)]
+        flat.take(spread(feats[:, j] * step, sizes) + at, out=cols[j])
+    del at
     yr = y[rows]
     a = binary_directions(*segment_moments(cols, yr, starts, boot), TrainConfig.gamma)
     del boot
-    z = _project(cols, np.repeat(a.T, sizes, axis=1))
+    z = _project(cols, (spread(a[:, j], sizes) for j in range(a.shape[1])))
     del cols
     t, _, n_left, ones_left = _segment_splits(z, yr, starts)
     return a, t, n_left, ones_left, z

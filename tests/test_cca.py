@@ -388,6 +388,19 @@ def _stack(segments):
     return np.ascontiguousarray(cols), y, starts, weights
 
 
+def _assert_segments_equal_own_calls(cols, y, starts, weights):
+    """segment_moments of every segment at once, with weights and
+    without, equals a call on each segment alone, bit for bit."""
+    ends = np.append(starts[1:], y.size)
+    for w in (weights, None):
+        cxx, c = segment_moments(cols, y, starts, w)
+        for i, (a, b) in enumerate(zip(starts, ends)):
+            one = segment_moments(cols[:, a:b], y[a:b], np.array([0]),
+                                  None if w is None else w[a:b])
+            assert one[0].tobytes() == cxx[i : i + 1].tobytes()
+            assert one[1].tobytes() == c[i : i + 1].tobytes()
+
+
 class TestBinaryDirections:
     """The batched closed form used by tree growth against cca itself."""
 
@@ -405,6 +418,26 @@ class TestBinaryDirections:
             constant = np.ptp(xr, axis=0) == 0
             assert (cxx[i][constant] == 0).all() and (cxx[i][:, constant] == 0).all()
             assert (c[i][constant] == 0).all()
+
+    @given(_segment_draws())
+    def test_each_segment_equals_its_own_call(self, segments):
+        # a one-segment call spreads its per-segment values by
+        # broadcasting, not np.repeat; it must give the same bits
+        cols, y, starts, weights = _stack(segments)
+        _assert_segments_equal_own_calls(cols, y, starts, weights)
+
+    @pytest.mark.parametrize("sizes", [[5_000], [3, 4_100, 700], [129, 2, 1_000, 257]])
+    def test_long_segments_equal_their_own_calls(self, sizes):
+        # reduceat sums a long segment pairwise, in blocks
+        rng = np.random.default_rng(len(sizes))
+        r = sum(sizes)
+        cols = rng.normal(size=(3, r)) * 10.0 ** rng.integers(-4, 5, size=(3, r))
+        cols[1, : sizes[0]] = 2.5  # constant over the first segment
+        y = rng.integers(0, 2, size=r)
+        starts = np.cumsum([0] + sizes[:-1])
+        weights = np.bincount(rng.integers(0, np.repeat(sizes, sizes)) + np.repeat(starts, sizes),
+                              minlength=r)
+        _assert_segments_equal_own_calls(cols, y, starts, weights)
 
     @given(_segment_draws())
     def test_parallel_to_cca_first_direction(self, segments):

@@ -10,10 +10,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import growth_reference
 from ccfmap import forest, model_io
 from ccfmap.cca import CONSTANT_COLUMN_TOL, ColumnStats, standardize
 from ccfmap.errors import DataError
@@ -497,6 +498,17 @@ class TestSegmentSplits:
             assert n_left[s] == go_left.sum()
             assert ones_left[s] == y[a:b][go_left].sum()
 
+    @given(_segment_layout())
+    def test_each_segment_equals_its_own_call(self, layout):
+        # a one-segment call skips the by-segment sort and spreads its
+        # per-segment values by broadcasting; it must give the same bits
+        z, y, starts = layout
+        got = forest._segment_splits(z, y, starts)
+        for s, (a, b) in enumerate(zip(starts, np.append(starts[1:], z.size))):
+            alone = forest._segment_splits(z[a:b], y[a:b], np.array([0]))
+            for many, one in zip(got, alone):
+                assert many[s : s + 1].tobytes() == one.tobytes()
+
 
 class TestProject:
     @pytest.mark.parametrize("fs", range(1, 8))
@@ -809,6 +821,98 @@ class TestLevelGrowth:
         for name in TREE_FIELDS:
             a, b = getattr(c, name), getattr(f, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+_LARGE = forest._LARGE_NODE
+_node_size = st.one_of(
+    st.integers(1, 40),
+    st.sampled_from([_LARGE - 1, _LARGE, _LARGE + 1]),
+    st.integers(_LARGE, 2 * _LARGE),
+)
+
+
+class TestBootstrapDraw:
+    """_draw serves each large node with a scalar bound and each run of
+    smaller nodes with one per-row-bound call: the oracle's numbers, and
+    the oracle's generator state after them."""
+
+    @given(st.lists(_node_size, min_size=1, max_size=8), st.integers(0, 2**32))
+    @example([3, 17, 2], 0)  # all small
+    @example([_LARGE, _LARGE + 5, 2 * _LARGE], 1)  # all large
+    @example([_LARGE + 9], 2)  # one node
+    @example([_LARGE, 5, 9], 3)  # a large node first
+    @example([5, 9, _LARGE], 4)  # a large node last
+    @example([5, _LARGE, 9, 7, _LARGE - 1, _LARGE, 2], 5)  # large nodes between runs
+    def test_equals_one_per_row_bound_call(self, sizes, seed):
+        sizes = np.array(sizes)
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = forest._draw(got_rng, sizes)
+        want = want_rng.integers(0, np.repeat(sizes, sizes))
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        assert got_rng.random() == want_rng.random()
+
+
+def _oblique(rng):
+    """20k rows across an oblique plane, with label noise: nodes above
+    _LARGE_NODE on five levels, beside small ones from the third on."""
+    x = rng.normal(size=(20_000, 6))
+    y = x @ rng.normal(size=6) + 0.5 * rng.normal(size=20_000) > 0
+    return x, y.astype(np.int64)
+
+
+def _overlapping(rng):
+    """Two blobs half a standard deviation apart: deep trees of small
+    nodes, some of whose bootstraps find no split."""
+    s = _blobs(1_500, 8, 0.5, rng)
+    return np.array(s.features), np.array(s.labels)
+
+
+def _ties(rng):
+    """Three values per column, one column constant: tied projections."""
+    x = rng.integers(0, 3, size=(4_000, 6)).astype(np.float64)
+    x[:, 2] = 1.0
+    y = x[:, 0] + x[:, 1] + rng.integers(0, 2, size=4_000) > 2
+    return x, y.astype(np.int64)
+
+
+class TestLevelKernelReference:
+    """Trees grown by the level kernel equal, byte for byte, those grown
+    with tests/growth_reference.py's frozen copy of the kernel it
+    replaced: per-row-bound draws, a two-index gather, a direction block
+    and the by-node sort on every level."""
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("make", [_oblique, _overlapping, _ties])
+    def test_trees_equal_the_frozen_kernel(self, make, order, monkeypatch):
+        x, y = make(np.random.default_rng(7))
+        x = np.asarray(x, order=order)
+        draws, retries = [], []
+
+        def spy_draw(rng, sizes, draw=forest._draw):
+            draws.append(sizes)
+            return draw(rng, sizes)
+
+        def spy_split(*args, split=forest._split_nodes):
+            retries.append(args[-1] is None)
+            return split(*args)
+
+        cfg = TrainConfig(seed=3)
+        with monkeypatch.context() as m:
+            m.setattr(forest, "_draw", spy_draw)
+            m.setattr(forest, "_split_nodes", spy_split)
+            got = [_build_tree(x, y, cfg, t) for t in range(2)]
+        monkeypatch.setattr(forest, "_split_nodes", growth_reference._split_nodes)
+        want = [_build_tree(x, y, cfg, t) for t in range(2)]
+        assert any(retries)
+        if make is _oblique:
+            large = [sizes for sizes in draws if (sizes >= _LARGE).any()]
+            assert len(large) >= 4 and any((sizes < _LARGE).any() for sizes in large)
+        for a, b in zip(got, want):
+            assert a.n_nodes > 100
+            for name in TREE_FIELDS:
+                u, v = getattr(a, name), getattr(b, name)
+                assert u.dtype == v.dtype and u.tobytes() == v.tobytes(), name
 
 
 def _int64_segment_keys(sizes, step=1):
