@@ -39,8 +39,10 @@ print(f"{len(samples)} labeled pixels, {len(balanced)} after balancing")
 
 train, test = stratified_split(balanced, SplitSpec(train_fraction=0.8, seed=7))
 scaler = fit_scaler(train)
+# adopt=True takes over standardize's column-major table, as `ccfmap train`
+# does, so the trees grow from a view of it rather than a copy
 train_std = SampleSet(standardize(train.features, scaler),
-                      train.labels, train.class_names)
+                      train.labels, train.class_names, adopt=True)
 
 model = train_forest(train_std, TrainConfig(n_trees=10, seed=7), scaler=scaler)
 sizes = [t.n_nodes for t in model.trees]

@@ -35,8 +35,8 @@ def train_on(spec, seed):
     balanced = balance_classes(samples, np.random.default_rng(seed))
     train, test = stratified_split(balanced, SplitSpec(seed=seed))
     scaler = fit_scaler(train)
-    std = SampleSet(standardize(train.features, scaler),
-                    train.labels, train.class_names)
+    std = SampleSet(standardize(train.features, scaler),  # taken over, not copied
+                    train.labels, train.class_names, adopt=True)
     model = train_forest(std, TrainConfig(n_trees=10, seed=seed), scaler=scaler)
     holdout = (predict_class_batch(model, test.features) == test.labels).mean()
     return model, holdout

@@ -70,10 +70,9 @@ def standardize(m, stats: ColumnStats) -> np.ndarray:
     Columns with stddev <= CONSTANT_COLUMN_TOL are only centered; dividing
     by a near-zero spread would blow up round-off noise. float32 rows (a
     raster window, each band a contiguous column) are read as they are,
-    without a float64 copy. The result is column-major,
-    each column one contiguous run: the layout in which tree growth
-    gathers a node's feature columns, and whose transpose is the bands x
-    rows block prediction routes.
+    without a float64 copy. The result is column-major, each column one
+    contiguous run, so its transpose is, without a copy, the bands x rows
+    block that tree growth gathers from and prediction routes.
     """
     m = np.asarray(m)
     if m.dtype != np.float32:

@@ -19,11 +19,11 @@ deterministic for a given seed no matter how many workers run. Each tree
 is laid out as a FlatTree: parallel per-node arrays in level order, the
 one tree representation training, prediction and the ccf-3 columns share.
 
-Growth gathers the training matrix a column at a time, each column one
-np.take from a flat view of the table (feature f of row r at
-f * step + r * rstep), so it runs at memory speed on a column-major
-matrix, the layout cca.standardize returns and the CLI trains on; a
-row-major matrix gives the same trees, only slower. A value held per
+Growth and prediction read one layout: a bands x rows block, one
+contiguous row per band, the transpose of cca.standardize's column-major
+result. train_forest hands every tree its training set as that block,
+and both growth's gather and _finish_small read band f of row r at
+f * n + r of its flat view, n the block's row count. A value held per
 node (a bootstrap offset, a feature, a direction, a mean, a threshold)
 reaches the node's rows as cca.spread(value, sizes): np.repeat, or on a
 one-node level the value itself, broadcast. It is never found by
@@ -38,17 +38,16 @@ which numpy sorts by radix up to 16 bits; a level of one node needs no
 sort by node. A stable sort gives one permutation whatever the key
 dtype, so the trees do not depend on it.
 
-Prediction routes the transpose of cca.standardize's column-major
-result: a bands x rows block, one contiguous row per band. _route walks
-each tree in two phases. It goes depth-first with arrays of row indices
-while a split holds more than _SMALL_NODE rows; such a split gathers
-only its own feature columns for the rows that reach it, so a row costs
-feature_subsample reads per level it descends, not one read per band.
-A smaller split is parked, and after the walk _finish_small takes all of
-the tree's parked rows down at once, one level per step, each row with
-its own node id. Deep trees end in thousands of small nodes, and the
-depth-first walk pays its numpy calls per node; the batched pass pays
-them once per level. Both phases project through _project and compare
+Prediction routes the block predict_proba_batch standardizes. _route
+walks each tree in two phases. It goes depth-first with arrays of row
+indices while a split holds more than _SMALL_NODE rows; such a split
+gathers only its own feature columns for the rows that reach it, so a
+row costs feature_subsample reads per level it descends, not one read
+per band. A smaller split is parked, and after the walk _finish_small
+takes all of the tree's parked rows down at once, one level per step,
+each row with its own node id. Deep trees end in thousands of small
+nodes, and the depth-first walk pays its numpy calls per node; the
+batched pass pays them once per level. Both phases project through _project and compare
 with <=, so where the cut falls does not change a leaf. A depth-first
 split hands _project a generator, so it holds one gathered feature
 column at a time. predict_proba_batch sums the leaf distributions
@@ -58,7 +57,7 @@ probability exceeds class 0's, argmax's tie rule).
 
 _fan_out runs both training and prediction on up to CCF_THREADS worker
 processes, never more than the usable cores. Each worker receives the
-shared inputs once, when it starts (the training set, or the model and
+shared inputs once, when it starts (the training block, or the model and
 the raster), and a task is a small number: a tree index, or the start
 of a window of consecutive pixels, which reads them by raster.window
 and applies the nodata rule to them. predict_raster fans out only
@@ -349,13 +348,14 @@ def _draw(rng, sizes):
     return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
 
 
-def _split_nodes(x, y, rows, feats, starts, rng):
-    """One split attempt for each node: its rows are the segment of rows
-    from its start, its features a row of feats. The direction comes
-    from a projection bootstrap drawn from rng (as multinomial row
-    weights), or from every row when rng is None, and the threshold from
-    every row's projection. Returns the directions, thresholds, left
-    sizes (0: no split), left class-1 counts and the projections."""
+def _split_nodes(block, y, rows, feats, starts, rng):
+    """One split attempt for each node of _build_tree's block: its rows
+    are the segment of rows from its start, its features a row of feats.
+    The direction comes from a projection bootstrap drawn from rng (as
+    multinomial row weights), or from every row when rng is None, and the
+    threshold from every row's projection. Returns the directions,
+    thresholds, left sizes (0: no split), left class-1 counts and the
+    projections."""
     sizes = np.diff(starts, append=rows.size)
     boot = None
     if rng is not None:
@@ -363,16 +363,10 @@ def _split_nodes(x, y, rows, feats, starts, rng):
         draw += spread(starts, sizes)
         boot = np.bincount(draw, minlength=rows.size)
         del draw
-    # x[r, f] is flat[f * step + r * rstep]; flat is a view of a C- or
-    # F-contiguous table (training passes one), a copy of any other
-    f_order = x.flags.f_contiguous
-    flat = x.ravel("F" if f_order else "C")
-    step, rstep = (x.shape[0], 1) if f_order else (1, x.shape[1])
-    at = rows * rstep
+    n, flat = block.shape[1], block.reshape(-1)  # band f of row r at f * n + r
     cols = np.empty((feats.shape[1], rows.size))
     for j in range(feats.shape[1]):
-        flat.take(spread(feats[:, j] * step, sizes) + at, out=cols[j])
-    del at
+        flat.take(spread(feats[:, j] * n, sizes) + rows, out=cols[j])
     yr = y[rows]
     a = binary_directions(*segment_moments(cols, yr, starts, boot), TrainConfig.gamma)
     del boot
@@ -393,20 +387,23 @@ def _partition(rows, z, t, ok, sizes):
     return rows[keep][np.argsort(key, kind="stable")]
 
 
-def _build_tree(x, y, config, tree_index) -> FlatTree:
+def _build_tree(block, y, config, tree_index) -> FlatTree:
     """Grow tree tree_index level by level, into a FlatTree in level order.
 
-    A level's nodes are the children of the last level's splits, in
-    parent order, left before right: the tree's node order. The rows of
-    the nodes that try a split lie as contiguous segments of one index
-    array, each in ascending row order, and every step below runs on all
-    of them at once. A node becomes a leaf when it is pure, smaller than
+    block is the training set as train_forest hands it over, bands x
+    rows and C-contiguous, and y the rows' 0/1 labels. A level's nodes
+    are the children of the last level's splits, in parent order, left
+    before right: the tree's node order. The rows of the nodes that try
+    a split lie as contiguous segments of one index array, each in
+    ascending row order, and every step below runs on all of them at
+    once. A node becomes a leaf when it is pure, smaller than
     2*min_node_size, or admits no split; each child of a split gets at
     least one row.
     """
-    fs = default_feature_subsample(x.shape[1])
-    rows = np.arange(x.shape[0])
-    sizes = np.array([x.shape[0]])
+    bands, n = block.shape
+    fs = default_feature_subsample(bands)
+    rows = np.arange(n)
+    sizes = np.array([n])
     ones = np.array([np.count_nonzero(y)])
     levels = []
     while True:
@@ -423,16 +420,16 @@ def _build_tree(x, y, config, tree_index) -> FlatTree:
         starts = np.cumsum(n_node) - n_node
         seed = np.random.SeedSequence(config.seed, spawn_key=(0, tree_index, depth))
         rng = np.random.default_rng(seed)
-        feats = np.argsort(rng.random((starts.size, x.shape[1])), axis=1)[:, :fs]
+        feats = np.argsort(rng.random((starts.size, bands)), axis=1)[:, :fs]
         feats.sort(axis=1)
-        a, t, nl, n1, z = _split_nodes(x, y, rows, feats, starts, rng)
+        a, t, nl, n1, z = _split_nodes(block, y, rows, feats, starts, rng)
         # no direction or no split from the bootstrap: retry on the whole node
         retry = nl == 0
         if retry.any():
             sub = np.repeat(retry, n_node)
             n_sub = n_node[retry]
             a[retry], t[retry], nl[retry], n1[retry], z[sub] = _split_nodes(
-                x, y, rows[sub], feats[retry], np.cumsum(n_sub) - n_sub, None
+                block, y, rows[sub], feats[retry], np.cumsum(n_sub) - n_sub, None
             )
         ok = nl > 0
         split[tries] = ok
@@ -512,7 +509,9 @@ def train_forest(samples: SampleSet, config: TrainConfig | None = None,
 
     samples.features are expected already standardized by the pipeline;
     pass the fitted scaler so the model can standardize raw spectra at
-    prediction time (an identity scaler is recorded when omitted).
+    prediction time (an identity scaler is recorded when omitted). Trees
+    grow from one bands x rows block of the features: a view of a
+    column-major table (cca.standardize's), a copy of a row-major one.
     """
     cfg = config if config is not None else TrainConfig()
     if samples.n_classes != 2:
@@ -539,7 +538,7 @@ def train_forest(samples: SampleSet, config: TrainConfig | None = None,
 
     # a task is a tree index; per-level RNG streams make the result
     # independent of scheduling
-    inputs = (samples.features, samples.labels, cfg)
+    inputs = (np.ascontiguousarray(samples.features.T), samples.labels, cfg)
     trees = _fan_out(_build_tree, inputs, range(cfg.n_trees), _worker_count(cfg.n_trees))
     return CcfModel(
         trees=list(trees),

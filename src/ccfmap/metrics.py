@@ -92,7 +92,8 @@ def mean_iou(c: ConfusionMatrix):
     """Per-class IoU = TP/(TP+FP+FN) and their unweighted mean.
 
     A class absent from both prediction and truth has zero union; it is
-    undefined (None) and excluded from the mean.
+    undefined (None) and excluded from the mean. A positive total gives
+    some truth class a union, so the mean is always defined.
     """
     if c.total == 0:
         raise DataError("undefined metric: no evaluated pixels")
@@ -107,8 +108,6 @@ def mean_iou(c: ConfusionMatrix):
         else:
             ious.append(tp / union)
     defined = [v for v in ious if v is not None]
-    if not defined:
-        raise DataError("undefined metric: all classes have zero union")
     return tuple(ious), sum(defined) / len(defined)
 
 

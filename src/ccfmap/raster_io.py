@@ -59,7 +59,7 @@ class MultispectralRaster:
     nodata: float | None = None
     band_names: tuple[str, ...] | None = None
 
-    adopt: InitVar[bool] = False  # values is new, finite float32; its planes C-ordered
+    adopt: InitVar[bool] = False  # take over new float32 values, planes C-ordered: no copy
 
     def __post_init__(self, adopt):
         v = np.asarray(self.values, dtype=np.float32)
@@ -68,12 +68,11 @@ class MultispectralRaster:
         if min(v.shape) < 1:
             raise DataError(f"empty raster: shape {v.shape}")
         planes = v.transpose(2, 0, 1)
-        if adopt:
-            planes = np.ascontiguousarray(planes)
-        else:  # the caller keeps its array; the raster holds a copy
-            if not np.isfinite(v).all():
+        # unless adopted, the caller keeps its array and the raster holds a copy
+        planes = np.ascontiguousarray(planes) if adopt else planes.copy()
+        for plane in planes:  # a plane at a time: the check's bools cost one plane
+            if not np.isfinite(plane).all():
                 raise DataError("raster values must be finite")
-            planes = planes.copy()
         planes.setflags(write=False)
         object.__setattr__(self, "values", planes.transpose(1, 2, 0))
         object.__setattr__(self, "nodata", _check_nodata(self.nodata))
@@ -386,7 +385,7 @@ def _grid(spec: SyntheticSceneSpec):
     return np.meshgrid(ys, xs, indexing="ij")
 
 
-@np.errstate(over="ignore", invalid="ignore")  # overflow is refused below as non-finite
+@np.errstate(over="ignore", invalid="ignore")  # the raster refuses an overflow as non-finite
 def generate_scene(spec: SyntheticSceneSpec):
     """Deterministic (raster, mask) pair for one scene spec.
 
@@ -435,8 +434,6 @@ def generate_scene(spec: SyntheticSceneSpec):
     values *= scale
     planes = np.empty((b, h, w), dtype=np.float32)  # the raster's band-sequential layout
     np.add(values, offset, out=planes.transpose(1, 2, 0), casting="same_kind")
-    if not np.isfinite(planes).all():  # checked once here, so the raster adopts them
-        raise DataError("raster values must be finite")
 
     mask = label.astype(np.uint8)
     border = spec.unlabeled_border

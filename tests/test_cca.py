@@ -14,6 +14,7 @@ from hypothesis.extra import numpy as hnp
 from ccfmap.cca import (
     CcaResult,
     ColumnStats,
+    as_matrix,
     binary_directions,
     cca,
     _centered,
@@ -23,6 +24,16 @@ from ccfmap.cca import (
     standardize,
 )
 from ccfmap.errors import DataError
+
+
+class TestAsMatrix:
+    def test_rejects_zero_rows(self):
+        with pytest.raises(DataError, match=r"^features needs at least 1 row\(s\), got 0$"):
+            as_matrix(np.empty((0, 3)), "features")
+
+    def test_rejects_zero_columns(self):
+        with pytest.raises(DataError, match="^features needs at least one column$"):
+            as_matrix(np.empty((3, 0)), "features")
 
 
 class TestColumnStats:
@@ -284,6 +295,10 @@ class TestProject:
     def test_mean_shape_mismatch(self):
         with pytest.raises(DataError, match="mean"):
             project(np.ones((4, 3)), np.ones((3, 1)), np.zeros(2))
+
+    def test_one_dimensional_components(self):
+        with pytest.raises(DataError, match=r"^components must be a 2-D"):
+            project(np.ones((4, 3)), np.ones(3), np.zeros(3))
 
     def test_result_type_is_plain_array(self):
         res = project(np.ones((2, 2)), np.ones((2, 1)), np.zeros(2))

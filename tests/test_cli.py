@@ -733,6 +733,34 @@ class TestResourceFailure:
         )
 
 
+class TestNumericFailure:
+    """A numeric failure in growth, in this process or in a forked worker
+    (which inherits the patch; the pool raises its error here), ends in
+    one "numeric error" line after the config line, exit 3, no model."""
+
+    @pytest.mark.parametrize("threads, where", [("1", "parent"), ("2", "worker")])
+    def test_linalg_error_exits_3(self, threads, where, scene_dir, tmp_path, capsys,
+                                  monkeypatch):
+        monkeypatch.setattr(forest, "_usable_cores", lambda: 2)
+        monkeypatch.setenv("CCF_THREADS", threads)
+        parent = os.getpid()
+
+        def no_directions(*args):
+            side = "parent" if os.getpid() == parent else "worker"
+            raise np.linalg.LinAlgError(f"eigh failed in the {side}")
+
+        monkeypatch.setattr(forest, "binary_directions", no_directions)
+        rc = main(["train", "--raster", str(scene_dir / "raster.json"),
+                   "--mask", str(scene_dir / "mask.json"),
+                   "--out", str(tmp_path / "model.ccf.json"), "--seed", "3"])
+        captured = capsys.readouterr()
+        assert rc == 3
+        lines = captured.err.splitlines()
+        assert len(lines) == 2 and lines[0].startswith("ccfmap: config ")
+        assert lines[1] == f"ccfmap: numeric error: eigh failed in the {where}"
+        assert captured.out == "" and list(tmp_path.iterdir()) == []
+
+
 class TestEvaluateAndCross:
     def test_perfect_self_evaluation(self, scene_dir, tmp_path):
         rc = main(

@@ -171,10 +171,15 @@ def _leaf_model(count_rows, n_bands=3):
     )
 
 
+def _block(x):
+    """The bands x rows block train_forest grows trees from."""
+    return np.ascontiguousarray(np.asarray(x).T)
+
+
 def _grow_tree(samples, config, seed):
     """Grow tree 0 of a forest seeded with seed, as train_forest does."""
     cfg = dataclasses.replace(config, seed=seed)
-    return _build_tree(samples.features, samples.labels, cfg, 0)
+    return _build_tree(_block(samples.features), samples.labels, cfg, 0)
 
 
 def _assert_same_trees(a, b):
@@ -707,8 +712,12 @@ class TestTrainForest:
 
     def test_pool_receives_samples_once(self, monkeypatch):
         s = _blobs(300, 6, 3.0, np.random.default_rng(19))
+        assert s.features.flags.c_contiguous
         initargs, task_bytes = _train_on_recorded_pool(s, monkeypatch)
-        assert [a is s.features for a in initargs].count(True) == 1
+        # a row-major set is handed over as one bands x rows copy
+        [block] = [a for a in initargs if isinstance(a, np.ndarray) and a.ndim == 2]
+        assert block.flags.c_contiguous and not np.shares_memory(block, s.features)
+        np.testing.assert_array_equal(block, s.features.T)
         assert [a is s.labels for a in initargs].count(True) == 1
         # the 300 x 6 features alone pickle to over 14 KB
         assert task_bytes and max(task_bytes) < 1024
@@ -719,7 +728,9 @@ class TestTrainForest:
         s = SampleSet(standardize(raw.features, fit_scaler(raw)), raw.labels, adopt=True)
         assert s.features.flags.f_contiguous
         initargs, _ = _train_on_recorded_pool(s, monkeypatch)
-        assert [a is s.features for a in initargs].count(True) == 1
+        # its bands x rows block is a view of the table, not a copy
+        [block] = [a for a in initargs if isinstance(a, np.ndarray) and a.ndim == 2]
+        assert block.flags.c_contiguous and block.base is s.features
 
     @pytest.mark.parametrize("value", ["abc", "0", "-2"])
     def test_bad_thread_count_rejected(self, monkeypatch, value):
@@ -800,27 +811,31 @@ class TestLevelGrowth:
 
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_growth_peaks_under_three_times_the_features(self, order):
+        # the block of a row-major (C) table is a copy, of a column-major
+        # (F) one a view; either way growth allocates only its working set
         s = _blobs(20_000, 10, 3.0, np.random.default_rng(23))
-        x = np.asarray(s.features, order=order)
+        block = _block(np.asarray(s.features, order=order))
         cfg = TrainConfig()
         tracemalloc.start()
         try:
-            tree = _build_tree(x, s.labels, cfg, 0)
+            tree = _build_tree(block, s.labels, cfg, 0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert tree.n_nodes > 1000
-        assert peak <= 3 * x.nbytes
+        assert peak <= 3 * block.nbytes
 
-    def test_feature_layout_does_not_change_the_tree(self):
+    def test_feature_layout_does_not_change_the_tree(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("CCF_THREADS", "1")
         s = _blobs(2_000, 8, 1.5, np.random.default_rng(24))
-        cfg = TrainConfig(seed=3)
-        c = _build_tree(np.ascontiguousarray(s.features), s.labels, cfg, 1)
-        f = _build_tree(np.asfortranarray(s.features), s.labels, cfg, 1)
-        assert c.n_nodes > 100
-        for name in TREE_FIELDS:
-            a, b = getattr(c, name), getattr(f, name)
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        cfg = TrainConfig(n_trees=2, seed=3)
+        f = SampleSet(np.asfortranarray(s.features), s.labels, adopt=True)
+        assert s.features.flags.c_contiguous and f.features.flags.f_contiguous
+        s_model, f_model = train_forest(s, cfg), train_forest(f, cfg)
+        assert min(t.n_nodes for t in s_model.trees) > 100
+        _assert_same_trees(s_model, f_model)
+        a, b = (save_model(m, tmp_path / f"{i}.json") for i, m in enumerate([s_model, f_model]))
+        assert open(a, "rb").read() == open(b, "rb").read()
 
 
 _LARGE = forest._LARGE_NODE
@@ -885,8 +900,10 @@ class TestLevelKernelReference:
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("make", [_oblique, _overlapping, _ties])
     def test_trees_equal_the_frozen_kernel(self, make, order, monkeypatch):
+        # train_forest hands growth a copy of a C-ordered set, a view of an F one
+        monkeypatch.setenv("CCF_THREADS", "1")
         x, y = make(np.random.default_rng(7))
-        x = np.asarray(x, order=order)
+        s = SampleSet(np.asarray(x, order=order), y, adopt=True)
         draws, retries = [], []
 
         def spy_draw(rng, sizes, draw=forest._draw):
@@ -897,13 +914,17 @@ class TestLevelKernelReference:
             retries.append(args[-1] is None)
             return split(*args)
 
-        cfg = TrainConfig(seed=3)
+        cfg = TrainConfig(n_trees=2, seed=3)
         with monkeypatch.context() as m:
             m.setattr(forest, "_draw", spy_draw)
             m.setattr(forest, "_split_nodes", spy_split)
-            got = [_build_tree(x, y, cfg, t) for t in range(2)]
-        monkeypatch.setattr(forest, "_split_nodes", growth_reference._split_nodes)
-        want = [_build_tree(x, y, cfg, t) for t in range(2)]
+            got = train_forest(s, cfg).trees
+
+        def frozen_split(block, *args):  # the frozen kernel reads rows x bands
+            return growth_reference._split_nodes(block.T, *args)
+
+        monkeypatch.setattr(forest, "_split_nodes", frozen_split)
+        want = train_forest(s, cfg).trees
         assert any(retries)
         if make is _oblique:
             large = [sizes for sizes in draws if (sizes >= _LARGE).any()]

@@ -4,6 +4,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ccfmap.errors import DataError
 from ccfmap.metrics import (
@@ -132,6 +135,20 @@ class TestConfusionValidation:
         assert cm.counts.shape == (254, 254)
         assert cm.counts[253, 253] == 1 and cm.abstain[253] == 1 and cm.skipped == 1
 
+    @pytest.mark.parametrize("counts, abstain, skipped, pattern", [
+        (np.zeros((2, 3)), np.zeros(2), 0, r"counts must be square, got shape \(2, 3\)"),
+        (np.zeros(4), np.zeros(2), 0, r"counts must be square, got shape \(4,\)"),
+        (np.zeros((2, 2)), np.zeros(3), 0, r"abstain must have one entry per class"),
+        (np.zeros((2, 2)), np.zeros((2, 1)), 0, r"abstain must have one entry per class"),
+        ([[1, -1], [0, 0]], np.zeros(2), 0, "negative tallies"),
+        (np.zeros((2, 2)), [0, -2], 0, "negative tallies"),
+        (np.zeros((2, 2)), np.zeros(2), -1, "negative tallies"),
+    ])
+    def test_confusion_matrix_rejects_malformed_tallies(self, counts, abstain, skipped,
+                                                        pattern):
+        with pytest.raises(DataError, match=pattern):
+            ConfusionMatrix(counts, abstain, skipped)
+
     def test_three_class_values_accepted(self):
         pred = np.array([[2, 0]], dtype=np.uint8)
         truth = np.array([[2, 1]], dtype=np.uint8)
@@ -254,6 +271,21 @@ class TestIou:
         cm = _cm(np.zeros((2, 2), dtype=np.int64))
         with pytest.raises(DataError, match="no evaluated pixels"):
             mean_iou(cm)
+
+    @given(st.integers(1, 5).flatmap(lambda k: st.tuples(
+        hnp.arrays(np.int64, (k, k), elements=st.integers(0, 3)),
+        hnp.arrays(np.int64, (k,), elements=st.integers(0, 3)),
+    )))
+    def test_positive_total_has_a_defined_class(self, tallies):
+        cm = _cm(*tallies)
+        assume(cm.total > 0)
+        per_class, mean = mean_iou(cm)
+        defined = [v for v in per_class if v is not None]
+        # a labeled pixel's truth class always has a union
+        truth_rows = cm.counts.sum(axis=1) + cm.abstain
+        assert all(per_class[c] is not None for c in np.flatnonzero(truth_rows))
+        assert defined and mean == sum(defined) / len(defined)
+        assert 0.0 <= mean <= 1.0
 
 
 class TestPixelAccuracy:

@@ -54,6 +54,10 @@ class TestSampleSet:
         with pytest.raises(DataError, match="labels"):
             SampleSet(np.ones((3, 2)), np.array([0, 1]))
 
+    def test_one_class_name(self):
+        with pytest.raises(DataError, match="^need at least 2 class names$"):
+            SampleSet(np.ones((2, 2)), np.array([0, 0]), ("only",))
+
     def test_non_integer_labels(self):
         with pytest.raises(DataError, match="integer"):
             SampleSet(np.ones((2, 2)), np.array([0.0, 1.0]))

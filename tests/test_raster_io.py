@@ -8,6 +8,7 @@ import functools
 import json
 import math
 import os
+import re
 import struct
 import tempfile
 import tracemalloc
@@ -106,6 +107,19 @@ class TestRasterContainer:
         v[0, 0, 0] = np.nan
         with pytest.raises(DataError, match="finite"):
             MultispectralRaster(values=v)
+
+    @pytest.mark.parametrize("adopt", [False, True])
+    @pytest.mark.parametrize("band", [0, 2])
+    def test_rejects_non_finite_however_built(self, adopt, band, tmp_path):
+        # adopt only skips the copy: an adopted NaN is refused too, so
+        # write_raster never writes a payload that read_raster refuses
+        planes = np.ones((3, 2, 2), np.float32)
+        planes[band, 1, 1] = np.nan
+        with pytest.raises(DataError, match="^raster values must be finite$"):
+            MultispectralRaster(planes.transpose(1, 2, 0), adopt=adopt)
+        with pytest.raises(DataError, match="^raster values must be finite$"):
+            MultispectralRaster(np.full((2, 2, 1), np.inf, np.float32), adopt=adopt)
+        assert not os.listdir(tmp_path)
 
     def test_rejects_wrong_ndim(self):
         with pytest.raises(DataError, match="ndim=2"):
@@ -457,6 +471,12 @@ class TestMaskIo:
     def test_empty_mask_rejected(self, tmp_path):
         with pytest.raises(DataError, match="empty raster"):
             write_mask(np.zeros((0, 3), np.uint8), tmp_path / "m")
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 2, 1)])
+    def test_mask_that_is_not_2d_rejected(self, tmp_path, shape):
+        with pytest.raises(DataError, match=f"^mask must be 2-D, got ndim={len(shape)}$"):
+            write_mask(np.zeros(shape, np.uint8), tmp_path / "m")
+        assert not os.listdir(tmp_path)
 
     def test_wrong_layout_rejected(self, tmp_path):
         header, _ = write_mask(np.zeros((2, 2), np.uint8), tmp_path / "m")
@@ -1223,6 +1243,17 @@ class TestReportIo:
         truth = np.array([[0, 1, 1]], dtype=np.uint8)
         doc = read_report(write_report(evaluate(pred, truth), tmp_path / "r.json"))
         assert doc["pixel_accuracy_percent"] == 66.7
+
+
+@pytest.mark.parametrize("reader", [read_raster, load_model, read_report])
+@pytest.mark.parametrize("text", ["[]", '"text"', "3", "null"])
+def test_json_document_that_is_no_object_rejected(tmp_path, reader, text):
+    # a raster header, a model and a report each go through _load_json
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    want = f"^malformed header {re.escape(str(path))}: expected a JSON object$"
+    with pytest.raises(DataError, match=want):
+        reader(path)
 
 
 class TestSceneGeneration:
