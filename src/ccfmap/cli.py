@@ -16,7 +16,6 @@ import math
 import os
 import re
 import sys
-from concurrent.futures import BrokenExecutor
 
 import numpy as np
 
@@ -268,6 +267,13 @@ def cmd_synth(args) -> None:
     print(f"mask written: {mask_paths[0]} + {mask_paths[1]}")
 
 
+def _broken_pool() -> type:
+    """What a pool that lost a worker raises, imported only once an exception
+    reaches main's except clause: a command that forks no pool never loads it."""
+    from concurrent.futures import BrokenExecutor
+    return BrokenExecutor
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -285,7 +291,7 @@ def main(argv=None) -> int:
     except (np.linalg.LinAlgError, FloatingPointError, ZeroDivisionError) as exc:
         print(f"{PROG}: numeric error: {exc}", file=sys.stderr)
         return _EXIT_NUMERIC
-    except (MemoryError, BrokenExecutor) as exc:  # a worker the OOM killer ends breaks the pool
+    except (MemoryError, _broken_pool()) as exc:  # a worker the OOM killer ends breaks the pool
         print(f"{PROG}: error: out of memory or a worker process lost ({exc!r}); "
               f"a lower CCF_THREADS runs fewer workers", file=sys.stderr)
         return _EXIT_RESOURCES

@@ -78,7 +78,6 @@ from __future__ import annotations
 import functools
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -497,6 +496,7 @@ def _fan_out(fn, inputs, tasks, workers: int):
     if workers <= 1:
         yield from map(functools.partial(fn, *inputs), tasks)
         return
+    from concurrent.futures import ProcessPoolExecutor  # loaded only by a command that forks
     with ProcessPoolExecutor(
         max_workers=workers, initializer=_hold_task, initargs=(fn, *inputs)
     ) as pool:

@@ -112,7 +112,7 @@ def load_model(path) -> CcfModel:
     each field of a tree as one array, so past JSON decoding a tree costs
     a few numpy calls per column, not Python work per value."""
     p = os.fspath(path)
-    doc = _load_json(p)
+    doc = _load_json(p, "model")
     version = doc.get("format_version")
     if version != MODEL_FORMAT_VERSION:
         raise DataError(

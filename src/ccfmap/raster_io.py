@@ -29,7 +29,6 @@ from dataclasses import InitVar, dataclass
 import numpy as np
 
 from .errors import DataError, is_int, is_real
-from .metrics import EvalReport
 from .pipeline import UNLABELED, check_mask
 
 RASTER_DTYPE = "f32le"
@@ -73,16 +72,28 @@ class MultispectralRaster:
         for plane in planes:  # a plane at a time: the check's bools cost one plane
             if not np.isfinite(plane).all():
                 raise DataError("raster values must be finite")
+        names = self.band_names
+        if names is not None:
+            names = tuple(str(n) for n in names)
+            if len(names) != v.shape[2]:
+                raise DataError(f"{len(names)} band name(s) for {v.shape[2]} band(s)")
+        self._hold(planes, _check_nodata(self.nodata), names)
+
+    def _hold(self, planes: np.ndarray, nodata, band_names) -> None:
         planes.setflags(write=False)
         object.__setattr__(self, "values", planes.transpose(1, 2, 0))
-        object.__setattr__(self, "nodata", _check_nodata(self.nodata))
-        if self.band_names is not None:
-            names = tuple(str(n) for n in self.band_names)
-            if len(names) != v.shape[2]:
-                raise DataError(
-                    f"{len(names)} band name(s) for {v.shape[2]} band(s)"
-                )
-            object.__setattr__(self, "band_names", names)
+        object.__setattr__(self, "nodata", nodata)
+        object.__setattr__(self, "band_names", band_names)
+
+    @classmethod
+    def _read(cls, file: RasterFile) -> MultispectralRaster:
+        """file's whole payload, checked finite by RasterFile.window as it
+        reads it; built without __post_init__, so no value is checked twice."""
+        raster = object.__new__(cls)
+        pixels = file.window(0, file.height * file.width)  # planes.T: one read
+        raster._hold(pixels.T.reshape(file.bands, file.height, file.width),
+                     file.nodata, file.band_names)
+        return raster
 
     @property
     def height(self) -> int:
@@ -135,16 +146,17 @@ def _write_json(doc: dict, path) -> str:
     return _write_atomic(path, [text.encode()])
 
 
-def _load_json(path) -> dict:
+def _load_json(path, what: str) -> dict:
+    """The JSON object in path; its errors name it what (header, model, report)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:  # bad JSON, not UTF-8, too deep
-        raise DataError(f"malformed header {path}: {exc}") from exc
+        raise DataError(f"malformed {what} {path}: {exc}") from exc
     if not isinstance(doc, dict):
-        raise DataError(f"malformed header {path}: expected a JSON object")
+        raise DataError(f"malformed {what} {path}: expected a JSON object")
     return doc
 
 
@@ -224,7 +236,7 @@ def _check_header(path, dtype: str) -> RasterFile:
     width/height/bands (a mask has one band), dtype, layout, the optional
     nodata and band_names, and the payload's size."""
     header_path, payload_path = _sidecar_paths(path)
-    doc = _load_json(header_path)
+    doc = _load_json(header_path, "header")
     dims = []
     for key in ("width", "height", "bands"):
         v = doc.get(key)
@@ -271,10 +283,7 @@ def write_raster(raster: MultispectralRaster, path) -> tuple[str, str]:
 
 def read_raster(header_path) -> MultispectralRaster:
     """Read a raster written by write_raster, validating everything."""
-    file = _check_header(header_path, RASTER_DTYPE)
-    pixels = file.window(0, file.height * file.width)  # planes.T: one read, no copy
-    return MultispectralRaster(pixels.reshape(file.height, file.width, file.bands),
-                               file.nodata, file.band_names, adopt=True)
+    return MultispectralRaster._read(_check_header(header_path, RASTER_DTYPE))
 
 
 def open_raster(header_path) -> RasterFile:
@@ -330,7 +339,7 @@ def write_report(report: EvalReport, path, class_names=None) -> str:
 
 
 def read_report(path) -> dict:
-    return _load_json(path)
+    return _load_json(path, "report")
 
 
 # --- synthetic scenes ------------------------------------------------------

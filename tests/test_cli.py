@@ -9,6 +9,7 @@ import signal
 import struct
 import tracemalloc
 import weakref
+from concurrent import futures
 
 import numpy as np
 import pytest
@@ -559,7 +560,7 @@ class TestBadThreadCount:
         def no_pool(*args, **kwargs):
             raise AssertionError("a worker pool started")
 
-        monkeypatch.setattr(forest, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(futures, "ProcessPoolExecutor", no_pool)
         raster = str(scene_dir / "raster.json")
         assert main(["train", "--raster", raster, "--mask", str(scene_dir / "mask.json"),
                      "--out", str(tmp_path / "m.ccf.json")]) == 2

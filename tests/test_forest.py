@@ -6,6 +6,7 @@ import os
 import pickle
 import re
 import tracemalloc
+from concurrent import futures
 from unittest import mock
 
 import numpy as np
@@ -306,7 +307,7 @@ def _train_on_recorded_pool(s, monkeypatch):
     monkeypatch.setenv("CCF_THREADS", "2")
     pools, task_bytes = [], []
 
-    class RecordingPool(forest.ProcessPoolExecutor):
+    class RecordingPool(futures.ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
             pools.append(kwargs)
             super().__init__(*args, **kwargs)
@@ -315,7 +316,7 @@ def _train_on_recorded_pool(s, monkeypatch):
             task_bytes.append(len(pickle.dumps((fn, args, kwargs))))
             return super().submit(fn, *args, **kwargs)
 
-    monkeypatch.setattr(forest, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", RecordingPool)
     model = train_forest(s, TrainConfig(n_trees=5, seed=3))
     assert len(model.trees) == 5
     [kwargs] = pools
@@ -740,7 +741,7 @@ class TestTrainForest:
         def no_pool(*args, **kwargs):
             raise AssertionError("a worker pool started")
 
-        monkeypatch.setattr(forest, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(futures, "ProcessPoolExecutor", no_pool)
         with pytest.raises(DataError, match="CCF_THREADS.*" + re.escape(repr(value))):
             train_forest(s, TrainConfig(n_trees=2))
 
@@ -1234,13 +1235,13 @@ class TestPredictRaster:
         else:
             monkeypatch.setenv("CCF_THREADS", threads)
         pools = []
-        real_pool = forest.ProcessPoolExecutor
+        real_pool = futures.ProcessPoolExecutor
 
         def counting_pool(*args, **kwargs):
             pools.append(kwargs["max_workers"])
             return real_pool(*args, **kwargs)
 
-        monkeypatch.setattr(forest, "ProcessPoolExecutor", counting_pool)
+        monkeypatch.setattr(futures, "ProcessPoolExecutor", counting_pool)
         mask, prob = predict_raster(model, raster)
 
         workers = forest._worker_count(10**6)
@@ -1332,7 +1333,7 @@ class TestPredictRaster:
         def no_pool(*args, **kwargs):
             raise AssertionError("a worker pool started")
 
-        monkeypatch.setattr(forest, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(futures, "ProcessPoolExecutor", no_pool)
         mask, _ = predict_raster(model, raster)
         assert mask.size == 143 < forest._FANOUT_FLOOR
 

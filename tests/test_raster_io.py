@@ -206,6 +206,22 @@ class TestRasterRoundTrip:
         assert back.values.transpose(2, 0, 1).flags.c_contiguous
         assert not back.values.flags.writeable
 
+    def test_each_payload_value_checked_finite_once(self, tmp_path, monkeypatch):
+        # the reader checks what it reads, and the raster it builds from
+        # those planes does not check them again
+        r = _random_raster(np.random.default_rng(5), h=6, w=5, b=4)
+        write_raster(r, tmp_path / "c")
+        checked, isfinite = [], np.isfinite
+
+        def counting_isfinite(values):
+            checked.append(np.size(values))
+            return isfinite(values)
+
+        monkeypatch.setattr(np, "isfinite", counting_isfinite)
+        back = read_raster(tmp_path / "c.json")
+        assert sum(checked) == 6 * 5 * 4
+        assert back.values.tobytes() == r.values.tobytes()
+
     def test_read_peak_memory_near_payload(self, tmp_path):
         values = np.random.default_rng(9).normal(size=(384, 384, 8)).astype(np.float32)
         write_raster(MultispectralRaster(values=values), tmp_path / "big")
@@ -320,7 +336,8 @@ class TestRasterCorruption:
     @pytest.mark.parametrize("reader", [read_raster, read_mask, load_model])
     def test_deeply_nested_header(self, tmp_path, reader):
         (tmp_path / "h.json").write_text("[" * 100000)
-        with pytest.raises(DataError, match="malformed header"):
+        kind = "model" if reader is load_model else "header"
+        with pytest.raises(DataError, match=f"malformed {kind}"):
             reader(tmp_path / "h.json")
 
     def test_missing_payload(self, tmp_path):
@@ -1245,14 +1262,28 @@ class TestReportIo:
         assert doc["pixel_accuracy_percent"] == 66.7
 
 
-@pytest.mark.parametrize("reader", [read_raster, load_model, read_report])
+_DOCUMENT_KIND = {read_raster: "header", load_model: "model", read_report: "report"}
+
+
+@pytest.mark.parametrize("reader", list(_DOCUMENT_KIND))
 @pytest.mark.parametrize("text", ["[]", '"text"', "3", "null"])
 def test_json_document_that_is_no_object_rejected(tmp_path, reader, text):
-    # a raster header, a model and a report each go through _load_json
+    # a raster header, a model and a report each go through _load_json,
+    # and its error names the document it read
+    kind = _DOCUMENT_KIND[reader]
     path = tmp_path / "doc.json"
     path.write_text(text)
-    want = f"^malformed header {re.escape(str(path))}: expected a JSON object$"
+    want = f"^malformed {kind} {re.escape(str(path))}: expected a JSON object$"
     with pytest.raises(DataError, match=want):
+        reader(path)
+
+
+@pytest.mark.parametrize("reader", list(_DOCUMENT_KIND))
+def test_json_that_does_not_decode_names_the_document(tmp_path, reader):
+    kind = _DOCUMENT_KIND[reader]
+    path = tmp_path / "doc.json"
+    path.write_text("[1, 2")
+    with pytest.raises(DataError, match=f"^malformed {kind} {re.escape(str(path))}: "):
         reader(path)
 
 
