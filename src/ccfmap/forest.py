@@ -47,13 +47,19 @@ per band. A smaller split is parked, and after the walk _finish_small
 takes all of the tree's parked rows down at once, one level per step,
 each row with its own node id. Deep trees end in thousands of small
 nodes, and the depth-first walk pays its numpy calls per node; the
-batched pass pays them once per level. Both phases project through _project and compare
-with <=, so where the cut falls does not change a leaf. A depth-first
-split hands _project a generator, so it holds one gathered feature
-column at a time. predict_proba_batch sums the leaf distributions
-class-major, one contiguous run of rows per class, and returns their
-(rows, 2) transpose; _classes is the one class rule (class 1 iff its
-probability exceeds class 0's, argmax's tie rule).
+batched pass pays them once per level. Both phases project through
+_project and compare with <=, so where the cut falls does not change a
+leaf. A depth-first split hands _project a generator, so it holds one
+gathered feature column at a time. A split that more than _BLOCK rows
+reach (_blocked_go_left) gathers, projects and compares them one block
+of _BLOCK rows at a time, into one bool array that the split's rows are
+then compressed by: a block's temporaries are 256 KB each and stay in a
+2 MB L2 cache, where a 262,144-row window's are 2 MB each beside its
+21 MB float64 block of 10 bands. On the bulk benchmark (2 vCPUs) that
+took cross_s from 0.31 to 0.28 s. predict_proba_batch sums the leaf
+distributions class-major, one contiguous run of rows per class, and
+returns their (rows, 2) transpose; _classes is the one class rule (class
+1 iff its probability exceeds class 0's, argmax's tie rule).
 
 _fan_out runs both training and prediction on up to CCF_THREADS worker
 processes, never more than the usable cores. Each worker receives the
@@ -93,6 +99,7 @@ MODEL_FORMAT_VERSION = "ccf-3"
 _PREDICT_CHUNK = 1 << 18  # most rows one predict_proba_batch call routes
 _FANOUT_FLOOR = 1 << 15  # fewer pixels than this predict in-process
 _SMALL_NODE = 128  # most rows a split may hold for _route to park it for _finish_small
+_BLOCK = 1 << 15  # most rows _route projects at once: 256 KB per float64 column
 _LARGE_NODE = 1 << 12  # fewest rows of a node that draws its bootstrap on its own
 
 
@@ -378,12 +385,14 @@ def _split_nodes(block, y, rows, feats, starts, rng):
 def _partition(rows, z, t, ok, sizes):
     """The rows of the next level: those of the nodes where ok, each
     node's rows (sizes[s] of them, projected to z) split at its
-    threshold t[s], stably by (node, side)."""
-    keep = np.repeat(ok, sizes)
-    kept = sizes[ok]
-    key = _segment_keys(kept, 2)
-    key += z[keep] > np.repeat(t[ok], kept)
-    return rows[keep][np.argsort(key, kind="stable")]
+    threshold t[s], stably by (node, side). A level where every node
+    splits keeps all its rows, uncopied."""
+    if not ok.all():
+        keep = np.repeat(ok, sizes)
+        rows, z, t, sizes = rows[keep], z[keep], t[ok], sizes[ok]
+    key = _segment_keys(sizes, 2)
+    key += z > np.repeat(t, sizes)
+    return rows[np.argsort(key, kind="stable")]
 
 
 def _build_tree(block, y, config, tree_index) -> FlatTree:
@@ -414,7 +423,8 @@ def _build_tree(block, y, config, tree_index) -> FlatTree:
             levels.append((split, np.empty((0, fs), dtype=np.int64), np.empty((0, fs)),
                            np.empty(0), tally))
             return FlatTree.from_columns(*map(np.concatenate, zip(*levels)))
-        rows = rows[np.repeat(tries, sizes)]
+        if not tries.all():
+            rows = rows[np.repeat(tries, sizes)]
         n_node, n_ones = sizes[tries], ones[tries]
         starts = np.cumsum(n_node) - n_node
         seed = np.random.SeedSequence(config.seed, spawn_key=(0, tree_index, depth))
@@ -556,7 +566,11 @@ def _route(tree: FlatTree, cols: np.ndarray) -> np.ndarray:
     depth-first with arrays of row indices, and each split gathers only
     its own feature columns for the rows that reach it. A split that at
     most _SMALL_NODE rows reach is parked instead, and _finish_small
-    takes all of the tree's parked rows to their leaves at once.
+    takes all of the tree's parked rows to their leaves at once. A split
+    that more than _BLOCK rows reach projects them _BLOCK rows at a time
+    (_blocked_go_left), so its temporaries fit in L2 cache (bulk
+    benchmark cross_s 0.31 -> 0.28 s on 2 vCPUs); a smaller one projects
+    its rows in one go, with no added call.
     """
     kind = tree.kind.tolist()
     features = tree.features.tolist()
@@ -578,12 +592,15 @@ def _route(tree: FlatTree, cols: np.ndarray) -> np.ndarray:
             continue
         # idx is ascending and duplicate-free, so a node every row reaches
         # can read the columns in place
-        if idx.size == n:
-            columns = (cols[f] for f in features[nid])
+        if idx.size > _BLOCK:
+            go_left = _blocked_go_left(cols, idx, features[nid], projections[nid],
+                                       thresholds[nid])
         else:
-            columns = (cols[f].take(idx) for f in features[nid])
-        z = _project(columns, projections[nid])
-        go_left = z <= thresholds[nid]
+            if idx.size == n:
+                columns = (cols[f] for f in features[nid])
+            else:
+                columns = (cols[f].take(idx) for f in features[nid])
+            go_left = _project(columns, projections[nid]) <= thresholds[nid]
         # compress measured several times faster than idx[go_left] here
         left_idx = idx.compress(go_left)
         right_idx = idx.compress(~go_left)
@@ -596,6 +613,24 @@ def _route(tree: FlatTree, cols: np.ndarray) -> np.ndarray:
         at = np.repeat(parked_at, [idx.size for idx in parked])
         _finish_small(tree, cols, at, rows, leaf)
     return leaf
+
+
+def _blocked_go_left(cols, idx, features, direction, threshold):
+    """_route's z <= threshold for the rows idx of a split, _BLOCK rows
+    at a time: each block's gathered columns and projection stay in L2
+    cache, and each row's arithmetic is the unblocked one. The rows of a
+    split every row reaches are read as column slices in place."""
+    go_left = np.empty(idx.size, dtype=bool)
+    in_place = idx.size == cols.shape[1]
+    for lo in range(0, idx.size, _BLOCK):
+        hi = lo + _BLOCK
+        if in_place:
+            columns = (cols[f, lo:hi] for f in features)
+        else:
+            part = idx[lo:hi]
+            columns = (cols[f].take(part) for f in features)
+        np.less_equal(_project(columns, direction), threshold, out=go_left[lo:hi])
+    return go_left
 
 
 def _finish_small(tree: FlatTree, cols, at, rows, leaf):

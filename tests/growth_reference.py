@@ -1,10 +1,13 @@
 """A frozen copy of the tree-growth level kernel as it was before growth
 drew large nodes' bootstraps with a scalar bound, gathered columns from a
-flat view and searched a one-node level without the by-node sort.
+flat view and searched a one-node level without the by-node sort, and of
+the partition as it was before a level where every node splits kept its
+rows uncopied.
 
-tests/test_forest.py grows trees with this _split_nodes monkeypatched
-into ccfmap.forest and requires the same trees, byte for byte. Nothing
-here may be changed to follow the package: it is the reference.
+tests/test_forest.py grows trees with this _split_nodes and _partition
+monkeypatched into ccfmap.forest and requires the same trees, byte for
+byte. Nothing here may be changed to follow the package: it is the
+reference.
 """
 
 import numpy as np
@@ -127,3 +130,14 @@ def _split_nodes(x, y, rows, feats, starts, rng):
     del cols
     t, _, n_left, ones_left = _segment_splits(z, yr, starts)
     return a, t, n_left, ones_left, z
+
+
+def _partition(rows, z, t, ok, sizes):
+    """The rows of the next level: those of the nodes where ok, each
+    node's rows (sizes[s] of them, projected to z) split at its
+    threshold t[s], stably by (node, side)."""
+    keep = np.repeat(ok, sizes)
+    kept = sizes[ok]
+    key = _segment_keys(kept, 2)
+    key += z[keep] > np.repeat(t[ok], kept)
+    return rows[keep][np.argsort(key, kind="stable")]

@@ -896,7 +896,8 @@ class TestLevelKernelReference:
     """Trees grown by the level kernel equal, byte for byte, those grown
     with tests/growth_reference.py's frozen copy of the kernel it
     replaced: per-row-bound draws, a two-index gather, a direction block
-    and the by-node sort on every level."""
+    and the by-node sort on every level, and a partition that copies the
+    rows it keeps even when it keeps them all."""
 
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("make", [_oblique, _overlapping, _ties])
@@ -905,7 +906,7 @@ class TestLevelKernelReference:
         monkeypatch.setenv("CCF_THREADS", "1")
         x, y = make(np.random.default_rng(7))
         s = SampleSet(np.asarray(x, order=order), y, adopt=True)
-        draws, retries = [], []
+        draws, retries, every_row_splits = [], [], []
 
         def spy_draw(rng, sizes, draw=forest._draw):
             draws.append(sizes)
@@ -915,18 +916,25 @@ class TestLevelKernelReference:
             retries.append(args[-1] is None)
             return split(*args)
 
+        def spy_partition(rows, z, t, ok, sizes, partition=forest._partition):
+            # a level of several nodes that every row reached, and all split
+            every_row_splits.append(rows.size == len(y) and ok.size > 1 and ok.all())
+            return partition(rows, z, t, ok, sizes)
+
         cfg = TrainConfig(n_trees=2, seed=3)
         with monkeypatch.context() as m:
             m.setattr(forest, "_draw", spy_draw)
             m.setattr(forest, "_split_nodes", spy_split)
+            m.setattr(forest, "_partition", spy_partition)
             got = train_forest(s, cfg).trees
 
         def frozen_split(block, *args):  # the frozen kernel reads rows x bands
             return growth_reference._split_nodes(block.T, *args)
 
         monkeypatch.setattr(forest, "_split_nodes", frozen_split)
+        monkeypatch.setattr(forest, "_partition", growth_reference._partition)
         want = train_forest(s, cfg).trees
-        assert any(retries)
+        assert any(retries) and any(every_row_splits)
         if make is _oblique:
             large = [sizes for sizes in draws if (sizes >= _LARGE).any()]
             assert len(large) >= 4 and any((sizes < _LARGE).any() for sizes in large)
@@ -1048,6 +1056,10 @@ class TestPrediction:
         for cut in [*_ROUTING_CUTS, drawn_cut]:
             with mock.patch.object(forest, "_SMALL_NODE", cut):
                 assert forest._route(tree, cols).tolist() == want
+        # every split of more than drawn_cut rows projected drawn_cut rows at a time
+        with mock.patch.object(forest, "_SMALL_NODE", 0), \
+                mock.patch.object(forest, "_BLOCK", drawn_cut):
+            assert forest._route(tree, cols).tolist() == want
 
     def test_route_derives_the_right_child(self, monkeypatch):
         # in level order a split's right child is left + 1: routing never reads right
@@ -1161,6 +1173,66 @@ class TestPrediction:
             predict_proba_batch(model, np.array([1.0, 2.0])[None, :])
         with pytest.raises(DataError, match="3"):
             predict_proba_batch(model, np.ones((4, 2)))
+
+
+class TestBlockedRouting:
+    """A split that more than forest._BLOCK rows reach projects them one
+    block at a time, reading the all-rows root's columns in place and
+    gathering a partial node's: the leaves and probability bytes of one
+    block, with a short last block or not."""
+
+    @staticmethod
+    def _model(separation):
+        # separation 0.5 grows trees to purity; 4 grows shallow ones
+        s = _blobs(400, 5, separation, np.random.default_rng(30))
+        return train_forest(s, TrainConfig(n_trees=3, seed=6))
+
+    @pytest.mark.parametrize("block", [5, 64, 1000])
+    @pytest.mark.parametrize("separation", [0.5, 4.0], ids=["deep", "shallow"])
+    def test_blocks_equal_one_block(self, monkeypatch, block, separation):
+        model = self._model(separation)
+        rows = 2.0 * np.random.default_rng(31).normal(size=(2_777, 5))
+        cols = standardize(rows, model.scaler).T
+        monkeypatch.setattr(forest, "_BLOCK", rows.shape[0])
+        want_leaves = [forest._route(tree, cols) for tree in model.trees]
+        want = predict_proba_batch(model, rows)
+        blocked = []
+
+        def spy(cols, idx, *args, go_left=forest._blocked_go_left):
+            blocked.append((idx.size == cols.shape[1], idx.size))
+            return go_left(cols, idx, *args)
+
+        monkeypatch.setattr(forest, "_blocked_go_left", spy)
+        monkeypatch.setattr(forest, "_BLOCK", block)
+        for tree, leaf in zip(model.trees, want_leaves):
+            assert forest._route(tree, cols).tobytes() == leaf.tobytes()
+        assert predict_proba_batch(model, rows).tobytes() == want.tobytes()
+        assert (True, rows.shape[0]) in blocked  # the root, in place
+        # a partial node over several blocks, the last of them short
+        assert any(not root and size % block for root, size in blocked)
+
+    def test_pooled_raster_equals_serial(self, monkeypatch):
+        model = self._model(0.5)
+        values = np.random.default_rng(32).normal(size=(40, 50, 5)).astype(np.float32)
+        raster = MultispectralRaster(values)
+        monkeypatch.setenv("CCF_THREADS", "1")
+        want_mask, want_prob = predict_raster(model, raster)
+        monkeypatch.setattr(forest, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(forest, "_FANOUT_FLOOR", 16)
+        monkeypatch.setattr(forest, "_BLOCK", 64)  # windows of 1,000 rows: 15 blocks and 40 rows
+        monkeypatch.setenv("CCF_THREADS", "2")
+        pools = []
+        real_pool = futures.ProcessPoolExecutor
+
+        def counting_pool(*args, **kwargs):
+            pools.append(kwargs["max_workers"])
+            return real_pool(*args, **kwargs)
+
+        monkeypatch.setattr(futures, "ProcessPoolExecutor", counting_pool)
+        mask, prob = predict_raster(model, raster)
+        assert pools == [2]
+        assert mask.tobytes() == want_mask.tobytes()
+        assert prob.tobytes() == want_prob.tobytes()
 
 
 class TestPredictRaster:
