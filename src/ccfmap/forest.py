@@ -38,6 +38,25 @@ which numpy sorts by radix up to 16 bits; a level of one node needs no
 sort by node. A stable sort gives one permutation whatever the key
 dtype, so the trees do not depend on it.
 
+A node of more than _BLOCK rows (the first levels of a large training
+set, where a few nodes hold every row) takes its moments and its split
+search alone, a block of rows at a time, so that their temporaries stay
+in L2 cache; each run of smaller nodes keeps one batched call, as in
+_draw. cca.segment_moments sums such a node in leaves of at most
+cca._SUM_LEAF rows and still gives np.add.reduceat's bits, by numpy's
+summation contract (numpy 2.x): reduceat adds a segment x[s:e] as x[s] +
+P(x[s+1:e]), P the pairwise sum, which adds fewer than 8 terms in turn,
+up to 128 in eight accumulators, and splits a longer run at n // 2
+rounded down to a multiple of 8, with no buffer chunking. So the blocked
+sum walks P's splits down to leaf-sized runs, sums each run with one
+reduceat after a -0.0 term (np.add.reduce would start from +0.0 and lose
+the sign of a sum of -0.0 terms), adds the runs in P's order and adds
+x[s] last; the total weight and weighted class-1 count are whole numbers,
+summed as integers. _node_split sorts the node's projections once and
+scans the candidates _BLOCK sorted rows at a time with _gini_term's
+arithmetic; a block's first least Gini replaces the best only when it is
+strictly lower, best_split's lowest-threshold tie rule.
+
 Prediction routes the block predict_proba_batch standardizes. _route
 walks each tree in two phases. It goes depth-first with arrays of row
 indices while a split holds more than _SMALL_NODE rows; such a split
@@ -90,7 +109,7 @@ from typing import ClassVar
 import numpy as np
 
 from .cca import cca  # noqa: F401  (not called here; perfbench/tracer.py counts it)
-from .cca import ColumnStats, binary_directions, segment_moments, spread, standardize
+from .cca import ColumnStats, binary_directions, runs, segment_moments, spread, standardize
 from .errors import DataError, is_int
 from .pipeline import UNLABELED, SampleSet, valid_pixels
 
@@ -99,7 +118,7 @@ MODEL_FORMAT_VERSION = "ccf-3"
 _PREDICT_CHUNK = 1 << 18  # most rows one predict_proba_batch call routes
 _FANOUT_FLOOR = 1 << 15  # fewer pixels than this predict in-process
 _SMALL_NODE = 128  # most rows a split may hold for _route to park it for _finish_small
-_BLOCK = 1 << 15  # most rows _route projects at once: 256 KB per float64 column
+_BLOCK = 1 << 15  # most rows _route or a growth step handles at once: 256 KB per float64 column
 _LARGE_NODE = 1 << 12  # fewest rows of a node that draws its bootstrap on its own
 
 
@@ -288,8 +307,62 @@ def _segment_splits(z, y, starts):
 
     y holds 0/1 labels and the segments begin at starts. Returns, per
     segment, the threshold, the Gini, the left child's rows (0 where
-    best_split gives None) and the left child's class-1 rows.
+    best_split gives None) and the left child's class-1 rows. A segment
+    of more than _BLOCK rows is searched by _node_split, each run of
+    smaller segments in one batch.
     """
+    m = starts.size
+    sizes = np.diff(starts, append=z.size)
+    threshold, best = np.zeros(m), np.zeros(m)
+    n_left, ones_left = np.zeros((2, m), dtype=np.int64)
+    ends = starts + sizes
+    for a, b, large in runs(sizes > _BLOCK):
+        lo, hi = starts[a], ends[b - 1]
+        found = (_node_split(z[lo:hi], y[lo:hi]) if large
+                 else _batched_splits(z[lo:hi], y[lo:hi], starts[a:b] - lo))
+        threshold[a:b], best[a:b], n_left[a:b], ones_left[a:b] = found
+    return threshold, best, n_left, ones_left
+
+
+def _node_split(z, y):
+    """_batched_splits of one segment, all of z's rows, scanning the
+    candidates _BLOCK sorted rows at a time so that their Gini arrays
+    stay in L2 cache. Each block's first least Gini replaces the best
+    one only when it is strictly lower: the lowest threshold wins a tie,
+    as in best_split. Class-1 rows are counted from a uint8 copy of y."""
+    n = z.size
+    order = np.argsort(z)  # ties may fall in any order, as in _batched_splits
+    zs = z[order]
+    ys = y.astype(np.uint8)[order]
+    del order
+    total = int(np.count_nonzero(ys))
+    best, at, at_ones = None, 0, 0
+    before = 0  # class-1 rows ahead of the block
+    for lo in range(0, n - 1, _BLOCK):
+        hi = min(lo + _BLOCK, n - 1)  # a candidate keeps sorted rows up to i < n - 1 left
+        ones = np.cumsum(ys[lo:hi], dtype=np.int64)  # class-1 rows up to each, from lo
+        cand = np.flatnonzero(zs[lo:hi] < zs[lo + 1 : hi + 1])
+        if cand.size:
+            # _batched_splits' operations, in its order
+            nl = np.add(cand, lo + 1, dtype=np.float64)
+            l1 = np.add(ones[cand], before, dtype=np.float64)
+            r1 = np.subtract(total, l1)
+            gini = _gini_term(nl, l1)
+            gini += _gini_term(n - nl, r1)
+            gini /= n
+            k = int(np.argmin(gini))  # the first least Gini
+            if best is None or gini[k] < best:
+                best, at, at_ones = gini[k], lo + int(cand[k]), before + int(ones[cand[k]])
+        before += int(ones[-1])
+    if best is None:
+        return 0.0, 0.0, 0, 0
+    t = 0.5 * (zs[at] + zs[at + 1])
+    return (t if t < zs[at + 1] else zs[at]), best, at + 1, at_ones
+
+
+def _batched_splits(z, y, starts):
+    """_segment_splits of every segment at once: one sort by (segment,
+    z), and one Gini array over every candidate."""
     r, m = z.size, starts.size
     sizes = np.diff(starts, append=r)
     # by (segment, z); ties in z may fall in any order, as candidate
@@ -343,14 +416,11 @@ def _draw(rng, sizes):
     _LARGE_NODE rows draws with one scalar-bound call, and each run of
     smaller nodes between such nodes with one per-row-bound call;
     consecutive calls continue one stream."""
-    pieces, run = [], 0  # run: the first node not yet drawn
-    for s in np.flatnonzero(sizes >= _LARGE_NODE).tolist():
-        if run < s:
-            pieces.append(rng.integers(0, np.repeat(sizes[run:s], sizes[run:s])))
-        pieces.append(rng.integers(0, sizes[s], size=sizes[s]))
-        run = s + 1
-    if run < sizes.size or not pieces:
-        pieces.append(rng.integers(0, np.repeat(sizes[run:], sizes[run:])))
+    pieces = [
+        rng.integers(0, sizes[a], size=sizes[a]) if large
+        else rng.integers(0, np.repeat(sizes[a:b], sizes[a:b]))
+        for a, b, large in runs(sizes >= _LARGE_NODE)
+    ]
     return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
 
 
@@ -374,7 +444,7 @@ def _split_nodes(block, y, rows, feats, starts, rng):
     for j in range(feats.shape[1]):
         flat.take(spread(feats[:, j] * n, sizes) + rows, out=cols[j])
     yr = y[rows]
-    a = binary_directions(*segment_moments(cols, yr, starts, boot), TrainConfig.gamma)
+    a = binary_directions(*segment_moments(cols, yr, starts, boot, _BLOCK), TrainConfig.gamma)
     del boot
     z = _project(cols, (spread(a[:, j], sizes) for j in range(a.shape[1])))
     del cols

@@ -5,6 +5,8 @@ independent brute-force oracles defined inline; nothing is copied from
 the implementation under test.
 """
 
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import assume, given
@@ -24,6 +26,8 @@ from ccfmap.cca import (
     standardize,
 )
 from ccfmap.errors import DataError
+
+cca_module = importlib.import_module("ccfmap.cca")  # the package's ccfmap.cca is the function
 
 
 class TestAsMatrix:
@@ -486,6 +490,80 @@ class TestBinaryDirections:
         for weights in (one_class, constant):
             assert not binary_directions(*segment_moments(cols, y, starts, weights)).any()
         assert binary_directions(*segment_moments(cols, y, starts)).all()
+
+
+def _copy_terms(x):
+    """_pairwise_sums' terms: columns lo:hi of x."""
+
+    def terms(lo, hi, out):
+        out[...] = x[:, lo:hi]
+
+    return terms
+
+
+class TestBlockedSums:
+    """segment_moments sums a segment of more than `large` rows a leaf of
+    rows at a time, after numpy's pairwise order (cca._pairwise_sums).
+    Every sum equals np.add.reduceat's, bit for bit."""
+
+    @staticmethod
+    def _lengths(leaf):
+        # reduceat adds the first term to the pairwise sum P of the other
+        # n - 1; P splits a run of more than max(leaf, 128) of them
+        top = max(leaf, 128)
+        return sorted({1, 2, 7, 8, 9, 127, 128, 129, 130, leaf - 1, leaf, leaf + 1, leaf + 2,
+                       top + 1, top + 2, 2 * leaf + 1, 2 * top + 1, 2 * top + 2, 1_000, 4_099})
+
+    @pytest.mark.parametrize("leaf", [16, 128, 200, 4_096])
+    def test_sums_equal_reduceat(self, monkeypatch, leaf):
+        monkeypatch.setattr(cca_module, "_SUM_LEAF", leaf)
+        rng = np.random.default_rng(leaf)
+        for n in self._lengths(leaf):
+            x = np.empty((4, n))
+            x[0] = rng.normal(size=n) * 10.0 ** rng.integers(-8, 9, size=n)
+            x[1] = -0.0  # reduceat keeps the sign of a sum of -0.0 terms
+            x[2] = rng.choice([-0.0, 0.0, -3.5, 1e-300], size=n)
+            x[3] = 0.1  # a constant that rounds differently in each order
+            want = np.add.reduceat(x, [0], axis=1)[:, 0]
+            got = cca_module._pairwise_sums(_copy_terms(x), 4, n)
+            assert got.tobytes() == want.tobytes(), n
+            assert np.signbit(got[1])
+
+    @pytest.mark.parametrize("large", [1, 8, 128])
+    @pytest.mark.parametrize("leaf", [16, 300])
+    def test_large_segments_equal_one_batch(self, monkeypatch, large, leaf):
+        monkeypatch.setattr(cca_module, "_SUM_LEAF", leaf)
+        rng = np.random.default_rng(large * leaf)
+        sizes = [s for s in self._lengths(leaf) if s >= 2]
+        rng.shuffle(sizes)
+        starts = np.cumsum([0] + sizes[:-1])
+        r = sum(sizes)
+        cols = rng.normal(size=(5, r)) * 10.0 ** rng.integers(-4, 5, size=(5, r))
+        y = rng.integers(0, 2, size=r)
+        weights = np.bincount(rng.integers(0, np.repeat(sizes, sizes)) + np.repeat(starts, sizes),
+                              minlength=r)
+        for a, n in zip(starts, sizes):
+            if n > 4:  # the first weighted row is not the segment's first
+                weights[a + n - 1] += weights[a : a + 3].sum()
+                weights[a : a + 3] = 0
+        long = int(np.argmax(sizes))
+        cols[2, starts[long] : starts[long] + sizes[long]] = 0.3  # constant over a segment
+        y[starts[0] : starts[0] + sizes[0]] = 0  # one class only
+        nodes = []
+
+        def spy(*args, node=cca_module._node_moments):
+            nodes.append(args[0].shape[1])
+            return node(*args)
+
+        monkeypatch.setattr(cca_module, "_node_moments", spy)
+        for w in (weights, None):
+            want = segment_moments(cols, y, starts, w)
+            got = segment_moments(cols, y, starts, w, large)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].tobytes() == want[1].tobytes()
+        # the large segments, each summed over several leaves
+        assert sorted(nodes) == sorted(2 * [s for s in sizes if s > large])
+        assert max(nodes) > 2 * max(leaf, 128) + 1
 
 
 def test_result_component_count_property():

@@ -1,6 +1,7 @@
 """Tests for oblique-tree growth, the split search, and forest prediction."""
 
 import dataclasses
+import importlib
 import json
 import os
 import pickle
@@ -38,6 +39,7 @@ from ccfmap.model_io import load_model, save_model
 from ccfmap.raster_io import MultispectralRaster, open_raster, read_raster, write_raster
 
 TREE_FIELDS = [f.name for f in dataclasses.fields(FlatTree)]
+cca_module = importlib.import_module("ccfmap.cca")  # the package's ccfmap.cca is the function
 
 
 def _blobs(n_per_class, n_bands, separation, rng):
@@ -516,6 +518,71 @@ class TestSegmentSplits:
                 assert many[s : s + 1].tobytes() == one.tobytes()
 
 
+class TestBlockedSplits:
+    """A segment of more than forest._BLOCK rows is searched on its own,
+    _BLOCK sorted rows at a time (_node_split), and each run of smaller
+    segments in one batch: the results of a single batch, bit for bit."""
+
+    @staticmethod
+    def _blocked_equals_one_batch(monkeypatch, block, z, y, starts):
+        with monkeypatch.context() as m:
+            m.setattr(forest, "_BLOCK", z.size)
+            want = forest._segment_splits(z, y, starts)
+        nodes = []
+
+        def spy(z, y, split=forest._node_split):
+            nodes.append(z.size)
+            return split(z, y)
+
+        with monkeypatch.context() as m:
+            m.setattr(forest, "_BLOCK", block)
+            m.setattr(forest, "_node_split", spy)
+            got = forest._segment_splits(z, y, starts)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        sizes = np.diff(starts, append=z.size)
+        assert nodes == sizes[sizes > block].tolist()
+        return got
+
+    @pytest.mark.parametrize("block", [5, 6])
+    def test_gini_tie_across_a_block_boundary(self, monkeypatch, block):
+        # left 4 rows of class 0 or right 4 rows of class 0: the same Gini,
+        # from sorted rows 4 and 8, which lie in different blocks
+        z = np.arange(12.0)
+        y = np.array([0] * 4 + [1] * 4 + [0] * 4)
+        got = self._blocked_equals_one_batch(monkeypatch, block, z, y, np.array([0]))
+        want = best_split(z[:, None], y, 2)
+        assert got[0][0] == want[1] == 3.5 and got[1][0] == want[2]
+        assert got[2][0] == 4 and got[3][0] == 0
+
+    def test_blocks_without_candidates_and_a_node_without_a_split(self, monkeypatch):
+        rng = np.random.default_rng(41)
+        pieces = [
+            np.arange(12.0),  # the tie above
+            np.repeat([0.0, 1.0], [20, 23]),  # one candidate: most blocks have none
+            np.array([1.0, 0.0, 1.0]),
+            np.full(30, 2.5),  # no split
+            rng.integers(0, 3, size=9).astype(np.float64),
+            rng.integers(0, 4, size=200).astype(np.float64),  # tie heavy
+        ]
+        z = np.concatenate(pieces)
+        y = rng.integers(0, 2, size=z.size)
+        y[:12] = [0] * 4 + [1] * 4 + [0] * 4
+        starts = np.cumsum([0] + [p.size for p in pieces[:-1]])
+        got = self._blocked_equals_one_batch(monkeypatch, 5, z, y, starts)
+        assert got[2][0] == 4 and got[2][1] == 20 and got[2][3] == 0
+
+    @pytest.mark.parametrize("block", [3, 16, 64])
+    def test_tie_heavy_layouts(self, monkeypatch, block):
+        rng = np.random.default_rng(block)
+        for _ in range(20):
+            sizes = rng.integers(1, 4 * block, size=rng.integers(1, 8))
+            starts = np.cumsum(sizes) - sizes
+            z = rng.integers(0, rng.integers(1, 6), size=sizes.sum()) * 0.1
+            y = rng.integers(0, 2, size=z.size)
+            self._blocked_equals_one_batch(monkeypatch, block, z, y, starts)
+
+
 class TestProject:
     @pytest.mark.parametrize("fs", range(1, 8))
     def test_equals_numpy_row_sum_below_eight_terms(self, fs):
@@ -902,6 +969,32 @@ class TestLevelKernelReference:
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("make", [_oblique, _overlapping, _ties])
     def test_trees_equal_the_frozen_kernel(self, make, order, monkeypatch):
+        self._equal_the_frozen_kernel(make, order, monkeypatch)
+
+    @pytest.mark.parametrize("make", [_oblique, _overlapping, _ties])
+    def test_blocked_trees_equal_the_frozen_kernel(self, make, monkeypatch):
+        # the tier-1 sets take the large-node paths: segment_moments' leaf
+        # by leaf sums and _node_split's block by block search
+        monkeypatch.setattr(forest, "_BLOCK", 64)
+        monkeypatch.setattr(cca_module, "_SUM_LEAF", 128)
+        moments, splits = [], []
+
+        def spy_moments(cols, y, weights, node=cca_module._node_moments):
+            moments.append(cols.shape[1])
+            return node(cols, y, weights)
+
+        def spy_split(z, y, split=forest._node_split):
+            splits.append(z.size)
+            return split(z, y)
+
+        monkeypatch.setattr(cca_module, "_node_moments", spy_moments)
+        monkeypatch.setattr(forest, "_node_split", spy_split)
+        self._equal_the_frozen_kernel(make, "C", monkeypatch)
+        # nodes of several leaves and of several blocks
+        assert max(moments) > 2 * 128 + 1 and max(splits) > 2 * 64
+
+    @staticmethod
+    def _equal_the_frozen_kernel(make, order, monkeypatch):
         # train_forest hands growth a copy of a C-ordered set, a view of an F one
         monkeypatch.setenv("CCF_THREADS", "1")
         x, y = make(np.random.default_rng(7))
