@@ -220,23 +220,7 @@ def spread(values, counts):
     return values if counts.size == 1 else np.repeat(values, counts)
 
 
-def runs(large):
-    """(first, stop, is_large) for the nodes in order: each node where
-    large holds alone, and each run of other nodes between them as one
-    range, so a caller handles a large node by itself and a run of small
-    ones in one batch."""
-    out, run = [], 0  # run: the first node not yet handed out
-    for s in np.flatnonzero(large).tolist():
-        if run < s:
-            out.append((run, s, False))
-        out.append((s, s + 1, True))
-        run = s + 1
-    if run < large.size or not out:
-        out.append((run, large.size, False))
-    return out
-
-
-def segment_moments(cols, y, starts, weights=None, large=None):
+def segment_moments(cols, y, starts, weights=None):
     """cca's covariances against two classes, for each segment of rows.
 
     cols[j] holds feature j of every row, y each row's class (0 or 1),
@@ -246,30 +230,41 @@ def segment_moments(cols, y, starts, weights=None, large=None):
     convention, with exact zeros for a column constant over a segment's
     weighted rows, as _centered gives.
 
-    Every sum is np.add.reduceat's over a segment, bit for bit. A segment
-    of more than large rows is summed in leaves of at most _SUM_LEAF rows
-    (_pairwise_sums), each run of smaller segments in one batch. The
-    blocked sums rest on numpy's summation contract (numpy 2.x): reduceat
-    adds a segment x[s:e] as x[s] + P(x[s+1:e]), where P, the pairwise sum,
-    adds fewer than 8 terms in turn, up to _PAIRWISE_BLOCK terms in eight
-    accumulators, and splits a longer run at n // 2 rounded down to a
-    multiple of 8, P(left) + P(right), with no buffer chunking; a row-wise
-    reduceat of a 2-D array adds each row the same way.
+    Every sum is one np.add.reduceat over a segment. node_moments gives
+    one segment's moments bit for bit while making its terms a leaf of at
+    most _SUM_LEAF rows at a time. That rests on numpy's summation
+    contract (numpy 2.x): reduceat adds a segment x[s:e] as x[s] +
+    P(x[s+1:e]), where P, the pairwise sum, adds fewer than 8 terms in
+    turn, up to _PAIRWISE_BLOCK terms in eight accumulators, and splits a
+    longer run at n // 2 rounded down to a multiple of 8, P(left) +
+    P(right), with no buffer chunking; a row-wise reduceat of a 2-D array
+    adds each row the same way.
     """
-    if large is None:
-        return _batched_moments(cols, y, starts, weights)
     f, r = cols.shape
     sizes = np.diff(starts, append=r)
-    cxx, c = np.empty((starts.size, f, f)), np.empty((starts.size, f))
-    ends = starts + sizes
-    for a, b, big in runs(sizes > large):
-        lo, hi = starts[a], ends[b - 1]
-        w = None if weights is None else weights[lo:hi]
-        if big:
-            cxx[a], c[a] = _node_moments(cols[:, lo:hi], y[lo:hi], w)
-        else:
-            cxx[a:b], c[a:b] = _batched_moments(cols[:, lo:hi], y[lo:hi], starts[a:b] - lo, w)
-    return cxx, c
+    w = np.ones(r) if weights is None else np.asarray(weights, dtype=np.float64)
+    drawn = np.flatnonzero(w != 0)  # numpy finds a bool array's nonzeros fastest
+    first = drawn[np.searchsorted(drawn, starts)]
+    total = np.add.reduceat(w, starts)
+    wx, prod = np.empty(r), np.empty(r)  # row-wise products, reused
+    yc = y - spread(np.add.reduceat(np.multiply(w, y, out=prod), starts) / total, sizes)
+    xc = np.empty_like(cols)
+    for j in range(f):
+        # less a weighted row's own value, a constant column is exact zeros
+        np.subtract(cols[j], spread(cols[j][first], sizes), out=xc[j])
+        mean = np.add.reduceat(np.multiply(w, xc[j], out=wx), starts) / total
+        xc[j] -= spread(mean, sizes)
+    cxx = np.empty((starts.size, f, f))
+    c = np.empty((starts.size, f))
+    for j in range(f):
+        np.multiply(w, xc[j], out=wx)
+        c[:, j] = np.add.reduceat(np.multiply(wx, yc, out=prod), starts)
+        for k in range(j, f):
+            cxx[:, j, k] = cxx[:, k, j] = np.add.reduceat(
+                np.multiply(wx, xc[k], out=prod), starts
+            )
+    scale = 1.0 / (total - 1.0)
+    return cxx * scale[:, None, None], c * scale[:, None]
 
 
 # numpy's pairwise sum adds at most this many terms without splitting them
@@ -278,7 +273,10 @@ _PAIRWISE_BLOCK = 128
 # (5 features) take 640 KB, so they stay in a 2 MB L2 cache with the leaf's
 # centered columns. On a 327,216-row node (2 vCPUs) leaves of 2,048, 4,096,
 # 8,192 and 16,384 rows took 100, 50, 48 and 58 ns/row; at 32,768 rows or
-# fewer, one batch (46 ns/row) beats leaves (53 to 59 ns/row)
+# fewer, one batch (46 ns/row) beats leaves (53 to 59 ns/row). 4,096 and
+# 8,192 tie: serial growth of bulk's 10 trees took 1.64 and 1.63 s, and
+# perfbench bulk train_s (2 workers) 1.82 and 1.77 s, 8,192 faster in 4 of
+# 10 alternating pairs; the smaller leaf was kept
 _SUM_LEAF = 1 << 12
 
 
@@ -312,8 +310,8 @@ def _pairwise(terms, buf, leaf, lo, m):
     return _pairwise(terms, buf, leaf, lo, half) + _pairwise(terms, buf, leaf, lo + half, m - half)
 
 
-def _node_moments(cols, y, weights):
-    """_batched_moments of one segment, all of cols' rows, summed by
+def node_moments(cols, y, weights=None):
+    """segment_moments of one segment, all of cols' rows, summed by
     _pairwise_sums: a pass for the column means, then one for the
     products, each a leaf of rows at a time. The total weight and the
     weighted class-1 count are whole numbers, so they are summed as
@@ -358,35 +356,6 @@ def _node_moments(cols, y, weights):
         row += f - j
     scale = 1.0 / (total - 1.0)
     return cxx * scale, sums[:f] * scale
-
-
-def _batched_moments(cols, y, starts, weights=None):
-    """segment_moments of every segment at once, each sum one reduceat."""
-    f, r = cols.shape
-    sizes = np.diff(starts, append=r)
-    w = np.ones(r) if weights is None else np.asarray(weights, dtype=np.float64)
-    drawn = np.flatnonzero(w != 0)  # numpy finds a bool array's nonzeros fastest
-    first = drawn[np.searchsorted(drawn, starts)]
-    total = np.add.reduceat(w, starts)
-    wx, prod = np.empty(r), np.empty(r)  # row-wise products, reused
-    yc = y - spread(np.add.reduceat(np.multiply(w, y, out=prod), starts) / total, sizes)
-    xc = np.empty_like(cols)
-    for j in range(f):
-        # less a weighted row's own value, a constant column is exact zeros
-        np.subtract(cols[j], spread(cols[j][first], sizes), out=xc[j])
-        mean = np.add.reduceat(np.multiply(w, xc[j], out=wx), starts) / total
-        xc[j] -= spread(mean, sizes)
-    cxx = np.empty((starts.size, f, f))
-    c = np.empty((starts.size, f))
-    for j in range(f):
-        np.multiply(w, xc[j], out=wx)
-        c[:, j] = np.add.reduceat(np.multiply(wx, yc, out=prod), starts)
-        for k in range(j, f):
-            cxx[:, j, k] = cxx[:, k, j] = np.add.reduceat(
-                np.multiply(wx, xc[k], out=prod), starts
-            )
-    scale = 1.0 / (total - 1.0)
-    return cxx * scale[:, None, None], c * scale[:, None]
 
 
 def binary_directions(cxx, c, gamma: float = 1e-8) -> np.ndarray:

@@ -42,7 +42,8 @@ A node of more than _BLOCK rows (the first levels of a large training
 set, where a few nodes hold every row) takes its moments and its split
 search alone, a block of rows at a time, so that their temporaries stay
 in L2 cache; each run of smaller nodes keeps one batched call, as in
-_draw. cca.segment_moments sums such a node in leaves of at most
+_draw (_runs), and a level of at most _BLOCK rows makes its one batched
+call directly. cca.node_moments sums such a node in leaves of at most
 cca._SUM_LEAF rows and still gives np.add.reduceat's bits, by numpy's
 summation contract (numpy 2.x): reduceat adds a segment x[s:e] as x[s] +
 P(x[s+1:e]), P the pairwise sum, which adds fewer than 8 terms in turn,
@@ -109,7 +110,7 @@ from typing import ClassVar
 import numpy as np
 
 from .cca import cca  # noqa: F401  (not called here; perfbench/tracer.py counts it)
-from .cca import ColumnStats, binary_directions, runs, segment_moments, spread, standardize
+from .cca import ColumnStats, binary_directions, node_moments, segment_moments, spread, standardize
 from .errors import DataError, is_int
 from .pipeline import UNLABELED, SampleSet, valid_pixels
 
@@ -301,6 +302,41 @@ def _gini_term(k, k1):
     return g
 
 
+def _runs(large):
+    """(first, stop, is_large) for the nodes in order: each node where
+    large holds alone, and each run of other nodes between them as one
+    range, so a caller handles a large node by itself and a run of small
+    ones in one batch."""
+    out, run = [], 0  # run: the first node not yet handed out
+    for s in np.flatnonzero(large).tolist():
+        if run < s:
+            out.append((run, s, False))
+        out.append((s, s + 1, True))
+        run = s + 1
+    if run < large.size or not out:
+        out.append((run, large.size, False))
+    return out
+
+
+def _moments(cols, y, starts, weights):
+    """segment_moments of every node: a node of more than _BLOCK rows
+    alone, by node_moments, each run of smaller nodes in one call."""
+    f, r = cols.shape
+    if r <= _BLOCK:  # no large node
+        return segment_moments(cols, y, starts, weights)
+    sizes = np.diff(starts, append=r)
+    cxx, c = np.empty((starts.size, f, f)), np.empty((starts.size, f))
+    ends = starts + sizes
+    for a, b, large in _runs(sizes > _BLOCK):
+        lo, hi = starts[a], ends[b - 1]
+        w = None if weights is None else weights[lo:hi]
+        if large:
+            cxx[a], c[a] = node_moments(cols[:, lo:hi], y[lo:hi], w)
+        else:
+            cxx[a:b], c[a:b] = segment_moments(cols[:, lo:hi], y[lo:hi], starts[a:b] - lo, w)
+    return cxx, c
+
+
 def _segment_splits(z, y, starts):
     """best_split(z[s][:, None], y[s], 2) for every segment s of rows at
     once, with best_split's Gini arithmetic bit for bit.
@@ -311,12 +347,14 @@ def _segment_splits(z, y, starts):
     of more than _BLOCK rows is searched by _node_split, each run of
     smaller segments in one batch.
     """
+    if z.size <= _BLOCK:  # no large segment
+        return _batched_splits(z, y, starts)
     m = starts.size
     sizes = np.diff(starts, append=z.size)
     threshold, best = np.zeros(m), np.zeros(m)
     n_left, ones_left = np.zeros((2, m), dtype=np.int64)
     ends = starts + sizes
-    for a, b, large in runs(sizes > _BLOCK):
+    for a, b, large in _runs(sizes > _BLOCK):
         lo, hi = starts[a], ends[b - 1]
         found = (_node_split(z[lo:hi], y[lo:hi]) if large
                  else _batched_splits(z[lo:hi], y[lo:hi], starts[a:b] - lo))
@@ -419,7 +457,7 @@ def _draw(rng, sizes):
     pieces = [
         rng.integers(0, sizes[a], size=sizes[a]) if large
         else rng.integers(0, np.repeat(sizes[a:b], sizes[a:b]))
-        for a, b, large in runs(sizes >= _LARGE_NODE)
+        for a, b, large in _runs(sizes >= _LARGE_NODE)
     ]
     return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
 
@@ -444,7 +482,7 @@ def _split_nodes(block, y, rows, feats, starts, rng):
     for j in range(feats.shape[1]):
         flat.take(spread(feats[:, j] * n, sizes) + rows, out=cols[j])
     yr = y[rows]
-    a = binary_directions(*segment_moments(cols, yr, starts, boot, _BLOCK), TrainConfig.gamma)
+    a = binary_directions(*_moments(cols, yr, starts, boot), TrainConfig.gamma)
     del boot
     z = _project(cols, (spread(a[:, j], sizes) for j in range(a.shape[1])))
     del cols

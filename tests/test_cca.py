@@ -21,6 +21,7 @@ from ccfmap.cca import (
     cca,
     _centered,
     column_stats,
+    node_moments,
     project,
     segment_moments,
     standardize,
@@ -502,9 +503,9 @@ def _copy_terms(x):
 
 
 class TestBlockedSums:
-    """segment_moments sums a segment of more than `large` rows a leaf of
-    rows at a time, after numpy's pairwise order (cca._pairwise_sums).
-    Every sum equals np.add.reduceat's, bit for bit."""
+    """node_moments sums one segment a leaf of rows at a time, after
+    numpy's pairwise order (cca._pairwise_sums). Every sum equals
+    np.add.reduceat's, bit for bit."""
 
     @staticmethod
     def _lengths(leaf):
@@ -529,11 +530,10 @@ class TestBlockedSums:
             assert got.tobytes() == want.tobytes(), n
             assert np.signbit(got[1])
 
-    @pytest.mark.parametrize("large", [1, 8, 128])
     @pytest.mark.parametrize("leaf", [16, 300])
-    def test_large_segments_equal_one_batch(self, monkeypatch, large, leaf):
+    def test_node_moments_equal_segment_moments(self, monkeypatch, leaf):
         monkeypatch.setattr(cca_module, "_SUM_LEAF", leaf)
-        rng = np.random.default_rng(large * leaf)
+        rng = np.random.default_rng(leaf)
         sizes = [s for s in self._lengths(leaf) if s >= 2]
         rng.shuffle(sizes)
         starts = np.cumsum([0] + sizes[:-1])
@@ -549,21 +549,14 @@ class TestBlockedSums:
         long = int(np.argmax(sizes))
         cols[2, starts[long] : starts[long] + sizes[long]] = 0.3  # constant over a segment
         y[starts[0] : starts[0] + sizes[0]] = 0  # one class only
-        nodes = []
-
-        def spy(*args, node=cca_module._node_moments):
-            nodes.append(args[0].shape[1])
-            return node(*args)
-
-        monkeypatch.setattr(cca_module, "_node_moments", spy)
+        assert max(sizes) > 2 * max(leaf, 128) + 1  # a segment of several leaves
         for w in (weights, None):
-            want = segment_moments(cols, y, starts, w)
-            got = segment_moments(cols, y, starts, w, large)
-            assert got[0].tobytes() == want[0].tobytes()
-            assert got[1].tobytes() == want[1].tobytes()
-        # the large segments, each summed over several leaves
-        assert sorted(nodes) == sorted(2 * [s for s in sizes if s > large])
-        assert max(nodes) > 2 * max(leaf, 128) + 1
+            cxx, c = segment_moments(cols, y, starts, w)
+            for i, (a, n) in enumerate(zip(starts, sizes)):
+                one = node_moments(cols[:, a : a + n], y[a : a + n],
+                                   None if w is None else w[a : a + n])
+                assert one[0].tobytes() == cxx[i].tobytes(), n
+                assert one[1].tobytes() == c[i].tobytes(), n
 
 
 def test_result_component_count_property():

@@ -518,6 +518,37 @@ class TestSegmentSplits:
                 assert many[s : s + 1].tobytes() == one.tobytes()
 
 
+class TestBlockedMoments:
+    """A node of more than forest._BLOCK rows takes its moments on its own
+    (cca.node_moments), and each run of smaller nodes in one
+    segment_moments call: the moments of a single batch, bit for bit."""
+
+    @pytest.mark.parametrize("block", [1, 8, 128, 999])  # 999: one large node, r < 2 block
+    def test_large_nodes_equal_one_batch(self, monkeypatch, block):
+        monkeypatch.setattr(cca_module, "_SUM_LEAF", 16)  # a large node spans leaves
+        rng = np.random.default_rng(block)
+        sizes = rng.permutation([2, 3, 8, 9, 129, 130, 700, 4, 1_000])
+        starts = np.cumsum(sizes) - sizes
+        cols = rng.normal(size=(5, sizes.sum()))
+        y = rng.integers(0, 2, size=sizes.sum())
+        boot = np.bincount(rng.integers(0, np.repeat(sizes, sizes)) + np.repeat(starts, sizes),
+                           minlength=sizes.sum())
+        nodes = []
+
+        def spy(cols, y, weights, moments=forest.node_moments):
+            nodes.append(cols.shape[1])
+            return moments(cols, y, weights)
+
+        monkeypatch.setattr(forest, "_BLOCK", block)
+        monkeypatch.setattr(forest, "node_moments", spy)
+        for w in (boot, None):
+            want = cca_module.segment_moments(cols, y, starts, w)
+            got = forest._moments(cols, y, starts, w)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].tobytes() == want[1].tobytes()
+        assert nodes == 2 * sizes[sizes > block].tolist()
+
+
 class TestBlockedSplits:
     """A segment of more than forest._BLOCK rows is searched on its own,
     _BLOCK sorted rows at a time (_node_split), and each run of smaller
@@ -973,13 +1004,13 @@ class TestLevelKernelReference:
 
     @pytest.mark.parametrize("make", [_oblique, _overlapping, _ties])
     def test_blocked_trees_equal_the_frozen_kernel(self, make, monkeypatch):
-        # the tier-1 sets take the large-node paths: segment_moments' leaf
-        # by leaf sums and _node_split's block by block search
+        # the tier-1 sets take the large-node paths: node_moments' leaf by
+        # leaf sums and _node_split's block by block search
         monkeypatch.setattr(forest, "_BLOCK", 64)
         monkeypatch.setattr(cca_module, "_SUM_LEAF", 128)
         moments, splits = [], []
 
-        def spy_moments(cols, y, weights, node=cca_module._node_moments):
+        def spy_moments(cols, y, weights, node=forest.node_moments):
             moments.append(cols.shape[1])
             return node(cols, y, weights)
 
@@ -987,7 +1018,7 @@ class TestLevelKernelReference:
             splits.append(z.size)
             return split(z, y)
 
-        monkeypatch.setattr(cca_module, "_node_moments", spy_moments)
+        monkeypatch.setattr(forest, "node_moments", spy_moments)
         monkeypatch.setattr(forest, "_node_split", spy_split)
         self._equal_the_frozen_kernel(make, "C", monkeypatch)
         # nodes of several leaves and of several blocks
