@@ -311,11 +311,11 @@ def _pairwise(terms, buf, leaf, lo, m):
 
 
 def node_moments(cols, y, weights=None):
-    """segment_moments of one segment, all of cols' rows, summed by
-    _pairwise_sums: a pass for the column means, then one for the
-    products, each a leaf of rows at a time. The total weight and the
-    weighted class-1 count are whole numbers, so they are summed as
-    integers, exactly."""
+    """segment_moments of one segment, all of cols' rows, in its (1, f, f)
+    and (1, f) shapes, summed by _pairwise_sums: a pass for the column
+    means, then one for the products, each a leaf of rows at a time. The
+    total weight and the weighted class-1 count are whole numbers, so they
+    are summed as integers, exactly."""
     f, n = cols.shape
     if weights is None:
         total, ones, first = n, np.count_nonzero(y), 0
@@ -349,13 +349,13 @@ def node_moments(cols, y, weights=None):
             row += f - j
 
     sums = _pairwise_sums(products, f + f * (f + 1) // 2, n)
-    cxx = np.empty((f, f))
+    cxx = np.empty((1, f, f))
     row = f
     for j in range(f):
-        cxx[j, j:] = cxx[j:, j] = sums[row : row + f - j]
+        cxx[0, j, j:] = cxx[0, j:, j] = sums[row : row + f - j]
         row += f - j
     scale = 1.0 / (total - 1.0)
-    return cxx * scale, sums[:f] * scale
+    return cxx * scale, sums[None, :f] * scale
 
 
 def binary_directions(cxx, c, gamma: float = 1e-8) -> np.ndarray:

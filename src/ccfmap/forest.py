@@ -38,25 +38,28 @@ which numpy sorts by radix up to 16 bits; a level of one node needs no
 sort by node. A stable sort gives one permutation whatever the key
 dtype, so the trees do not depend on it.
 
-A node of more than _BLOCK rows (the first levels of a large training
-set, where a few nodes hold every row) takes its moments and its split
-search alone, a block of rows at a time, so that their temporaries stay
-in L2 cache; each run of smaller nodes keeps one batched call, as in
-_draw (_runs), and a level of at most _BLOCK rows makes its one batched
-call directly. cca.node_moments sums such a node in leaves of at most
-cca._SUM_LEAF rows and still gives np.add.reduceat's bits, by numpy's
-summation contract (numpy 2.x): reduceat adds a segment x[s:e] as x[s] +
-P(x[s+1:e]), P the pairwise sum, which adds fewer than 8 terms in turn,
-up to 128 in eight accumulators, and splits a longer run at n // 2
-rounded down to a multiple of 8, with no buffer chunking. So the blocked
-sum walks P's splits down to leaf-sized runs, sums each run with one
-reduceat after a -0.0 term (np.add.reduce would start from +0.0 and lose
-the sign of a sum of -0.0 terms), adds the runs in P's order and adds
-x[s] last; the total weight and weighted class-1 count are whole numbers,
-summed as integers. _node_split sorts the node's projections once and
-scans the candidates _BLOCK sorted rows at a time with _gini_term's
-arithmetic; a block's first least Gini replaces the best only when it is
-strictly lower, best_split's lowest-threshold tie rule.
+_split_nodes is the one place that decides which nodes grow alone. It
+walks a level of more than _BLOCK rows (the first levels of a large
+training set, where a few nodes hold every row) once, in pieces, as
+_draw does (_runs): each node of more than _BLOCK rows alone, its
+moments and split search a block of rows at a time so that their
+temporaries stay in L2 cache, and each run of smaller nodes as one
+batch. A piece runs every step from the feature gather to the split
+search; a smaller level is one piece, of whole arrays. cca.node_moments
+sums a node in leaves of at most cca._SUM_LEAF rows and still gives
+np.add.reduceat's bits, by numpy's summation contract (numpy 2.x):
+reduceat adds a segment x[s:e] as x[s] + P(x[s+1:e]), P the pairwise
+sum, which adds fewer than 8 terms in turn, up to 128 in eight
+accumulators, and splits a longer run at n // 2 rounded down to a
+multiple of 8, with no buffer chunking. So the blocked sum walks P's
+splits down to leaf-sized runs, sums each run with one reduceat after a
+-0.0 term (np.add.reduce would start from +0.0 and lose the sign of a
+sum of -0.0 terms), adds the runs in P's order and adds x[s] last; the
+total weight and weighted class-1 count are whole numbers, summed as
+integers. _node_split sorts the node's projections once and scans the
+candidates _BLOCK sorted rows at a time with _gini_term's arithmetic; a
+block's first least Gini replaces the best only when it is strictly
+lower, best_split's lowest-threshold tie rule.
 
 Prediction routes the block predict_proba_batch standardizes. _route
 walks each tree in two phases. It goes depth-first with arrays of row
@@ -318,56 +321,13 @@ def _runs(large):
     return out
 
 
-def _moments(cols, y, starts, weights):
-    """segment_moments of every node: a node of more than _BLOCK rows
-    alone, by node_moments, each run of smaller nodes in one call."""
-    f, r = cols.shape
-    if r <= _BLOCK:  # no large node
-        return segment_moments(cols, y, starts, weights)
-    sizes = np.diff(starts, append=r)
-    cxx, c = np.empty((starts.size, f, f)), np.empty((starts.size, f))
-    ends = starts + sizes
-    for a, b, large in _runs(sizes > _BLOCK):
-        lo, hi = starts[a], ends[b - 1]
-        w = None if weights is None else weights[lo:hi]
-        if large:
-            cxx[a], c[a] = node_moments(cols[:, lo:hi], y[lo:hi], w)
-        else:
-            cxx[a:b], c[a:b] = segment_moments(cols[:, lo:hi], y[lo:hi], starts[a:b] - lo, w)
-    return cxx, c
-
-
-def _segment_splits(z, y, starts):
-    """best_split(z[s][:, None], y[s], 2) for every segment s of rows at
-    once, with best_split's Gini arithmetic bit for bit.
-
-    y holds 0/1 labels and the segments begin at starts. Returns, per
-    segment, the threshold, the Gini, the left child's rows (0 where
-    best_split gives None) and the left child's class-1 rows. A segment
-    of more than _BLOCK rows is searched by _node_split, each run of
-    smaller segments in one batch.
-    """
-    if z.size <= _BLOCK:  # no large segment
-        return _batched_splits(z, y, starts)
-    m = starts.size
-    sizes = np.diff(starts, append=z.size)
-    threshold, best = np.zeros(m), np.zeros(m)
-    n_left, ones_left = np.zeros((2, m), dtype=np.int64)
-    ends = starts + sizes
-    for a, b, large in _runs(sizes > _BLOCK):
-        lo, hi = starts[a], ends[b - 1]
-        found = (_node_split(z[lo:hi], y[lo:hi]) if large
-                 else _batched_splits(z[lo:hi], y[lo:hi], starts[a:b] - lo))
-        threshold[a:b], best[a:b], n_left[a:b], ones_left[a:b] = found
-    return threshold, best, n_left, ones_left
-
-
 def _node_split(z, y):
     """_batched_splits of one segment, all of z's rows, scanning the
     candidates _BLOCK sorted rows at a time so that their Gini arrays
     stay in L2 cache. Each block's first least Gini replaces the best
     one only when it is strictly lower: the lowest threshold wins a tie,
-    as in best_split. Class-1 rows are counted from a uint8 copy of y."""
+    as in best_split. Class-1 rows are counted from a uint8 copy of y.
+    Returns _batched_splits' arrays, of one element each."""
     n = z.size
     order = np.argsort(z)  # ties may fall in any order, as in _batched_splits
     zs = z[order]
@@ -393,16 +353,23 @@ def _node_split(z, y):
                 best, at, at_ones = gini[k], lo + int(cand[k]), before + int(ones[cand[k]])
         before += int(ones[-1])
     if best is None:
-        return 0.0, 0.0, 0, 0
+        return np.zeros(1), np.zeros(1), *np.zeros((2, 1), dtype=np.int64)
     t = 0.5 * (zs[at] + zs[at + 1])
-    return (t if t < zs[at + 1] else zs[at]), best, at + 1, at_ones
+    t = t if t < zs[at + 1] else zs[at]
+    return np.array([t]), np.array([best]), np.array([at + 1]), np.array([at_ones])
 
 
-def _batched_splits(z, y, starts):
-    """_segment_splits of every segment at once: one sort by (segment,
-    z), and one Gini array over every candidate."""
-    r, m = z.size, starts.size
-    sizes = np.diff(starts, append=r)
+def _batched_splits(z, y, starts, sizes):
+    """best_split(z[s][:, None], y[s], 2) for every segment s of rows at
+    once, with best_split's Gini arithmetic bit for bit: one sort by
+    (segment, z), and one Gini array over every candidate.
+
+    y holds 0/1 labels, and segment s holds the sizes[s] rows from
+    starts[s]. Returns, per segment, the threshold, the Gini, the left
+    child's rows (0 where best_split gives None) and the left child's
+    class-1 rows.
+    """
+    m = starts.size
     # by (segment, z); ties in z may fall in any order, as candidate
     # splits lie only between distinct values
     order = np.argsort(z)
@@ -469,7 +436,9 @@ def _split_nodes(block, y, rows, feats, starts, rng):
     multinomial row weights), or from every row when rng is None, and the
     threshold from every row's projection. Returns the directions,
     thresholds, left sizes (0: no split), left class-1 counts and the
-    projections."""
+    projections. A node's results depend on its own rows alone, so a
+    level of more than _BLOCK rows goes in pieces (_runs): each node of
+    more than _BLOCK rows alone, each run of smaller nodes as one batch."""
     sizes = np.diff(starts, append=rows.size)
     boot = None
     if rng is not None:
@@ -477,16 +446,33 @@ def _split_nodes(block, y, rows, feats, starts, rng):
         draw += spread(starts, sizes)
         boot = np.bincount(draw, minlength=rows.size)
         del draw
+    if rows.size <= _BLOCK:  # no large node
+        return _split_piece(block, y, rows, feats, starts, sizes, boot, False)
+    pieces = []
+    for a, b, alone in _runs(sizes > _BLOCK):
+        lo, hi = starts[a], starts[b - 1] + sizes[b - 1]
+        w = None if boot is None else boot[lo:hi]
+        pieces.append(_split_piece(block, y, rows[lo:hi], feats[a:b], starts[a:b] - lo,
+                                   sizes[a:b], w, alone))
+    return pieces[0] if len(pieces) == 1 else [np.concatenate(p) for p in zip(*pieces)]
+
+
+def _split_piece(block, y, rows, feats, starts, sizes, weights, alone):
+    """_split_nodes' steps, from the feature gather to the split search,
+    for one piece of a level and its bootstrap row weights (or None): by
+    node_moments and _node_split for a node alone, else by
+    segment_moments and _batched_splits."""
     n, flat = block.shape[1], block.reshape(-1)  # band f of row r at f * n + r
     cols = np.empty((feats.shape[1], rows.size))
     for j in range(feats.shape[1]):
         flat.take(spread(feats[:, j] * n, sizes) + rows, out=cols[j])
     yr = y[rows]
-    a = binary_directions(*_moments(cols, yr, starts, boot), TrainConfig.gamma)
-    del boot
+    moments = (node_moments(cols, yr, weights) if alone
+               else segment_moments(cols, yr, starts, weights))
+    a = binary_directions(*moments, TrainConfig.gamma)
     z = _project(cols, (spread(a[:, j], sizes) for j in range(a.shape[1])))
     del cols
-    t, _, n_left, ones_left = _segment_splits(z, yr, starts)
+    t, _, n_left, ones_left = _node_split(z, yr) if alone else _batched_splits(z, yr, starts, sizes)
     return a, t, n_left, ones_left, z
 
 

@@ -487,13 +487,18 @@ def _segment_layout(draw):
     return z, y, starts
 
 
+def _sizes(starts, n):
+    return np.diff(starts, append=n)
+
+
 class TestSegmentSplits:
     """The level-wise split search against best_split, node by node."""
 
     @given(_segment_layout())
     def test_each_segment_equals_best_split(self, layout):
         z, y, starts = layout
-        threshold, gini, n_left, ones_left = forest._segment_splits(z, y, starts)
+        threshold, gini, n_left, ones_left = forest._batched_splits(z, y, starts,
+                                                                    _sizes(starts, z.size))
         for s, (a, b) in enumerate(zip(starts, np.append(starts[1:], z.size))):
             want = best_split(z[a:b, None], y[a:b], 2)
             if want is None:
@@ -511,17 +516,19 @@ class TestSegmentSplits:
         # a one-segment call skips the by-segment sort and spreads its
         # per-segment values by broadcasting; it must give the same bits
         z, y, starts = layout
-        got = forest._segment_splits(z, y, starts)
+        got = forest._batched_splits(z, y, starts, _sizes(starts, z.size))
         for s, (a, b) in enumerate(zip(starts, np.append(starts[1:], z.size))):
-            alone = forest._segment_splits(z[a:b], y[a:b], np.array([0]))
+            alone = forest._batched_splits(z[a:b], y[a:b], np.array([0]), np.array([b - a]))
             for many, one in zip(got, alone):
                 assert many[s : s + 1].tobytes() == one.tobytes()
 
 
-class TestBlockedMoments:
-    """A node of more than forest._BLOCK rows takes its moments on its own
-    (cca.node_moments), and each run of smaller nodes in one
-    segment_moments call: the moments of a single batch, bit for bit."""
+class TestSplitNodes:
+    """On a level of more than forest._BLOCK rows, _split_nodes takes each
+    node of more than _BLOCK rows alone (cca.node_moments, _node_split)
+    and each run of smaller nodes in one batch (segment_moments,
+    _batched_splits): the results of one batch of the whole level, bit for
+    bit, from a bootstrap and from every row."""
 
     @pytest.mark.parametrize("block", [1, 8, 128, 999])  # 999: one large node, r < 2 block
     def test_large_nodes_equal_one_batch(self, monkeypatch, block):
@@ -529,51 +536,65 @@ class TestBlockedMoments:
         rng = np.random.default_rng(block)
         sizes = rng.permutation([2, 3, 8, 9, 129, 130, 700, 4, 1_000])
         starts = np.cumsum(sizes) - sizes
-        cols = rng.normal(size=(5, sizes.sum()))
-        y = rng.integers(0, 2, size=sizes.sum())
-        boot = np.bincount(rng.integers(0, np.repeat(sizes, sizes)) + np.repeat(starts, sizes),
-                           minlength=sizes.sum())
-        nodes = []
+        r, n = sizes.sum(), sizes.sum() + 500  # the level holds some of the block's rows
+        data = _block(rng.normal(size=(n, 6)))
+        y = rng.integers(0, 2, size=n)
+        rows = np.sort(rng.choice(n, r, replace=False))
+        feats = np.sort(np.argsort(rng.random((sizes.size, 6)), axis=1)[:, :3], axis=1)
+        alone, batched = [], []
 
-        def spy(cols, y, weights, moments=forest.node_moments):
-            nodes.append(cols.shape[1])
-            return moments(cols, y, weights)
+        def spy_moments(cols, y, weights, node=forest.node_moments):
+            alone.append(cols.shape[1])
+            return node(cols, y, weights)
 
-        monkeypatch.setattr(forest, "_BLOCK", block)
-        monkeypatch.setattr(forest, "node_moments", spy)
-        for w in (boot, None):
-            want = cca_module.segment_moments(cols, y, starts, w)
-            got = forest._moments(cols, y, starts, w)
-            assert got[0].tobytes() == want[0].tobytes()
-            assert got[1].tobytes() == want[1].tobytes()
-        assert nodes == 2 * sizes[sizes > block].tolist()
+        def spy_batch(cols, y, starts, weights, segments=forest.segment_moments):
+            batched.append(cols.shape[1])
+            return segments(cols, y, starts, weights)
+
+        def spy_split(z, y, split=forest._node_split):
+            alone.append(z.size)
+            return split(z, y)
+
+        def split_nodes(seed):  # a bootstrap drawn from seed, or every row
+            rng = None if seed is None else np.random.default_rng(seed)
+            return forest._split_nodes(data, y, rows, feats, starts, rng)
+
+        large = sizes[sizes > block].tolist()
+        for seed in (block, None):
+            with monkeypatch.context() as m:
+                m.setattr(forest, "_BLOCK", r)
+                want = split_nodes(seed)
+            alone.clear()
+            batched.clear()
+            with monkeypatch.context() as m:
+                m.setattr(forest, "_BLOCK", block)
+                m.setattr(forest, "node_moments", spy_moments)
+                m.setattr(forest, "segment_moments", spy_batch)
+                m.setattr(forest, "_node_split", spy_split)
+                got = split_nodes(seed)
+            assert len(got) == len(want) == 5
+            for u, v in zip(got, want):
+                assert u.dtype == v.dtype and u.shape == v.shape and u.tobytes() == v.tobytes()
+            assert (got[2] > 0).sum() >= 6
+            assert alone == [size for size in large for _ in range(2)]  # moments, then split
+            assert sum(batched) == r - sum(large)
 
 
 class TestBlockedSplits:
-    """A segment of more than forest._BLOCK rows is searched on its own,
-    _BLOCK sorted rows at a time (_node_split), and each run of smaller
-    segments in one batch: the results of a single batch, bit for bit."""
+    """_node_split searches one node _BLOCK sorted rows at a time, with
+    the results of _batched_splits on that node, bit for bit."""
 
     @staticmethod
     def _blocked_equals_one_batch(monkeypatch, block, z, y, starts):
-        with monkeypatch.context() as m:
-            m.setattr(forest, "_BLOCK", z.size)
-            want = forest._segment_splits(z, y, starts)
-        nodes = []
-
-        def spy(z, y, split=forest._node_split):
-            nodes.append(z.size)
-            return split(z, y)
-
-        with monkeypatch.context() as m:
-            m.setattr(forest, "_BLOCK", block)
-            m.setattr(forest, "_node_split", spy)
-            got = forest._segment_splits(z, y, starts)
-        for a, b in zip(got, want):
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-        sizes = np.diff(starts, append=z.size)
-        assert nodes == sizes[sizes > block].tolist()
-        return got
+        monkeypatch.setattr(forest, "_BLOCK", block)
+        got = []
+        for a, size in zip(starts, _sizes(starts, z.size)):
+            zn, yn = z[a : a + size], y[a : a + size]
+            got.append(forest._node_split(zn, yn))
+            want = forest._batched_splits(zn, yn, np.array([0]), np.array([size]))
+            for u, v in zip(got[-1], want):
+                assert u.dtype == v.dtype and u.shape == v.shape and u.tobytes() == v.tobytes()
+        return [np.concatenate(p) for p in zip(*got)]
 
     @pytest.mark.parametrize("block", [5, 6])
     def test_gini_tie_across_a_block_boundary(self, monkeypatch, block):
@@ -1092,9 +1113,9 @@ class TestRadixKeys:
         starts = np.cumsum(sizes) - sizes
         z = rng.integers(0, 4, size=sizes.sum()).astype(np.float64)
         y = rng.integers(0, 2, size=z.size)
-        got = forest._segment_splits(z, y, starts)
+        got = forest._batched_splits(z, y, starts, sizes)
         monkeypatch.setattr(forest, "_segment_keys", _int64_segment_keys)
-        want = forest._segment_splits(z, y, starts)
+        want = forest._batched_splits(z, y, starts, sizes)
         assert (got[2] > 0).sum() > m // 4
         for a, b in zip(got, want):
             assert a.tobytes() == b.tobytes()
