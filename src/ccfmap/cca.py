@@ -1,6 +1,10 @@
 """Column statistics and regularized canonical correlation analysis.
 
-Everything here operates on plain float64 arrays with samples in rows.
+Everything here computes in float64, with samples in rows. column_stats
+and standardize also read float32 rows (raster pixels) as they are: each
+float32 value converts to float64 exactly, so they give the bits of the
+float64 cast without holding one. column_stats converts a block of rows
+at a time and gives the mean and std of numpy's row-order sum.
 The CCA implementation whitens both sides with a ridge-stabilized inverse
 square root and reads the canonical directions off an SVD of the whitened
 cross-covariance, which is numerically safer than solving the generalized
@@ -26,9 +30,12 @@ CONSTANT_COLUMN_TOL = 1e-12
 _RANK_RTOL = 1e-12
 
 
-def as_matrix(values, name: str = "matrix") -> np.ndarray:
-    """Coerce to a finite float64 2-D array, raising DataError otherwise."""
-    m = np.asarray(values, dtype=np.float64)
+def as_matrix(values, name: str = "matrix", float32: bool = False) -> np.ndarray:
+    """Coerce to a finite float64 2-D array, raising DataError otherwise.
+    With float32=True, float32 values stay float32, not copied."""
+    m = np.asarray(values)
+    if not (float32 and m.dtype == np.float32):
+        m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
         raise DataError(f"{name} must be 2-D (rows=samples), got ndim={m.ndim}")
     if m.shape[0] < 1:
@@ -49,19 +56,54 @@ class ColumnStats(NamedTuple):
     stddev: np.ndarray
 
 
+# rows column_stats converts to float64 at a time: 320 KB of 10 bands, which
+# stay in L2 cache
+_STATS_ROWS = 1 << 12
+
+
 def column_stats(m) -> ColumnStats:
     """Mean and sample standard deviation of each column.
 
-    A single-row matrix has no spread to estimate, so its stddev is
-    reported as zero rather than NaN.
+    Bit for bit numpy's mean(axis=0) and std(axis=0, ddof=1) of the
+    C-ordered float64 table of m's values, computed _STATS_ROWS rows at a
+    time (_column_sums), so a float32 table is read without a float64
+    copy and the std makes no whole-table x - mean. An F-ordered m gets
+    the bits of its C-ordered copy. A single-row matrix has no spread to
+    estimate, so its stddev is reported as zero rather than NaN.
     """
-    m = as_matrix(m, "matrix")
-    mean = m.mean(axis=0)
-    if m.shape[0] == 1:
+    m = as_matrix(m, "matrix", float32=True)
+    n = m.shape[0]
+    mean = _column_sums(m) / n
+    if n == 1:
         stddev = np.zeros_like(mean)
     else:
-        stddev = m.std(axis=0, ddof=1)
+        stddev = np.sqrt(_column_sums(m, mean) / (n - 1))
     return ColumnStats(mean=mean, stddev=stddev)
+
+
+def _column_sums(m, mean=None):
+    """np.add.reduce(x, axis=0) of the C-ordered float64 table x of m's
+    values, or of (x - mean) ** 2, bit for bit, a block of _STATS_ROWS
+    rows at a time. numpy adds axis 0 of a C-ordered table of two or more
+    columns one row at a time, in row order, so each block is reduced
+    after a first row that holds the sum of the rows before it. A single
+    column is contiguous and summed pairwise, so it is one block."""
+    n, f = m.shape
+    step = n if f == 1 else _STATS_ROWS
+    buf = np.empty((min(n, step) + 1, f))  # the sum so far, then a block
+    total = None
+    for lo in range(0, n, step):
+        x = buf[1 : 1 + min(step, n - lo)]
+        x[...] = m[lo : lo + step]
+        if mean is not None:
+            x -= mean
+            np.square(x, out=x)
+        if total is None:
+            total = np.add.reduce(x, axis=0)
+        else:
+            buf[0] = total
+            total = np.add.reduce(buf[: x.shape[0] + 1], axis=0)
+    return total
 
 
 def standardize(m, stats: ColumnStats) -> np.ndarray:

@@ -22,8 +22,10 @@ one tree representation training, prediction and the ccf-3 columns share.
 Growth and prediction read one layout: a bands x rows block, one
 contiguous row per band, the transpose of cca.standardize's column-major
 result. train_forest hands every tree its training set as that block,
-and both growth's gather and _finish_small read band f of row r at
-f * n + r of its flat view, n the block's row count. A value held per
+as float64 whatever the set's dtype, and both growth's gather and
+_finish_small read band f of row r at f * n + r of its flat view, n the
+block's row count; the root, every row in order, takes its features'
+rows of the block whole. A value held per
 node (a bootstrap offset, a feature, a direction, a mean, a threshold)
 reaches the node's rows as cca.spread(value, sizes): np.repeat, or on a
 one-node level the value itself, broadcast. It is never found by
@@ -461,11 +463,18 @@ def _split_piece(block, y, rows, feats, starts, sizes, weights, alone):
     """_split_nodes' steps, from the feature gather to the split search,
     for one piece of a level and its bootstrap row weights (or None): by
     node_moments and _node_split for a node alone, else by
-    segment_moments and _batched_splits."""
-    n, flat = block.shape[1], block.reshape(-1)  # band f of row r at f * n + r
+    segment_moments and _batched_splits. The root, one node of every row
+    in order, gathers its features' rows of block whole, with no index."""
+    n = block.shape[1]
     cols = np.empty((feats.shape[1], rows.size))
-    for j in range(feats.shape[1]):
-        flat.take(spread(feats[:, j] * n, sizes) + rows, out=cols[j])
+    # every index is in range; take's default mode="raise" would write out
+    # through a buffer of out's size, at a fourth of the speed
+    if sizes.size == 1 and rows.size == n:
+        block.take(feats[0], axis=0, out=cols, mode="clip")
+    else:
+        flat = block.reshape(-1)  # band f of row r at f * n + r
+        for j in range(feats.shape[1]):
+            flat.take(spread(feats[:, j] * n, sizes) + rows, out=cols[j], mode="clip")
     yr = y[rows]
     moments = (node_moments(cols, yr, weights) if alone
                else segment_moments(cols, yr, starts, weights))
@@ -614,8 +623,8 @@ def train_forest(samples: SampleSet, config: TrainConfig | None = None,
     samples.features are expected already standardized by the pipeline;
     pass the fitted scaler so the model can standardize raw spectra at
     prediction time (an identity scaler is recorded when omitted). Trees
-    grow from one bands x rows block of the features: a view of a
-    column-major table (cca.standardize's), a copy of a row-major one.
+    grow from one float64 bands x rows block of the features: a view of a
+    column-major float64 table (cca.standardize's), else a copy.
     """
     cfg = config if config is not None else TrainConfig()
     if samples.n_classes != 2:
@@ -642,7 +651,7 @@ def train_forest(samples: SampleSet, config: TrainConfig | None = None,
 
     # a task is a tree index; per-level RNG streams make the result
     # independent of scheduling
-    inputs = (np.ascontiguousarray(samples.features.T), samples.labels, cfg)
+    inputs = (np.ascontiguousarray(samples.features.T, dtype=np.float64), samples.labels, cfg)
     trees = _fan_out(_build_tree, inputs, range(cfg.n_trees), _worker_count(cfg.n_trees))
     return CcfModel(
         trees=list(trees),

@@ -2,9 +2,12 @@
 
 Turns raster+mask pairs into the flat table form the forest consumes:
 assemble_region_dataset (extract_samples for one pair), balance_classes,
-stratified_split and fit_scaler, the steps `ccfmap train` runs. Every
-random step takes an explicit Generator or seed, so identical
-inputs reproduce identical SampleSets byte for byte.
+stratified_split and fit_scaler, the steps `ccfmap train` runs. The table
+keeps the rasters' float32 pixels through all of them: fit_scaler reads
+them a block of rows at a time, and the first float64 table is the
+standardized one (cca.standardize). Every random step takes an explicit
+Generator or seed, so identical inputs reproduce identical SampleSets
+byte for byte.
 """
 
 from __future__ import annotations
@@ -27,12 +30,14 @@ DEFAULT_CLASS_NAMES = ("environment", "informal")
 class SampleSet:
     """Immutable table of per-pixel spectra and their class labels.
 
-    features : (n, B) float64, one row per labeled pixel
+    features : (n, B) float32 or float64, one row per labeled pixel
     labels   : (n,) integer class indices < len(class_names)
 
-    The set copies a caller's arrays. The steps here pass arrays they
-    just built (float64 features, int64 labels) with adopt=True, and the
-    set takes those over instead, so each step's table exists once.
+    float32 features (raster pixels) stay float32; any other dtype
+    becomes float64. The set copies a caller's arrays. The steps here
+    pass arrays they just built (features, int64 labels) with adopt=True,
+    and the set takes those over instead, so each step's table exists
+    once.
     """
 
     features: np.ndarray
@@ -42,7 +47,7 @@ class SampleSet:
     adopt: InitVar[bool] = False
 
     def __post_init__(self, adopt):
-        feats = as_matrix(self.features, "features")
+        feats = as_matrix(self.features, "features", float32=True)
         labels = np.asarray(self.labels)
         if labels.ndim != 1 or labels.shape[0] != feats.shape[0]:
             raise DataError(
@@ -129,7 +134,8 @@ def extract_samples(raster, mask) -> SampleSet:
     """One sample per labeled, valid pixel, read by raster.window, row-major.
 
     Pixels whose mask value is UNLABELED(255) are skipped, as is any pixel
-    containing the raster's nodata value in any band.
+    containing the raster's nodata value in any band. The features are
+    the raster's float32 pixels, one C-ordered table.
     """
     return assemble_region_dataset([(raster, mask)])
 
@@ -214,7 +220,8 @@ def fit_scaler(train: SampleSet) -> ColumnStats:
 def assemble_region_dataset(pairs) -> SampleSet:
     """extract_samples over (raster, mask) pairs, concatenated in order.
     A pair is dropped once its pixels are taken, so a generator holds one
-    at a time; the pixels stay float32 until the one float64 table."""
+    at a time; the pairs' float32 pixels are joined into one C-ordered
+    float32 table, and one pair's pixels are that table."""
     parts, labels = [], []
     for i, (pixels, part_labels) in enumerate(starmap(_labeled_pixels, pairs)):
         if parts and pixels.shape[1] != parts[0].shape[1]:
@@ -226,8 +233,6 @@ def assemble_region_dataset(pairs) -> SampleSet:
         labels.append(part_labels)
     if not parts:
         raise DataError("no raster/mask pairs given")
-    # a new C-ordered table whatever the windows' layout: column_stats
-    # (fit_scaler) gives other bits on an F-ordered one
-    return SampleSet(
-        np.concatenate(parts, dtype=np.float64), np.concatenate(labels), adopt=True
-    )
+    if len(parts) == 1:  # new arrays already: no second table
+        return SampleSet(np.ascontiguousarray(parts[0]), labels[0], adopt=True)
+    return SampleSet(np.concatenate(parts), np.concatenate(labels), adopt=True)

@@ -65,6 +65,71 @@ class TestColumnStats:
         with pytest.raises(DataError):
             column_stats([1.0, 2.0, 3.0])
 
+    @staticmethod
+    def _numpy_stats(m):
+        t = np.ascontiguousarray(m, dtype=np.float64)
+        std = t.std(axis=0, ddof=1) if t.shape[0] > 1 else np.zeros(t.shape[1])
+        return t.mean(axis=0).tobytes(), std.tobytes()
+
+    @staticmethod
+    def _offset_table(rng, n, f):
+        # large offsets, so that a pairwise or block-by-block sum rounds differently
+        return rng.normal(size=(n, f)) * 1000.0 + rng.normal(size=f) * 1e6
+
+    @pytest.mark.parametrize("n", [7, 8, 9, 24, 61])
+    @pytest.mark.parametrize("f", [1, 2, 3, 10])
+    def test_equals_numpy_across_block_edges(self, monkeypatch, n, f):
+        # blocks of 8 rows: a block less a row, one block, a block and a row, several
+        monkeypatch.setattr(cca_module, "_STATS_ROWS", 8)
+        m = self._offset_table(np.random.default_rng(n * 31 + f), n, f)
+        stats = column_stats(m)
+        assert (stats.mean.tobytes(), stats.stddev.tobytes()) == self._numpy_stats(m)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_equals_numpy_on_a_bulk_sized_table(self, order):
+        # the default _STATS_ROWS: 13 blocks, the last one partial
+        m = np.asarray(self._offset_table(np.random.default_rng(6), 50_000, 10), order=order)
+        stats = column_stats(m)
+        assert (stats.mean.tobytes(), stats.stddev.tobytes()) == self._numpy_stats(m)
+
+    def test_f_ordered_table_gets_the_c_ordered_bits(self):
+        # numpy sums an F-ordered table's contiguous columns pairwise, which
+        # here rounds differently; column_stats follows the C-ordered table
+        m = self._offset_table(np.random.default_rng(8), 20_000, 10)
+        f_ordered = np.asfortranarray(m)
+        assert f_ordered.mean(axis=0).tobytes() != m.mean(axis=0).tobytes()
+        for got, want in zip(column_stats(f_ordered), column_stats(m)):
+            assert got.tobytes() == want.tobytes()
+
+    def test_float32_equals_its_float64_cast(self, monkeypatch):
+        monkeypatch.setattr(cca_module, "_STATS_ROWS", 8)
+        m = self._offset_table(np.random.default_rng(9), 45, 4).astype(np.float32)
+        stats = column_stats(m)
+        assert stats.mean.dtype == stats.stddev.dtype == np.float64
+        assert (stats.mean.tobytes(), stats.stddev.tobytes()) == self._numpy_stats(
+            m.astype(np.float64)
+        )
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_one_row_and_constant_columns(self, monkeypatch, dtype):
+        monkeypatch.setattr(cca_module, "_STATS_ROWS", 8)
+        one = column_stats(np.array([[0.1, -3.0, 7.5]], dtype=dtype))
+        assert one.mean.tobytes() == np.array([0.1, -3.0, 7.5], dtype=dtype).astype(
+            np.float64).tobytes()
+        assert one.stddev.tobytes() == np.zeros(3).tobytes()
+        m = np.column_stack([np.full(30, 0.1), np.arange(30.0), np.full(30, -2.0)]).astype(dtype)
+        stats = column_stats(m)
+        assert (stats.mean.tobytes(), stats.stddev.tobytes()) == self._numpy_stats(m)
+        assert stats.stddev[2] == 0.0
+
+    @pytest.mark.parametrize("f", [2, 3, 10])
+    def test_numpy_adds_axis_0_of_a_c_ordered_table_in_row_order(self, f):
+        # the numpy fact column_stats rests on: a reduction over axis 0 of a
+        # C-ordered table of two or more columns adds one row at a time, as a
+        # cumulative sum does; a numpy that changes this order fails here
+        a = self._offset_table(np.random.default_rng(f), 20_000, f)
+        assert np.add.reduce(a, axis=0).tobytes() == np.cumsum(a, axis=0)[-1].tobytes()
+
 
 class TestStandardize:
     def test_round_trip_moments(self):

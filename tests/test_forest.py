@@ -579,6 +579,32 @@ class TestSplitNodes:
             assert alone == [size for size in large for _ in range(2)]  # moments, then split
             assert sum(batched) == r - sum(large)
 
+    @pytest.mark.parametrize("alone", [False, True])
+    def test_root_gathers_without_an_index(self, alone):
+        # the root holds every row in order, so it takes its features' rows
+        # of the block whole. A block that refuses a flat view shows that no
+        # flat index is gathered; the reference gathers by one, from a
+        # block with one more row than the node holds
+        class NoFlatView(np.ndarray):
+            def reshape(self, *args, **kwargs):
+                raise AssertionError("a flat index gather")
+
+        rng = np.random.default_rng(19)
+        n = 300
+        x, y = rng.normal(size=(n + 1, 6)), rng.integers(0, 2, size=n + 1)
+        feats, starts, sizes = np.array([[0, 2, 5]]), np.array([0]), np.array([n])
+        weights = np.bincount(rng.integers(0, n, size=n), minlength=n)
+        root = forest._split_piece(_block(x[:n]).view(NoFlatView), y[:n], np.arange(n),
+                                   feats, starts, sizes, weights, alone)
+        indexed = forest._split_piece(_block(x), y, np.arange(n), feats, starts, sizes,
+                                      weights, alone)
+        for u, v in zip(root, indexed):
+            assert u.dtype == v.dtype and u.shape == v.shape and u.tobytes() == v.tobytes()
+        assert root[2][0] > 0
+        with pytest.raises(AssertionError, match="flat index"):  # a node of fewer rows
+            forest._split_piece(_block(x[:n]).view(NoFlatView), y[:n], np.arange(n - 1),
+                                feats, starts, sizes - 1, weights[:-1], alone)
+
 
 class TestBlockedSplits:
     """_node_split searches one node _BLOCK sorted rows at a time, with
@@ -791,6 +817,14 @@ class TestTrainForest:
         bad = ColumnStats(np.zeros(3), np.ones(3))
         with pytest.raises(DataError, match="scaler"):
             train_forest(s, TrainConfig(n_trees=1), scaler=bad)
+
+    def test_float32_set_grows_the_trees_of_its_float64_cast(self):
+        s = _blobs(300, 6, 1.5, np.random.default_rng(13))
+        pixels = SampleSet(s.features.astype(np.float32), s.labels)
+        cast = SampleSet(pixels.features.astype(np.float64), s.labels)
+        assert pixels.features.dtype == np.float32
+        cfg = TrainConfig(n_trees=3, seed=5)
+        _assert_same_trees(train_forest(pixels, cfg), train_forest(cast, cfg))
 
     def test_perfect_fit_on_separable_blobs(self):
         rng = np.random.default_rng(11)

@@ -90,6 +90,23 @@ class TestSampleSet:
                 with pytest.raises(ValueError):
                     a[0] = 0
 
+    def test_float32_features_stay_float32(self):
+        pixels = np.arange(6, dtype=np.float32).reshape(3, 2)
+        for adopt in (False, True):
+            s = SampleSet(pixels, np.array([0, 1, 0]), adopt=adopt)
+            assert s.features.dtype == np.float32
+            assert s.features.tobytes() == pixels.tobytes()
+        assert SampleSet(pixels, np.array([0, 1, 0])).take([2, 0]).features.dtype == np.float32
+        for other in (pixels.astype(np.float16), pixels.astype(np.int32)):
+            assert SampleSet(other, np.array([0, 1, 0])).features.dtype == np.float64
+
+    def test_float32_features_are_checked(self):
+        message = "^features contains a non-finite value at row 1, column 0$"
+        with pytest.raises(DataError, match=message):
+            SampleSet(np.array([[0.0], [np.inf]], np.float32), np.array([0, 1]))
+        with pytest.raises(DataError, match="2-D"):
+            SampleSet(np.zeros(3, np.float32), np.array([0, 1, 0]))
+
     def test_take_preserves_names(self):
         s = SampleSet(np.arange(8.0).reshape(4, 2), np.array([0, 1, 0, 1]), ("a", "b"))
         t = s.take([2, 0])
@@ -165,7 +182,7 @@ class TestExtractSamples:
         np.testing.assert_array_equal(s.labels, [0, 0, 1])
 
     def test_features_are_c_ordered_from_every_raster(self, tmp_path):
-        # fit_scaler's column_stats gives other bits on an F-ordered table
+        # the rasters' float32 pixels, one row-major table from each kind of raster
         rng = np.random.default_rng(5)
         memory = MultispectralRaster(rng.normal(size=(6, 7, 3)), nodata=0.0)
         mask = rng.choice([0, 1, 255], size=(6, 7)).astype(np.uint8)
@@ -173,7 +190,7 @@ class TestExtractSamples:
         tables = [extract_samples(r, mask).features
                   for r in (memory, read_raster(header), open_raster(header))]
         for t in tables:
-            assert t.flags.c_contiguous and t.dtype == np.float64
+            assert t.flags.c_contiguous and t.dtype == np.float32
             assert t.tobytes() == tables[0].tobytes()
 
     def test_count_matches_brute_force(self):
@@ -323,6 +340,31 @@ class TestFitScaler:
         assert np.abs(z_test.mean(axis=0)).max() > 1e-9
 
 
+class TestTrainSteps:
+    def test_peak_memory(self):
+        # `ccfmap train`'s steps up to the standardized block, nested as it
+        # nests them. The tables stay float32 and column_stats works a block
+        # of rows at a time, so the peak is the standardized block beside the
+        # float32 train and held-out sets: about 1.9 blocks. float64 tables
+        # and whole-table std temporaries peak at about 3.2 blocks
+        rng = np.random.default_rng(59)
+        pairs = [(MultispectralRaster(rng.normal(size=(128, 128, 10)).astype(np.float32)),
+                  (rng.random((128, 128)) < 0.45).astype(np.uint8)) for _ in range(4)]
+        tracemalloc.start()
+        try:
+            train, test = stratified_split(
+                balance_classes(assemble_region_dataset(pairs), np.random.default_rng(1)),
+                SplitSpec(),
+            )
+            block = standardize(train.features, fit_scaler(train))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert train.features.dtype == test.features.dtype == np.float32
+        assert block.shape == (train.features.shape[0], 10) and block.dtype == np.float64
+        assert peak <= 2.2 * block.nbytes
+
+
 class TestAssembleRegionDataset:
     def test_single_pair_identity(self):
         rng = np.random.default_rng(41)
@@ -356,8 +398,8 @@ class TestAssembleRegionDataset:
             assemble_region_dataset([])
 
     def test_equals_per_pair_float64_concatenation(self, tmp_path):
-        # the reference: each pair's pixels cast to float64 on their own,
-        # then joined, which is what the pooled float32 parts must equal
+        # the reference: each pair's float32 pixels taken on their own,
+        # then joined; its float64 cast is each pair cast on its own, joined
         rng = np.random.default_rng(47)
         with_nodata = rng.normal(size=(9, 7, 4)).astype(np.float32)
         with_nodata[rng.random((9, 7)) < 0.2, rng.integers(0, 4)] = -1.0
@@ -372,18 +414,21 @@ class TestAssembleRegionDataset:
         for raster, mask in pairs:
             pixels, flat = raster.window(0, mask.size), np.asarray(mask).ravel()
             valid = (flat != 255) & valid_pixels(pixels, raster.nodata)
-            features.append(pixels[valid].astype(np.float64))
+            features.append(pixels[valid])
             labels.append(flat[valid].astype(np.int64))
         s = assemble_region_dataset(pairs)
         want = np.concatenate(features)
-        assert s.features.dtype == np.float64 and s.features.flags.c_contiguous
+        assert s.features.dtype == np.float32 and s.features.flags.c_contiguous
         assert s.features.tobytes() == want.tobytes()
+        as_float64 = np.concatenate([f.astype(np.float64) for f in features])
+        assert s.features.astype(np.float64).tobytes() == as_float64.tobytes()
         assert s.labels.dtype == np.int64
         assert s.labels.tobytes() == np.concatenate(labels).tobytes()
 
     def test_peak_memory(self):
-        # float32 parts until the one float64 table; float64 parts beside
-        # the table they are joined into would peak at about 2.3 tables
+        # float32 parts beside the float32 table they are joined into, and
+        # one pair's raster: about 10.6 B per labeled pixel and band. A
+        # float64 table beside them peaks at about 14.6 B
         rng = np.random.default_rng(53)
         pairs = [(MultispectralRaster(rng.normal(size=(128, 128, 10)).astype(np.float32)),
                   rng.integers(0, 2, size=(128, 128), dtype=np.uint8)) for _ in range(4)]
@@ -394,7 +439,22 @@ class TestAssembleRegionDataset:
         finally:
             tracemalloc.stop()
         assert len(s) == 4 * 128 * 128
-        assert peak <= 2.0 * s.features.nbytes
+        assert peak <= 12.0 * s.features.size
+
+    def test_one_pair_peak_memory(self):
+        # one pair's labeled pixels are the table: 4 B per pixel and band, and
+        # its labels, with no second copy joined from them
+        rng = np.random.default_rng(61)
+        pairs = [(MultispectralRaster(rng.normal(size=(128, 128, 10)).astype(np.float32)),
+                  rng.integers(0, 2, size=(128, 128), dtype=np.uint8))]
+        tracemalloc.start()
+        try:
+            s = assemble_region_dataset(pairs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(s) == 128 * 128 and s.features.flags.c_contiguous
+        assert peak <= 6.0 * s.features.size
 
     def test_pairs_are_read_one_at_a_time(self):
         held = []
