@@ -79,12 +79,13 @@ gathered feature column at a time. A split that more than _BLOCK rows
 reach (_blocked_go_left) gathers, projects and compares them one block
 of _BLOCK rows at a time, into one bool array that the split's rows are
 then compressed by: a block's temporaries are 256 KB each and stay in a
-2 MB L2 cache, where a 262,144-row window's are 2 MB each beside its
-21 MB float64 block of 10 bands. On the bulk benchmark (2 vCPUs) that
-took cross_s from 0.31 to 0.28 s. predict_proba_batch sums the leaf
-distributions class-major, one contiguous run of rows per class, and
-returns their (rows, 2) transpose; _classes is the one class rule (class
-1 iff its probability exceeds class 0's, argmax's tie rule).
+2 MB L2 cache, where a 65,536-row window's are 512 KB each beside its
+5.2 MB float64 block of 10 bands. On the bulk benchmark (2 vCPUs, then
+with 262,144-row windows) that took cross_s from 0.31 to 0.28 s.
+predict_proba_batch sums the leaf distributions class-major, one
+contiguous run of rows per class, and returns their (rows, 2) transpose;
+_classes is the one class rule (class 1 iff its probability exceeds
+class 0's, argmax's tie rule).
 
 _fan_out runs both training and prediction on up to CCF_THREADS worker
 processes, never more than the usable cores. Each worker receives the
@@ -92,8 +93,13 @@ shared inputs once, when it starts (the training block, or the model and
 the raster), and a task is a small number: a tree index, or the start
 of a window of consecutive pixels, which reads them by raster.window
 and applies the nodata rule to them. predict_raster fans out only
-above _FANOUT_FLOOR pixels. A row's prediction does not depend on the rows
-routed with it, so the outputs are the same bytes for any worker count.
+above _FANOUT_FLOOR pixels, and gives every worker the same number of
+equal windows of about _PREDICT_CHUNK pixels (_window_size): a window
+costs about 130 B per pixel (the float32 pixels, their valid copy, the
+float64 block and the routing arrays), so a worker's peak follows the
+window, not the raster. A row's prediction does not depend on the rows
+routed with it, so the outputs are the same bytes for any worker count
+and any window layout.
 
 Numeric conventions that matter for reproducibility:
   * _project is the single projection routine: training partitions and
@@ -121,7 +127,7 @@ from .pipeline import UNLABELED, SampleSet, valid_pixels
 
 MODEL_FORMAT_VERSION = "ccf-3"
 
-_PREDICT_CHUNK = 1 << 18  # most rows one predict_proba_batch call routes
+_PREDICT_CHUNK = 1 << 16  # pixels a prediction window aims at (_window_size)
 _FANOUT_FLOOR = 1 << 15  # fewer pixels than this predict in-process
 _SMALL_NODE = 128  # most rows a split may hold for _route to park it for _finish_small
 _BLOCK = 1 << 15  # most rows _route or a growth step handles at once: 256 KB per float64 column
@@ -803,6 +809,17 @@ def _predict_piece(model, raster, size, start):
     return classes, p1
 
 
+def _window_size(n: int, workers: int) -> int:
+    """Pixels per window of an n-pixel raster on workers processes. Each
+    worker gets k equal windows, k the whole number nearest n / (workers *
+    _PREDICT_CHUNK) and at least 1. A region a little larger than one
+    window per worker thus stays one window per worker: k rounded up would
+    cut it into twice as many short windows, and a cap of _PREDICT_CHUNK
+    into full windows and a short last one that one worker routes alone."""
+    k = max(1, round(n / (workers * _PREDICT_CHUNK)))
+    return math.ceil(n / (workers * k))
+
+
 def predict_raster(model: CcfModel, raster):
     """Per-pixel prediction over a raster (see raster_io), read a window
     at a time through raster.window: views of a MultispectralRaster's
@@ -811,9 +828,10 @@ def predict_raster(model: CcfModel, raster):
     Returns (mask, informal_prob): an H x W uint8 label mask, UNLABELED where
     any band equals the raster's nodata value, and an H x W float32 map
     of the class-1 probability (-1 on nodata pixels). The pixels are
-    predicted in windows of consecutive pixels; rasters of at least
-    _FANOUT_FLOOR pixels are split over _worker_count worker processes.
-    The result is the same for any number of workers.
+    predicted in equal windows of consecutive pixels, about _PREDICT_CHUNK
+    each and the same number per worker (_window_size); rasters of at
+    least _FANOUT_FLOOR pixels are split over _worker_count worker
+    processes. The result is the same for any number of workers.
     """
     h, w, b = raster.height, raster.width, raster.bands
     if b != model.n_bands:
@@ -822,7 +840,7 @@ def predict_raster(model: CcfModel, raster):
         )
     n = h * w
     workers = _worker_count(n if n >= _FANOUT_FLOOR else 1)  # checks CCF_THREADS always
-    size = min(_PREDICT_CHUNK, math.ceil(n / workers))
+    size = _window_size(n, workers)
     pieces = _fan_out(_predict_piece, (model, raster, size), range(0, n, size), workers)
     mask, prob = np.empty(n, dtype=np.uint8), np.empty(n, dtype=np.float32)
     for (classes, p1), start in zip(pieces, range(0, n, size)):  # serial: one piece held

@@ -87,7 +87,10 @@ class SampleSet:
 
     def take(self, indices) -> "SampleSet":
         idx = np.asarray(indices, dtype=np.int64)
-        return SampleSet(self.features[idx], self.labels[idx], self.class_names, adopt=True)
+        # take gathers whole rows, about twice as fast as fancy indexing,
+        # into the same C-ordered bytes
+        return SampleSet(self.features.take(idx, axis=0), self.labels.take(idx),
+                         self.class_names, adopt=True)
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@
 import dataclasses
 import importlib
 import json
+import math
 import os
 import pickle
 import re
@@ -1497,7 +1498,9 @@ class TestPredictRaster:
 
         workers = forest._worker_count(10**6)
         assert pools == ([] if workers == 1 else [workers])
-        # windows of 39 pixels (the last of 26), each with nodata pixels
+        # _PREDICT_CHUNK 39 gives windows of 36 pixels (one or two workers) or
+        # 48 (three); every stretch of 39 pixels, and so every window, holds
+        # nodata pixels and valid ones
         windows = (want_mask.ravel() == 255)[: 3 * 39].reshape(3, 39)
         assert windows.any(axis=1).all() and (~windows).any(axis=1).all()
         assert mask.tobytes() == want_mask.tobytes()
@@ -1571,6 +1574,65 @@ class TestPredictRaster:
 
         # the raster read whole holds the payload; windows read from the file do not
         assert peak(open_raster) < 0.25 * payload < payload < peak(read_raster)
+
+    @pytest.mark.parametrize("side,threads,workers,windows", [
+        (1024, "2", 2, [65_536] * 16),
+        (384, "2", 2, [73_728] * 2),  # rounded to nearest: not 65,536 + 65,536 + 16,384
+        (512, "2", 2, [65_536] * 4),
+        (64, "1", 1, [4_096]),
+        (64, "2", 1, [4_096]),  # below _FANOUT_FLOOR: serial whatever CCF_THREADS says
+    ])
+    def test_window_layout(self, monkeypatch, side, threads, workers, windows):
+        """The windows predict_raster hands _fan_out, read from a stand-in
+        that records them and returns nodata windows without routing."""
+        model = self._model()
+        monkeypatch.setattr(forest, "_usable_cores", lambda: 2)
+        monkeypatch.setenv("CCF_THREADS", threads)
+        n, seen = side * side, []
+
+        def record(fn, inputs, tasks, n_workers):
+            size = inputs[2]
+            seen.append(n_workers)
+            for start in tasks:
+                m = min(size, n - start)
+                seen.append(m)
+                yield np.full(m, 255, np.uint8), np.full(m, -1, np.float32)
+
+        monkeypatch.setattr(forest, "_fan_out", record)
+        raster = MultispectralRaster(np.zeros((side, side, 4), np.float32))
+        mask, prob = predict_raster(model, raster)
+        assert seen == [workers] + windows
+        assert (mask == 255).all() and (prob == -1).all()
+
+    @given(st.integers(1, 10**9), st.integers(1, 64))
+    def test_windows_are_bounded_and_shared_evenly(self, n, workers):
+        size = forest._window_size(n, workers)
+        count = math.ceil(n / size)
+        assert size <= 1.5 * forest._PREDICT_CHUNK  # as the window count is the nearest
+        if n >= workers * forest._PREDICT_CHUNK:
+            assert count % workers == 0  # every worker routes as many windows
+        else:
+            assert count <= workers  # one window each, or fewer
+
+    def test_default_windows_bound_memory(self, tmp_path, monkeypatch):
+        """predict on a 512^2 x 10 raster read from its file, serially: four
+        windows of 65,536 pixels peak about 8.8 MiB above the outputs (about
+        140 B per window pixel). One window of 262,144 pixels peaked 34 MiB."""
+        s = _blobs(60, 10, 4.0, np.random.default_rng(21))
+        model = train_forest(s, TrainConfig(n_trees=3, seed=2))
+        values = np.random.default_rng(22).normal(size=(512, 512, 10)).astype(np.float32)
+        write_raster(MultispectralRaster(values), tmp_path / "big")
+        del values
+        monkeypatch.setenv("CCF_THREADS", "1")
+        raster = open_raster(tmp_path / "big.json")
+        tracemalloc.start()
+        try:
+            predict_raster(model, raster)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        outputs = 512 * 512 * (1 + 4)  # the uint8 mask and float32 probabilities
+        assert peak - outputs < 12 * 2**20
 
     @pytest.mark.parametrize("threads", ["2", None])
     def test_small_raster_builds_no_pool(self, monkeypatch, threads):

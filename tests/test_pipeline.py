@@ -90,6 +90,21 @@ class TestSampleSet:
                 with pytest.raises(ValueError):
                     a[0] = 0
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_take_equals_fancy_indexing(self, dtype):
+        rng = np.random.default_rng(3)
+        feats = rng.normal(size=(1000, 10)).astype(dtype)
+        labels = rng.integers(0, 2, size=1000)
+        s = SampleSet(feats, labels)
+        idx = np.concatenate([rng.permutation(1000)[:700], [0, 0, 999, -1, -1000]])
+        got = s.take(idx)
+        assert got.features.dtype == dtype and got.features.flags.c_contiguous
+        assert got.features.tobytes() == feats[idx].tobytes()
+        assert got.labels.dtype == s.labels.dtype
+        assert got.labels.tobytes() == s.labels[idx].tobytes()
+        with pytest.raises(IndexError):
+            s.take([1000])
+
     def test_float32_features_stay_float32(self):
         pixels = np.arange(6, dtype=np.float32).reshape(3, 2)
         for adopt in (False, True):
