@@ -1,5 +1,12 @@
 """Command-line front end: train, predict, evaluate, cross, synth.
 
+predict and cross hold no whole-scene array: they take the windows of
+forest.predict_windows as they arrive, and predict writes each to both
+payloads (raster_io.write_sidecars) while cross adds up its confusion
+tally against the truth mask's same pixels (metrics.evaluate_windows).
+evaluate tallies two mask files the same way. A mask is checked whole,
+a window at a time, before any of this (raster_io.open_mask).
+
 Exit codes: 0 success, 1 usage error (an unknown or missing flag, a flag
 out of range, unpaired --raster/--mask, or an output that names an
 input), 2 data/validation error, 3 numeric failure, 4 out of memory or a
@@ -11,6 +18,7 @@ stderr; every failure prints one line starting with "ccfmap: error:"
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -20,8 +28,9 @@ import sys
 import numpy as np
 
 from .errors import DataError
-from .forest import TrainConfig, predict_class_batch, predict_raster, train_forest
-from .metrics import evaluate
+from .forest import TrainConfig, predict_class_batch, predict_windows, train_forest
+from .forest import predict_raster  # noqa: F401  (not called here; perfbench/tracer.py wraps it)
+from .metrics import evaluate, evaluate_windows
 from .pipeline import (
     UNLABELED,
     SampleSet,
@@ -34,18 +43,22 @@ from .pipeline import (
 from .cca import standardize
 from .model_io import load_model, save_model
 from .raster_io import (
+    MASK_DTYPE,
     PRESETS,
-    MultispectralRaster,
+    RASTER_DTYPE,
     SyntheticSceneSpec,
     _sidecar_paths,
     bayes_accuracy_estimate,
     generate_scene,
+    mask_windows,
+    open_mask,
     open_raster,
     read_mask,
     read_raster,
     write_mask,
     write_raster,
     write_report,
+    write_sidecars,
 )
 
 PROG = "ccfmap"
@@ -162,10 +175,8 @@ def _report_path(model_path: str) -> str:
     return re.sub(r"(\.ccf)?\.json\Z", "", model_path) + ".report.json"
 
 
-def _score(label, pred, truth, path, class_names=None) -> None:
-    """Evaluate pred against truth, write the report to path and print
-    the headline line, label first."""
-    report = evaluate(pred, truth)
+def _score(label, report, path, class_names=None) -> None:
+    """Write the report to path and print the headline line, label first."""
     path = write_report(report, path, class_names=class_names)
     print(
         f"{label}pixel_accuracy {report.pixel_accuracy * 100.0:.1f}%, "
@@ -207,7 +218,7 @@ def cmd_train(args) -> None:
         f"{len(train)} train / {len(test)} held-out samples)"
     )
     if not args.no_eval:
-        _score("holdout: ", predict_class_batch(model, test.features), test.labels,
+        _score("holdout: ", evaluate(predict_class_batch(model, test.features), test.labels),
                _report_path(args.out), model.class_names)
 
 
@@ -215,21 +226,37 @@ def cmd_predict(args) -> None:
     outputs = [("--out-mask", args.out_mask), ("--out-prob", args.out_prob)]
     _refuse_overwrites([("--model", args.model), ("--raster", args.raster)], outputs)
     model = load_model(args.model)
-    mask, prob = predict_raster(model, open_raster(args.raster))
-    write_mask(mask, args.out_mask)
-    # prob is new and finite, and its one plane is band-sequential: no copy
-    write_raster(MultispectralRaster(prob[..., None], -1.0, ("informal_probability",),
-                                     adopt=True), args.out_prob)
-    labeled = int((mask != UNLABELED).sum())
+    raster = open_raster(args.raster)
+    labeled = 0
+
+    def counted(windows):  # each window's two outputs, its labeled pixels counted
+        nonlocal labeled
+        for _, classes, p1 in windows:
+            labeled += int((classes != UNLABELED).sum())
+            yield classes, p1
+
+    # each window goes to both payloads as it arrives; nothing is renamed
+    # until the last one is written
+    shape = (1, raster.height, raster.width)
+    with contextlib.closing(predict_windows(model, raster)) as windows:
+        write_sidecars(
+            [(args.out_mask, MASK_DTYPE, shape, None),
+             (args.out_prob, RASTER_DTYPE, shape,
+              {"nodata": -1.0, "band_names": ["informal_probability"]})],
+            counted(windows))
     print(
-        f"mask written: {args.out_mask} ({labeled}/{mask.size} pixels labeled); "
-        f"probability raster: {args.out_prob}"
+        f"mask written: {args.out_mask} ({labeled}/{raster.height * raster.width} pixels "
+        f"labeled); probability raster: {args.out_prob}"
     )
 
 
 def cmd_evaluate(args) -> None:
     _refuse_overwrites([("--pred", args.pred), ("--truth", args.truth)], [("--out", args.out)])
-    _score("", read_mask(args.pred), read_mask(args.truth), args.out)
+    pred, truth = open_mask(args.pred), open_mask(args.truth)
+    shapes = (pred.height, pred.width), (truth.height, truth.width)
+    if shapes[0] != shapes[1]:
+        raise DataError(f"shape mismatch: pred {shapes[0]} vs truth {shapes[1]}")
+    _score("", evaluate_windows(zip(mask_windows(pred), mask_windows(truth))), args.out)
 
 
 def cmd_cross(args) -> None:
@@ -237,12 +264,14 @@ def cmd_cross(args) -> None:
     _refuse_overwrites(inputs, [("--out", args.out)])
     model = load_model(args.model)
     raster = open_raster(args.raster)
-    truth = read_mask(args.mask)
-    shape = (raster.height, raster.width)
-    if truth.shape != shape:  # before predicting, not after
-        raise DataError(f"shape mismatch: raster {shape} vs truth {truth.shape}")
-    pred, _ = predict_raster(model, raster)
-    _score("cross-region: ", pred, truth, args.out, model.class_names)
+    truth = open_mask(args.mask)  # its values are checked before predicting
+    shape, truth_shape = (raster.height, raster.width), (truth.height, truth.width)
+    if truth_shape != shape:  # before predicting, not after
+        raise DataError(f"shape mismatch: raster {shape} vs truth {truth_shape}")
+    with contextlib.closing(predict_windows(model, raster)) as windows:
+        report = evaluate_windows((classes, truth.window(start, classes.size)[:, 0])
+                                  for start, classes, _ in windows)
+    _score("cross-region: ", report, args.out, model.class_names)
 
 
 def cmd_synth(args) -> None:

@@ -92,14 +92,18 @@ processes, never more than the usable cores. Each worker receives the
 shared inputs once, when it starts (the training block, or the model and
 the raster), and a task is a small number: a tree index, or the start
 of a window of consecutive pixels, which reads them by raster.window
-and applies the nodata rule to them. predict_raster fans out only
-above _FANOUT_FLOOR pixels, and gives every worker the same number of
-equal windows of about _PREDICT_CHUNK pixels (_window_size): a window
-costs about 130 B per pixel (the float32 pixels, their valid copy, the
-float64 block and the routing arrays), so a worker's peak follows the
-window, not the raster. A row's prediction does not depend on the rows
-routed with it, so the outputs are the same bytes for any worker count
-and any window layout.
+and applies the nodata rule to them. It submits at most 2 tasks per
+worker ahead of the result it yields, so results do not queue up in the
+parent. predict_windows is prediction's one stream: it fans out only
+above _FANOUT_FLOOR pixels, gives every worker the same number of equal
+windows of about _PREDICT_CHUNK pixels (_window_size) and yields each
+window's classes and probabilities in pixel order, for the CLI to write
+or score as they arrive; predict_raster collects them into whole-scene
+arrays. A window costs about 130 B per pixel (the float32 pixels, their
+valid copy, the float64 block and the routing arrays), so every
+process's peak follows the window, not the raster. A row's prediction
+does not depend on the rows routed with it, so the outputs are the same
+bytes for any worker count and any window layout.
 
 Numeric conventions that matter for reproducibility:
   * _project is the single projection routine: training partitions and
@@ -112,6 +116,7 @@ Numeric conventions that matter for reproducibility:
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 import os
@@ -610,8 +615,11 @@ def _fan_out(fn, inputs, tasks, workers: int):
     """Yield fn(*inputs, task) for every task, in task order, as each
     arrives: computed in this process when workers <= 1, else on a pool
     whose workers receive fn and inputs once, when they start. Under fork
-    they inherit them, so only tasks and results are pickled. A worker's
-    error shuts the pool down and is raised here."""
+    they inherit them, so only tasks and results are pickled. At most
+    2 * workers tasks are submitted ahead of the result yielded, so
+    finished results do not pile up, and closing the generator submits
+    no further task and cancels those not started. A worker's error
+    shuts the pool down and is raised here."""
     if workers <= 1:
         yield from map(functools.partial(fn, *inputs), tasks)
         return
@@ -619,7 +627,17 @@ def _fan_out(fn, inputs, tasks, workers: int):
     with ProcessPoolExecutor(
         max_workers=workers, initializer=_hold_task, initargs=(fn, *inputs)
     ) as pool:
-        yield from pool.map(_run_held_task, tasks)
+        ahead = collections.deque()  # submitted, not yet yielded
+        try:
+            for task in tasks:
+                ahead.append(pool.submit(_run_held_task, task))
+                if len(ahead) > 2 * workers:
+                    yield ahead.popleft().result()
+            while ahead:
+                yield ahead.popleft().result()
+        finally:
+            for future in ahead:
+                future.cancel()
 
 
 def train_forest(samples: SampleSet, config: TrainConfig | None = None,
@@ -820,18 +838,23 @@ def _window_size(n: int, workers: int) -> int:
     return math.ceil(n / (workers * k))
 
 
-def predict_raster(model: CcfModel, raster):
-    """Per-pixel prediction over a raster (see raster_io), read a window
-    at a time through raster.window: views of a MultispectralRaster's
-    band planes, or reads from the file of a raster open_raster checked.
+def predict_windows(model: CcfModel, raster):
+    """Per-pixel prediction over a raster (see raster_io), one window of
+    consecutive pixels at a time, read through raster.window: views of a
+    MultispectralRaster's band planes, or reads from the file of a raster
+    open_raster checked.
 
-    Returns (mask, informal_prob): an H x W uint8 label mask, UNLABELED where
-    any band equals the raster's nodata value, and an H x W float32 map
-    of the class-1 probability (-1 on nodata pixels). The pixels are
-    predicted in equal windows of consecutive pixels, about _PREDICT_CHUNK
-    each and the same number per worker (_window_size); rasters of at
-    least _FANOUT_FLOOR pixels are split over _worker_count worker
-    processes. The result is the same for any number of workers.
+    Yields (start, classes, p1) for each window in pixel order: the
+    window's first pixel index, its uint8 classes (UNLABELED where any
+    band equals the raster's nodata value) and its float32 class-1
+    probabilities (-1 on nodata pixels). The windows are equal, about
+    _PREDICT_CHUNK pixels each and the same number per worker
+    (_window_size); rasters of at least _FANOUT_FLOOR pixels are split
+    over _worker_count worker processes, at most 2 windows per worker
+    ahead of the one yielded (_fan_out). So no whole-scene array is
+    built, and the windows are the same bytes for any number of workers.
+    The band count and CCF_THREADS are checked when the first window is
+    asked for; closing the generator stops the workers.
     """
     h, w, b = raster.height, raster.width, raster.bands
     if b != model.n_bands:
@@ -841,8 +864,22 @@ def predict_raster(model: CcfModel, raster):
     n = h * w
     workers = _worker_count(n if n >= _FANOUT_FLOOR else 1)  # checks CCF_THREADS always
     size = _window_size(n, workers)
-    pieces = _fan_out(_predict_piece, (model, raster, size), range(0, n, size), workers)
+    starts = range(0, n, size)
+    pieces = _fan_out(_predict_piece, (model, raster, size), starts, workers)
+    try:
+        for start, (classes, p1) in zip(starts, pieces):
+            yield start, classes, p1
+    finally:
+        pieces.close()  # a consumer that stops early stops the pool
+
+
+def predict_raster(model: CcfModel, raster):
+    """predict_windows' windows collected into (mask, informal_prob): an
+    H x W uint8 label mask and an H x W float32 map of the class-1
+    probability. The CLI streams predict_windows instead; this whole-scene
+    form serves the demos and the library's callers."""
+    n = raster.height * raster.width
     mask, prob = np.empty(n, dtype=np.uint8), np.empty(n, dtype=np.float32)
-    for (classes, p1), start in zip(pieces, range(0, n, size)):  # serial: one piece held
-        mask[start : start + size], prob[start : start + size] = classes, p1
-    return mask.reshape(h, w), prob.reshape(h, w)
+    for start, classes, p1 in predict_windows(model, raster):
+        mask[start : start + classes.size], prob[start : start + classes.size] = classes, p1
+    return mask.reshape(raster.height, raster.width), prob.reshape(raster.height, raster.width)

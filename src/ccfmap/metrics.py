@@ -123,7 +123,21 @@ class EvalReport:
 
 def evaluate(pred, truth, n_classes: int = 2) -> EvalReport:
     """confusion + both headline metrics in one report."""
-    c = confusion(pred, truth, n_classes)
+    return _report(confusion(pred, truth, n_classes))
+
+
+def evaluate_windows(windows, n_classes: int = 2) -> EvalReport:
+    """evaluate over the (pred, truth) window pairs of two larger masks:
+    their confusion tallies, whole numbers, summed; so the report equals
+    evaluate's on the whole masks."""
+    counts = abstain = skipped = 0
+    for pred, truth in windows:
+        c = confusion(pred, truth, n_classes)
+        counts, abstain, skipped = counts + c.counts, abstain + c.abstain, skipped + c.skipped
+    return _report(ConfusionMatrix(counts, abstain, skipped))
+
+
+def _report(c: ConfusionMatrix) -> EvalReport:
     acc = pixel_accuracy(c)
     ious, miou = mean_iou(c)
     return EvalReport(

@@ -50,7 +50,7 @@ def save_model(model: CcfModel, path) -> str:
         "trees": [_tree_doc(tree, model.n_bands, f"{p}: tree {i}")
                   for i, tree in enumerate(model.trees)],
     }
-    return _write_atomic(p, [(_dumps(doc) + "\n").encode()])
+    return _write_atomic([(p, (_dumps(doc) + "\n").encode())])[0]
 
 
 def _config_doc(cfg: TrainConfig, n_bands: int) -> dict:

@@ -108,17 +108,20 @@ class SplitSpec:
             raise DataError(f"seed must be a non-negative integer, got {seed!r}")
 
 
-def check_mask(mask: np.ndarray, classes: int = 2, name: str = "mask") -> None:
-    """The one label rule, for read_mask, write_mask, extract_samples and
-    metrics.confusion: DataError unless each value equals a class below
-    classes or UNLABELED (so 0.5 and NaN are refused); costs 2 B/px."""
+def check_mask(mask: np.ndarray, classes: int = 2, name: str = "mask", first: int = 0) -> None:
+    """The one label rule, for read_mask, open_mask, write_mask,
+    extract_samples and metrics.confusion: DataError unless each value
+    equals a class below classes or UNLABELED (so 0.5 and NaN are
+    refused); costs 2 B/px. mask may be a window of a larger mask whose
+    pixel index first is its first value: the error names the larger
+    mask's index."""
     bad = mask != UNLABELED
     for c in range(classes):
         bad &= mask != c
     if bad.any():
         i = int(bad.argmax())
         raise DataError(
-            f"{name} contains illegal value {mask.flat[i]} at pixel index {i}"
+            f"{name} contains illegal value {mask.flat[i]} at pixel index {first + i}"
         )
 
 

@@ -4,23 +4,28 @@ the tests, demos and benchmark generate.
 Rasters and masks are sidecar pairs: a raw payload (<name>.bin) of
 little-endian band-sequential planes (float32 for spectra, one u8 plane
 for label masks) and a JSON header (<name>.json) that describes it.
-_write_sidecar is their one writer, _check_header their one header
-check and RasterFile.window their one reader, a window of pixels at a
-time (read_raster and read_mask read the whole payload as one window).
+write_sidecars is their one writer, a chunk of each payload at a time
+(write_raster and write_mask write the whole payload as one chunk),
+_check_header their one header check and RasterFile.window their one
+reader, a window of pixels at a time (read_raster and read_mask read
+the whole payload as one window; open_mask checks a mask window by
+window and leaves it in its file).
 A MultispectralRaster holds its pixels as the payload lays them out and
 gives the same height, width, bands, nodata and window in memory: all
 that forest and pipeline read of a raster.
 Evaluation reports are single JSON documents; the model file is
 model_io's, which shares _write_atomic and _load_json. Every file goes
-through _write_atomic (temp file in the same directory, then os.replace;
-a sidecar's payload before its header), so a failed or interrupted write
-leaves any earlier file whole. Writers emit deterministic bytes so
+through _write_atomic (temp files in the same directory, renamed by
+os.replace once every file is written; a sidecar's payload before its
+header), so a failed or interrupted write leaves every earlier file
+whole. Writers emit deterministic bytes so
 repeated runs can be compared with cmp, and every reader rejects
 malformed input with a DataError instead of crashing or guessing.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -38,6 +43,7 @@ _NUMPY_DTYPES = {RASTER_DTYPE: "<f4", MASK_DTYPE: "u1"}
 _F32_LIMIT = 2.0**128 - 2.0**103  # the least double that float32 rounds to inf
 
 PRESETS = ("blobs", "oblique", "ring")
+_MASK_WINDOW = 1 << 16  # pixels of a mask open_mask and mask_windows read at once
 
 
 def _check_nodata(nodata, where: str = "") -> float | None:
@@ -120,30 +126,51 @@ def _sidecar_paths(path) -> tuple[str, str]:
     return base + ".json", base + ".bin"
 
 
-def _write_atomic(path, chunks) -> str:
-    """Write the byte chunks to <path>.<pid>.tmp in path's directory, then
-    rename that over path; returns path. A failure at any point removes
-    the temp file, so path holds either its earlier bytes or all new ones.
-    An OSError is raised as a DataError."""
-    p = os.fspath(path)
-    tmp = f"{p}.{os.getpid()}.tmp"  # same directory, so os.replace is atomic
+def _write_atomic(parts) -> list[str]:
+    """Write each (path, chunk) of parts to <path>.<pid>.tmp in path's
+    directory, a path's chunks in turn, then rename every temp file over
+    its path, in the order the paths first came; returns those paths. A
+    failure before the renames removes every temp file, so no path
+    changes unless every file is complete. An OSError is raised as a
+    DataError that names its path."""
+    temps = {}  # path -> its open temp file
     try:
-        with open(tmp, "wb") as fh:
-            for chunk in chunks:
-                fh.write(chunk)
-        os.replace(tmp, p)
-    except BaseException as exc:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        if isinstance(exc, OSError):
-            raise DataError(f"cannot write {p}: {exc}") from exc
+        for path, chunk in parts:
+            path = os.fspath(path)
+            with _writing(path):
+                if path not in temps:  # same directory, so os.replace is atomic
+                    temps[path] = open(f"{path}.{os.getpid()}.tmp", "wb")
+                temps[path].write(chunk)
+        for path, fh in temps.items():
+            with _writing(path):
+                fh.close()
+        for path, fh in temps.items():
+            with _writing(path):
+                os.replace(fh.name, path)
+    except BaseException:
+        for fh in temps.values():
+            with contextlib.suppress(OSError):  # a failed flush: the file goes anyway
+                fh.close()
+            if os.path.exists(fh.name):
+                os.unlink(fh.name)
         raise
-    return p
+    return list(temps)
+
+
+@contextlib.contextmanager
+def _writing(path):
+    try:
+        yield
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc}") from exc
+
+
+def _json_bytes(doc: dict) -> bytes:
+    return (json.dumps(doc, indent=2, allow_nan=False) + "\n").encode()
 
 
 def _write_json(doc: dict, path) -> str:
-    text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
-    return _write_atomic(path, [text.encode()])
+    return _write_atomic([(path, _json_bytes(doc))])[0]
 
 
 def _load_json(path, what: str) -> dict:
@@ -160,25 +187,38 @@ def _load_json(path, what: str) -> dict:
     return doc
 
 
-def _write_sidecar(path, dtype: str, planes: np.ndarray, extra=None) -> tuple[str, str]:
-    """Write a bands x height x width array as <base>.bin, then the
-    <base>.json header that describes it; returns the two paths. The
-    payload goes first, so a new header never appears before its
-    payload is complete."""
-    header_path, payload_path = _sidecar_paths(path)
-    bands, height, width = planes.shape
-    payload = np.ascontiguousarray(planes, dtype=_NUMPY_DTYPES[dtype])
-    _write_atomic(payload_path, [payload])
-    header = {
+def _header(dtype: str, shape, extra=None) -> bytes:
+    bands, height, width = shape
+    return _json_bytes({
         "width": width,
         "height": height,
         "bands": bands,
         "dtype": dtype,
         "layout": LAYOUT,
         **(extra or {}),
-    }
-    _write_json(header, header_path)
-    return header_path, payload_path
+    })
+
+
+def write_sidecars(outputs, chunks) -> list[tuple[str, str]]:
+    """Write sidecar files from their payloads, chunk by chunk. outputs
+    lists each file's (path, dtype, (bands, height, width), extra header
+    fields); chunks yields tuples of one array per output, each the next
+    values of its band-sequential payload. Every payload is renamed
+    before any header, and only once every chunk is written
+    (_write_atomic): a new header never appears before its payload is
+    complete, and a failure changes no output. Returns each output's
+    (header, payload) paths."""
+    paths = [_sidecar_paths(path) for path, *_ in outputs]
+
+    def parts():
+        for arrays in chunks:
+            for (_, payload), (_, dtype, _, _), values in zip(paths, outputs, arrays):
+                yield payload, np.ascontiguousarray(values, dtype=_NUMPY_DTYPES[dtype])
+        for (header, _), (_, dtype, shape, extra) in zip(paths, outputs):
+            yield header, _header(dtype, shape, extra)
+
+    _write_atomic(parts())
+    return paths
 
 
 def _length_mismatch(expected: int, got: int, payload_path) -> DataError:
@@ -278,7 +318,8 @@ def write_raster(raster: MultispectralRaster, path) -> tuple[str, str]:
         extra["nodata"] = raster.nodata
     if raster.band_names is not None:
         extra["band_names"] = list(raster.band_names)
-    return _write_sidecar(path, RASTER_DTYPE, raster.values.transpose(2, 0, 1), extra)
+    planes = raster.values.transpose(2, 0, 1)
+    return write_sidecars([(path, RASTER_DTYPE, planes.shape, extra)], [(planes,)])[0]
 
 
 def read_raster(header_path) -> MultispectralRaster:
@@ -300,7 +341,7 @@ def write_mask(mask, path) -> tuple[str, str]:
     if min(m.shape) < 1:
         raise DataError(f"empty raster: mask shape {m.shape}")
     check_mask(m)
-    return _write_sidecar(path, MASK_DTYPE, m[None])
+    return write_sidecars([(path, MASK_DTYPE, (1, *m.shape), None)], [(m,)])[0]
 
 
 def read_mask(header_path) -> np.ndarray:
@@ -309,6 +350,23 @@ def read_mask(header_path) -> np.ndarray:
     values = file.window(0, file.height * file.width)[:, 0].reshape(file.height, file.width)
     check_mask(values)
     return values
+
+
+def open_mask(header_path) -> RasterFile:
+    """Check a mask as read_mask does, its values a window at a time
+    (1 B/px of reads), but leave them in the file for mask_windows or
+    RasterFile.window to read again."""
+    file = _check_header(header_path, MASK_DTYPE)
+    for k, labels in enumerate(mask_windows(file)):
+        check_mask(labels, first=k * _MASK_WINDOW)
+    return file
+
+
+def mask_windows(file: RasterFile):
+    """The labels of a mask file, _MASK_WINDOW consecutive pixels at a
+    time (fewer at the end), in order."""
+    for start in range(0, file.height * file.width, _MASK_WINDOW):
+        yield file.window(start, _MASK_WINDOW)[:, 0]
 
 
 # --- evaluation reports ---------------------------------------------------

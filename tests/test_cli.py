@@ -14,8 +14,10 @@ from concurrent import futures
 import numpy as np
 import pytest
 
-from ccfmap import cli, forest
+from ccfmap import cli, forest, raster_io
 from ccfmap.cli import main
+from ccfmap.errors import DataError
+from ccfmap.metrics import evaluate
 from ccfmap.model_io import load_model
 from ccfmap.raster_io import (
     MultispectralRaster,
@@ -25,6 +27,7 @@ from ccfmap.raster_io import (
     read_report,
     write_mask,
     write_raster,
+    write_report,
 )
 
 
@@ -551,6 +554,16 @@ def _error_lines(err):
     return [line for line in err.splitlines() if line.startswith("ccfmap: error:")]
 
 
+def _illegal_mask(scene_dir, base, index, monkeypatch):
+    """Write scene_dir's mask to base with the value 7 at pixel index, and
+    check masks in windows of 100 pixels, so index lies in a later window."""
+    _, payload = write_mask(read_mask(scene_dir / "mask.json"), base)
+    with open(payload, "r+b") as fh:
+        fh.seek(index)
+        fh.write(b"\x07")
+    monkeypatch.setattr(raster_io, "_MASK_WINDOW", 100)
+
+
 class TestBadThreadCount:
     @pytest.mark.parametrize("command", ["predict", "cross"])
     def test_rejected_like_train(self, command, scene_dir, model_dir, tmp_path,
@@ -646,6 +659,22 @@ class TestFailedWrite:
         errors = _error_lines(err)
         assert len(errors) == 1 and errors[0].startswith(f"ccfmap: error: cannot write {out}")
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["parent"]
+
+    def test_probability_write_failure_leaves_the_mask(self, scene_dir, model_dir, tmp_path,
+                                                       capsys):
+        # the mask is complete before the probability raster fails, and
+        # still neither output may change
+        (tmp_path / "parent").write_text("a file, not a directory")
+        write_mask(np.zeros((2, 3), np.uint8), tmp_path / "pred")  # an earlier mask
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert main(["predict", "--model", str(model_dir / "model.ccf.json"),
+                     "--raster", str(scene_dir / "raster.json"),
+                     "--out-mask", str(tmp_path / "pred"),
+                     "--out-prob", str(tmp_path / "parent" / "prob")]) == 2
+        errors = _error_lines(capsys.readouterr().err)
+        assert len(errors) == 1
+        assert errors[0].startswith(f"ccfmap: error: cannot write {tmp_path / 'parent' / 'prob'}")
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before  # no *.tmp
 
 
 class TestNoOutputOverwritesAnInput:
@@ -799,7 +828,7 @@ class TestEvaluateAndCross:
         def no_prediction(model, raster):
             raise AssertionError("the raster was predicted")
 
-        monkeypatch.setattr(cli, "predict_raster", no_prediction)
+        monkeypatch.setattr(cli, "predict_windows", no_prediction)
         rc = main(
             [
                 "cross",
@@ -814,6 +843,49 @@ class TestEvaluateAndCross:
             "ccfmap: error: shape mismatch: raster (48, 48) vs truth (24, 48)"
         ]
         assert not (tmp_path / "r.json").exists()
+
+    def test_cross_illegal_truth_found_before_predicting(self, scene_dir, model_dir, tmp_path,
+                                                         capsys, monkeypatch):
+        _illegal_mask(scene_dir, tmp_path / "bad", 1000, monkeypatch)
+
+        def no_prediction(model, raster):
+            raise AssertionError("the raster was predicted")
+
+        monkeypatch.setattr(cli, "predict_windows", no_prediction)
+        rc = main(["cross", "--model", str(model_dir / "model.ccf.json"),
+                   "--raster", str(scene_dir / "raster.json"),
+                   "--mask", str(tmp_path / "bad.json"), "--out", str(tmp_path / "r.json")])
+        assert rc == 2
+        assert _error_lines(capsys.readouterr().err) == [
+            "ccfmap: error: mask contains illegal value 7 at pixel index 1000"  # the whole mask's
+        ]
+        assert not (tmp_path / "r.json").exists()
+
+    def test_evaluate_checks_pred_before_truth(self, scene_dir, tmp_path, capsys, monkeypatch):
+        _illegal_mask(scene_dir, tmp_path / "bad", 2000, monkeypatch)
+        rc = main(["evaluate", "--pred", str(tmp_path / "bad.json"),
+                   "--truth", str(tmp_path / "missing.json"), "--out", str(tmp_path / "r.json")])
+        assert rc == 2
+        assert _error_lines(capsys.readouterr().err) == [
+            "ccfmap: error: mask contains illegal value 7 at pixel index 2000"
+        ]
+
+    def test_windowed_evaluate_equals_the_whole_masks(self, scene_dir, tmp_path, monkeypatch):
+        truth = read_mask(scene_dir / "mask.json")
+        pred = truth.copy()
+        pred[::7, ::3] = 1 - pred[::7, ::3]
+        pred[5, :] = 255  # abstentions
+        truth = truth.copy()
+        truth[:, 40:] = 255  # skipped pixels
+        write_mask(pred, tmp_path / "pred")
+        write_mask(truth, tmp_path / "truth")
+        write_report(evaluate(pred, truth), tmp_path / "whole.report.json")
+        monkeypatch.setattr(raster_io, "_MASK_WINDOW", 100)  # windows cut rows
+        assert main(["evaluate", "--pred", str(tmp_path / "pred.json"),
+                     "--truth", str(tmp_path / "truth.json"),
+                     "--out", str(tmp_path / "windowed.report.json")]) == 0
+        assert ((tmp_path / "windowed.report.json").read_bytes()
+                == (tmp_path / "whole.report.json").read_bytes())
 
     def test_nothing_evaluable(self, scene_dir, tmp_path):
         blank = np.full((48, 48), 255, dtype=np.uint8)
@@ -880,3 +952,157 @@ class TestEvaluateAndCross:
         same = read_report(tmp_path / "same.report.json")["pixel_accuracy"]
         flip = read_report(tmp_path / "flip.report.json")["pixel_accuracy"]
         assert abs((1.0 - same) - flip) < 1e-12
+
+
+class TestStreamedOutputs:
+    """predict and cross take their windows from forest.predict_windows and
+    write or score each as it arrives: outputs the same bytes for any
+    worker count, a worker's error as one error line, and no whole-scene
+    output held in memory."""
+
+    @pytest.fixture(scope="class")
+    def gappy_dir(self, scene_dir, tmp_path_factory):
+        """scene_dir's raster with one band at nodata on every fifth pixel
+        from the fourth on."""
+        out = tmp_path_factory.mktemp("gappy")
+        values = read_raster(scene_dir / "raster.json").values.copy()
+        flat = values.reshape(-1, values.shape[2])
+        for p in range(3, flat.shape[0], 5):
+            flat[p, p % flat.shape[1]] = -7.0
+        write_raster(MultispectralRaster(values, nodata=-7.0), out / "raster")
+        return out
+
+    def _commands(self, scene_dir, model_dir, gappy_dir, out):
+        model, raster = str(model_dir / "model.ccf.json"), str(gappy_dir / "raster.json")
+        return [
+            ["predict", "--model", model, "--raster", raster,
+             "--out-mask", str(out / "pred"), "--out-prob", str(out / "prob")],
+            ["cross", "--model", model, "--raster", raster,
+             "--mask", str(scene_dir / "mask.json"), "--out", str(out / "cross.report.json")],
+        ]
+
+    def _outputs(self, out):
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    @pytest.mark.parametrize("threads", ["1", "2", "3", None])
+    def test_outputs_identical_across_worker_counts(self, scene_dir, model_dir, gappy_dir,
+                                                    tmp_path, monkeypatch, threads):
+        monkeypatch.setattr(forest, "_usable_cores", lambda: 3)
+        want = tmp_path / "want"
+        want.mkdir()
+        monkeypatch.setenv("CCF_THREADS", "1")
+        for argv in self._commands(scene_dir, model_dir, gappy_dir, want):
+            assert main(argv) == 0  # serial, one window
+        got = tmp_path / "got"
+        got.mkdir()
+        monkeypatch.setattr(forest, "_FANOUT_FLOOR", 16)
+        monkeypatch.setattr(forest, "_PREDICT_CHUNK", 39)  # windows of 36 or 48 pixels
+        if threads is None:
+            monkeypatch.delenv("CCF_THREADS")
+        else:
+            monkeypatch.setenv("CCF_THREADS", threads)
+        for argv in self._commands(scene_dir, model_dir, gappy_dir, got):
+            assert main(argv) == 0
+        assert self._outputs(got) == self._outputs(want)
+        assert len(self._outputs(want)) == 5  # two sidecar pairs and the report
+
+    @pytest.mark.parametrize("command", ["predict", "cross"])
+    def test_worker_error_propagates(self, scene_dir, model_dir, gappy_dir, tmp_path, capsys,
+                                     monkeypatch, command):
+        monkeypatch.setattr(forest, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(forest, "_FANOUT_FLOOR", 16)
+        monkeypatch.setattr(forest, "_PREDICT_CHUNK", 39)
+        monkeypatch.setenv("CCF_THREADS", "2")
+
+        def failing_batch(model, spectra):
+            raise DataError("piece failed")
+
+        monkeypatch.setattr(forest, "predict_proba_batch", failing_batch)
+        out = tmp_path / "out"
+        out.mkdir()
+        [argv] = [a for a in self._commands(scene_dir, model_dir, gappy_dir, out)
+                  if a[0] == command]
+        assert main(argv) == 2
+        assert _error_lines(capsys.readouterr().err) == ["ccfmap: error: piece failed"]
+        assert not any(out.iterdir())
+
+    def test_failed_write_submits_no_further_window(self, scene_dir, model_dir, tmp_path,
+                                                    stand_in_pool, monkeypatch):
+        monkeypatch.setattr(forest, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(forest, "_FANOUT_FLOOR", 16)
+        monkeypatch.setattr(forest, "_PREDICT_CHUNK", 64)  # 36 windows of 64 pixels
+        monkeypatch.setenv("CCF_THREADS", "2")
+        (tmp_path / "parent").write_text("a file, not a directory")
+        assert main(["predict", "--model", str(model_dir / "model.ccf.json"),
+                     "--raster", str(scene_dir / "raster.json"),
+                     "--out-mask", str(tmp_path / "pred"),
+                     "--out-prob", str(tmp_path / "parent" / "prob")]) == 2
+        # the first window's probabilities fail to write: it and the four
+        # windows ahead of it were submitted, and those four are cancelled
+        assert stand_in_pool == [("submit", s) for s in range(0, 320, 64)] + [
+            ("cancel", s) for s in range(64, 320, 64)]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["parent"]
+
+    def test_commands_hold_no_whole_scene_output(self, tmp_path, monkeypatch):
+        """predict and cross of a 1024^2 raster, serially in windows of
+        4,096 pixels, peak (tracemalloc) below 1 B/px, where their outputs
+        are 5 B/px: the model, a window and cross's fixed 0.5 MiB tally."""
+        assert main(["synth", "--width", "32", "--height", "32", "--bands", "2",
+                     "--separation", "8", "--out", str(tmp_path / "small")]) == 0
+        assert main(["train", "--raster", str(tmp_path / "small" / "raster.json"),
+                     "--mask", str(tmp_path / "small" / "mask.json"),
+                     "--out", str(tmp_path / "m.ccf.json"), "--trees", "1", "--no-eval"]) == 0
+        side = 1024
+        values = np.random.default_rng(23).normal(size=(side, side, 2)).astype(np.float32)
+        write_raster(MultispectralRaster(values, adopt=True), tmp_path / "big")
+        write_mask((values[..., 0] > 0).astype(np.uint8), tmp_path / "truth")
+        del values
+        monkeypatch.setattr(forest, "_PREDICT_CHUNK", 4096)
+        monkeypatch.setenv("CCF_THREADS", "1")
+        common = ["--model", str(tmp_path / "m.ccf.json"), "--raster", str(tmp_path / "big.json")]
+        outputs = side * side * (1 + 4)  # the uint8 mask and float32 probabilities
+        for argv in (["predict", *common, "--out-mask", str(tmp_path / "pred"),
+                      "--out-prob", str(tmp_path / "prob")],
+                     ["cross", *common, "--mask", str(tmp_path / "truth.json"),
+                      "--out", str(tmp_path / "cross.report.json")]):
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < outputs / 5, argv[0]  # under 1 B/px: 0.40 and 0.63 MiB measured
+
+    def test_address_space_below_the_outputs(self, run_ccfmap, tmp_path):
+        """predict and cross of a 3000^2 raster, each in a child process
+        under RLIMIT_AS of the child's base after `import numpy` plus 3/4 of
+        the outputs' 45 MB (5 B/px), forked workers under the same limit,
+        so no process may hold the outputs. The commands need about 9.4 MB
+        above that base serially and 23.4 MB pooled, 8 MB of it a pool
+        thread's stack. Every output equals an unlimited run's."""
+        assert main(["synth", "--width", "32", "--height", "32", "--bands", "1",
+                     "--separation", "8", "--out", str(tmp_path / "small")]) == 0
+        assert main(["train", "--raster", str(tmp_path / "small" / "raster.json"),
+                     "--mask", str(tmp_path / "small" / "mask.json"),
+                     "--out", str(tmp_path / "m.ccf.json"), "--trees", "1", "--no-eval"]) == 0
+        side = 3000
+        tile = np.random.default_rng(24).normal(size=(60, 60, 1)).astype(np.float32)
+        values = np.tile(tile, (side // 60, side // 60, 1))
+        write_raster(MultispectralRaster(values, adopt=True), tmp_path / "big")
+        write_mask((values[..., 0] > 0).astype(np.uint8), tmp_path / "truth")
+        del values
+        common = ["--model", tmp_path / "m.ccf.json", "--raster", tmp_path / "big.json"]
+
+        def run(out, above_base, threads):
+            out.mkdir()
+            for argv in (["predict", *common, "--out-mask", out / "pred",
+                          "--out-prob", out / "prob"],
+                         ["cross", *common, "--mask", tmp_path / "truth.json",
+                          "--out", out / "cross.report.json"]):
+                done = run_ccfmap(argv, above_base, threads)
+                assert done.returncode == 0, (argv[0], threads, done.stderr)
+            return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+        want = run(tmp_path / "unlimited", None, "1")
+        for threads in ("1", "2"):
+            assert run(tmp_path / f"limited{threads}", side * side * 5 * 3 // 4, threads) == want

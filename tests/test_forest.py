@@ -1668,6 +1668,45 @@ class TestPredictRaster:
             predict_raster(model, MultispectralRaster(np.zeros((2, 2, 5), np.float32)))
 
 
+class TestFanOut:
+    """_fan_out on a stand-in pool (conftest.stand_in_pool) that runs each
+    task when its result is read and logs every submit and cancel."""
+
+    @staticmethod
+    def _submitted(log):
+        return [task for what, task in log if what == "submit"]
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_at_most_two_tasks_per_worker_ahead_in_task_order(self, stand_in_pool, workers):
+        results = forest._fan_out(lambda scale, task: scale * task, (10,), range(20), workers)
+        for i, result in enumerate(results):
+            assert result == 10 * i  # task order
+            # the tasks after the one yielded: 2 * workers, fewer at the end
+            assert self._submitted(stand_in_pool) == list(range(min(20, i + 1 + 2 * workers)))
+        assert i == 19
+
+    def test_closing_early_submits_no_more_and_cancels_the_rest(self, stand_in_pool):
+        results = forest._fan_out(lambda scale, task: scale * task, (1,), range(20), 2)
+        assert [next(results) for _ in range(3)] == [0, 1, 2]
+        results.close()  # as a consumer does whose write failed
+        assert self._submitted(stand_in_pool) == list(range(7))
+        assert [task for what, task in stand_in_pool if what == "cancel"] == [3, 4, 5, 6]
+
+    def test_predict_windows_closed_early_stops_the_pool(self, stand_in_pool, monkeypatch):
+        model = TestPredictRaster()._model()
+        stand_in_pool.clear()  # training's trees
+        monkeypatch.setattr(forest, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(forest, "_FANOUT_FLOOR", 16)
+        monkeypatch.setattr(forest, "_PREDICT_CHUNK", 16)
+        monkeypatch.setenv("CCF_THREADS", "2")
+        raster = MultispectralRaster(np.zeros((16, 16, 4), np.float32), nodata=0.0)
+        windows = forest.predict_windows(model, raster)
+        assert next(windows)[0] == 0
+        windows.close()
+        assert self._submitted(stand_in_pool) == [0, 16, 32, 48, 64]  # of 16 windows
+        assert [task for what, task in stand_in_pool if what == "cancel"] == [16, 32, 48, 64]
+
+
 class TestSeedStability:
     def test_predictions_mostly_agree_across_seeds(self):
         rng = np.random.default_rng(15)
