@@ -44,10 +44,11 @@ _split_nodes is the one place that decides which nodes grow alone. It
 walks a level of more than _BLOCK rows (the first levels of a large
 training set, where a few nodes hold every row) once, in pieces, as
 _draw does (_runs): each node of more than _BLOCK rows alone, its
-moments and split search a block of rows at a time so that their
-temporaries stay in L2 cache, and each run of smaller nodes as one
-batch. A piece runs every step from the feature gather to the split
-search; a smaller level is one piece, of whole arrays. cca.node_moments
+feature columns gathered from their rows of the block and its moments a
+block of rows at a time so that their temporaries stay in L2 cache, and
+each run of smaller nodes as one batch. A piece runs every step from the
+feature gather to the split search; a smaller level is one piece, of
+whole arrays. cca.node_moments
 sums a node in leaves of at most cca._SUM_LEAF rows and still gives
 np.add.reduceat's bits, by numpy's summation contract (numpy 2.x):
 reduceat adds a segment x[s:e] as x[s] + P(x[s+1:e]), P the pairwise
@@ -58,10 +59,12 @@ splits down to leaf-sized runs, sums each run with one reduceat after a
 -0.0 term (np.add.reduce would start from +0.0 and lose the sign of a
 sum of -0.0 terms), adds the runs in P's order and adds x[s] last; the
 total weight and weighted class-1 count are whole numbers, summed as
-integers. _node_split sorts the node's projections once and scans the
-candidates _BLOCK sorted rows at a time with _gini_term's arithmetic; a
-block's first least Gini replaces the best only when it is strictly
-lower, best_split's lowest-threshold tie rule.
+integers. _node_split sorts only the rows of the value bins whose Gini
+bound reaches the best cut between bins (on bulk's large nodes, at most
+1.5% of the rows), and scans their candidates _BLOCK sorted rows at a
+time with _gini_term's arithmetic; a block's first least Gini replaces
+the best only when it is strictly lower, best_split's lowest-threshold
+tie rule.
 
 Prediction routes the block predict_proba_batch standardizes. _route
 walks each tree in two phases. It goes depth-first with arrays of row
@@ -137,6 +140,7 @@ _FANOUT_FLOOR = 1 << 15  # fewer pixels than this predict in-process
 _SMALL_NODE = 128  # most rows a split may hold for _route to park it for _finish_small
 _BLOCK = 1 << 15  # most rows _route or a growth step handles at once: 256 KB per float64 column
 _LARGE_NODE = 1 << 12  # fewest rows of a node that draws its bootstrap on its own
+_SPLIT_BINS = 1 << 14  # value bins of _node_split's pruned search
 
 
 def default_feature_subsample(n_bands: int) -> int:
@@ -318,6 +322,16 @@ def _gini_term(k, k1):
     return g
 
 
+def _gini(n, nl, l1, n1):
+    """best_split's Gini of the cuts that keep nl of a node's n rows, l1 of
+    its n1 class-1 rows, on the left (float whole numbers; l1 overwritten)."""
+    r1 = np.subtract(n1, l1)
+    gini = _gini_term(nl, l1)
+    gini += _gini_term(n - nl, r1)
+    gini /= n
+    return gini
+
+
 def _runs(large):
     """(first, stop, is_large) for the nodes in order: each node where
     large holds alone, and each run of other nodes between them as one
@@ -335,41 +349,81 @@ def _runs(large):
 
 
 def _node_split(z, y):
-    """_batched_splits of one segment, all of z's rows, scanning the
-    candidates _BLOCK sorted rows at a time so that their Gini arrays
-    stay in L2 cache. Each block's first least Gini replaces the best
-    one only when it is strictly lower: the lowest threshold wins a tie,
-    as in best_split. Class-1 rows are counted from a uint8 copy of y.
+    """_batched_splits of one segment, all of z's rows, sorting only the
+    rows that can hold the best cut.
+
+    Each projection falls in one of _SPLIT_BINS equal-width value bins,
+    and bincount gives each bin's rows and class-1 rows. So the cut
+    between two non-empty bins has exact counts and Gini. The weighted
+    Gini of a cut, 2 k0 k1 / (k0 + k1) summed over both sides, is
+    concave in the left side's (zeros, ones), so a cut inside a bin is
+    no better than the best corner of the box its counts lie in: the
+    counts before the bin and after it, and the two mixes. Only the bins
+    whose corner bound reaches the best cut between bins (with a margin
+    for rounding) are sorted and scanned, _BLOCK sorted rows at a time.
+    The two bins around the best cut between bins are kept by their own
+    corner, and a cut across a dropped bin is no better than that bin's
+    corner, so it never wins. The first least Gini in value order wins,
+    best_split's tie rule. A range whose scale is not finite (all values
+    equal, a NaN, an overflowing spread) is one bin: every row is sorted.
     Returns _batched_splits' arrays, of one element each."""
     n = z.size
-    order = np.argsort(z)  # ties may fall in any order, as in _batched_splits
-    zs = z[order]
-    ys = y.astype(np.uint8)[order]
-    del order
-    total = int(np.count_nonzero(ys))
-    best, at, at_ones = None, 0, 0
-    before = 0  # class-1 rows ahead of the block
-    for lo in range(0, n - 1, _BLOCK):
-        hi = min(lo + _BLOCK, n - 1)  # a candidate keeps sorted rows up to i < n - 1 left
-        ones = np.cumsum(ys[lo:hi], dtype=np.int64)  # class-1 rows up to each, from lo
-        cand = np.flatnonzero(zs[lo:hi] < zs[lo + 1 : hi + 1])
+    zmin = z.min()
+    with np.errstate(all="ignore"):  # the spread may be 0, not finite or overflow
+        scale = _SPLIT_BINS / (z.max() - zmin)
+    if 0 < scale < np.inf:
+        b = np.subtract(z, zmin)
+        b *= scale
+        b = b.astype(np.intp)  # monotone in z: equal values share a bin
+        np.minimum(b, _SPLIT_BINS - 1, out=b)
+    else:
+        b = np.zeros(n, dtype=np.intp)
+    rows = np.bincount(b, minlength=_SPLIT_BINS)
+    full = np.flatnonzero(rows)  # the non-empty bins, in value order
+    rows, ones = rows[full], np.bincount(b[y.astype(bool)], minlength=_SPLIT_BINS)[full]
+    c1 = np.cumsum(ones)  # class-1 and class-0 rows up to each bin's end
+    c0 = np.cumsum(rows) - c1
+    a0, a1 = c0 - (rows - ones), c1 - ones  # ... and before its start
+    total = int(c1[-1])
+    edge = _gini(n, np.add(c0[:-1], c1[:-1], dtype=np.float64), c1[:-1].astype(np.float64), total)
+    reach = edge.min() if edge.size else np.inf
+
+    def corner(k0, k1):  # a cut's 2 k0 k1 / (k0 + k1), both sides summed
+        r0, r1 = n - total - k0, total - k1
+        return (2 * k0 * k1 / np.maximum(k0 + k1, 1) + 2 * r0 * r1 / np.maximum(r0 + r1, 1)) / n
+
+    bound = np.minimum(np.minimum(corner(a0, a1), corner(c0, c1)),
+                       np.minimum(corner(a0, c1), corner(c0, a1)))
+    # computed Ginis lie within about 1e-15 of the exact ones, so this margin keeps every tie
+    keep = bound <= reach + 1e-12
+    kept = np.zeros(_SPLIT_BINS, dtype=bool)
+    kept[full[keep]] = True
+    idx = np.flatnonzero(kept.take(b))
+    del b
+    idx = idx[np.argsort(z[idx])]  # ties may fall in any order, as in _batched_splits
+    zs = z[idx]
+    # rows and class-1 rows left of a cut after each sorted row: the
+    # dropped bins' rows before its bin are added to the sorted ones
+    kept_rows, kept_ones = rows[keep], ones[keep]
+    left = np.repeat((a0 + a1)[keep] - (np.cumsum(kept_rows) - kept_rows), kept_rows)
+    left += np.arange(1, idx.size + 1)
+    left_ones = np.repeat(a1[keep] - (np.cumsum(kept_ones) - kept_ones), kept_rows)
+    left_ones += np.cumsum(y[idx])
+    best, at = None, 0
+    for lo in range(0, idx.size - 1, _BLOCK):
+        hi = min(lo + _BLOCK, idx.size - 1)  # a candidate keeps sorted rows up to i < size - 1 left
+        cand = lo + np.flatnonzero(zs[lo:hi] < zs[lo + 1 : hi + 1])
         if cand.size:
-            # _batched_splits' operations, in its order
-            nl = np.add(cand, lo + 1, dtype=np.float64)
-            l1 = np.add(ones[cand], before, dtype=np.float64)
-            r1 = np.subtract(total, l1)
-            gini = _gini_term(nl, l1)
-            gini += _gini_term(n - nl, r1)
-            gini /= n
+            gini = _gini(n, left[cand].astype(np.float64), left_ones[cand].astype(np.float64),
+                         total)
             k = int(np.argmin(gini))  # the first least Gini
             if best is None or gini[k] < best:
-                best, at, at_ones = gini[k], lo + int(cand[k]), before + int(ones[cand[k]])
-        before += int(ones[-1])
+                best, at = gini[k], int(cand[k])
     if best is None:
         return np.zeros(1), np.zeros(1), *np.zeros((2, 1), dtype=np.int64)
     t = 0.5 * (zs[at] + zs[at + 1])
     t = t if t < zs[at + 1] else zs[at]
-    return np.array([t]), np.array([best]), np.array([at + 1]), np.array([at_ones])
+    return np.array([t]), np.array([best]), np.array([left[at]]), np.array([left_ones[at]])
 
 
 def _batched_splits(z, y, starts, sizes):
@@ -405,12 +459,8 @@ def _batched_splits(z, y, starts, sizes):
     n = spread(sizes.astype(np.float64), per_seg)
     nl = np.subtract(cand + 1, spread(starts, per_seg), dtype=np.float64)
     l1 = np.subtract(ones[cand + 1], spread(ones[starts], per_seg), dtype=np.float64)
-    r1 = spread(ones[starts + sizes] - ones[starts], per_seg) - l1  # class-1 rows on the right
-    # best_split's float operations, in its order, in place; the counts
-    # are whole numbers, so they may be formed in any order
-    gini = _gini_term(nl, l1)
-    gini += _gini_term(n - nl, r1)
-    gini /= n
+    # the counts are whole numbers, so they may be formed in any order
+    gini = _gini(n, nl, l1, spread(ones[starts + sizes] - ones[starts], per_seg))
     # each segment's least Gini, at its lowest threshold
     s = np.flatnonzero(per_seg)
     head = (np.cumsum(per_seg) - per_seg)[s]
@@ -474,18 +524,22 @@ def _split_piece(block, y, rows, feats, starts, sizes, weights, alone):
     """_split_nodes' steps, from the feature gather to the split search,
     for one piece of a level and its bootstrap row weights (or None): by
     node_moments and _node_split for a node alone, else by
-    segment_moments and _batched_splits. The root, one node of every row
-    in order, gathers its features' rows of block whole, with no index."""
+    segment_moments and _batched_splits. A piece of one node gathers each
+    feature from its row of block, with no flat index, and the root, one
+    node of every row in order, takes its features' rows whole."""
     n = block.shape[1]
     cols = np.empty((feats.shape[1], rows.size))
     # every index is in range; take's default mode="raise" would write out
     # through a buffer of out's size, at a fourth of the speed
-    if sizes.size == 1 and rows.size == n:
-        block.take(feats[0], axis=0, out=cols, mode="clip")
-    else:
+    if sizes.size > 1:
         flat = block.reshape(-1)  # band f of row r at f * n + r
         for j in range(feats.shape[1]):
             flat.take(spread(feats[:, j] * n, sizes) + rows, out=cols[j], mode="clip")
+    elif rows.size == n:
+        block.take(feats[0], axis=0, out=cols, mode="clip")
+    else:
+        for j, f in enumerate(feats[0]):
+            block[f].take(rows, out=cols[j], mode="clip")
     yr = y[rows]
     moments = (node_moments(cols, yr, weights) if alone
                else segment_moments(cols, yr, starts, weights))

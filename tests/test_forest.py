@@ -582,10 +582,11 @@ class TestSplitNodes:
 
     @pytest.mark.parametrize("alone", [False, True])
     def test_root_gathers_without_an_index(self, alone):
-        # the root holds every row in order, so it takes its features' rows
-        # of the block whole. A block that refuses a flat view shows that no
-        # flat index is gathered; the reference gathers by one, from a
-        # block with one more row than the node holds
+        # a piece of one node gathers each feature from its row of the
+        # block, and the root, which holds every row in order, takes its
+        # features' rows whole. A block that refuses a flat view shows that
+        # neither gathers by a flat index; the reference is the root of a
+        # block of the node's rows alone. A piece of two nodes gathers by one
         class NoFlatView(np.ndarray):
             def reshape(self, *args, **kwargs):
                 raise AssertionError("a flat index gather")
@@ -595,16 +596,19 @@ class TestSplitNodes:
         x, y = rng.normal(size=(n + 1, 6)), rng.integers(0, 2, size=n + 1)
         feats, starts, sizes = np.array([[0, 2, 5]]), np.array([0]), np.array([n])
         weights = np.bincount(rng.integers(0, n, size=n), minlength=n)
-        root = forest._split_piece(_block(x[:n]).view(NoFlatView), y[:n], np.arange(n),
-                                   feats, starts, sizes, weights, alone)
-        indexed = forest._split_piece(_block(x), y, np.arange(n), feats, starts, sizes,
-                                      weights, alone)
-        for u, v in zip(root, indexed):
-            assert u.dtype == v.dtype and u.shape == v.shape and u.tobytes() == v.tobytes()
-        assert root[2][0] > 0
-        with pytest.raises(AssertionError, match="flat index"):  # a node of fewer rows
-            forest._split_piece(_block(x[:n]).view(NoFlatView), y[:n], np.arange(n - 1),
-                                feats, starts, sizes - 1, weights[:-1], alone)
+        for rows in (np.arange(n), np.delete(np.arange(n + 1), 17)):
+            root = forest._split_piece(_block(x[rows]).view(NoFlatView), y[rows], np.arange(n),
+                                       feats, starts, sizes, weights, alone)
+            by_rows = forest._split_piece(_block(x).view(NoFlatView), y, rows, feats, starts,
+                                          sizes, weights, alone)
+            for u, v in zip(root, by_rows):
+                assert u.dtype == v.dtype and u.shape == v.shape and u.tobytes() == v.tobytes()
+            assert root[2][0] > 0
+        if not alone:
+            with pytest.raises(AssertionError, match="flat index"):
+                forest._split_piece(_block(x).view(NoFlatView), y, np.arange(n),
+                                    np.repeat(feats, 2, axis=0), np.array([0, 100]),
+                                    np.array([100, n - 100]), weights, alone)
 
 
 class TestBlockedSplits:
@@ -660,6 +664,107 @@ class TestBlockedSplits:
             z = rng.integers(0, rng.integers(1, 6), size=sizes.sum()) * 0.1
             y = rng.integers(0, 2, size=z.size)
             self._blocked_equals_one_batch(monkeypatch, block, z, y, starts)
+
+
+@st.composite
+def _binned_node(draw):
+    """One node's projections and 0/1 labels, all drawn from one of: a
+    small integer grid (groups of equal values on the edges of a few
+    equal-width bins), signed zeros beside 1, a spread that overflows
+    (+-1e308), a subnormal spread, or arbitrary finite floats."""
+    value = draw(st.sampled_from([
+        st.integers(-3, 3).map(float),
+        st.sampled_from([-0.0, 0.0, 1.0]),
+        st.sampled_from([-1e308, -1.0, 0.0, 1e308]),
+        st.integers(0, 6).map(lambda k: k * 5e-324),
+        st.floats(allow_nan=False, allow_infinity=False),
+    ]))
+    z = draw(hnp.arrays(np.float64, draw(st.integers(1, 40)), elements=value))
+    y = draw(hnp.arrays(np.int64, z.size, elements=st.integers(0, 1)))
+    return z, y
+
+
+class TestPrunedSplits:
+    """_node_split sorts only the value bins whose Gini bound reaches the
+    best cut between bins. For any number of bins it gives the arrays of
+    _batched_splits on the node, bit for bit, and best_split's cut."""
+
+    @staticmethod
+    def _equals_one_batch_and_best_split(z, y, bins=None):
+        with mock.patch.object(forest, "_SPLIT_BINS", bins or forest._SPLIT_BINS):
+            got = forest._node_split(z, y)
+        want = forest._batched_splits(z, y, np.array([0]), np.array([z.size]))
+        for u, v in zip(got, want):
+            assert u.dtype == v.dtype and u.shape == v.shape and u.tobytes() == v.tobytes()
+        ref = best_split(z[:, None], y, 2)
+        if ref is None:
+            assert got[2][0] == 0
+            return
+        assert got[0][0].hex() == ref[1].hex() and got[1][0].hex() == ref[2].hex()
+        go_left = z <= got[0][0]
+        assert got[2][0] == go_left.sum() and got[3][0] == y[go_left].sum()
+
+    @pytest.mark.parametrize("bins, z, y", [
+        (3, [0, 0, 2, 2, 2, 4, 4, 6], [0, 1, 0, 0, 1, 1, 0, 1]),  # ties on both bin edges
+        (64, [5] * 6, [0, 1, 0, 1, 1, 0]),  # all equal: no split
+        (2, [-0.0, 0.0, -0.0, 0.0, 1.0, 1.0], [0, 1, 1, 0, 1, 1]),  # -0.0 equals +0.0
+        (3, [0, 1, 2, 3], [1, 1, 1, 1]),  # one class: the first cut
+        (64, range(10), [0] * 9 + [1]),  # the best cut at the last edge
+        (64, [-1e308, 0.0, 1e308, 1e308], [0, 0, 1, 1]),  # the spread overflows
+        (64, [0.0, 5e-324, 1e-323, 1.5e-323], [0, 1, 1, 0]),  # subnormal spread
+        (2, [0.0, 5e-324, 1e-323, 1.5e-323], [0, 1, 1, 0]),
+        # the best cut inside a bin, above both of the bin's edges
+        (3, [1, 2, 3, 6], [0, 1, 1, 0]),
+        # the best cut between bins, which the bound of its own bins keeps
+        # only with the rounding margin
+        (64, [0, 1, 2, 2, 3, 3], [0, 1, 1, 1, 1, 0]),
+        (3, [0, 1, 2], [0, 1, 0]),  # a tie: the smaller left side wins
+    ])
+    def test_nodes(self, bins, z, y):
+        self._equals_one_batch_and_best_split(np.array(z, dtype=np.float64), np.array(y), bins)
+
+    @pytest.mark.parametrize("bins", [1, 64])
+    def test_tie_across_a_block_boundary(self, monkeypatch, bins):
+        # the kept rows are scanned _BLOCK rows at a time; the cuts after
+        # sorted values 3 and 7 tie, and they lie in different blocks
+        monkeypatch.setattr(forest, "_BLOCK", 2)
+        z, y = np.arange(12.0), np.array([0] * 4 + [1] * 4 + [0] * 4)
+        self._equals_one_batch_and_best_split(z, y, bins)
+
+    @pytest.mark.parametrize("bins", [1, 2, 3, 64])
+    @given(_binned_node())
+    def test_any_node(self, bins, node):
+        self._equals_one_batch_and_best_split(*node, bins)
+
+    @pytest.mark.parametrize("bins", [None, 64])
+    def test_noisy_and_tied_large_nodes(self, bins):
+        # nodes of thousands of rows: most bins are dropped, and the kept
+        # ones lie apart
+        rng = np.random.default_rng(23)
+        for n in rng.integers(1_000, 40_000, size=12):
+            z = rng.normal(size=n)
+            for y in ((z + rng.normal(scale=0.5, size=n) > 0.3), rng.random(n) < 0.1):
+                self._equals_one_batch_and_best_split(z, y.astype(np.int64), bins)
+            self._equals_one_batch_and_best_split(np.round(z, 1), (z > 0).astype(np.int64), bins)
+
+    def test_a_large_node_sorts_few_rows(self, monkeypatch):
+        rng = np.random.default_rng(29)
+        n = 200_000
+        z = rng.normal(size=n)
+        y = (z + rng.normal(scale=0.3, size=n) > 0).astype(np.int64)
+        sorted_rows = []
+
+        def spy(a, *args, argsort=np.argsort, **kwargs):
+            sorted_rows.append(a.size)
+            return argsort(a, *args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(np, "argsort", spy)
+            got = forest._node_split(z, y)
+        assert len(sorted_rows) == 1 and 0 < sorted_rows[0] <= 0.02 * n
+        want = forest._batched_splits(z, y, np.array([0]), np.array([n]))
+        for u, v in zip(got, want):
+            assert u.dtype == v.dtype and u.shape == v.shape and u.tobytes() == v.tobytes()
 
 
 class TestProject:
