@@ -262,13 +262,13 @@ def spread(values, counts):
     return values if counts.size == 1 else np.repeat(values, counts)
 
 
-def segment_moments(cols, y, starts, weights=None):
+def segment_moments(cols, y, starts, weights):
     """cca's covariances against two classes, for each segment of rows.
 
     cols[j] holds feature j of every row, y each row's class (0 or 1),
     and the segments begin at starts. Row i counts weights[i] times (a
-    non-negative integer, default 1); each segment needs a total weight
-    of at least 2. Returns Cxx (m, f, f) and c = cov(x, y) (m, f), n-1
+    non-negative integer); each segment needs a total weight of at
+    least 2. Returns Cxx (m, f, f) and c = cov(x, y) (m, f), n-1
     convention, with exact zeros for a column constant over a segment's
     weighted rows, as _centered gives.
 
@@ -284,7 +284,7 @@ def segment_moments(cols, y, starts, weights=None):
     """
     f, r = cols.shape
     sizes = np.diff(starts, append=r)
-    w = np.ones(r) if weights is None else np.asarray(weights, dtype=np.float64)
+    w = np.asarray(weights, dtype=np.float64)
     drawn = np.flatnonzero(w != 0)  # numpy finds a bool array's nonzeros fastest
     first = drawn[np.searchsorted(drawn, starts)]
     total = np.add.reduceat(w, starts)
@@ -352,30 +352,23 @@ def _pairwise(terms, buf, leaf, lo, m):
     return _pairwise(terms, buf, leaf, lo, half) + _pairwise(terms, buf, leaf, lo + half, m - half)
 
 
-def node_moments(cols, y, weights=None):
+def node_moments(cols, y, weights):
     """segment_moments of one segment, all of cols' rows, in its (1, f, f)
     and (1, f) shapes, summed by _pairwise_sums: a pass for the column
     means, then one for the products, each a leaf of rows at a time. The
     total weight and the weighted class-1 count are whole numbers, so they
     are summed as integers, exactly."""
     f, n = cols.shape
-    if weights is None:
-        total, ones, first = n, np.count_nonzero(y), 0
-    else:
-        total, ones = int(weights.sum()), int(np.dot(weights, y))
-        first = int(np.argmax(weights != 0))
-    at_first = cols[:, first, None]
+    total, ones = int(weights.sum()), int(np.dot(weights, y))
+    at_first = cols[:, int(np.argmax(weights != 0)), None]
     ymean = ones / total
     leaf = min(n, max(_SUM_LEAF, _PAIRWISE_BLOCK))
     xc, wx, yc = np.empty((f, leaf)), np.empty((f, leaf)), np.empty(leaf)
 
-    def weighted(x, lo, hi, out):
-        return x if weights is None else np.multiply(x, weights[lo:hi], out=out)
-
     def centered(lo, hi, out):
         # less a weighted row's own value, a constant column is exact zeros
         np.subtract(cols[:, lo:hi], at_first, out=out)
-        weighted(out, lo, hi, out)
+        out *= weights[lo:hi]
 
     mean = (_pairwise_sums(centered, f, n) / total)[:, None]
 
@@ -383,7 +376,7 @@ def node_moments(cols, y, weights=None):
         m = hi - lo
         x = np.subtract(cols[:, lo:hi], at_first, out=xc[:, :m])
         x -= mean
-        wxm = weighted(x, lo, hi, wx[:, :m])
+        wxm = np.multiply(x, weights[lo:hi], out=wx[:, :m])
         np.multiply(wxm, np.subtract(y[lo:hi], ymean, out=yc[:m]), out=out[:f])
         row = f
         for j in range(f):

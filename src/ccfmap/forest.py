@@ -33,38 +33,29 @@ indexing with a per-row node id. The bootstrap (_draw) is one stream of
 per-row-bound draws, rng.integers(0, np.repeat(sizes, sizes)), which
 numpy serves one row at a time; so a node of at least _LARGE_NODE rows
 draws its part with a scalar bound, the same numbers in one fast call,
-and each run of smaller nodes keeps one per-row-bound call. The two
-stable sorts by node (the split search and the partition) key on the
-smallest unsigned dtype that holds the largest key (_segment_keys),
+and each run of smaller nodes keeps one per-row-bound call. Growth
+reads the draws as a weight per row (_bootstrap), and the retry on the
+full node weights every row 1, so the weights are always an array. The
+two stable sorts by node (the split search and the partition) key on
+the smallest unsigned dtype that holds the largest key (_segment_keys),
 which numpy sorts by radix up to 16 bits; a level of one node needs no
 sort by node. A stable sort gives one permutation whatever the key
 dtype, so the trees do not depend on it.
 
 _split_nodes is the one place that decides which nodes grow alone. It
-walks a level of more than _BLOCK rows (the first levels of a large
-training set, where a few nodes hold every row) once, in pieces, as
-_draw does (_runs): each node of more than _BLOCK rows alone, its
-feature columns gathered from their rows of the block and its moments a
-block of rows at a time so that their temporaries stay in L2 cache, and
-each run of smaller nodes as one batch. A piece runs every step from the
-feature gather to the split search; a smaller level is one piece, of
-whole arrays. cca.node_moments
-sums a node in leaves of at most cca._SUM_LEAF rows and still gives
-np.add.reduceat's bits, by numpy's summation contract (numpy 2.x):
-reduceat adds a segment x[s:e] as x[s] + P(x[s+1:e]), P the pairwise
-sum, which adds fewer than 8 terms in turn, up to 128 in eight
-accumulators, and splits a longer run at n // 2 rounded down to a
-multiple of 8, with no buffer chunking. So the blocked sum walks P's
-splits down to leaf-sized runs, sums each run with one reduceat after a
--0.0 term (np.add.reduce would start from +0.0 and lose the sign of a
-sum of -0.0 terms), adds the runs in P's order and adds x[s] last; the
-total weight and weighted class-1 count are whole numbers, summed as
-integers. _node_split sorts only the rows of the value bins whose Gini
-bound reaches the best cut between bins (on bulk's large nodes, at most
-1.5% of the rows), and scans their candidates _BLOCK sorted rows at a
-time with _gini_term's arithmetic; a block's first least Gini replaces
-the best only when it is strictly lower, best_split's lowest-threshold
-tie rule.
+walks a level once, in pieces, as _draw does (_runs): each node of more
+than _BLOCK rows (the first levels of a large training set, where a few
+nodes hold every row) alone, and each run of smaller nodes as one batch.
+A piece runs every step from the feature gather to the split search. A
+node alone gathers its feature columns from their rows of the block;
+cca.node_moments sums its moments in leaves of at most cca._SUM_LEAF
+rows, whose temporaries stay in L2 cache, with segment_moments'
+np.add.reduceat bits (numpy's summation contract, which
+cca.segment_moments and cca._pairwise_sums set out); and _node_split
+sorts only the rows of the value bins whose Gini bound reaches the best
+cut between bins (on bulk's large nodes, at most 1.5% of the rows) and
+scans all of their candidates in one pass with _gini_term's arithmetic:
+the first least Gini wins, best_split's lowest-threshold tie rule.
 
 Prediction routes the block predict_proba_batch standardizes. _route
 walks each tree in two phases. It goes depth-first with arrays of row
@@ -83,12 +74,10 @@ reach (_blocked_go_left) gathers, projects and compares them one block
 of _BLOCK rows at a time, into one bool array that the split's rows are
 then compressed by: a block's temporaries are 256 KB each and stay in a
 2 MB L2 cache, where a 65,536-row window's are 512 KB each beside its
-5.2 MB float64 block of 10 bands. On the bulk benchmark (2 vCPUs, then
-with 262,144-row windows) that took cross_s from 0.31 to 0.28 s.
-predict_proba_batch sums the leaf distributions class-major, one
-contiguous run of rows per class, and returns their (rows, 2) transpose;
-_classes is the one class rule (class 1 iff its probability exceeds
-class 0's, argmax's tie rule).
+5.2 MB float64 block of 10 bands. predict_proba_batch sums the leaf
+distributions class-major, one contiguous run of rows per class, and
+returns their (rows, 2) transpose; _classes is the one class rule
+(class 1 iff its probability exceeds class 0's, argmax's tie rule).
 
 _fan_out runs both training and prediction on up to CCF_THREADS worker
 processes, never more than the usable cores. Each worker receives the
@@ -138,7 +127,7 @@ MODEL_FORMAT_VERSION = "ccf-3"
 _PREDICT_CHUNK = 1 << 16  # pixels a prediction window aims at (_window_size)
 _FANOUT_FLOOR = 1 << 15  # fewer pixels than this predict in-process
 _SMALL_NODE = 128  # most rows a split may hold for _route to park it for _finish_small
-_BLOCK = 1 << 15  # most rows _route or a growth step handles at once: 256 KB per float64 column
+_BLOCK = 1 << 15  # most rows _route projects, or a batch-grown node holds: 256 KB of float64
 _LARGE_NODE = 1 << 12  # fewest rows of a node that draws its bootstrap on its own
 _SPLIT_BINS = 1 << 14  # value bins of _node_split's pruned search
 
@@ -360,7 +349,7 @@ def _node_split(z, y):
     no better than the best corner of the box its counts lie in: the
     counts before the bin and after it, and the two mixes. Only the bins
     whose corner bound reaches the best cut between bins (with a margin
-    for rounding) are sorted and scanned, _BLOCK sorted rows at a time.
+    for rounding) are sorted, and their candidates scanned in one pass.
     The two bins around the best cut between bins are kept by their own
     corner, and a cut across a dropped bin is no better than that bin's
     corner, so it never wins. The first least Gini in value order wins,
@@ -409,21 +398,15 @@ def _node_split(z, y):
     left += np.arange(1, idx.size + 1)
     left_ones = np.repeat(a1[keep] - (np.cumsum(kept_ones) - kept_ones), kept_rows)
     left_ones += np.cumsum(y[idx])
-    best, at = None, 0
-    for lo in range(0, idx.size - 1, _BLOCK):
-        hi = min(lo + _BLOCK, idx.size - 1)  # a candidate keeps sorted rows up to i < size - 1 left
-        cand = lo + np.flatnonzero(zs[lo:hi] < zs[lo + 1 : hi + 1])
-        if cand.size:
-            gini = _gini(n, left[cand].astype(np.float64), left_ones[cand].astype(np.float64),
-                         total)
-            k = int(np.argmin(gini))  # the first least Gini
-            if best is None or gini[k] < best:
-                best, at = gini[k], int(cand[k])
-    if best is None:
+    cand = np.flatnonzero(zs[:-1] < zs[1:])  # a candidate keeps sorted rows up to i on the left
+    if cand.size == 0:
         return np.zeros(1), np.zeros(1), *np.zeros((2, 1), dtype=np.int64)
+    gini = _gini(n, left[cand].astype(np.float64), left_ones[cand].astype(np.float64), total)
+    k = int(np.argmin(gini))  # the first least Gini
+    at = int(cand[k])
     t = 0.5 * (zs[at] + zs[at + 1])
     t = t if t < zs[at + 1] else zs[at]
-    return np.array([t]), np.array([best]), np.array([left[at]]), np.array([left_ones[at]])
+    return np.array([t]), np.array([gini[k]]), np.array([left[at]]), np.array([left_ones[at]])
 
 
 def _batched_splits(z, y, starts, sizes):
@@ -492,41 +475,40 @@ def _draw(rng, sizes):
     return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
 
 
-def _split_nodes(block, y, rows, feats, starts, rng):
+def _bootstrap(rng, starts, sizes):
+    """Each row's weight in its node's projection bootstrap: how often
+    the node's sizes[s] draws with replacement (_draw) picked it."""
+    draw = _draw(rng, sizes)
+    draw += spread(starts, sizes)
+    return np.bincount(draw, minlength=draw.size)
+
+
+def _split_nodes(block, y, rows, feats, starts, weights):
     """One split attempt for each node of _build_tree's block: its rows
     are the segment of rows from its start, its features a row of feats.
-    The direction comes from a projection bootstrap drawn from rng (as
-    multinomial row weights), or from every row when rng is None, and the
-    threshold from every row's projection. Returns the directions,
-    thresholds, left sizes (0: no split), left class-1 counts and the
-    projections. A node's results depend on its own rows alone, so a
-    level of more than _BLOCK rows goes in pieces (_runs): each node of
-    more than _BLOCK rows alone, each run of smaller nodes as one batch."""
+    The direction comes from the rows counted weights[i] times each (a
+    bootstrap, or ones for every row), and the threshold from every
+    row's projection. Returns the directions, thresholds, left sizes (0:
+    no split), left class-1 counts and the projections. A node's results
+    depend on its own rows alone, so a level goes in pieces (_runs): each
+    node of more than _BLOCK rows alone, each run of smaller nodes as one
+    batch."""
     sizes = np.diff(starts, append=rows.size)
-    boot = None
-    if rng is not None:
-        draw = _draw(rng, sizes)
-        draw += spread(starts, sizes)
-        boot = np.bincount(draw, minlength=rows.size)
-        del draw
-    if rows.size <= _BLOCK:  # no large node
-        return _split_piece(block, y, rows, feats, starts, sizes, boot, False)
     pieces = []
     for a, b, alone in _runs(sizes > _BLOCK):
         lo, hi = starts[a], starts[b - 1] + sizes[b - 1]
-        w = None if boot is None else boot[lo:hi]
         pieces.append(_split_piece(block, y, rows[lo:hi], feats[a:b], starts[a:b] - lo,
-                                   sizes[a:b], w, alone))
+                                   sizes[a:b], weights[lo:hi], alone))
     return pieces[0] if len(pieces) == 1 else [np.concatenate(p) for p in zip(*pieces)]
 
 
 def _split_piece(block, y, rows, feats, starts, sizes, weights, alone):
     """_split_nodes' steps, from the feature gather to the split search,
-    for one piece of a level and its bootstrap row weights (or None): by
-    node_moments and _node_split for a node alone, else by
-    segment_moments and _batched_splits. A piece of one node gathers each
-    feature from its row of block, with no flat index, and the root, one
-    node of every row in order, takes its features' rows whole."""
+    for one piece of a level and its rows' weights: by node_moments and
+    _node_split for a node alone, else by segment_moments and
+    _batched_splits. A piece of one node gathers each feature from its
+    row of block, with no flat index, and the root, one node of every
+    row in order, takes its features' rows whole."""
     n = block.shape[1]
     cols = np.empty((feats.shape[1], rows.size))
     # every index is in range; take's default mode="raise" would write out
@@ -599,14 +581,16 @@ def _build_tree(block, y, config, tree_index) -> FlatTree:
         rng = np.random.default_rng(seed)
         feats = np.argsort(rng.random((starts.size, bands)), axis=1)[:, :fs]
         feats.sort(axis=1)
-        a, t, nl, n1, z = _split_nodes(block, y, rows, feats, starts, rng)
+        a, t, nl, n1, z = _split_nodes(block, y, rows, feats, starts,
+                                       _bootstrap(rng, starts, n_node))
         # no direction or no split from the bootstrap: retry on the whole node
         retry = nl == 0
         if retry.any():
             sub = np.repeat(retry, n_node)
             n_sub = n_node[retry]
             a[retry], t[retry], nl[retry], n1[retry], z[sub] = _split_nodes(
-                block, y, rows[sub], feats[retry], np.cumsum(n_sub) - n_sub, None
+                block, y, rows[sub], feats[retry], np.cumsum(n_sub) - n_sub,
+                np.ones(n_sub.sum(), dtype=np.int64)
             )
         ok = nl > 0
         split[tries] = ok
@@ -673,23 +657,52 @@ def _fan_out(fn, inputs, tasks, workers: int):
     2 * workers tasks are submitted ahead of the result yielded, so
     finished results do not pile up, and closing the generator submits
     no further task and cancels those not started. A worker's error
-    shuts the pool down and is raised here."""
+    shuts the pool down and is raised here. A pool whose threads cannot
+    start (as under an address-space limit) completes no task: it ends
+    the workers it forked, which would wait forever, and raises MemoryError."""
     if workers <= 1:
         yield from map(functools.partial(fn, *inputs), tasks)
         return
-    from concurrent.futures import ProcessPoolExecutor  # loaded only by a command that forks
-    with ProcessPoolExecutor(
+    import multiprocessing  # loaded only by a command that forks
+    import threading
+    from concurrent import futures
+    others = set(multiprocessing.active_children())
+    died = []  # errors that end a thread while the pool runs: ccfmap starts no other
+    with futures.ProcessPoolExecutor(
         max_workers=workers, initializer=_hold_task, initargs=(fn, *inputs)
     ) as pool:
+
+        def stalled(exc):
+            pool.shutdown(wait=False)  # its thread never ran or is gone: nothing to join
+            for child in set(multiprocessing.active_children()) - others:
+                child.kill()
+                child.join()
+            return MemoryError(f"the worker pool could not start: {exc}")
+
+        def result(future):
+            while True:
+                try:
+                    return future.result(timeout=1)
+                except futures.TimeoutError:
+                    if died:
+                        raise stalled(died[0]) from died[0]
+
         ahead = collections.deque()  # submitted, not yet yielded
+        hook, threading.excepthook = threading.excepthook, lambda args: died.append(args.exc_value)
         try:
             for task in tasks:
-                ahead.append(pool.submit(_run_held_task, task))
+                try:
+                    ahead.append(pool.submit(_run_held_task, task))
+                except futures.BrokenExecutor:
+                    raise
+                except RuntimeError as exc:  # its thread cannot start
+                    raise stalled(exc) from exc
                 if len(ahead) > 2 * workers:
-                    yield ahead.popleft().result()
+                    yield result(ahead.popleft())
             while ahead:
-                yield ahead.popleft().result()
+                yield result(ahead.popleft())
         finally:
+            threading.excepthook = hook
             for future in ahead:
                 future.cancel()
 
@@ -749,9 +762,8 @@ def _route(tree: FlatTree, cols: np.ndarray) -> np.ndarray:
     most _SMALL_NODE rows reach is parked instead, and _finish_small
     takes all of the tree's parked rows to their leaves at once. A split
     that more than _BLOCK rows reach projects them _BLOCK rows at a time
-    (_blocked_go_left), so its temporaries fit in L2 cache (bulk
-    benchmark cross_s 0.31 -> 0.28 s on 2 vCPUs); a smaller one projects
-    its rows in one go, with no added call.
+    (_blocked_go_left), so its temporaries fit in L2 cache; a smaller one
+    projects its rows in one go, with no added call.
     """
     kind = tree.kind.tolist()
     features = tree.features.tolist()

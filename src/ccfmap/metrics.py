@@ -103,10 +103,7 @@ def mean_iou(c: ConfusionMatrix):
         fp = int(c.counts[:, i].sum()) - tp
         fn = int(c.counts[i, :].sum() + c.abstain[i]) - tp
         union = tp + fp + fn
-        if union == 0:
-            ious.append(None)
-        else:
-            ious.append(tp / union)
+        ious.append(None if union == 0 else tp / union)
     defined = [v for v in ious if v is not None]
     return tuple(ious), sum(defined) / len(defined)
 
@@ -123,7 +120,7 @@ class EvalReport:
 
 def evaluate(pred, truth, n_classes: int = 2) -> EvalReport:
     """confusion + both headline metrics in one report."""
-    return _report(confusion(pred, truth, n_classes))
+    return evaluate_windows([(pred, truth)], n_classes)
 
 
 def evaluate_windows(windows, n_classes: int = 2) -> EvalReport:
@@ -134,15 +131,11 @@ def evaluate_windows(windows, n_classes: int = 2) -> EvalReport:
     for pred, truth in windows:
         c = confusion(pred, truth, n_classes)
         counts, abstain, skipped = counts + c.counts, abstain + c.abstain, skipped + c.skipped
-    return _report(ConfusionMatrix(counts, abstain, skipped))
-
-
-def _report(c: ConfusionMatrix) -> EvalReport:
-    acc = pixel_accuracy(c)
+    c = ConfusionMatrix(counts, abstain, skipped)
     ious, miou = mean_iou(c)
     return EvalReport(
         confusion=c,
-        pixel_accuracy=acc,
+        pixel_accuracy=pixel_accuracy(c),
         iou_per_class=ious,
         mean_iou=miou,
         evaluated_pixels=c.total,

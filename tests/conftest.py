@@ -39,19 +39,23 @@ def _numpy_base() -> int:
     return int(out) * 1024
 
 
-def _run_ccfmap(argv, above_base=None, threads="1", cwd=None, timeout=120):
+def _run_ccfmap(argv, above_base=None, threads="1", cwd=None, timeout=120, prelude=None):
     """Run `python -m ccfmap ARGV` in a child at CCF_THREADS=threads; with
     above_base, under RLIMIT_AS of the child's base after `import numpy`
-    plus above_base bytes, which forked workers inherit. A child still
+    plus above_base bytes, which forked workers inherit. With prelude, the
+    child runs that code first and then ccfmap's main. A child still
     running after timeout seconds is killed with its workers and the run
-    fails the test. Returns the CompletedProcess."""
+    fails the test, and so does a worker that outlives the child. Returns
+    the CompletedProcess."""
     limit = None if above_base is None else _numpy_base() + above_base
 
     def limit_address_space():
         if limit is not None:
             resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
-    proc = subprocess.Popen([sys.executable, "-m", "ccfmap", *map(str, argv)], cwd=cwd,
+    run = ["-m", "ccfmap"] if prelude is None else [
+        "-c", f"{prelude}\nimport sys\nfrom ccfmap.cli import main\nsys.exit(main(sys.argv[1:]))"]
+    proc = subprocess.Popen([sys.executable, *run, *map(str, argv)], cwd=cwd,
                             env=_child_env(threads), preexec_fn=limit_address_space,
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
                             start_new_session=True)
@@ -61,7 +65,11 @@ def _run_ccfmap(argv, above_base=None, threads="1", cwd=None, timeout=120):
         os.killpg(proc.pid, signal.SIGKILL)
         proc.communicate()
         pytest.fail(f"ccfmap {argv[0]} still running after {timeout} s")
-    return subprocess.CompletedProcess(argv, proc.returncode, out, err)
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)  # its session: the workers it forked
+    except ProcessLookupError:
+        return subprocess.CompletedProcess(argv, proc.returncode, out, err)
+    pytest.fail(f"ccfmap {argv[0]} left a worker running")
 
 
 @pytest.fixture
@@ -88,7 +96,7 @@ def stand_in_pool(monkeypatch):
         def __init__(self, fn, task):
             self.fn, self.task = fn, task
 
-        def result(self):
+        def result(self, timeout=None):
             return self.fn(self.task)
 
         def cancel(self):

@@ -26,7 +26,13 @@ from typing import NamedTuple
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 FOREST = "src/ccfmap/forest.py"
+CCA = "src/ccfmap/cca.py"
 PRUNED = "tests/test_forest.py::TestPrunedSplits"
+SPLIT_NODES = "tests/test_forest.py::TestSplitNodes::test_large_nodes_equal_one_batch"
+KERNEL = "tests/test_forest.py::TestLevelKernelReference"
+ROUTING = "tests/test_forest.py::TestBlockedRouting::test_blocks_equal_one_block"
+WALK = "tests/test_forest.py::TestPrediction::test_route_equals_a_walk_at_every_cut"
+SUMS = "tests/test_cca.py::TestBlockedSums"
 
 
 class Mutant(NamedTuple):
@@ -67,17 +73,81 @@ MUTANTS = [
         "k = gini.size - 1 - int(np.argmin(gini[::-1]))",
         (f"{PRUNED}::test_nodes",),
     ),
-    Mutant(
-        "split tie won by a later block", FOREST,
-        "if best is None or gini[k] < best:", "if best is None or gini[k] <= best:",
-        (f"{PRUNED}::test_tie_across_a_block_boundary",),
-    ),
-    # _split_piece: a one-node piece gathers each feature from its own row
+    # _split_nodes and _split_piece: the pieces of a level, and their weights
     Mutant(
         "one-node gather from the first feature's row", FOREST,
         "block[f].take(rows, out=cols[j], mode=\"clip\")",
         "block[feats[0][0]].take(rows, out=cols[j], mode=\"clip\")",
         ("tests/test_forest.py::TestSplitNodes::test_root_gathers_without_an_index",),
+    ),
+    Mutant(
+        "piece starts not made relative to the piece", FOREST,
+        "starts[a:b] - lo,", "starts[a:b],",
+        (SPLIT_NODES,),
+    ),
+    Mutant(
+        "nodes alone only above two blocks", FOREST,
+        "_runs(sizes > _BLOCK)", "_runs(sizes > 2 * _BLOCK)",
+        (SPLIT_NODES,),
+    ),
+    Mutant(
+        "unit weights for a node alone", FOREST,
+        "node_moments(cols, yr, weights) if alone",
+        "node_moments(cols, yr, np.ones_like(weights)) if alone",
+        (SPLIT_NODES, f"{KERNEL}::test_blocked_trees_equal_the_frozen_kernel"),
+    ),
+    # _partition keeps each node's rows in order
+    Mutant(
+        "unstable sort where every node splits", FOREST,
+        "return rows[np.argsort(key, kind=\"stable\")]",
+        "return rows[np.argsort(key, kind=None if ok.all() else \"stable\")]",
+        (f"{KERNEL}::test_trees_equal_the_frozen_kernel",),
+    ),
+    # _blocked_go_left: a large split's rows, one block at a time
+    Mutant(
+        "a partial node's block read in place", FOREST,
+        "in_place = idx.size == cols.shape[1]", "in_place = True",
+        (ROUTING,),
+    ),
+    Mutant(
+        "< for <= in a block's comparison", FOREST,
+        "np.less_equal(_project(columns, direction), threshold, out=go_left[lo:hi])",
+        "np.less(_project(columns, direction), threshold, out=go_left[lo:hi])",
+        (WALK,),
+    ),
+    Mutant(
+        "a block gathered in reverse", FOREST,
+        "part = idx[lo:hi]", "part = idx[lo:hi][::-1]",
+        (ROUTING,),
+    ),
+    # cca._pairwise_sums: numpy's pairwise order, bit for bit
+    Mutant(
+        "np.add.reduce in place of the sentinel reduceat", CCA,
+        "return np.add.reduceat(buf[:, : m + 1], [0], axis=1)[:, 0]",
+        "return np.add.reduce(buf[:, 1 : m + 1], axis=1)",
+        (SUMS,),
+    ),
+    Mutant(
+        "P over all n terms, with no first term first", CCA,
+        "    buf = np.empty((k, min(n - 1, leaf) + 1))\n"
+        "    buf[:, 0] = -0.0\n"
+        "    head = np.empty((k, 1))\n"
+        "    terms(0, 1, head)\n"
+        "    return head[:, 0] + _pairwise(terms, buf, leaf, 1, n - 1)\n",
+        "    buf = np.empty((k, min(n, leaf) + 1))\n"
+        "    buf[:, 0] = -0.0\n"
+        "    return _pairwise(terms, buf, leaf, 0, n)\n",
+        (SUMS,),
+    ),
+    Mutant(
+        "pairwise leaves below 128 terms", CCA,
+        "    leaf = max(_SUM_LEAF, _PAIRWISE_BLOCK)\n", "    leaf = _SUM_LEAF\n",
+        (SUMS,),
+    ),
+    Mutant(
+        "pairwise split not rounded to a multiple of 8", CCA,
+        "    half -= half % 8\n", "",
+        (SUMS,),
     ),
 ]
 

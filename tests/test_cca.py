@@ -474,14 +474,14 @@ def _stack(segments):
 
 
 def _assert_segments_equal_own_calls(cols, y, starts, weights):
-    """segment_moments of every segment at once, with weights and
-    without, equals a call on each segment alone, bit for bit."""
+    """segment_moments of every segment at once, with weights and with
+    every row weighted 1, equals a call on each segment alone, bit for
+    bit."""
     ends = np.append(starts[1:], y.size)
-    for w in (weights, None):
+    for w in (weights, np.ones(y.size, dtype=np.int64)):
         cxx, c = segment_moments(cols, y, starts, w)
         for i, (a, b) in enumerate(zip(starts, ends)):
-            one = segment_moments(cols[:, a:b], y[a:b], np.array([0]),
-                                  None if w is None else w[a:b])
+            one = segment_moments(cols[:, a:b], y[a:b], np.array([0]), w[a:b])
             assert one[0].tobytes() == cxx[i : i + 1].tobytes()
             assert one[1].tobytes() == c[i : i + 1].tobytes()
 
@@ -555,7 +555,7 @@ class TestBinaryDirections:
         constant[[4, 5, 6, 7]] = 3  # both classes, all columns constant
         for weights in (one_class, constant):
             assert not binary_directions(*segment_moments(cols, y, starts, weights)).any()
-        assert binary_directions(*segment_moments(cols, y, starts)).all()
+        assert binary_directions(*segment_moments(cols, y, starts, np.ones(12, np.int64))).all()
 
 
 def _copy_terms(x):
@@ -615,11 +615,10 @@ class TestBlockedSums:
         cols[2, starts[long] : starts[long] + sizes[long]] = 0.3  # constant over a segment
         y[starts[0] : starts[0] + sizes[0]] = 0  # one class only
         assert max(sizes) > 2 * max(leaf, 128) + 1  # a segment of several leaves
-        for w in (weights, None):
+        for w in (weights, np.ones(r, dtype=np.int64)):
             cxx, c = segment_moments(cols, y, starts, w)
             for i, (a, n) in enumerate(zip(starts, sizes)):
-                one = node_moments(cols[:, a : a + n], y[a : a + n],
-                                   None if w is None else w[a : a + n])
+                one = node_moments(cols[:, a : a + n], y[a : a + n], w[a : a + n])
                 assert one[0].tobytes() == cxx[i].tobytes(), n
                 assert one[1].tobytes() == c[i].tobytes(), n
 

@@ -763,6 +763,54 @@ class TestResourceFailure:
         )
 
 
+class TestPoolThatCannotStart:
+    """A pool whose thread cannot start (as under an address-space limit,
+    where thread start raises RuntimeError), or whose thread dies starting
+    its queue's feeder thread, ends the workers it forked, which would
+    otherwise wait for tasks forever and hold the command's exit, and the
+    command exits 4 with one error line."""
+
+    PRELUDE = "\n".join([
+        "import threading",
+        "start = threading.Thread.start",
+        "def refuse(thread):",
+        "    if {refused}:",
+        "        raise RuntimeError(\"can't start new thread\")",
+        "    start(thread)",
+        "threading.Thread.start = refuse",
+        "from ccfmap import forest",
+        "forest._usable_cores = lambda: 2",
+    ])
+    REFUSED = {  # which thread starts fail
+        "pool": "True",
+        "feeder": "threading.current_thread() is not threading.main_thread()",
+    }
+
+    @pytest.mark.parametrize("refused", ["pool", "feeder"])
+    @pytest.mark.parametrize("command", ["predict", "train"])
+    def test_exits_4_and_leaves_no_worker(self, command, refused, run_ccfmap, tmp_path):
+        assert main(["synth", "--width", "256", "--height", "256", "--bands", "1",
+                     "--separation", "8", "--out", str(tmp_path)]) == 0
+        scene = ["--raster", tmp_path / "raster.json"]
+        argv = {
+            "predict": ["predict", "--model", tmp_path / "m.ccf.json", *scene,
+                        "--out-mask", tmp_path / "pred", "--out-prob", tmp_path / "prob"],
+            "train": ["train", *scene, "--mask", tmp_path / "mask.json",
+                      "--out", tmp_path / "m.ccf.json", "--trees", "2"],
+        }
+        if command == "predict":  # 65,536 pixels, at least forest._FANOUT_FLOOR
+            assert run_ccfmap([*argv["train"], "--no-eval"]).returncode == 0
+        before = sorted(tmp_path.iterdir())
+        prelude = self.PRELUDE.format(refused=self.REFUSED[refused])
+        done = run_ccfmap(argv[command], threads="2", timeout=30, prelude=prelude)
+        assert done.returncode == 4 and "Traceback" not in done.stderr
+        assert _error_lines(done.stderr) == [
+            "ccfmap: error: out of memory or a worker process lost (MemoryError(\"the worker "
+            "pool could not start: can't start new thread\")); a lower CCF_THREADS runs fewer "
+            "workers"]
+        assert sorted(tmp_path.iterdir()) == before
+
+
 class TestNumericFailure:
     """A numeric failure in growth, in this process or in a forked worker
     (which inherits the patch; the pool raises its error here), ends in

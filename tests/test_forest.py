@@ -529,7 +529,7 @@ class TestSplitNodes:
     node of more than _BLOCK rows alone (cca.node_moments, _node_split)
     and each run of smaller nodes in one batch (segment_moments,
     _batched_splits): the results of one batch of the whole level, bit for
-    bit, from a bootstrap and from every row."""
+    bit, from a bootstrap and from every row weighted 1."""
 
     @pytest.mark.parametrize("block", [1, 8, 128, 999])  # 999: one large node, r < 2 block
     def test_large_nodes_equal_one_batch(self, monkeypatch, block):
@@ -557,8 +557,9 @@ class TestSplitNodes:
             return split(z, y)
 
         def split_nodes(seed):  # a bootstrap drawn from seed, or every row
-            rng = None if seed is None else np.random.default_rng(seed)
-            return forest._split_nodes(data, y, rows, feats, starts, rng)
+            weights = (np.ones(r, dtype=np.int64) if seed is None
+                       else forest._bootstrap(np.random.default_rng(seed), starts, sizes))
+            return forest._split_nodes(data, y, rows, feats, starts, weights)
 
         large = sizes[sizes > block].tolist()
         for seed in (block, None):
@@ -612,37 +613,51 @@ class TestSplitNodes:
 
 
 class TestBlockedSplits:
-    """_node_split searches one node _BLOCK sorted rows at a time, with
-    the results of _batched_splits on that node, bit for bit."""
+    """_split_nodes searches each node of more than _BLOCK rows alone,
+    with _node_split, and each run of smaller ones in one batch. Nodes
+    of one feature keep their values' ties in their projections, and on
+    ties across a node, nodes without candidates and tie-heavy nodes a
+    small _BLOCK gives one batch's results, bit for bit."""
 
     @staticmethod
     def _blocked_equals_one_batch(monkeypatch, block, z, y, starts):
-        monkeypatch.setattr(forest, "_BLOCK", block)
-        got = []
-        for a, size in zip(starts, _sizes(starts, z.size)):
-            zn, yn = z[a : a + size], y[a : a + size]
-            got.append(forest._node_split(zn, yn))
-            want = forest._batched_splits(zn, yn, np.array([0]), np.array([size]))
-            for u, v in zip(got[-1], want):
-                assert u.dtype == v.dtype and u.shape == v.shape and u.tobytes() == v.tobytes()
-        return [np.concatenate(p) for p in zip(*got)]
+        sizes = _sizes(starts, z.size)
+        data, rows = _block(z[:, None]), np.arange(z.size)
+        feats = np.zeros((starts.size, 1), dtype=np.int64)
+        weights = np.ones(z.size, dtype=np.int64)
+        alone = []
+
+        def spy_split(zn, yn, split=forest._node_split):
+            alone.append(zn.size)
+            return split(zn, yn)
+
+        with monkeypatch.context() as m:
+            m.setattr(forest, "_BLOCK", z.size)
+            want = forest._split_nodes(data, y, rows, feats, starts, weights)
+        with monkeypatch.context() as m:
+            m.setattr(forest, "_BLOCK", block)
+            m.setattr(forest, "_node_split", spy_split)
+            got = forest._split_nodes(data, y, rows, feats, starts, weights)
+        for u, v in zip(got, want):
+            assert u.dtype == v.dtype and u.shape == v.shape and u.tobytes() == v.tobytes()
+        assert alone == sizes[sizes > block].tolist()
+        return got
 
     @pytest.mark.parametrize("block", [5, 6])
     def test_gini_tie_across_a_block_boundary(self, monkeypatch, block):
         # left 4 rows of class 0 or right 4 rows of class 0: the same Gini,
-        # from sorted rows 4 and 8, which lie in different blocks
+        # from sorted rows 4 and 8, and the 12-row node is searched alone
         z = np.arange(12.0)
         y = np.array([0] * 4 + [1] * 4 + [0] * 4)
         got = self._blocked_equals_one_batch(monkeypatch, block, z, y, np.array([0]))
-        want = best_split(z[:, None], y, 2)
-        assert got[0][0] == want[1] == 3.5 and got[1][0] == want[2]
-        assert got[2][0] == 4 and got[3][0] == 0
+        want = best_split(got[4][:, None], y, 2)
+        assert got[1][0] == want[1] and got[2][0] == 4 and got[3][0] == 0
 
     def test_blocks_without_candidates_and_a_node_without_a_split(self, monkeypatch):
         rng = np.random.default_rng(41)
         pieces = [
             np.arange(12.0),  # the tie above
-            np.repeat([0.0, 1.0], [20, 23]),  # one candidate: most blocks have none
+            np.repeat([0.0, 1.0], [20, 23]),  # one candidate
             np.array([1.0, 0.0, 1.0]),
             np.full(30, 2.5),  # no split
             rng.integers(0, 3, size=9).astype(np.float64),
@@ -659,7 +674,8 @@ class TestBlockedSplits:
     def test_tie_heavy_layouts(self, monkeypatch, block):
         rng = np.random.default_rng(block)
         for _ in range(20):
-            sizes = rng.integers(1, 4 * block, size=rng.integers(1, 8))
+            # _build_tree tries to split nodes of 2 rows or more
+            sizes = rng.integers(2, 4 * block, size=rng.integers(1, 8))
             starts = np.cumsum(sizes) - sizes
             z = rng.integers(0, rng.integers(1, 6), size=sizes.sum()) * 0.1
             y = rng.integers(0, 2, size=z.size)
@@ -686,8 +702,9 @@ def _binned_node(draw):
 
 class TestPrunedSplits:
     """_node_split sorts only the value bins whose Gini bound reaches the
-    best cut between bins. For any number of bins it gives the arrays of
-    _batched_splits on the node, bit for bit, and best_split's cut."""
+    best cut between bins, and scans their candidates in one pass. For
+    any number of bins it gives the arrays of _batched_splits on the
+    node, bit for bit, and best_split's cut."""
 
     @staticmethod
     def _equals_one_batch_and_best_split(z, y, bins=None):
@@ -699,10 +716,11 @@ class TestPrunedSplits:
         ref = best_split(z[:, None], y, 2)
         if ref is None:
             assert got[2][0] == 0
-            return
+            return got
         assert got[0][0].hex() == ref[1].hex() and got[1][0].hex() == ref[2].hex()
         go_left = z <= got[0][0]
         assert got[2][0] == go_left.sum() and got[3][0] == y[go_left].sum()
+        return got
 
     @pytest.mark.parametrize("bins, z, y", [
         (3, [0, 0, 2, 2, 2, 4, 4, 6], [0, 1, 0, 0, 1, 1, 0, 1]),  # ties on both bin edges
@@ -724,22 +742,42 @@ class TestPrunedSplits:
         self._equals_one_batch_and_best_split(np.array(z, dtype=np.float64), np.array(y), bins)
 
     @pytest.mark.parametrize("bins", [1, 64])
-    def test_tie_across_a_block_boundary(self, monkeypatch, bins):
-        # the kept rows are scanned _BLOCK rows at a time; the cuts after
-        # sorted values 3 and 7 tie, and they lie in different blocks
-        monkeypatch.setattr(forest, "_BLOCK", 2)
+    def test_tie_across_a_block_boundary(self, bins):
+        # left 4 rows of class 0 or right 4 rows of class 0: the cuts after
+        # sorted values 3 and 7 tie, far apart, and the first one wins
         z, y = np.arange(12.0), np.array([0] * 4 + [1] * 4 + [0] * 4)
-        self._equals_one_batch_and_best_split(z, y, bins)
+        got = self._equals_one_batch_and_best_split(z, y, bins)
+        assert got[0][0] == 3.5 and got[2][0] == 4 and got[3][0] == 0
+
+    @pytest.mark.parametrize("bins", [1, 3, 64])
+    def test_few_candidates_and_tie_heavy_nodes(self, bins):
+        rng = np.random.default_rng(41)
+        nodes = [
+            np.arange(12.0),  # the tie above
+            np.repeat([0.0, 1.0], [20, 23]),  # one candidate
+            np.full(30, 2.5),  # no split
+            np.array([1.0, 0.0, 1.0]),
+            rng.integers(0, 3, size=9).astype(np.float64),
+            rng.integers(0, 4, size=200).astype(np.float64),
+        ]
+        # nodes of 1 to 255 rows holding 1 to 5 distinct values
+        nodes += [rng.integers(0, rng.integers(1, 6), size=n) * 0.1
+                  for n in rng.integers(1, 256, size=60)]
+        labels = [np.array([0] * 4 + [1] * 4 + [0] * 4)]
+        labels += [rng.integers(0, 2, size=z.size) for z in nodes[1:]]
+        got = [self._equals_one_batch_and_best_split(z, y, bins) for z, y in zip(nodes, labels)]
+        assert [g[2][0] for g in got[:3]] == [4, 20, 0]
 
     @pytest.mark.parametrize("bins", [1, 2, 3, 64])
     @given(_binned_node())
     def test_any_node(self, bins, node):
         self._equals_one_batch_and_best_split(*node, bins)
 
-    @pytest.mark.parametrize("bins", [None, 64])
+    @pytest.mark.parametrize("bins", [None, 1, 64])
     def test_noisy_and_tied_large_nodes(self, bins):
         # nodes of thousands of rows: most bins are dropped, and the kept
-        # ones lie apart
+        # ones lie apart. One bin keeps every row, so the 34,284-row node
+        # scans more than forest._BLOCK sorted rows in its one pass
         rng = np.random.default_rng(23)
         for n in rng.integers(1_000, 40_000, size=12):
             z = rng.normal(size=n)
@@ -1166,7 +1204,7 @@ class TestLevelKernelReference:
     @pytest.mark.parametrize("make", [_oblique, _overlapping, _ties])
     def test_blocked_trees_equal_the_frozen_kernel(self, make, monkeypatch):
         # the tier-1 sets take the large-node paths: node_moments' leaf by
-        # leaf sums and _node_split's block by block search
+        # leaf sums and _node_split's pruned search
         monkeypatch.setattr(forest, "_BLOCK", 64)
         monkeypatch.setattr(cca_module, "_SUM_LEAF", 128)
         moments, splits = [], []
@@ -1182,7 +1220,7 @@ class TestLevelKernelReference:
         monkeypatch.setattr(forest, "node_moments", spy_moments)
         monkeypatch.setattr(forest, "_node_split", spy_split)
         self._equal_the_frozen_kernel(make, "C", monkeypatch)
-        # nodes of several leaves and of several blocks
+        # nodes of several leaves, searched alone
         assert max(moments) > 2 * 128 + 1 and max(splits) > 2 * 64
 
     @staticmethod
@@ -1191,14 +1229,14 @@ class TestLevelKernelReference:
         monkeypatch.setenv("CCF_THREADS", "1")
         x, y = make(np.random.default_rng(7))
         s = SampleSet(np.asarray(x, order=order), y, adopt=True)
-        draws, retries, every_row_splits = [], [], []
+        draws, splits, every_row_splits = [], [], []
 
         def spy_draw(rng, sizes, draw=forest._draw):
             draws.append(sizes)
             return draw(rng, sizes)
 
         def spy_split(*args, split=forest._split_nodes):
-            retries.append(args[-1] is None)
+            splits.append(len(draws))
             return split(*args)
 
         def spy_partition(rows, z, t, ok, sizes, partition=forest._partition):
@@ -1213,13 +1251,19 @@ class TestLevelKernelReference:
             m.setattr(forest, "_partition", spy_partition)
             got = train_forest(s, cfg).trees
 
-        def frozen_split(block, *args):  # the frozen kernel reads rows x bands
-            return growth_reference._split_nodes(block.T, *args)
+        def frozen_split(block, y, rows, feats, starts, rng):
+            # the frozen kernel reads rows x bands and draws its bootstrap
+            # from the level's rng; the retry, weighting every row 1, hands
+            # it no rng
+            rng = rng if isinstance(rng, np.random.Generator) else None
+            return growth_reference._split_nodes(block.T, y, rows, feats, starts, rng)
 
+        monkeypatch.setattr(forest, "_bootstrap", lambda rng, starts, sizes: rng)
         monkeypatch.setattr(forest, "_split_nodes", frozen_split)
         monkeypatch.setattr(forest, "_partition", growth_reference._partition)
         want = train_forest(s, cfg).trees
-        assert any(retries) and any(every_row_splits)
+        # one bootstrap per level, so a level that retried split twice
+        assert len(splits) > len(draws) and any(every_row_splits)
         if make is _oblique:
             large = [sizes for sizes in draws if (sizes >= _LARGE).any()]
             assert len(large) >= 4 and any((sizes < _LARGE).any() for sizes in large)
